@@ -11,11 +11,11 @@ GO ?= go
 BENCH_LABEL ?= after
 FUZZTIME ?= 10s
 
-.PHONY: check build test verify vet lint fuzz-smoke race race-engine race-kernel race-obs race-serve race-dispatch race-search race-cluster bench bench-serve bench-search bench-cluster obs-overhead expofmt csptop-smoke
+.PHONY: check build test verify vet lint cspdbench-check fuzz-smoke race race-engine race-kernel race-obs race-serve race-dispatch race-search race-cluster bench bench-serve bench-search bench-cluster obs-overhead expofmt csptop-smoke
 
 # Default target: everything a PR must pass locally. expofmt is the
 # exposition-format gate (Prometheus text writer + /metrics content tests).
-check: vet verify lint expofmt race-kernel race-obs race-serve race-dispatch race-search race-cluster
+check: vet verify lint cspdbench-check expofmt race-kernel race-obs race-serve race-dispatch race-search race-cluster
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,13 @@ vet:
 lint:
 	$(GO) build ./...
 	$(GO) run ./cmd/csplint ./...
+
+# The benchmark program is its own module (cspdbench/go.mod), so the root
+# ./... skips it, yet it compiles against the dispatch, serve and csp APIs:
+# vet and test it on every check.
+cspdbench-check:
+	$(GO) -C cspdbench vet ./...
+	$(GO) -C cspdbench test ./...
 
 # Briefly run every native fuzz target (differential join oracle, instance
 # parser, tractability dispatcher). FUZZTIME=2m fuzz-smoke for a longer shake.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,7 +26,7 @@ func TestRunErrorPaths(t *testing.T) {
 
 	t.Run("malformed instance", func(t *testing.T) {
 		bad := writeTempInstance(t, "vars banana\ndom 2\n")
-		err := run(config{strategy: "auto", args: []string{bad}})
+		err := run(io.Discard, config{strategy: "auto", args: []string{bad}})
 		if err == nil {
 			t.Fatal("malformed instance accepted")
 		}
@@ -33,33 +34,33 @@ func TestRunErrorPaths(t *testing.T) {
 
 	t.Run("truncated constraint", func(t *testing.T) {
 		bad := writeTempInstance(t, "vars 2\ndom 2\ncon 0 1 : 0\n")
-		if err := run(config{strategy: "auto", args: []string{bad}}); err == nil {
+		if err := run(io.Discard, config{strategy: "auto", args: []string{bad}}); err == nil {
 			t.Fatal("constraint with wrong tuple arity accepted")
 		}
 	})
 
 	t.Run("unknown strategy", func(t *testing.T) {
-		err := run(config{strategy: "quantum", args: sample})
+		err := run(io.Discard, config{strategy: "quantum", args: sample})
 		if err == nil || !strings.Contains(err.Error(), "strategy") {
 			t.Fatalf("unknown strategy: err = %v", err)
 		}
 	})
 
 	t.Run("negative timeout", func(t *testing.T) {
-		err := run(config{strategy: "auto", timeout: -time.Second, args: sample})
+		err := run(io.Discard, config{strategy: "auto", timeout: -time.Second, args: sample})
 		if err == nil || !strings.Contains(err.Error(), "timeout") {
 			t.Fatalf("negative timeout: err = %v", err)
 		}
 	})
 
 	t.Run("missing input file", func(t *testing.T) {
-		if err := run(config{strategy: "auto", args: []string{filepath.Join(t.TempDir(), "absent.csp")}}); err == nil {
+		if err := run(io.Discard, config{strategy: "auto", args: []string{filepath.Join(t.TempDir(), "absent.csp")}}); err == nil {
 			t.Fatal("missing input file accepted")
 		}
 	})
 
 	t.Run("too many args", func(t *testing.T) {
-		if err := run(config{strategy: "auto", args: []string{"a.csp", "b.csp"}}); err == nil {
+		if err := run(io.Discard, config{strategy: "auto", args: []string{"a.csp", "b.csp"}}); err == nil {
 			t.Fatal("two positional args accepted")
 		}
 	})
@@ -68,7 +69,7 @@ func TestRunErrorPaths(t *testing.T) {
 		// The solve itself succeeds; writing the trace to a path inside a
 		// nonexistent directory must turn the run into an error.
 		badPath := filepath.Join(t.TempDir(), "no", "such", "dir", "trace.jsonl")
-		err := run(config{strategy: "auto", trace: badPath, args: sample})
+		err := run(io.Discard, config{strategy: "auto", trace: badPath, args: sample})
 		if err == nil {
 			t.Fatal("unwritable trace path accepted")
 		}

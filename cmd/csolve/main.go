@@ -1,108 +1,104 @@
 // Command csolve solves constraint-satisfaction problems from the command
 // line. It reads either the library's instance text format or a DIMACS
-// coloring graph, picks a strategy (or is told one), and prints a solution
-// or UNSAT.
+// coloring graph, runs one strategy from the dispatcher's strategy table
+// (internal/dispatch, the same table cspd serves), and prints a one-line
+// summary and a solution.
 //
 // Usage:
 //
-//	csolve [-strategy auto|search|join|treewidth|schaefer] [-explain]
-//	       [-all max] [-timeout d] [-trace out.jsonl] [-events out.jsonl]
-//	       instance.csp
+//	csolve [-strategy name] [-workers n] [-timeout d] [-explain]
+//	       [-trace out.jsonl] [-events out.jsonl] instance.csp
+//	csolve [-all max | -count] instance.csp
 //	csolve -coloring k graph.col
-//	csolve -auto [-width k] instance.csp
-//	csolve -portfolio [-timeout 2s] instance.csp
-//	csolve -parallel [-workers n] instance.csp
-//	csolve -learn [-timeout 2s] instance.csp
 //
-// With no file argument the instance is read from standard input.
-// -auto classifies the instance's structure (tree / schaefer / acyclic /
-// bounded width) and routes it to the matching polynomial solver, falling
-// back to the portfolio only for hard instances; the summary line reports
-// the chosen route and the classification time. -portfolio races the MAC,
-// FC, CBJ and join solvers and reports the first verdict; -parallel splits
-// the root domain across a worker pool; -timeout bounds the solve
-// wall-clock (the search reports UNKNOWN when it expires). -learn runs the
-// restart/nogood learning engine and extends the summary line with its
-// restart and nogood counters. -trace turns on
-// structured span tracing for the solve and writes the drained spans as
-// JSON lines (the same schema cspd's /trace endpoint serves) to the given
-// file. -events writes the solve's canonical wide event — route, verdict,
-// effort counters, wall clock — as one JSON line in the schema cspd's
-// /events endpoint serves; its trace_id matches the -trace root span.
+// With no file argument the instance is read from standard input. The
+// default strategy, auto, classifies the instance's structure (tree /
+// schaefer / acyclic / bounded width) and routes it to the matching
+// polynomial solver, falling back to the portfolio only for hard
+// instances; the other strategies run one engine directly (csolve -h lists
+// them). The summary line names the requested strategy, the route and
+// classification time (auto), the portfolio winner, the engine that ran,
+// its effort and the wall clock. -workers bounds the parallel strategy's
+// pool and is rejected with any other. -timeout is the solve's deadline
+// whatever the strategy: the verdict is UNKNOWN when it expires. -explain
+// prints why the solve took its route, from the classification that routed
+// it. -all enumerates solutions by MAC search and -count counts them by
+// decomposition DP; both ignore -strategy. -trace turns on structured span
+// tracing for the solve and writes the drained spans as JSON lines (the
+// same schema cspd's /trace endpoint serves) to the given file. -events
+// writes the solve's canonical wide event — route, verdict, effort
+// counters, wall clock — as one JSON line in the schema cspd's /events
+// endpoint serves; its trace_id matches the -trace root span.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
-	"csdb/internal/core"
 	"csdb/internal/csp"
 	"csdb/internal/cspio"
 	"csdb/internal/dispatch"
 	"csdb/internal/gen"
 	"csdb/internal/obs"
+	"csdb/internal/treewidth"
 )
 
 // config carries the parsed command-line options.
 type config struct {
-	strategy  string
-	coloring  int
-	explain   bool
-	all       int64
-	count     bool
-	timeout   time.Duration
-	auto      bool
-	width     int
-	portfolio bool
-	parallel  bool
-	workers   int
-	learn     bool
-	trace     string
-	events    string
-	args      []string
+	strategy string
+	coloring int
+	explain  bool
+	all      int64
+	count    bool
+	timeout  time.Duration
+	workers  int
+	trace    string
+	events   string
+	args     []string
 }
 
 func main() {
-	strategy := flag.String("strategy", "auto", "solving strategy: auto, search, join, treewidth, schaefer, tree")
+	strategy := flag.String("strategy", "auto", "solving strategy: "+strings.Join(dispatch.Names(), ", "))
 	coloring := flag.Int("coloring", 0, "treat the input as a DIMACS graph and solve k-coloring")
-	explain := flag.Bool("explain", false, "print the auto-strategy rationale before solving")
-	all := flag.Int64("all", 0, "enumerate up to this many solutions (search strategy)")
+	explain := flag.Bool("explain", false, "print why the solve took its route")
+	all := flag.Int64("all", 0, "enumerate up to this many solutions by MAC search")
 	count := flag.Bool("count", false, "count solutions exactly via decomposition DP")
-	timeout := flag.Duration("timeout", 0, "wall-clock limit for solving (0 = none)")
-	auto := flag.Bool("auto", false, "classify the instance's structure and route it to a matching polynomial solver")
-	width := flag.Int("width", 0, "width budget for -auto's bounded-treewidth route (0 = default)")
-	portfolio := flag.Bool("portfolio", false, "race MAC, FC, CBJ and join solvers; first verdict wins")
-	parallel := flag.Bool("parallel", false, "split the root variable's domain across a parallel worker pool")
-	workers := flag.Int("workers", 0, "worker-pool size for -parallel (0 = GOMAXPROCS)")
-	learn := flag.Bool("learn", false, "solve with the restart/nogood learning engine")
+	timeout := flag.Duration("timeout", 0, "deadline for the solve (0 = none)")
+	workers := flag.Int("workers", 0, "worker-pool size for -strategy parallel (0 = GOMAXPROCS)")
 	trace := flag.String("trace", "", "write the solve's span trace to this file as JSON lines")
 	events := flag.String("events", "", "write the solve's wide event to this file as a JSON line")
+	flag.Usage = func() {
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: csolve [flags] [instance]\n\nstrategies:\n%s\nflags:\n", dispatch.Help())
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 
 	cfg := config{
 		strategy: *strategy, coloring: *coloring, explain: *explain,
-		all: *all, count: *count, timeout: *timeout,
-		auto: *auto, width: *width,
-		portfolio: *portfolio, parallel: *parallel, workers: *workers,
-		learn: *learn, trace: *trace, events: *events, args: flag.Args(),
+		all: *all, count: *count, timeout: *timeout, workers: *workers,
+		trace: *trace, events: *events, args: flag.Args(),
 	}
-	if err := run(cfg); err != nil {
+	if err := run(os.Stdout, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "csolve:", err)
 		os.Exit(2)
 	}
 }
 
-func run(cfg config) (err error) {
+func run(w io.Writer, cfg config) (err error) {
 	in := os.Stdin
 	if len(cfg.args) > 1 {
 		return fmt.Errorf("at most one input file expected")
 	}
 	if cfg.timeout < 0 {
 		return fmt.Errorf("-timeout must be non-negative, got %v", cfg.timeout)
+	}
+	if err := dispatch.Check(cfg.strategy, cfg.workers); err != nil {
+		return err
 	}
 	if len(cfg.args) == 1 {
 		f, err := os.Open(cfg.args[0])
@@ -128,19 +124,6 @@ func run(cfg config) (err error) {
 		}
 	}
 
-	strategy, err := parseStrategy(cfg.strategy)
-	if err != nil {
-		return err
-	}
-	exclusive := 0
-	for _, on := range []bool{cfg.auto, cfg.portfolio, cfg.parallel, cfg.learn} {
-		if on {
-			exclusive++
-		}
-	}
-	if exclusive > 1 {
-		return fmt.Errorf("-auto, -portfolio, -parallel and -learn are mutually exclusive")
-	}
 	ctx := context.Background()
 	if cfg.timeout > 0 {
 		var cancel context.CancelFunc
@@ -182,26 +165,8 @@ func run(cfg config) (err error) {
 		}()
 	}
 
-	if cfg.auto {
-		return runAuto(ctx, inst, cfg.width, ev)
-	}
-	if cfg.portfolio {
-		return runPortfolio(ctx, inst, ev)
-	}
-	if cfg.parallel {
-		return runParallel(ctx, inst, cfg.workers, ev)
-	}
-	if cfg.learn {
-		return runLearn(ctx, inst, ev)
-	}
-
-	problem := core.FromCSP(inst)
-	if cfg.explain {
-		fmt.Println("strategy:", problem.Explain(core.Options{}))
-	}
-
 	if cfg.count {
-		n, err := problem.Count()
+		n, err := treewidth.Count(inst)
 		if err != nil {
 			return err
 		}
@@ -210,67 +175,76 @@ func run(cfg config) (err error) {
 		if n.Sign() > 0 {
 			ev.Verdict = obs.VerdictSat
 		}
-		fmt.Printf("%v solution(s)\n", n)
+		fmt.Fprintf(w, "%v solution(s)\n", n)
 		return nil
 	}
 
 	if cfg.all > 0 {
 		count, _ := csp.SolveAllCtx(ctx, inst, csp.Options{}, cfg.all, func(sol []int) bool {
-			fmt.Println(formatSolution(inst, sol))
+			fmt.Fprintln(w, formatSolution(inst, sol))
 			return true
 		})
 		ev.Strategy = "enumerate"
 		ev.Verdict = eventVerdict(count > 0, false)
-		fmt.Printf("%d solution(s)\n", count)
+		fmt.Fprintf(w, "%d solution(s)\n", count)
 		return nil
 	}
 
-	if cfg.timeout > 0 {
-		// A wall-clock limit routes the solve through the context-aware
-		// search engine (the decomposition strategies are not cancellable).
-		res := csp.SolveCtx(ctx, inst, csp.Options{})
-		ev.Strategy = "search"
-		ev.Verdict = eventVerdict(res.Found, res.Aborted)
-		fillEventStats(ev, res.Stats)
-		printSearchResult(inst, res)
-		return nil
-	}
-
-	res, err := problem.Solve(core.Options{Strategy: strategy})
+	start := time.Now()
+	out, err := dispatch.NewAnalyzer(0, 0).Run(ctx, inst, cfg.strategy, cfg.workers)
 	if err != nil {
 		return err
 	}
-	ev.Strategy = cfg.strategy
-	ev.Verdict = eventVerdict(res.Satisfiable, false)
-	if !res.Satisfiable {
-		fmt.Println("UNSAT")
-		return nil
+	wall := time.Since(start)
+	ev.Strategy = out.Strategy
+	ev.Route = out.RouteName()
+	ev.Winner = out.Winner
+	ev.Verdict = eventVerdict(out.Found, out.Aborted)
+	ev.WallNs = wall.Nanoseconds()
+	ev.Nodes = out.Stats.Nodes
+	ev.Backtracks = out.Stats.Backtracks
+	ev.Restarts = out.Stats.Restarts
+	ev.Nogoods = out.Stats.NogoodsRecorded
+	if cfg.explain {
+		fmt.Fprintln(w, "explain:", out.Explain())
 	}
-	fmt.Printf("SAT (%v", res.Used)
-	if res.SchaeferClass != nil {
-		fmt.Printf(": %v", *res.SchaeferClass)
+	fmt.Fprintln(w, summary(out, wall))
+	if out.Found {
+		fmt.Fprintln(w, formatSolution(inst, out.Solution))
 	}
-	fmt.Println(")")
-	fmt.Println(formatSolution(inst, res.Assignment))
 	return nil
 }
 
-func parseStrategy(name string) (core.Strategy, error) {
-	switch name {
-	case "auto":
-		return core.Auto, nil
-	case "search":
-		return core.Search, nil
-	case "join":
-		return core.Join, nil
-	case "treewidth":
-		return core.TreewidthDP, nil
-	case "schaefer":
-		return core.SchaeferSolver, nil
-	case "tree":
-		return core.Tree, nil
+// summary renders the one-line verdict of a strategy-table solve: the
+// strategy asked for; for auto, the route the verdict came from and the
+// classification time; the portfolio winner and parallel split when those
+// ran; then the engine, its effort and the wall clock.
+func summary(out dispatch.Outcome, wall time.Duration) string {
+	verdict := "UNSAT"
+	switch {
+	case out.Aborted:
+		verdict = "UNKNOWN"
+	case out.Found:
+		verdict = "SAT"
 	}
-	return core.Auto, fmt.Errorf("unknown strategy %q", name)
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s (strategy=%s", verdict, out.Strategy)
+	if route := out.RouteName(); route != "" {
+		fmt.Fprintf(&b, ", route=%s, classify %v", route, out.ClassifyTime.Round(time.Microsecond))
+	}
+	if out.Winner != "" {
+		fmt.Fprintf(&b, ", portfolio winner %s", out.Winner)
+	}
+	if out.Subtrees > 0 {
+		fmt.Fprintf(&b, ", %d subtrees", out.Subtrees)
+	}
+	st := out.Stats
+	fmt.Fprintf(&b, ", engine %s, %d nodes, depth %d", st.Strategy, st.Nodes, st.MaxDepth)
+	if st.Restarts > 0 || st.NogoodsRecorded > 0 {
+		fmt.Fprintf(&b, ", %d restarts, %d nogoods (%d hits)", st.Restarts, st.NogoodsRecorded, st.NogoodHits)
+	}
+	fmt.Fprintf(&b, ", %v)", wall.Round(time.Microsecond))
+	return b.String()
 }
 
 func formatSolution(inst *csp.Instance, sol []int) string {
@@ -290,15 +264,6 @@ func eventVerdict(found, aborted bool) string {
 		return obs.VerdictSat
 	}
 	return obs.VerdictUnsat
-}
-
-// fillEventStats copies the engine effort counters into the wide event.
-func fillEventStats(ev *obs.SolveEvent, st csp.Stats) {
-	ev.WallNs = st.Duration.Nanoseconds()
-	ev.Nodes = st.Nodes
-	ev.Backtracks = st.Backtracks
-	ev.Restarts = st.Restarts
-	ev.Nogoods = st.NogoodsRecorded
 }
 
 // writeEvents drains the default event ring into a JSONL file (one line:
@@ -326,126 +291,4 @@ func writeTrace(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// printSearchResult renders a context-aware search outcome: SAT with the
-// assignment, UNSAT, or UNKNOWN when the search was cancelled or limited.
-// The summary line carries the strategy that ran, the search effort, the
-// deepest point the search reached, and the wall clock.
-func printSearchResult(inst *csp.Instance, res csp.Result) {
-	switch {
-	case res.Found:
-		fmt.Printf("SAT (%s, %d nodes, depth %d, %v)\n", res.Stats.Strategy, res.Stats.Nodes,
-			res.Stats.MaxDepth, res.Stats.Duration.Round(time.Microsecond))
-		fmt.Println(formatSolution(inst, res.Solution))
-	case res.Aborted:
-		fmt.Printf("UNKNOWN (%s aborted after %d nodes, depth %d, %v)\n", res.Stats.Strategy,
-			res.Stats.Nodes, res.Stats.MaxDepth, res.Stats.Duration.Round(time.Microsecond))
-	default:
-		fmt.Printf("UNSAT (%s, %d nodes, depth %d, %v)\n", res.Stats.Strategy, res.Stats.Nodes,
-			res.Stats.MaxDepth, res.Stats.Duration.Round(time.Microsecond))
-	}
-}
-
-// runAuto routes the instance through the tractability dispatcher. The
-// summary line always names the route the verdict came from and the time
-// classification took, so an auto-routed run is distinguishable from a
-// plain portfolio run (whose Stats.Strategy it would otherwise echo).
-func runAuto(ctx context.Context, inst *csp.Instance, width int, ev *obs.SolveEvent) error {
-	an := dispatch.NewAnalyzer(width, 0)
-	out := an.Solve(ctx, inst)
-	ev.Strategy = "auto"
-	ev.Route = out.Route.String()
-	ev.Winner = out.Winner
-	ev.Verdict = eventVerdict(out.Found, out.Aborted)
-	fillEventStats(ev, out.Stats)
-	detail := autoDetail(out)
-	switch {
-	case out.Found:
-		fmt.Printf("SAT (%s, %v)\n", detail, out.Stats.Duration.Round(time.Microsecond))
-		fmt.Println(formatSolution(inst, out.Solution))
-	case out.Aborted:
-		fmt.Printf("UNKNOWN (%s)\n", detail)
-	default:
-		fmt.Printf("UNSAT (%s, %v)\n", detail, out.Stats.Duration.Round(time.Microsecond))
-	}
-	return nil
-}
-
-// autoDetail renders the dispatcher part of the summary line: the route the
-// verdict came from, the classification wall clock, and — when the
-// portfolio fallback produced the verdict — its winning strategy.
-func autoDetail(out dispatch.Outcome) string {
-	detail := fmt.Sprintf("route=%v, classify %v", out.Route,
-		out.ClassifyTime.Round(time.Microsecond))
-	if out.Fallback && out.Winner != "" {
-		detail += ", portfolio winner " + out.Winner
-	}
-	return detail
-}
-
-func runPortfolio(ctx context.Context, inst *csp.Instance, ev *obs.SolveEvent) error {
-	res := csp.Portfolio(ctx, inst, csp.PortfolioOptions{})
-	ev.Strategy = "portfolio"
-	ev.Winner = res.Winner
-	ev.Verdict = eventVerdict(res.Found, res.Aborted)
-	fillEventStats(ev, res.Result.Stats)
-	switch {
-	case res.Found:
-		fmt.Printf("SAT (portfolio winner %s [%s], depth %d, %v)\n", res.Winner,
-			res.Result.Stats.Strategy, res.Result.Stats.MaxDepth,
-			res.Total.Duration.Round(time.Microsecond))
-		fmt.Println(formatSolution(inst, res.Solution))
-	case res.Aborted:
-		fmt.Printf("UNKNOWN (portfolio aborted, %v)\n", res.Total.Duration.Round(time.Microsecond))
-	default:
-		fmt.Printf("UNSAT (portfolio winner %s [%s], depth %d, %v)\n", res.Winner,
-			res.Result.Stats.Strategy, res.Result.Stats.MaxDepth,
-			res.Total.Duration.Round(time.Microsecond))
-	}
-	for _, rep := range res.Reports {
-		status := "completed"
-		if rep.Cancelled {
-			status = "cancelled"
-		} else if rep.Aborted {
-			status = "aborted"
-		}
-		fmt.Printf("  %-8s %-9s nodes=%-8d depth=%-3d %v\n", rep.Name, status,
-			rep.Stats.Nodes, rep.Stats.MaxDepth, rep.Stats.Duration.Round(time.Microsecond))
-	}
-	return nil
-}
-
-func runParallel(ctx context.Context, inst *csp.Instance, workers int, ev *obs.SolveEvent) error {
-	res := csp.SolveParallel(ctx, inst, csp.ParallelOptions{Workers: workers})
-	ev.Strategy = "parallel"
-	ev.Verdict = eventVerdict(res.Found, res.Aborted)
-	fillEventStats(ev, res.Stats)
-	fmt.Printf("split into %d subtrees on %d workers\n", res.Subtrees, res.Workers)
-	printSearchResult(inst, res.Result)
-	return nil
-}
-
-// runLearn solves with the restart/nogood learning engine. The summary line
-// extends the search format with the engine's own effort counters: restarts
-// taken, nogoods recorded, and nogood propagation hits.
-func runLearn(ctx context.Context, inst *csp.Instance, ev *obs.SolveEvent) error {
-	res := csp.SolveCtx(ctx, inst, csp.Options{Learn: true})
-	ev.Strategy = "learn"
-	ev.Verdict = eventVerdict(res.Found, res.Aborted)
-	fillEventStats(ev, res.Stats)
-	st := res.Stats
-	detail := fmt.Sprintf("%s, %d nodes, depth %d, %d restarts, %d nogoods (%d hits), %v",
-		st.Strategy, st.Nodes, st.MaxDepth, st.Restarts, st.NogoodsRecorded, st.NogoodHits,
-		st.Duration.Round(time.Microsecond))
-	switch {
-	case res.Found:
-		fmt.Printf("SAT (%s)\n", detail)
-		fmt.Println(formatSolution(inst, res.Solution))
-	case res.Aborted:
-		fmt.Printf("UNKNOWN (%s)\n", detail)
-	default:
-		fmt.Printf("UNSAT (%s)\n", detail)
-	}
-	return nil
 }

@@ -3,63 +3,83 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"csdb/internal/core"
+	"csdb/internal/dispatch"
 	"csdb/internal/obs"
 )
 
+// runOut runs csolve with cfg and returns what it printed.
+func runOut(t *testing.T, cfg config) string {
+	t.Helper()
+	var b strings.Builder
+	if err := run(&b, cfg); err != nil {
+		t.Fatalf("run %+v: %v", cfg, err)
+	}
+	return b.String()
+}
+
+// -strategy takes exactly the strategy table's names; the retired forced
+// routes and their spellings are rejected.
 func TestParseStrategy(t *testing.T) {
-	for name, want := range map[string]core.Strategy{
-		"auto": core.Auto, "search": core.Search, "join": core.Join,
-		"treewidth": core.TreewidthDP, "schaefer": core.SchaeferSolver, "tree": core.Tree,
-	} {
-		got, err := parseStrategy(name)
-		if err != nil || got != want {
-			t.Fatalf("parseStrategy(%q) = %v, %v", name, got, err)
+	sample := []string{"../../testdata/sample.csp"}
+	for _, name := range dispatch.Names() {
+		if got := runOut(t, config{strategy: name, args: sample}); !strings.HasPrefix(got, "SAT (strategy="+name+",") {
+			t.Fatalf("strategy %s: output %q", name, got)
 		}
 	}
-	if _, err := parseStrategy("quantum"); err == nil {
-		t.Fatal("unknown strategy accepted")
+	for _, name := range []string{"search", "treewidth", "schaefer", "tree", "quantum"} {
+		if err := run(io.Discard, config{strategy: name, args: sample}); err == nil ||
+			!strings.Contains(err.Error(), "unknown strategy") {
+			t.Fatalf("strategy %q: err = %v", name, err)
+		}
 	}
 }
 
 func TestRunOnInstanceFile(t *testing.T) {
 	sample := []string{"../../testdata/sample.csp"}
-	if err := run(config{strategy: "auto", explain: true, args: sample}); err != nil {
+	if err := run(io.Discard, config{strategy: "auto", explain: true, args: sample}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if err := run(config{strategy: "search", all: 3, args: sample}); err != nil {
-		t.Fatalf("run -all: %v", err)
+	if got := runOut(t, config{strategy: "mac", all: 3, args: sample}); !strings.HasSuffix(got, "2 solution(s)\n") {
+		t.Fatalf("run -all: output %q", got)
 	}
-	if err := run(config{strategy: "auto", count: true, args: sample}); err != nil {
-		t.Fatalf("run -count: %v", err)
+	if got := runOut(t, config{strategy: "auto", count: true, args: sample}); got != "2 solution(s)\n" {
+		t.Fatalf("run -count: output %q", got)
 	}
 }
 
+// -timeout is only the deadline of the requested strategy: the summary
+// names that strategy with and without it, and -explain works with every
+// strategy. -workers is accepted by parallel alone.
 func TestRunEngineFlags(t *testing.T) {
 	sample := []string{"../../testdata/sample.csp"}
-	if err := run(config{strategy: "auto", portfolio: true, timeout: 5 * time.Second, args: sample}); err != nil {
-		t.Fatalf("run -portfolio: %v", err)
+	for _, name := range dispatch.Names() {
+		for _, timeout := range []time.Duration{0, 5 * time.Second} {
+			got := runOut(t, config{strategy: name, explain: true, timeout: timeout, args: sample})
+			lines := strings.Split(got, "\n")
+			if len(lines) < 2 || !strings.HasPrefix(lines[0], "explain: ") ||
+				!strings.HasPrefix(lines[1], "SAT (strategy="+name+",") {
+				t.Fatalf("strategy %s, timeout %v: output %q", name, timeout, got)
+			}
+		}
 	}
-	if err := run(config{strategy: "auto", parallel: true, workers: 2, args: sample}); err != nil {
-		t.Fatalf("run -parallel: %v", err)
+	if got := runOut(t, config{strategy: "mac", timeout: 2 * time.Second, args: sample}); !strings.Contains(got, "engine MAC+MRV") {
+		t.Fatalf("-strategy mac -timeout: output %q", got)
 	}
-	if err := run(config{strategy: "auto", timeout: 5 * time.Second, args: sample}); err != nil {
-		t.Fatalf("run -timeout: %v", err)
+	if got := runOut(t, config{strategy: "parallel", workers: 2, args: sample}); !strings.Contains(got, "subtrees") {
+		t.Fatalf("-strategy parallel -workers 2: output %q", got)
 	}
-	if err := run(config{strategy: "auto", learn: true, timeout: 5 * time.Second, args: sample}); err != nil {
-		t.Fatalf("run -learn: %v", err)
-	}
-	if err := run(config{strategy: "auto", portfolio: true, parallel: true, args: sample}); err == nil {
-		t.Fatal("-portfolio with -parallel accepted")
-	}
-	if err := run(config{strategy: "auto", learn: true, parallel: true, args: sample}); err == nil {
-		t.Fatal("-learn with -parallel accepted")
+	for _, name := range []string{"auto", "learn", "mac", "portfolio"} {
+		if err := run(io.Discard, config{strategy: name, workers: 2, args: sample}); err == nil ||
+			!strings.Contains(err.Error(), "conflicting workers") {
+			t.Fatalf("-strategy %s -workers 2: err = %v", name, err)
+		}
 	}
 }
 
@@ -76,10 +96,10 @@ func TestRunTraceFlag(t *testing.T) {
 
 	out := filepath.Join(t.TempDir(), "trace.jsonl")
 	cfg := config{
-		strategy: "auto", timeout: 5 * time.Second, trace: out,
+		strategy: "mac", timeout: 5 * time.Second, trace: out,
 		args: []string{"../../testdata/sample.csp"},
 	}
-	if err := run(cfg); err != nil {
+	if err := run(io.Discard, cfg); err != nil {
 		t.Fatalf("run -trace: %v", err)
 	}
 
@@ -123,25 +143,25 @@ func TestRunTraceFlag(t *testing.T) {
 
 func TestRunOnDIMACS(t *testing.T) {
 	triangle := []string{"../../testdata/triangle.col"}
-	if err := run(config{strategy: "auto", coloring: 3, args: triangle}); err != nil {
-		t.Fatalf("3-coloring: %v", err)
+	if got := runOut(t, config{strategy: "auto", coloring: 3, args: triangle}); !strings.HasPrefix(got, "SAT ") {
+		t.Fatalf("3-coloring: %q", got)
 	}
-	if err := run(config{strategy: "search", coloring: 2, args: triangle}); err != nil {
-		t.Fatalf("2-coloring (UNSAT path): %v", err)
+	if got := runOut(t, config{strategy: "mac", coloring: 2, args: triangle}); !strings.HasPrefix(got, "UNSAT ") {
+		t.Fatalf("2-coloring (UNSAT path): %q", got)
 	}
-	if err := run(config{strategy: "auto", coloring: 3, portfolio: true, args: triangle}); err != nil {
-		t.Fatalf("3-coloring -portfolio: %v", err)
+	if got := runOut(t, config{strategy: "portfolio", coloring: 3, args: triangle}); !strings.Contains(got, "portfolio winner") {
+		t.Fatalf("3-coloring -strategy portfolio: %q", got)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run(config{strategy: "auto", args: []string{"/nonexistent/file"}}); err == nil {
+	if err := run(io.Discard, config{strategy: "auto", args: []string{"/nonexistent/file"}}); err == nil {
 		t.Fatal("missing file accepted")
 	}
-	if err := run(config{strategy: "auto", args: []string{"a", "b"}}); err == nil {
+	if err := run(io.Discard, config{strategy: "auto", args: []string{"a", "b"}}); err == nil {
 		t.Fatal("two files accepted")
 	}
-	if err := run(config{strategy: "bogus", args: []string{"../../testdata/sample.csp"}}); err == nil {
+	if err := run(io.Discard, config{strategy: "bogus", args: []string{"../../testdata/sample.csp"}}); err == nil {
 		t.Fatal("bad strategy accepted")
 	}
 }
@@ -164,10 +184,10 @@ func TestRunEventsFlag(t *testing.T) {
 	evOut := filepath.Join(dir, "events.jsonl")
 	trOut := filepath.Join(dir, "trace.jsonl")
 	cfg := config{
-		strategy: "auto", auto: true, events: evOut, trace: trOut,
+		strategy: "auto", events: evOut, trace: trOut,
 		args: []string{"../../testdata/sample.csp"},
 	}
-	if err := run(cfg); err != nil {
+	if err := run(io.Discard, cfg); err != nil {
 		t.Fatalf("run -events: %v", err)
 	}
 

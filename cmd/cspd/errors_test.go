@@ -8,8 +8,10 @@ import (
 )
 
 // TestSolveRejectsHostileParams extends the bad-input coverage with the
-// boundary cases: zero and negative timeouts, non-numeric workers, an
-// empty body, and a body that parses structurally but truncates a tuple.
+// boundary cases: zero and negative timeouts, non-numeric workers, a worker
+// bound on a strategy that ignores it (which would otherwise split the
+// result cache), an empty body, and a body that parses structurally but
+// truncates a tuple.
 // Each must produce 400 with a diagnostic body, never 500 or a hang.
 func TestSolveRejectsHostileParams(t *testing.T) {
 	ts, _ := startDaemon(t)
@@ -22,6 +24,9 @@ func TestSolveRejectsHostileParams(t *testing.T) {
 		{"non-numeric workers", "workers=banana", sampleInstance, "bad workers"},
 		{"unknown strategy", "strategy=oracle", sampleInstance, "unknown strategy"},
 		{"workers with learn", "strategy=learn&workers=2", sampleInstance, "conflicting workers"},
+		{"workers with mac", "strategy=mac&workers=3", sampleInstance, "conflicting workers"},
+		{"workers with route=auto", "route=auto&workers=2", sampleInstance, "conflicting workers"},
+		{"workers with default portfolio", "workers=1", sampleInstance, "conflicting workers"},
 		{"empty body", "", "", "parse"},
 		{"truncated tuple", "", "vars 2\ndom 2\ncon 0 1 : 0\n", "parse"},
 	} {

@@ -2,8 +2,11 @@ package main
 
 import (
 	"net/http"
+	"os"
 	"strings"
 	"testing"
+
+	"csdb/internal/dispatch"
 )
 
 // The dispatcher surface of /solve: route=auto and route=portfolio for the
@@ -72,5 +75,40 @@ func TestSolveRouteParamValidation(t *testing.T) {
 	}
 	if res.Route == "" {
 		t.Fatal("auto response missing route on UNSAT")
+	}
+}
+
+// Only strategy=auto consults structure. Outcome.Route's zero value is
+// Tree, so an engine row that leaked it would claim a route it never took:
+// every engine row must leave "route" empty and label its latency series
+// route="engine".
+func TestEngineRowsReportNoRoute(t *testing.T) {
+	ts, _ := startDaemon(t)
+	for _, name := range dispatch.Names() {
+		res := postSolve(t, ts, "strategy="+name+"&timeout=10s", sampleInstance)
+		switch {
+		case name == "auto" && res.Route != "tree":
+			t.Fatalf("auto route = %q, want tree", res.Route)
+		case name != "auto" && res.Route != "":
+			t.Fatalf("engine strategy %s reports route %q", name, res.Route)
+		}
+		if name != "auto" && routeLabel(res.Route) != "engine" {
+			t.Fatalf("engine strategy %s labelled route %q", name, routeLabel(res.Route))
+		}
+	}
+}
+
+// An ear-grown acyclic instance whose primal graph exceeds the width budget
+// routes acyclic — the class csolve -strategy auto and core.Problem.Solve
+// report for the same file.
+func TestSolveRoutesWideAcyclic(t *testing.T) {
+	body, err := os.ReadFile("../../testdata/acyclic_wide.csp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, _ := startDaemon(t)
+	res := postSolve(t, ts, "route=auto&timeout=10s", string(body))
+	if res.Route != "acyclic" || !res.Found {
+		t.Fatalf("route=%q found=%v, want acyclic and SAT", res.Route, res.Found)
 	}
 }

@@ -39,11 +39,13 @@ import (
 //
 // Solve requests are parameterized by query string:
 //
-//	strategy  mac|fc|bt|cbj|join|learn|portfolio|parallel|auto
+//	strategy  a row of the dispatcher's strategy table (internal/dispatch):
+//	          auto|portfolio|parallel|mac|fc|bt|cbj|learn|join
 //	          (default portfolio); learn is the restart/nogood engine
 //	timeout   Go duration, capped by -max-timeout         (default 30s)
-//	workers   worker bound for strategy=parallel; rejected with strategy=learn
-//	          (the learning engine is single-threaded)
+//	workers   worker bound for strategy=parallel; any other strategy
+//	          rejects workers>0 with 400 "conflicting workers", so a
+//	          bound the engine ignores never splits the result cache
 //	route     auto|portfolio — alias for strategy, the dispatcher surface:
 //	          route=auto classifies the instance's structure and runs the
 //	          matching polynomial solver (internal/dispatch); the response
@@ -113,41 +115,10 @@ func statusLabel(code int) string {
 	return "other"
 }
 
-// strategyLabel maps the requested strategy onto its closed label set. The
-// strategy has been validated against the strategies map on every 200 path,
-// but error paths can carry an empty ("none") or unknown ("other") value.
-// Every case returns its own literal (rather than echoing the input) so the
-// obslabel analyzer can prove the label set is closed.
-func strategyLabel(s string) string {
-	switch s {
-	case "mac":
-		return "mac"
-	case "fc":
-		return "fc"
-	case "bt":
-		return "bt"
-	case "cbj":
-		return "cbj"
-	case "learn":
-		return "learn"
-	case "join":
-		return "join"
-	case "portfolio":
-		return "portfolio"
-	case "parallel":
-		return "parallel"
-	case "auto":
-		return "auto"
-	case "":
-		return "none"
-	}
-	return "other"
-}
-
 // routeLabel maps the dispatcher's routing outcome onto its closed label
 // set: a structural class for auto-routed solves, "engine" when the generic
-// engine ran without structural routing. Literal returns per case, for the
-// same obslabel reason as strategyLabel.
+// engine ran without structural routing. Every case returns its own
+// literal, so csplint's obslabel analyzer can prove the label set is closed.
 func routeLabel(r string) string {
 	switch r {
 	case "tree":
@@ -177,13 +148,6 @@ type solveParams struct {
 	workers  int
 }
 
-// strategies is the accepted strategy set; validation happens at the HTTP
-// boundary so the dispatch switch never sees an unknown name.
-var strategies = map[string]bool{
-	"mac": true, "fc": true, "bt": true, "cbj": true, "learn": true,
-	"join": true, "portfolio": true, "parallel": true, "auto": true,
-}
-
 // server carries daemon configuration and the serving layers shared by
 // handlers.
 type server struct {
@@ -194,9 +158,10 @@ type server struct {
 	cache   *serve.Cache
 	flights serve.Group
 
-	// analyzer backs strategy=auto: it classifies instances and routes them
-	// to polynomial solvers, keeping its own classification LRU so repeat
-	// structure skips straight to the routed solver.
+	// analyzer runs every solve through the strategy table; for
+	// strategy=auto it classifies instances and routes them to polynomial
+	// solvers, keeping its own classification LRU so repeat structure skips
+	// straight to the routed solver.
 	analyzer *dispatch.Analyzer
 
 	// baseCtx parents every engine solve; cancelSolves aborts them all (the
@@ -365,7 +330,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		ev.TsNs = time.Now().UnixNano()
 		obs.Emit(ev)
 		obsRequestNs.Observe(time.Since(start).Nanoseconds(),
-			routeLabel(ev.Route), strategyLabel(ev.Strategy), statusLabel(status))
+			routeLabel(ev.Route), dispatch.StrategyLabel(ev.Strategy), statusLabel(status))
 	}()
 	defer root.End()
 
@@ -532,15 +497,12 @@ func retryAfterSeconds(estimate, drainBudget time.Duration) int {
 	return secs
 }
 
-// parseParams validates the query string. The strategy is checked here, at
-// the boundary, so neither the flight nor the dispatch switch can see an
-// unknown name.
+// parseParams validates the query string. The strategy and worker bound are
+// checked here, at the boundary, against the same table Run resolves them
+// in, so neither the flight nor the engine can see a bad pair.
 func (s *server) parseParams(q url.Values) (solveParams, error) {
 	p := solveParams{strategy: "portfolio", timeout: 30 * time.Second}
 	if st := q.Get("strategy"); st != "" {
-		if !strategies[st] {
-			return p, fmt.Errorf("unknown strategy %s", strconv.Quote(st))
-		}
 		p.strategy = st
 	}
 	if rt := q.Get("route"); rt != "" {
@@ -572,60 +534,26 @@ func (s *server) parseParams(q url.Values) (solveParams, error) {
 		}
 		p.workers = n
 	}
-	if p.workers > 0 && p.strategy == "learn" {
-		// The learning engine is single-threaded; a worker bound is a
-		// request for a different engine, not a tunable, so reject it.
-		return p, fmt.Errorf("conflicting workers=%d with strategy=learn", p.workers)
-	}
-	return p, nil
+	return p, dispatch.Check(p.strategy, p.workers)
 }
 
-// realDispatch runs one engine solve. The strategy has been validated at
-// the HTTP boundary; ctx carries the request's root span and is bounded by
-// the solve timeout and daemon shutdown.
+// realDispatch runs one solve through the strategy table. ctx carries the
+// request's root span and is bounded by the solve timeout and daemon
+// shutdown.
 func (s *server) realDispatch(ctx context.Context, inst *csp.Instance, p solveParams) solveResponse {
-	resp := solveResponse{Strategy: p.strategy}
 	start := time.Now()
-	switch p.strategy {
-	case "auto":
-		out := s.analyzer.Solve(ctx, inst)
-		resp.Found, resp.Aborted = out.Found, out.Aborted
-		resp.Solution, resp.Stats = out.Solution, out.Stats
-		resp.Route, resp.Winner = out.Route.String(), out.Winner
-	case "portfolio":
-		res := csp.Portfolio(ctx, inst, csp.PortfolioOptions{})
-		resp.Found, resp.Aborted = res.Found, res.Aborted
-		resp.Solution, resp.Winner, resp.Stats = res.Solution, res.Winner, res.Result.Stats
-	case "parallel":
-		res := csp.SolveParallel(ctx, inst, csp.ParallelOptions{Workers: p.workers})
-		resp.Found, resp.Aborted = res.Found, res.Aborted
-		resp.Solution, resp.Subtrees, resp.Stats = res.Solution, res.Subtrees, res.Stats
-	case "cbj":
-		res := csp.SolveCBJCtx(ctx, inst, csp.Options{})
-		resp.Found, resp.Aborted = res.Found, res.Aborted
-		resp.Solution, resp.Stats = res.Solution, res.Stats
-	case "learn":
-		res := csp.SolveCtx(ctx, inst, csp.Options{Learn: true})
-		resp.Found, resp.Aborted = res.Found, res.Aborted
-		resp.Solution, resp.Stats = res.Solution, res.Stats
-	case "join":
-		res := csp.JoinSolveCtx(ctx, inst)
-		resp.Found, resp.Aborted = res.Found, res.Aborted
-		resp.Solution, resp.Stats = res.Solution, res.Stats
-	case "mac", "fc", "bt":
-		opts := csp.Options{}
-		switch p.strategy {
-		case "fc":
-			opts.Algorithm = csp.FC
-		case "bt":
-			opts.Algorithm = csp.BT
-		}
-		res := csp.SolveCtx(ctx, inst, opts)
-		resp.Found, resp.Aborted = res.Found, res.Aborted
-		resp.Solution, resp.Stats = res.Solution, res.Stats
-	default:
-		panic("cspd: unvalidated strategy " + p.strategy)
+	out, err := s.analyzer.Run(ctx, inst, p.strategy, p.workers)
+	// parseParams checked (strategy, workers) against the same table, so err
+	// is unreachable; should it happen, UNKNOWN is never cached.
+	return solveResponse{
+		Strategy: p.strategy,
+		Found:    out.Found,
+		Aborted:  out.Aborted || err != nil,
+		Solution: out.Solution,
+		Winner:   out.Winner,
+		Subtrees: out.Subtrees,
+		Route:    out.RouteName(),
+		Stats:    out.Stats,
+		WallNs:   time.Since(start).Nanoseconds(),
 	}
-	resp.WallNs = time.Since(start).Nanoseconds()
-	return resp
 }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,11 +30,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("strategy:", problem.Explain(core.Options{}))
-	res, err := problem.Solve(core.Options{})
+	res, err := problem.Solve(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Println("explain:", res.Explanation)
 	fmt.Printf("homomorphism view: 3-colorable = %v, coloring = %v\n",
 		res.Satisfiable, res.Assignment)
 

@@ -5,21 +5,23 @@
 // angles (Propositions 2.1–2.3).
 //
 // A Problem can be created from any of the views and converted to the
-// others. Solve picks a strategy automatically: Boolean templates in one of
-// Schaefer's classes go to the dedicated polynomial solver; instances whose
-// primal graph has small treewidth go to the decomposition DP of Theorem
-// 6.2; everything else goes to MAC search (with the join-evaluation solver
-// of Proposition 2.1 available explicitly).
+// others. Solve consults structure before searching, through the same
+// strategy table every front end uses (internal/dispatch): tree-shaped
+// instances go to Freuder's backtrack-free algorithm, Boolean templates in
+// one of Schaefer's classes to the dedicated polynomial solver, α-acyclic
+// ones to Yannakakis, instances whose primal graph has small treewidth to
+// the decomposition DP of Theorem 6.2, and everything else to the search
+// portfolio. The result says which route decided it and why.
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 
-	"csdb/internal/consistency"
 	"csdb/internal/cq"
 	"csdb/internal/csp"
-	"csdb/internal/schaefer"
+	"csdb/internal/dispatch"
 	"csdb/internal/structure"
 	"csdb/internal/treewidth"
 )
@@ -91,169 +93,43 @@ func (p *Problem) Query() (*cq.Query, *structure.Structure, error) {
 	return q, b, nil
 }
 
-// Strategy selects how Solve attacks the problem.
-type Strategy int
-
-const (
-	// Auto picks a strategy from the instance's shape.
-	Auto Strategy = iota
-	// Search is MAC backtracking search.
-	Search
-	// Join evaluates the natural join of the constraint relations
-	// (Proposition 2.1).
-	Join
-	// TreewidthDP runs dynamic programming over a heuristic tree
-	// decomposition of the primal graph (Theorem 6.2).
-	TreewidthDP
-	// Schaefer dispatches Boolean instances to the dichotomy solvers.
-	SchaeferSolver
-	// Tree runs Freuder's backtrack-free algorithm (directional arc
-	// consistency) on tree-structured binary instances.
-	Tree
-)
-
-func (s Strategy) String() string {
-	switch s {
-	case Auto:
-		return "auto"
-	case Search:
-		return "search"
-	case Join:
-		return "join"
-	case TreewidthDP:
-		return "treewidth-dp"
-	case SchaeferSolver:
-		return "schaefer"
-	case Tree:
-		return "tree"
-	}
-	return fmt.Sprintf("Strategy(%d)", int(s))
-}
-
-// Options configures Solve.
-type Options struct {
-	Strategy Strategy
-	// TreewidthThreshold is the largest heuristic width for which Auto uses
-	// the decomposition DP (default 3).
-	TreewidthThreshold int
-	// Preprocess runs GAC before search (Auto and Search strategies).
-	Preprocess bool
-	// Search options passed through to the MAC solver.
-	Search csp.Options
-}
+// analyzer routes every Solve; it is safe for concurrent use, and its
+// classification cache lets repeat structure skip straight to its solver.
+var analyzer = dispatch.NewAnalyzer(0, 0)
 
 // Result reports the outcome of Solve.
 type Result struct {
 	Satisfiable bool
 	Assignment  []int
-	// Used is the strategy that actually ran.
-	Used Strategy
-	// SchaeferClass is set when the Schaefer dispatcher solved the problem
-	// with a dedicated class solver.
-	SchaeferClass *schaefer.Class
-	Stats         csp.Stats
+	Stats       csp.Stats
+	// Route is the structural class whose solver decided the problem; Hard
+	// means the search portfolio did.
+	Route dispatch.Class
+	// Explanation says why the problem took that route, rendered from the
+	// classification that routed it.
+	Explanation string
 }
 
-// Solve decides the problem.
-func (p *Problem) Solve(opts Options) (Result, error) {
-	inst := p.inst
-	if opts.Preprocess {
-		reduced, ok := consistency.Propagate(inst)
-		if !ok {
-			return Result{Used: chosenOrSearch(opts.Strategy)}, nil
-		}
-		inst = reduced
+// Solve decides the problem by consulting its structure first: it runs the
+// dispatcher's auto strategy (see internal/dispatch), which sends tree,
+// Schaefer, acyclic and bounded-width instances to their polynomial solvers
+// and only the rest to the search portfolio. The error is non-nil only when
+// ctx ended before a verdict.
+func (p *Problem) Solve(ctx context.Context) (Result, error) {
+	out, err := analyzer.Run(ctx, p.inst, "auto", 0)
+	if err != nil {
+		return Result{}, err
 	}
-	strategy := opts.Strategy
-	if strategy == Auto {
-		strategy = p.pick(opts)
+	if out.Aborted {
+		return Result{}, fmt.Errorf("core: solve aborted: %w", context.Cause(ctx))
 	}
-	switch strategy {
-	case Join:
-		res := csp.JoinSolve(inst)
-		return Result{Satisfiable: res.Found, Assignment: res.Solution, Used: Join, Stats: res.Stats}, nil
-	case Tree:
-		res, err := consistency.SolveTree(inst)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Satisfiable: res.Found, Assignment: res.Solution, Used: Tree, Stats: res.Stats}, nil
-	case TreewidthDP:
-		res, err := treewidth.Solve(inst)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Satisfiable: res.Found, Assignment: res.Solution, Used: TreewidthDP, Stats: res.Stats}, nil
-	case SchaeferSolver:
-		sp, err := schaefer.FromCSP(inst)
-		if err != nil {
-			return Result{}, err
-		}
-		assign, ok, class, err := schaefer.Solve(sp)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Satisfiable: ok, Assignment: assign, Used: SchaeferSolver, SchaeferClass: class}, nil
-	default:
-		res := csp.Solve(inst, opts.Search)
-		return Result{Satisfiable: res.Found, Assignment: res.Solution, Used: Search, Stats: res.Stats}, nil
-	}
-}
-
-func chosenOrSearch(s Strategy) Strategy {
-	if s == Auto {
-		return Search
-	}
-	return s
-}
-
-// pick implements the Auto strategy choice.
-func (p *Problem) pick(opts Options) Strategy {
-	inst := p.inst
-	// Boolean instance in a Schaefer class?
-	if inst.Dom == 2 {
-		if sp, err := schaefer.FromCSP(inst); err == nil && sp.Template.IsTractable() {
-			return SchaeferSolver
-		}
-	}
-	// Tree-structured binary instance: backtrack-free (Freuder).
-	if consistency.IsTreeStructured(inst) {
-		return Tree
-	}
-	// Small treewidth?
-	threshold := opts.TreewidthThreshold
-	if threshold == 0 {
-		threshold = 3
-	}
-	d := treewidth.BestHeuristic(treewidth.PrimalGraph(inst))
-	if d.Width() <= threshold {
-		return TreewidthDP
-	}
-	return Search
-}
-
-// Explain reports which strategy Auto would choose and why.
-func (p *Problem) Explain(opts Options) string {
-	inst := p.inst
-	if inst.Dom == 2 {
-		if sp, err := schaefer.FromCSP(inst); err == nil {
-			if classes := sp.Template.Classify(); len(classes) > 0 {
-				return fmt.Sprintf("boolean template in Schaefer classes %v: dedicated polynomial solver", classes)
-			}
-		}
-	}
-	if consistency.IsTreeStructured(inst) {
-		return "tree-structured binary instance: backtrack-free directional arc consistency (Freuder)"
-	}
-	threshold := opts.TreewidthThreshold
-	if threshold == 0 {
-		threshold = 3
-	}
-	d := treewidth.BestHeuristic(treewidth.PrimalGraph(inst))
-	if d.Width() <= threshold {
-		return fmt.Sprintf("primal graph has heuristic treewidth %d <= %d: decomposition DP (Theorem 6.2)", d.Width(), threshold)
-	}
-	return fmt.Sprintf("heuristic treewidth %d above threshold %d, domain size %d: MAC search", d.Width(), threshold, inst.Dom)
+	return Result{
+		Satisfiable: out.Found,
+		Assignment:  out.Solution,
+		Stats:       out.Stats,
+		Route:       out.Route,
+		Explanation: out.Explain(),
+	}, nil
 }
 
 // Homomorphism finds a homomorphism a → b (nil, false when none exists).
@@ -262,7 +138,7 @@ func Homomorphism(a, b *structure.Structure) ([]int, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	res, err := p.Solve(Options{})
+	res, err := p.Solve(context.Background())
 	if err != nil {
 		return nil, false, err
 	}

@@ -1,15 +1,21 @@
 package core
 
 import (
+	"context"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
+	"csdb/internal/consistency"
 	"csdb/internal/cq"
 	"csdb/internal/csp"
+	"csdb/internal/cspio"
+	"csdb/internal/dispatch"
 	"csdb/internal/gen"
 	"csdb/internal/graph"
 	"csdb/internal/structure"
+	"csdb/internal/treewidth"
 )
 
 func TestFromStructuresAndSolve(t *testing.T) {
@@ -17,7 +23,7 @@ func TestFromStructuresAndSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Solve(Options{})
+	res, err := p.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +38,7 @@ func TestFromStructuresAndSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := p2.Solve(Options{})
+	res2, err := p2.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,40 +47,54 @@ func TestFromStructuresAndSolve(t *testing.T) {
 	}
 }
 
+// Solve, whatever route it takes, agrees with each of the paper's generic
+// solvers: MAC search, join evaluation (Prop 2.1) and the decomposition DP
+// (Thm 6.2).
 func TestAllStrategiesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
 		inst := gen.ModelB(rng, 4+rng.Intn(3), 2+rng.Intn(2), 0.7, 0.4)
-		p := FromCSP(inst)
-		want := csp.Solve(inst, csp.Options{}).Found
-		for _, s := range []Strategy{Auto, Search, Join, TreewidthDP} {
-			res, err := p.Solve(Options{Strategy: s})
-			if err != nil {
-				t.Fatalf("trial %d strategy %v: %v", trial, s, err)
-			}
+		res, err := FromCSP(inst).Solve(context.Background())
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if res.Satisfiable && !inst.Satisfies(res.Assignment) {
+			t.Fatalf("trial %d (route %v): invalid assignment", trial, res.Route)
+		}
+		dp, err := treewidth.Solve(inst)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for name, want := range map[string]bool{
+			"search": csp.Solve(inst, csp.Options{}).Found,
+			"join":   csp.JoinSolve(inst).Found,
+			"dp":     dp.Found,
+		} {
 			if res.Satisfiable != want {
-				t.Fatalf("trial %d strategy %v: got %v want %v", trial, s, res.Satisfiable, want)
-			}
-			if res.Satisfiable && !inst.Satisfies(res.Assignment) {
-				t.Fatalf("trial %d strategy %v: invalid assignment", trial, s)
+				t.Fatalf("trial %d: Solve (route %v) = %v, %s = %v", trial, res.Route, res.Satisfiable, name, want)
 			}
 		}
 	}
 }
 
-func TestSchaeferStrategy(t *testing.T) {
-	// A 2-SAT-ish Boolean instance: Auto should dispatch to Schaefer.
-	inst := csp.NewInstance(4, 2)
+// orCycle is a cyclic Boolean instance of OR constraints: bijunctive, so in
+// a Schaefer class, and not tree-shaped, so the tree route cannot claim it.
+func orCycle(n int) *csp.Instance {
+	inst := csp.NewInstance(n, 2)
 	orTab := csp.TableOf(2, []int{0, 1}, []int{1, 0}, []int{1, 1})
-	for i := 0; i < 3; i++ {
-		inst.MustAddConstraint([]int{i, i + 1}, orTab)
+	for i := 0; i < n; i++ {
+		inst.MustAddConstraint([]int{i, (i + 1) % n}, orTab)
 	}
-	p := FromCSP(inst)
-	res, err := p.Solve(Options{Strategy: Auto, TreewidthThreshold: -1})
+	return inst
+}
+
+func TestSchaeferStrategy(t *testing.T) {
+	inst := orCycle(4)
+	res, err := FromCSP(inst).Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Satisfiable || res.Used != SchaeferSolver || res.SchaeferClass == nil {
+	if !res.Satisfiable || res.Route != dispatch.Schaefer {
 		t.Fatalf("schaefer dispatch failed: %+v", res)
 	}
 	if !inst.Satisfies(res.Assignment) {
@@ -86,14 +106,13 @@ func TestSchaeferStrategyAgreesOnRandomBoolean(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 60; trial++ {
 		inst := gen.ModelB(rng, 3+rng.Intn(3), 2, 0.8, 0.4)
-		p := FromCSP(inst)
 		want := csp.Solve(inst, csp.Options{}).Found
-		res, err := p.Solve(Options{Strategy: Auto})
+		res, err := FromCSP(inst).Solve(context.Background())
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if res.Satisfiable != want {
-			t.Fatalf("trial %d: auto=%v search=%v (used %v)", trial, res.Satisfiable, want, res.Used)
+			t.Fatalf("trial %d: auto=%v search=%v (route %v)", trial, res.Satisfiable, want, res.Route)
 		}
 	}
 }
@@ -106,7 +125,7 @@ func TestBooleanQueryView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Solve(Options{})
+	res, err := p.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +137,7 @@ func TestBooleanQueryView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := p2.Solve(Options{})
+	res2, err := p2.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +171,7 @@ func TestQueryViewRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := p.Solve(Options{})
+		res, err := p.Solve(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,51 +181,85 @@ func TestQueryViewRoundTrip(t *testing.T) {
 	}
 }
 
+// Propagation is the caller's step now: GAC alone refutes this instance,
+// and Solve reaches the same verdict without it.
 func TestPreprocess(t *testing.T) {
-	// GAC alone refutes this instance; Solve with Preprocess should report
-	// unsatisfiable without error regardless of strategy.
 	inst := csp.NewInstance(2, 2)
 	inst.MustAddConstraint([]int{0, 1}, csp.TableOf(2, []int{0, 1}))
 	inst.MustAddConstraint([]int{0, 1}, csp.TableOf(2, []int{1, 0}))
-	p := FromCSP(inst)
-	for _, s := range []Strategy{Search, Join, TreewidthDP} {
-		res, err := p.Solve(Options{Strategy: s, Preprocess: true})
+	if _, ok := consistency.Propagate(inst); ok {
+		t.Fatal("GAC did not refute the instance")
+	}
+	res, err := FromCSP(inst).Solve(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Satisfiable {
+		t.Fatalf("route %v: satisfiable", res.Route)
+	}
+}
+
+// The explanation is rendered from the classification that routed the
+// solve, one class per instance shape.
+func TestExplain(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		inst  *csp.Instance
+		route dispatch.Class
+		want  string
+	}{
+		{"schaefer", orCycle(4), dispatch.Schaefer, "Schaefer"},
+		{"tree", gen.Coloring(graph.Path(6), 3), dispatch.Tree, "tree-structured"},
+		{"width", gen.Coloring(graph.Grid(3, 4), 3), dispatch.BoundedWidth, "tree decomposition of width"},
+		{"hard", gen.Coloring(graph.Clique(5), 4), dispatch.Hard, "portfolio"},
+	} {
+		res, err := FromCSP(tc.inst).Solve(context.Background())
 		if err != nil {
-			t.Fatalf("strategy %v: %v", s, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if res.Satisfiable {
-			t.Fatalf("strategy %v: satisfiable", s)
+		if res.Route != tc.route || !strings.Contains(res.Explanation, tc.want) {
+			t.Fatalf("%s: route %v, explanation %q; want %v mentioning %q",
+				tc.name, res.Route, res.Explanation, tc.route, tc.want)
 		}
 	}
 }
 
-func TestExplain(t *testing.T) {
-	boolInst := csp.NewInstance(2, 2)
-	boolInst.MustAddConstraint([]int{0, 1}, csp.TableOf(2, []int{0, 0}, []int{1, 1}))
-	msg := FromCSP(boolInst).Explain(Options{})
-	if !strings.Contains(msg, "Schaefer") {
-		t.Fatalf("Explain = %q", msg)
+// An ear-grown acyclic instance whose primal graph is wider than the width
+// budget takes the acyclic route and says so. Core once searched such
+// instances with MAC while the dispatcher routed them to Yannakakis.
+func TestSolveRoutesWideAcyclic(t *testing.T) {
+	f, err := os.Open("../../testdata/acyclic_wide.csp")
+	if err != nil {
+		t.Fatal(err)
 	}
-	treeInst := gen.Coloring(graph.Path(6), 3)
-	msg2 := FromCSP(treeInst).Explain(Options{})
-	if !strings.Contains(msg2, "tree-structured") {
-		t.Fatalf("Explain = %q", msg2)
+	defer f.Close()
+	inst, err := cspio.Parse(f)
+	if err != nil {
+		t.Fatal(err)
 	}
-	gridInst := gen.Coloring(graph.Grid(3, 4), 3)
-	msg3 := FromCSP(gridInst).Explain(Options{})
-	if !strings.Contains(msg3, "treewidth") {
-		t.Fatalf("Explain = %q", msg3)
+	if w := treewidth.BestHeuristic(treewidth.PrimalGraph(inst)).Width(); w <= dispatch.DefaultWidthBudget {
+		t.Fatalf("fixture primal width %d is within the width budget", w)
+	}
+	res, err := FromCSP(inst).Solve(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Route != dispatch.Acyclic || !strings.Contains(res.Explanation, "acyclic") {
+		t.Fatalf("route %v, explanation %q; want acyclic", res.Route, res.Explanation)
+	}
+	if !res.Satisfiable || !inst.Satisfies(res.Assignment) {
+		t.Fatalf("satisfiable fixture: %+v", res)
 	}
 }
 
 func TestTreeStrategy(t *testing.T) {
 	inst := gen.Coloring(graph.Path(8), 3) // 3 colors: not a Boolean template
 	p := FromCSP(inst)
-	res, err := p.Solve(Options{})
+	res, err := p.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Satisfiable || res.Used != Tree {
+	if !res.Satisfiable || res.Route != dispatch.Tree {
 		t.Fatalf("tree dispatch failed: %+v", res)
 	}
 	if !inst.Satisfies(res.Assignment) {
@@ -259,21 +312,6 @@ func TestContainsHelper(t *testing.T) {
 	}
 }
 
-func TestStrategyStrings(t *testing.T) {
-	want := map[Strategy]string{
-		Auto: "auto", Search: "search", Join: "join",
-		TreewidthDP: "treewidth-dp", SchaeferSolver: "schaefer", Tree: "tree",
-	}
-	for s, str := range want {
-		if s.String() != str {
-			t.Fatalf("%d.String() = %q, want %q", int(s), s.String(), str)
-		}
-	}
-	if Strategy(99).String() != "Strategy(99)" {
-		t.Fatalf("unknown strategy string = %q", Strategy(99).String())
-	}
-}
-
 func TestCSPAndStructuresAccessors(t *testing.T) {
 	inst := gen.Coloring(graph.Cycle(4), 2)
 	p := FromCSP(inst)
@@ -297,31 +335,25 @@ func TestCSPAndStructuresAccessors(t *testing.T) {
 func TestPreprocessWithSchaeferAndDomains(t *testing.T) {
 	// A Boolean instance with per-variable domains: the Schaefer conversion
 	// must fold the domains into unary constraints.
-	inst := csp.NewInstance(2, 2)
-	inst.Domains = [][]int{{1}, nil}
-	orTab := csp.TableOf(2, []int{0, 1}, []int{1, 0}, []int{1, 1})
-	inst.MustAddConstraint([]int{0, 1}, orTab)
-	p := FromCSP(inst)
-	res, err := p.Solve(Options{Strategy: SchaeferSolver})
+	inst := orCycle(3)
+	inst.Domains = [][]int{{1}, nil, nil}
+	res, err := FromCSP(inst).Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Satisfiable || res.Assignment[0] != 1 {
+	if !res.Satisfiable || res.Route != dispatch.Schaefer || res.Assignment[0] != 1 {
 		t.Fatalf("schaefer with domains: %+v", res)
 	}
-	// Preprocess + explicit strategy path.
-	res2, err := p.Solve(Options{Strategy: SchaeferSolver, Preprocess: true})
+	// The GAC-reduced instance decides the same way.
+	reduced, ok := consistency.Propagate(inst)
+	if !ok {
+		t.Fatal("GAC refuted a satisfiable instance")
+	}
+	res2, err := FromCSP(reduced).Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res2.Satisfiable {
 		t.Fatalf("preprocessed schaefer: %+v", res2)
-	}
-}
-
-func TestSchaeferStrategyOnNonBooleanErrors(t *testing.T) {
-	inst := gen.Coloring(graph.Cycle(4), 3)
-	if _, err := FromCSP(inst).Solve(Options{Strategy: SchaeferSolver}); err == nil {
-		t.Fatal("schaefer on 3-valued instance accepted")
 	}
 }

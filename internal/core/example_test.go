@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"csdb/internal/core"
@@ -14,7 +15,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := p.Solve(core.Options{})
+	res, err := p.Solve(context.Background())
 	if err != nil {
 		panic(err)
 	}
@@ -43,12 +44,18 @@ func Example() {
 	// colorings: 30
 }
 
-func ExampleProblem_Explain() {
+func ExampleProblem_Solve() {
 	p, err := core.FromStructures(structure.Path(5), structure.Clique(3))
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(p.Explain(core.Options{}))
+	res, err := p.Solve(context.Background())
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(res.Satisfiable, res.Route)
+	fmt.Println(res.Explanation)
 	// Output:
-	// tree-structured binary instance: backtrack-free directional arc consistency (Freuder)
+	// true tree
+	// route tree: tree-structured binary instance: backtrack-free directional arc consistency (Freuder)
 }

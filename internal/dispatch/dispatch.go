@@ -23,6 +23,12 @@
 // answer from a routed solver is verified against the instance, and any
 // routed-solver error falls back to the portfolio, so misclassification
 // cannot corrupt a verdict.
+//
+// The package also owns the one strategy table (strategy.go) that decides
+// how any front end solves an instance: Run resolves auto (the routing
+// above), portfolio, parallel, mac, fc, bt, cbj, learn or join to a
+// cancellable runner. csolve, cspd and core all call Run, so they accept
+// the same names, reject the same worker bounds and route alike.
 package dispatch
 
 import (
@@ -250,14 +256,21 @@ func (a *Analyzer) revalidate(p *csp.Instance, cls Classification) bool {
 // reached.
 type Outcome struct {
 	csp.Result
+	// Strategy is the strategy-table row that ran (set by Run).
+	Strategy string
+	// Classification is the verdict that routed the solve; nil for engine
+	// rows, which do not consult structure.
+	Classification *Classification
 	// Route is the class whose solver produced the verdict. It is Hard
 	// whenever the portfolio ran — including a defensive reroute after a
-	// routed solver failed.
+	// routed solver failed. It means nothing when Classification is nil.
 	Route Class
 	// Fallback reports that the portfolio produced the verdict.
 	Fallback bool
-	// Winner is the portfolio's winning strategy when Fallback is set.
+	// Winner is the portfolio's winning lane, whenever a portfolio ran.
 	Winner string
+	// Subtrees is the parallel row's root-domain partition count.
+	Subtrees int
 	// ClassifyTime is the wall clock spent classifying (including the cache
 	// lookup and any witness revalidation).
 	ClassifyTime time.Duration
@@ -271,7 +284,7 @@ type Outcome struct {
 func (a *Analyzer) Solve(ctx context.Context, p *csp.Instance) Outcome {
 	t0 := time.Now()
 	cls, hit := a.Classify(p)
-	out := Outcome{Route: cls.Class, CacheHit: hit, ClassifyTime: time.Since(t0)}
+	out := Outcome{Classification: &cls, Route: cls.Class, CacheHit: hit, ClassifyTime: time.Since(t0)}
 	cls.Class.counter().Inc()
 	obsClassVec.Inc(cls.Class.label())
 	obsClassifyNs.Observe(out.ClassifyTime.Nanoseconds(), cls.Class.label())
