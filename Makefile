@@ -44,10 +44,12 @@ cspdbench-check:
 	$(GO) -C cspdbench vet ./...
 	$(GO) -C cspdbench test ./...
 
-# Briefly run every native fuzz target (differential join oracle, instance
-# parser, tractability dispatcher). FUZZTIME=2m fuzz-smoke for a longer shake.
+# Briefly run every native fuzz target (instance parser round trip, parser
+# vs its reference oracle, differential join oracle, tractability
+# dispatcher). FUZZTIME=2m fuzz-smoke for a longer shake.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseInstance -fuzztime $(FUZZTIME) ./internal/cspio/
+	$(GO) test -run '^$$' -fuzz FuzzParseAgrees -fuzztime $(FUZZTIME) ./internal/cspio/
 	$(GO) test -run '^$$' -fuzz FuzzJoinDifferential -fuzztime $(FUZZTIME) ./internal/relation/
 	$(GO) test -run '^$$' -fuzz FuzzDispatch -fuzztime $(FUZZTIME) ./internal/dispatch/
 	$(GO) test -run '^$$' -fuzz FuzzSearchDifferential -fuzztime $(FUZZTIME) ./internal/csp/

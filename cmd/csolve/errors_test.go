@@ -39,6 +39,15 @@ func TestRunErrorPaths(t *testing.T) {
 		}
 	})
 
+	t.Run("dom_of value out of range", func(t *testing.T) {
+		// The portfolio's lanes used to panic on this instance.
+		bad := writeTempInstance(t, "vars 2\ndom 2\ndom_of 0 : 5\ncon 0 1 : 0 1 | 1 0\n")
+		err := run(io.Discard, config{strategy: "portfolio", args: []string{bad}})
+		if err == nil || !strings.Contains(err.Error(), "dom_of value 5") {
+			t.Fatalf("out-of-range dom_of value: err = %v", err)
+		}
+	})
+
 	t.Run("unknown strategy", func(t *testing.T) {
 		err := run(io.Discard, config{strategy: "quantum", args: sample})
 		if err == nil || !strings.Contains(err.Error(), "strategy") {

@@ -238,3 +238,29 @@ func TestLifecycleDrainUnderLoad(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestDomOfOutOfRangeRejected is the regression test for the one-POST
+// crash: a dom_of value outside [0,dom) used to reach the default portfolio
+// strategy, whose lanes panicked on it and took the daemon down. The parser
+// now rejects it with a 400, and the daemon stays up.
+func TestDomOfOutOfRangeRejected(t *testing.T) {
+	ts, _ := startDaemon(t)
+	resp, err := http.Post(ts.URL+"/solve", "text/plain",
+		strings.NewReader("vars 2\ndom 2\ndom_of 0 : 5\ncon 0 1 : 0 1 | 1 0\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "line 3: dom_of value 5") {
+		t.Fatalf("status %d body %q, want 400 naming the dom_of line", resp.StatusCode, msg)
+	}
+	resp, err = http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after the rejected body: status %d", resp.StatusCode)
+	}
+}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -169,9 +168,10 @@ type server struct {
 	baseCtx      context.Context
 	cancelSolves context.CancelFunc
 
-	// dispatch runs one engine solve. Tests substitute a controllable fake;
-	// production uses realDispatch.
-	dispatch func(ctx context.Context, inst *csp.Instance, p solveParams) solveResponse
+	// dispatch runs one engine solve; hash is inst's canonical hash, the
+	// result-cache key's. Tests substitute a controllable fake; production
+	// uses realDispatch.
+	dispatch func(ctx context.Context, inst *csp.Instance, hash uint64, p solveParams) solveResponse
 }
 
 func newServer(cfg daemonConfig) *server {
@@ -362,7 +362,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusBadRequest, "read", "read: "+err.Error())
 		return
 	}
-	inst, err := cspio.Parse(bytes.NewReader(body))
+	inst, err := cspio.ParseBytes(body)
 	if err != nil {
 		obsErrors.Inc()
 		fail(http.StatusBadRequest, "parse", "parse: "+err.Error())
@@ -401,7 +401,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithTimeout(obs.WithSpan(s.baseCtx, root), params.timeout)
 		defer cancel()
 		obsExecuted.Inc()
-		resp := s.dispatch(ctx, inst, params)
+		resp := s.dispatch(ctx, inst, key.Hash, params)
 		obsSolveNs.Observe(resp.WallNs)
 		if !resp.Aborted {
 			s.cache.Add(key, resp)
@@ -537,12 +537,13 @@ func (s *server) parseParams(q url.Values) (solveParams, error) {
 	return p, dispatch.Check(p.strategy, p.workers)
 }
 
-// realDispatch runs one solve through the strategy table. ctx carries the
-// request's root span and is bounded by the solve timeout and daemon
-// shutdown.
-func (s *server) realDispatch(ctx context.Context, inst *csp.Instance, p solveParams) solveResponse {
+// realDispatch runs one solve through the strategy table, which classifies
+// auto requests under the result-cache key's hash rather than hashing again.
+// ctx carries the request's root span and is bounded by the solve timeout
+// and daemon shutdown.
+func (s *server) realDispatch(ctx context.Context, inst *csp.Instance, hash uint64, p solveParams) solveResponse {
 	start := time.Now()
-	out, err := s.analyzer.Run(ctx, inst, p.strategy, p.workers)
+	out, err := s.analyzer.Run(ctx, inst, hash, p.strategy, p.workers)
 	// parseParams checked (strategy, workers) against the same table, so err
 	// is unreachable; should it happen, UNKNOWN is never cached.
 	return solveResponse{

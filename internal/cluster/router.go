@@ -374,7 +374,7 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		rt.reject(w, http.StatusBadRequest, "read", "read: "+err.Error())
 		return
 	}
-	inst, err := cspio.Parse(bytes.NewReader(body))
+	inst, err := cspio.ParseBytes(body)
 	if err != nil {
 		// Parsing at the router is not redundant work: it rejects garbage
 		// before it consumes a replica's admission slot, and it is how the
@@ -517,7 +517,8 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 // per-item reply shape.
 func (rt *Router) routeItem(ctx context.Context, idx int, it batchItem) batchItemResult {
 	out := batchItemResult{Index: idx}
-	inst, err := cspio.Parse(strings.NewReader(it.Instance))
+	body := []byte(it.Instance)
+	inst, err := cspio.ParseBytes(body)
 	if err != nil {
 		obsRouteOutcome.Inc(outcomeReject)
 		obs.Emit(obs.SolveEvent{
@@ -532,7 +533,7 @@ func (rt *Router) routeItem(ctx context.Context, idx int, it batchItem) batchIte
 		out.Error = "parse: " + err.Error()
 		return out
 	}
-	res := rt.route(ctx, cspio.CanonicalHash(inst), it.query(), it.Strategy, []byte(it.Instance))
+	res := rt.route(ctx, cspio.CanonicalHash(inst), it.query(), it.Strategy, body)
 	out.Status, out.Outcome = res.status, res.outcome
 	if res.replica >= 0 {
 		out.Replica = rt.ring.URL(res.replica)

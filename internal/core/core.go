@@ -21,6 +21,7 @@ import (
 
 	"csdb/internal/cq"
 	"csdb/internal/csp"
+	"csdb/internal/cspio"
 	"csdb/internal/dispatch"
 	"csdb/internal/structure"
 	"csdb/internal/treewidth"
@@ -116,7 +117,7 @@ type Result struct {
 // and only the rest to the search portfolio. The error is non-nil only when
 // ctx ended before a verdict.
 func (p *Problem) Solve(ctx context.Context) (Result, error) {
-	out, err := analyzer.Run(ctx, p.inst, "auto", 0)
+	out, err := analyzer.Run(ctx, p.inst, cspio.CanonicalHash(p.inst), "auto", 0)
 	if err != nil {
 		return Result{}, err
 	}

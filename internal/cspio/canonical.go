@@ -1,8 +1,10 @@
 package cspio
 
 import (
+	"bytes"
+	"cmp"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"strconv"
 
 	"csdb/internal/csp"
@@ -27,47 +29,39 @@ import (
 
 // Canonical returns the canonical byte encoding of p.
 func Canonical(p *csp.Instance) []byte {
-	out := make([]byte, 0, 256)
-	out = appendInt(out, p.Vars)
-	out = appendInt(out, p.Dom)
+	var head []byte
+	head = appendInt(head, p.Vars)
+	head = appendInt(head, p.Dom)
 
 	// Per-variable domain restrictions, in variable-index order with values
 	// sorted and deduplicated. A nil entry (full domain) is skipped, so an
 	// instance with no Domains slice matches one with all-nil entries.
-	if p.Domains != nil {
-		for v := 0; v < len(p.Domains); v++ {
-			d := p.Domains[v]
-			if d == nil {
-				continue
-			}
-			vals := append([]int(nil), d...)
-			sort.Ints(vals)
-			vals = dedupSortedInts(vals)
-			out = append(out, 'D')
-			out = appendInt(out, v)
-			for _, val := range vals {
-				out = appendInt(out, val)
-			}
-			out = append(out, ';')
-		}
-	}
-
-	// Constraints: canonicalize each one independently, then sort the
-	// encodings and drop exact duplicates (a repeated constraint is a no-op).
-	encs := make([]string, 0, len(p.Constraints))
-	for _, c := range p.Constraints {
-		encs = append(encs, string(canonicalConstraint(c)))
-	}
-	sort.Strings(encs)
-	prev := ""
-	for i, e := range encs {
-		if i > 0 && e == prev {
+	var vals []int
+	for v, d := range p.Domains {
+		if d == nil {
 			continue
 		}
-		prev = e
-		out = append(out, e...)
+		vals = append(vals[:0], d...)
+		slices.Sort(vals)
+		head = append(head, 'D')
+		head = appendInt(head, v)
+		for _, val := range slices.Compact(vals) {
+			head = appendInt(head, val)
+		}
+		head = append(head, ';')
 	}
-	return out
+
+	// Constraints: each one is encoded independently into buf as a span,
+	// then the spans are sorted and exact duplicates dropped (a repeated
+	// constraint is a no-op).
+	var enc encoder
+	cons := make([]span, 0, len(p.Constraints))
+	for _, c := range p.Constraints {
+		lo := len(enc.buf)
+		enc.constraint(c)
+		cons = append(cons, span{lo, len(enc.buf)})
+	}
+	return enc.appendSorted(slices.Grow(head, len(enc.buf)), cons, 0)
 }
 
 // CanonicalHash returns the 64-bit FNV-1a hash of Canonical(p).
@@ -77,60 +71,72 @@ func CanonicalHash(p *csp.Instance) uint64 {
 	return h.Sum64()
 }
 
-// canonicalConstraint encodes one constraint with its scope columns in
-// ascending variable order (a stable sort, so duplicate scope variables keep
-// their relative column order) and its tuples permuted accordingly, sorted,
-// and deduplicated.
-func canonicalConstraint(c *csp.Constraint) []byte {
-	k := len(c.Scope)
-	perm := make([]int, k)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(a, b int) bool { return c.Scope[perm[a]] < c.Scope[perm[b]] })
+// span is the byte range [lo,hi) of one row or constraint encoding in an
+// encoder's buffer.
+type span struct{ lo, hi int }
 
-	rows := make([]string, 0, c.Table.Len())
-	var buf []byte
-	for _, row := range c.Table.Tuples() {
-		buf = buf[:0]
-		for _, col := range perm {
-			buf = appendInt(buf, row[col])
-		}
-		rows = append(rows, string(buf))
-	}
-	sort.Strings(rows)
+// encoder appends constraint encodings, back to back, to one buffer; rows
+// and perm are scratch reused across constraints.
+type encoder struct {
+	buf  []byte
+	rows []span
+	perm []int
+}
 
-	enc := make([]byte, 0, 16+8*len(rows))
-	enc = append(enc, 'C')
+// constraint appends c's encoding: its scope columns in ascending variable
+// order (a stable sort, so duplicate scope variables keep their relative
+// column order) and its tuples permuted accordingly, sorted, and
+// deduplicated. The row encodings are written past the end of buf, sorted
+// as spans, appended in order after themselves, and the sorted copy is then
+// moved down over the unsorted one.
+func (e *encoder) constraint(c *csp.Constraint) {
+	perm := e.perm[:0]
+	for i := range c.Scope {
+		perm = append(perm, i)
+	}
+	slices.SortStableFunc(perm, func(a, b int) int { return cmp.Compare(c.Scope[a], c.Scope[b]) })
+	e.perm = perm
+
+	e.buf = append(e.buf, 'C')
 	for _, col := range perm {
-		enc = appendInt(enc, c.Scope[col])
+		e.buf = appendInt(e.buf, c.Scope[col])
 	}
-	enc = append(enc, ':')
-	prev := ""
-	for i, r := range rows {
-		if i > 0 && r == prev {
+	e.buf = append(e.buf, ':')
+	raw := len(e.buf)
+	e.rows = e.rows[:0]
+	for _, row := range c.Table.Tuples() {
+		lo := len(e.buf)
+		for _, col := range perm {
+			e.buf = appendInt(e.buf, row[col])
+		}
+		e.rows = append(e.rows, span{lo, len(e.buf)})
+	}
+	sorted := len(e.buf)
+	e.buf = e.appendSorted(e.buf, e.rows, '|')
+	e.buf = append(e.buf, ';')
+	e.buf = e.buf[:raw+copy(e.buf[raw:], e.buf[sorted:])]
+}
+
+// appendSorted sorts spans by the bytes they cover in e.buf and appends
+// each distinct one to dst, followed by sep when sep is not 0.
+func (e *encoder) appendSorted(dst []byte, spans []span, sep byte) []byte {
+	buf := e.buf
+	slices.SortFunc(spans, func(a, b span) int {
+		return bytes.Compare(buf[a.lo:a.hi], buf[b.lo:b.hi])
+	})
+	for i, s := range spans {
+		if i > 0 && bytes.Equal(buf[s.lo:s.hi], buf[spans[i-1].lo:spans[i-1].hi]) {
 			continue
 		}
-		prev = r
-		enc = append(enc, r...)
-		enc = append(enc, '|')
+		dst = append(dst, buf[s.lo:s.hi]...)
+		if sep != 0 {
+			dst = append(dst, sep)
+		}
 	}
-	enc = append(enc, ';')
-	return enc
+	return dst
 }
 
 func appendInt(b []byte, v int) []byte {
 	b = strconv.AppendInt(b, int64(v), 10)
 	return append(b, ' ')
-}
-
-func dedupSortedInts(s []int) []int {
-	out := s[:0]
-	for i, v := range s {
-		if i > 0 && v == s[i-1] {
-			continue
-		}
-		out = append(out, v)
-	}
-	return out
 }

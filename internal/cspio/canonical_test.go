@@ -1,10 +1,17 @@
 package cspio
 
 import (
+	"bytes"
+	"hash/fnv"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"csdb/internal/csp"
+	"csdb/internal/gen"
+	"csdb/internal/schaefer"
 )
 
 func parseT(t *testing.T, text string) *csp.Instance {
@@ -129,5 +136,90 @@ func TestCanonicalHashStable(t *testing.T) {
 	want := "2 2 C0 1 :0 1 |1 0 |;"
 	if got := string(Canonical(inst)); got != want {
 		t.Errorf("canonical encoding drifted: got %q want %q", got, want)
+	}
+}
+
+// canonicalFamilies draws a few instances from every internal/gen family,
+// each also with a dom_of restriction on its first variable.
+func canonicalFamilies() map[string][]*csp.Instance {
+	rng := rand.New(rand.NewSource(15))
+	boolRel := func(class schaefer.Class) *csp.Instance {
+		p := csp.NewInstance(6, 2)
+		for i := 0; i < 5; i++ {
+			rel := gen.ClosedBoolRel(rng, 3, class, 3)
+			p.MustAddConstraint([]int{i % 6, (i + 2) % 6, (i + 4) % 6}, csp.TableOf(3, rel.Tuples()...))
+		}
+		return p
+	}
+	draw := map[string]func() *csp.Instance{
+		"model-b":        func() *csp.Instance { return gen.ModelB(rng, 8, 4, 0.5, 0.4) },
+		"tree":           func() *csp.Instance { return gen.CSPOnGraph(rng, gen.RandomTree(rng, 10), 3, 0.4) },
+		"partial-k-tree": func() *csp.Instance { g, _ := gen.PartialKTree(rng, 9, 3, 0.2); return gen.CSPOnGraph(rng, g, 3, 0.3) },
+		"coloring":       func() *csp.Instance { return gen.Coloring(gen.RandomGraph(rng, 8, 0.4), 3) },
+		"queens":         func() *csp.Instance { return gen.NQueens(5) },
+		"pigeonhole":     func() *csp.Instance { return gen.Pigeonhole(5, 4) },
+		"quasigroup":     func() *csp.Instance { return gen.Quasigroup(rng, 4, 6) },
+		"phase":          func() *csp.Instance { return gen.PhaseTransition(rng, 10, 4, 0.3) },
+		"acyclic":        func() *csp.Instance { return gen.AcyclicCSP(rng, 6, 4, 3, 0.4) },
+		"closed-bool":    func() *csp.Instance { return boolRel(schaefer.Class(rng.Intn(6))) },
+	}
+	out := map[string][]*csp.Instance{}
+	for name, g := range draw {
+		for i := 0; i < 4; i++ {
+			p := g()
+			out[name] = append(out[name], p)
+			q := p.Clone()
+			q.Domains = make([][]int, q.Vars)
+			q.Domains[0] = []int{q.Dom - 1, 0, q.Dom - 1}
+			out[name] = append(out[name], q)
+		}
+	}
+	return out
+}
+
+// TestCanonicalHashIsFNVOfCanonical checks, on every generator family and
+// every testdata instance, that Canonical produces the reference encoder's
+// bytes and CanonicalHash is FNV-1a of exactly those bytes; the testdata
+// hashes are also pinned, since they place keys on the cspr ring.
+func TestCanonicalHashIsFNVOfCanonical(t *testing.T) {
+	check := func(name string, p *csp.Instance) {
+		t.Helper()
+		enc := Canonical(p)
+		if want := referenceCanonical(p); !bytes.Equal(enc, want) {
+			t.Fatalf("%s: Canonical %q, reference %q", name, enc, want)
+		}
+		h := fnv.New64a()
+		h.Write(enc)
+		if got, want := CanonicalHash(p), h.Sum64(); got != want {
+			t.Fatalf("%s: CanonicalHash %#x, FNV-1a of Canonical %#x", name, got, want)
+		}
+	}
+	for name, insts := range canonicalFamilies() {
+		for _, p := range insts {
+			check(name, p)
+		}
+	}
+	golden := map[string]uint64{
+		"acyclic_wide.csp": 0xbd849e1f4be2ff09,
+		"sample.csp":       0x63f1b99ce7103e6c,
+	}
+	files, err := filepath.Glob("../../testdata/*.csp")
+	if err != nil || len(files) != len(golden) {
+		t.Fatalf("testdata instances %v (%v), want the %d pinned", files, err, len(golden))
+	}
+	for _, path := range files {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Parse(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		check(path, p)
+		if got, want := CanonicalHash(p), golden[filepath.Base(path)]; got != want {
+			t.Errorf("%s: CanonicalHash %#x, pinned %#x", path, got, want)
+		}
 	}
 }

@@ -1,5 +1,6 @@
 // Package cspio reads and writes CSP instances in the library's simple text
-// format and reads DIMACS coloring graphs, for the command-line tools.
+// format and reads DIMACS coloring graphs, for the command-line tools and
+// the daemons.
 //
 // Instance format (one directive per line; '#' starts a comment):
 //
@@ -9,139 +10,169 @@
 //	con 0 1 : 0 1 | 1 0      # scope ':' tuples separated by '|'
 //	dom_of 2 : 0 2           # optional per-variable domain restriction
 //
+// Directives may come in any order. Every value in a con tuple or a dom_of
+// list must lie in [0,dom); a dom_of value outside it is rejected with the
+// line that holds it.
+//
 // DIMACS format: the classic "p edge N M" header with "e u v" lines
 // (1-based vertices).
+//
+// Parse and ParseDIMACS read their whole input before parsing it; ParseBytes
+// parses a body already in memory. One line splitter serves both formats:
+// lines are cut with bytes.IndexByte and integers are decoded in place, so
+// a parse allocates the instance it returns and little else. Canonical
+// (canonical.go) is the order-insensitive encoding that keys the result
+// caches; CanonicalHash is FNV-1a of its bytes.
 package cspio
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"csdb/internal/csp"
 	"csdb/internal/graph"
 )
 
-// Parse reads an instance in the text format.
+// Parse reads all of r and parses it as an instance in the text format.
 func Parse(r io.Reader) (*csp.Instance, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var inst *csp.Instance
+	body, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return ParseBytes(body)
+}
+
+// ParseBytes parses an instance in the text format. It does not retain
+// body.
+func ParseBytes(body []byte) (*csp.Instance, error) {
 	vars, dom := -1, -1
 	var names []string
-	domains := map[int][]int{}
+	// A dom_of restriction and its line, checked once dom is known; a later
+	// line for the same variable replaces an earlier one.
+	type domOf struct {
+		v, line int
+		vals    []int
+	}
+	var doms []domOf
+	// A constraint's tuples go straight into its table; the scope is a span
+	// of scopes, validated against vars once the whole body is read.
 	type rawCon struct {
-		scope []int
-		rows  [][]int
+		lo, hi int
+		tab    *csp.Table
 	}
 	var cons []rawCon
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = strings.TrimSpace(line[:i])
+	var scopes, row []int
+	lines := lineSplitter{rest: body}
+	for lines.next() {
+		lineNo, line := lines.no, lines.line
+		if i := bytes.IndexByte(line, '#'); i >= 0 {
+			line = line[:i]
 		}
-		if line == "" {
+		directive, rest := field(line)
+		switch string(directive) {
+		case "":
 			continue
-		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "vars":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("cspio: line %d: vars needs one argument", lineNo)
+		case "vars", "dom":
+			arg, tail := field(rest)
+			if len(arg) == 0 || !blank(tail) {
+				return nil, fmt.Errorf("cspio: line %d: %s needs one argument", lineNo, directive)
 			}
-			v, err := strconv.Atoi(fields[1])
-			if err != nil || v < 0 {
-				return nil, fmt.Errorf("cspio: line %d: bad vars %q", lineNo, fields[1])
+			n, ok := atoi(arg)
+			switch {
+			case ok && string(directive) == "vars" && n >= 0:
+				vars = n
+			case ok && string(directive) == "dom" && n >= 1:
+				dom = n
+			default:
+				return nil, fmt.Errorf("cspio: line %d: bad %s %q", lineNo, directive, arg)
 			}
-			vars = v
-		case "dom":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("cspio: line %d: dom needs one argument", lineNo)
-			}
-			d, err := strconv.Atoi(fields[1])
-			if err != nil || d < 1 {
-				return nil, fmt.Errorf("cspio: line %d: bad dom %q", lineNo, fields[1])
-			}
-			dom = d
 		case "names":
-			names = fields[1:]
+			names = []string{}
+			for f, tail := field(rest); len(f) > 0; f, tail = field(tail) {
+				names = append(names, string(f))
+			}
 		case "con":
-			rest := strings.TrimPrefix(line, "con")
-			parts := strings.SplitN(rest, ":", 2)
-			if len(parts) != 2 {
+			colon := bytes.IndexByte(rest, ':')
+			if colon < 0 {
 				return nil, fmt.Errorf("cspio: line %d: con needs 'scope : tuples'", lineNo)
 			}
-			scope, err := parseInts(parts[0])
-			if err != nil {
+			lo := len(scopes)
+			var err error
+			if scopes, err = appendInts(scopes, rest[:colon]); err != nil {
 				return nil, fmt.Errorf("cspio: line %d: %v", lineNo, err)
 			}
-			var rows [][]int
-			for _, tup := range strings.Split(parts[1], "|") {
-				tup = strings.TrimSpace(tup)
-				if tup == "" {
-					continue
+			arity := len(scopes) - lo
+			tab := csp.NewTable(arity)
+			for tuples := rest[colon+1:]; ; {
+				tup := tuples
+				bar := bytes.IndexByte(tuples, '|')
+				if bar >= 0 {
+					tup, tuples = tuples[:bar], tuples[bar+1:]
 				}
-				row, err := parseInts(tup)
-				if err != nil {
-					return nil, fmt.Errorf("cspio: line %d: %v", lineNo, err)
+				if !blank(tup) {
+					if row, err = appendInts(row[:0], tup); err != nil {
+						return nil, fmt.Errorf("cspio: line %d: %v", lineNo, err)
+					}
+					if len(row) != arity {
+						return nil, fmt.Errorf("cspio: line %d: tuple arity %d for scope of %d", lineNo, len(row), arity)
+					}
+					tab.Add(row)
 				}
-				if len(row) != len(scope) {
-					return nil, fmt.Errorf("cspio: line %d: tuple arity %d for scope of %d", lineNo, len(row), len(scope))
+				if bar < 0 {
+					break
 				}
-				rows = append(rows, row)
 			}
-			cons = append(cons, rawCon{scope, rows})
+			cons = append(cons, rawCon{lo, len(scopes), tab})
 		case "dom_of":
-			rest := strings.TrimPrefix(line, "dom_of")
-			parts := strings.SplitN(rest, ":", 2)
-			if len(parts) != 2 {
+			colon := bytes.IndexByte(rest, ':')
+			if colon < 0 {
 				return nil, fmt.Errorf("cspio: line %d: dom_of needs 'var : values'", lineNo)
 			}
-			vs, err := parseInts(parts[0])
-			if err != nil || len(vs) != 1 {
+			v, tail := field(rest[:colon])
+			n, ok := atoi(v)
+			if len(v) == 0 || !ok || !blank(tail) {
 				return nil, fmt.Errorf("cspio: line %d: dom_of needs one variable", lineNo)
 			}
-			vals, err := parseInts(parts[1])
+			vals, err := appendInts(nil, rest[colon+1:])
 			if err != nil {
 				return nil, fmt.Errorf("cspio: line %d: %v", lineNo, err)
 			}
-			domains[vs[0]] = vals
+			doms = append(doms, domOf{n, lineNo, vals})
 		default:
-			return nil, fmt.Errorf("cspio: line %d: unknown directive %q", lineNo, fields[0])
+			return nil, fmt.Errorf("cspio: line %d: unknown directive %q", lineNo, directive)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	if vars < 0 || dom < 0 {
 		return nil, fmt.Errorf("cspio: missing vars/dom directives")
 	}
-	inst = csp.NewInstance(vars, dom)
+	inst := csp.NewInstance(vars, dom)
 	if names != nil {
 		if len(names) != vars {
 			return nil, fmt.Errorf("cspio: %d names for %d variables", len(names), vars)
 		}
 		inst.Names = names
 	}
-	if len(domains) > 0 {
+	if len(doms) > 0 {
 		inst.Domains = make([][]int, vars)
-		for v, d := range domains {
-			if v < 0 || v >= vars {
-				return nil, fmt.Errorf("cspio: dom_of variable %d out of range", v)
+		for _, d := range doms {
+			if d.v < 0 || d.v >= vars {
+				return nil, fmt.Errorf("cspio: dom_of variable %d out of range", d.v)
 			}
-			inst.Domains[v] = d
+			for _, val := range d.vals {
+				if val < 0 || val >= dom {
+					return nil, fmt.Errorf("cspio: line %d: dom_of value %d outside [0,%d)", d.line, val, dom)
+				}
+			}
+			inst.Domains[d.v] = d.vals
 		}
 	}
 	for _, c := range cons {
-		tab := csp.NewTable(len(c.scope))
-		for _, row := range c.rows {
-			tab.Add(row)
-		}
-		if err := inst.AddConstraint(c.scope, tab); err != nil {
+		if err := inst.AddConstraint(scopes[c.lo:c.hi], c.tab); err != nil {
 			return nil, fmt.Errorf("cspio: %v", err)
 		}
 	}
@@ -182,35 +213,39 @@ func Format(w io.Writer, p *csp.Instance) error {
 
 // ParseDIMACS reads a DIMACS "edge" graph.
 func ParseDIMACS(r io.Reader) (*graph.Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	body, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
 	var g *graph.Graph
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "c") {
+	for lines := (lineSplitter{rest: body}); lines.next(); {
+		kind, rest := field(lines.line)
+		if len(kind) == 0 || kind[0] == 'c' {
 			continue
 		}
-		fields := strings.Fields(line)
-		switch fields[0] {
+		line := string(bytes.TrimSpace(lines.line))
+		a, rest := field(rest)
+		b, rest := field(rest)
+		switch string(kind) {
 		case "p":
-			if len(fields) < 3 || fields[1] != "edge" {
+			if len(b) == 0 || string(a) != "edge" {
 				return nil, fmt.Errorf("cspio: bad DIMACS header %q", line)
 			}
-			n, err := strconv.Atoi(fields[2])
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("cspio: bad vertex count %q", fields[2])
+			n, ok := atoi(b)
+			if !ok || n < 0 {
+				return nil, fmt.Errorf("cspio: bad vertex count %q", b)
 			}
 			g = graph.New(n)
 		case "e":
 			if g == nil {
 				return nil, fmt.Errorf("cspio: edge before header")
 			}
-			if len(fields) != 3 {
+			if len(b) == 0 || !blank(rest) {
 				return nil, fmt.Errorf("cspio: bad edge line %q", line)
 			}
-			u, err1 := strconv.Atoi(fields[1])
-			v, err2 := strconv.Atoi(fields[2])
-			if err1 != nil || err2 != nil || u < 1 || v < 1 || u > g.N() || v > g.N() {
+			u, ok1 := atoi(a)
+			v, ok2 := atoi(b)
+			if !ok1 || !ok2 || u < 1 || v < 1 || u > g.N() || v > g.N() {
 				return nil, fmt.Errorf("cspio: bad edge %q", line)
 			}
 			g.AddEdge(u-1, v-1)
@@ -218,28 +253,132 @@ func ParseDIMACS(r io.Reader) (*graph.Graph, error) {
 			return nil, fmt.Errorf("cspio: unknown DIMACS line %q", line)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
 	if g == nil {
 		return nil, fmt.Errorf("cspio: missing DIMACS header")
 	}
 	return g, nil
 }
 
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Fields(s) {
-		v, err := strconv.Atoi(f)
-		if err != nil {
-			return nil, fmt.Errorf("bad integer %q", f)
+// lineSplitter walks a body line by line, numbering lines as bufio.ScanLines
+// does: lines end at '\n' and a final line needs none. A '\r' before the
+// '\n' stays on the line, where it is white space. no is the 1-based number
+// of the current line.
+type lineSplitter struct {
+	rest, line []byte
+	no         int
+}
+
+func (s *lineSplitter) next() bool {
+	if len(s.rest) == 0 {
+		return false
+	}
+	s.no++
+	s.line = s.rest
+	s.rest = nil
+	if i := bytes.IndexByte(s.line, '\n'); i >= 0 {
+		s.line, s.rest = s.line[:i], s.line[i+1:]
+	}
+	return true
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// spaceAt reports whether b[i:] starts with a white-space rune, by
+// unicode.IsSpace as strings.Fields splits, and the width of that rune.
+func spaceAt(b []byte, i int) (bool, int) {
+	if c := b[i]; c < utf8.RuneSelf {
+		return asciiSpace[c], 1
+	}
+	r, n := utf8.DecodeRune(b[i:])
+	return unicode.IsSpace(r), n
+}
+
+// field returns the first white-space-separated field of b (empty when b is
+// blank) and the bytes after it. ASCII bytes are classified inline; only a
+// multi-byte rune goes through spaceAt.
+func field(b []byte) (f, rest []byte) {
+	i := 0
+	for i < len(b) {
+		if c := b[i]; c < utf8.RuneSelf {
+			if !asciiSpace[c] {
+				break
+			}
+			i++
+		} else if sp, n := spaceAt(b, i); sp {
+			i += n
+		} else {
+			break
 		}
-		out = append(out, v)
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty integer list")
+	j := i
+	for j < len(b) {
+		if c := b[j]; c < utf8.RuneSelf {
+			if asciiSpace[c] {
+				break
+			}
+			j++
+		} else if sp, n := spaceAt(b, j); !sp {
+			j += n
+		} else {
+			break
+		}
 	}
-	return out, nil
+	return b[i:j], b[j:]
+}
+
+// blank reports whether b holds no field.
+func blank(b []byte) bool {
+	f, _ := field(b)
+	return len(f) == 0
+}
+
+// appendInts appends the white-space-separated integers of b to dst. A list
+// with no integer is an error.
+func appendInts(dst []int, b []byte) ([]int, error) {
+	n := len(dst)
+	for f, rest := field(b); len(f) > 0; f, rest = field(rest) {
+		v, ok := atoi(f)
+		if !ok {
+			return dst, fmt.Errorf("bad integer %q", f)
+		}
+		dst = append(dst, v)
+	}
+	if len(dst) == n {
+		return dst, fmt.Errorf("empty integer list")
+	}
+	return dst, nil
+}
+
+// atoi decodes a decimal integer with the syntax and range strconv.Atoi
+// accepts: an optional sign, then ASCII digits, within an int.
+func atoi(b []byte) (int, bool) {
+	neg := false
+	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
+		neg = b[0] == '-'
+		b = b[1:]
+	}
+	if len(b) == 0 {
+		return 0, false
+	}
+	limit := uint64(1)<<(strconv.IntSize-1) - 1
+	if neg {
+		limit++
+	}
+	var n uint64
+	for _, c := range b {
+		if c < '0' || c > '9' || n > limit/10 {
+			return 0, false
+		}
+		n = n*10 + uint64(c-'0')
+		if n > limit {
+			return 0, false
+		}
+	}
+	if neg {
+		return int(-n), true
+	}
+	return int(n), true
 }
 
 func intsToString(s []int) string {

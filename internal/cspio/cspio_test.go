@@ -3,6 +3,7 @@ package cspio
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -57,6 +58,7 @@ func TestParseErrors(t *testing.T) {
 		"vars 2\ndom 2\nfrob 1",        // unknown directive
 		"vars 1\ndom 2\nnames a b",     // wrong name count
 		"vars 1\ndom 2\ncon 0 3 : 0 0", // scope out of range... con 0 3 means scope [0,3]
+		"vars 2\ndom 2\ndom_of 0 : 5\ncon 0 1 : 0 1 | 1 0\n", // dom_of value out of range
 	}
 	for _, text := range bad {
 		if _, err := Parse(strings.NewReader(text)); err == nil {
@@ -110,6 +112,96 @@ e 3 4
 	for _, b := range bad {
 		if _, err := ParseDIMACS(strings.NewReader(b)); err == nil {
 			t.Fatalf("accepted %q", b)
+		}
+	}
+}
+
+// TestParseErrorMessages pins every parse error's text and line number to
+// what the reference parser reports for the same input, and the dom_of
+// range rejection, which the reference lacks, to its own text.
+func TestParseErrorMessages(t *testing.T) {
+	for _, text := range []string{
+		"",
+		"vars 2",
+		"vars x\ndom 2",
+		"vars 2 3\ndom 2",
+		"vars -1\ndom 2",
+		"vars 2\ndom 0",
+		"vars 2\ndom\n",
+		"vars 2\ndom 2\n\n# note\ncon 0 1",
+		"vars 2\ndom 2\ncon : 0 1",
+		"vars 2\ndom 2\ncon 0 x : 0 1",
+		"vars 2\ndom 2\ncon 0 1 : 0 1 | 1",
+		"vars 2\ndom 2\ncon 0 1 : 0 1 | 1 y | 0",
+		"vars 2\ndom 2\ncon 0 1 : 0 1 : 1 0",
+		"vars 2\ndom 2\nfrob 1",
+		"vars 1\ndom 2\nnames a b",
+		"vars 1\ndom 2\ncon 0 3 : 0 0",
+		"vars 1\ndom 2\ncon 0 : 2",
+		"vars 2\ndom 2\ndom_of 0",
+		"vars 2\ndom 2\ndom_of 0 1 : 0",
+		"vars 2\ndom 2\ndom_of x : 0",
+		"vars 2\ndom 2\ndom_of 0 :",
+		"vars 2\ndom 2\ndom_of 0 : 0|1",
+		"vars 2\ndom 2\ndom_of 7 : 0",
+		"vars 2\ndom 99999999999999999999",
+	} {
+		_, got := ParseBytes([]byte(text))
+		_, want := referenceParse(strings.NewReader(text))
+		if got == nil || want == nil || got.Error() != want.Error() {
+			t.Errorf("%q: error %v, reference %v", text, got, want)
+		}
+	}
+	const text = "vars 2\ndom 2\ncon 0 1 : 0 1 | 1 0\ndom_of 1 : 1\n# x\ndom_of 0 : 1 2\n"
+	_, err := ParseBytes([]byte(text))
+	if want := "cspio: line 6: dom_of value 2 outside [0,2)"; err == nil || err.Error() != want {
+		t.Errorf("dom_of range: error %v, want %q", err, want)
+	}
+}
+
+// TestParseAllocations is the allocation guard on the request front end:
+// parsing a ~4 KB instance must not allocate a fixed-size line buffer.
+// The bufio.Scanner parser allocated about 1.26 MB per call.
+func TestParseAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var buf bytes.Buffer
+	if err := Format(&buf, gen.ModelB(rng, 12, 6, 0.5, 0.5)); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()
+	if n := len(body); n < 3000 || n > 6000 {
+		t.Fatalf("fixture is %d bytes, want about 4 KB", n)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Parse(bytes.NewReader(body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("Parse of a %d-byte body: %d KB allocated", len(body), per>>10)
+	if per > 256<<10 {
+		t.Fatalf("Parse of a %d-byte body allocates %d KB, want <= 256 KB", len(body), per>>10)
+	}
+}
+
+// TestParseDIMACSErrorMessages pins the DIMACS errors' text.
+func TestParseDIMACSErrorMessages(t *testing.T) {
+	for text, want := range map[string]string{
+		"e 1 2":                    "cspio: edge before header",
+		"p edge x 3":               `cspio: bad vertex count "x"`,
+		"p edge":                   `cspio: bad DIMACS header "p edge"`,
+		"p col 3 1":                `cspio: bad DIMACS header "p col 3 1"`,
+		"p edge 2 1\ne 1 5":        `cspio: bad edge "e 1 5"`,
+		"p edge 2 1\n  e 1 2 3 \r": `cspio: bad edge line "e 1 2 3"`,
+		"p edge 2 1\nq 1 2":        `cspio: unknown DIMACS line "q 1 2"`,
+		"c only a comment\n":       "cspio: missing DIMACS header",
+	} {
+		if _, err := ParseDIMACS(strings.NewReader(text)); err == nil || err.Error() != want {
+			t.Errorf("%q: error %v, want %q", text, err, want)
 		}
 	}
 }

@@ -2,8 +2,13 @@ package cspio
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"csdb/internal/csp"
 )
 
 // FuzzParseInstance drives the text-format parser with arbitrary bytes. The
@@ -45,4 +50,81 @@ func FuzzParseInstance(f *testing.F) {
 			t.Fatalf("format not idempotent:\nfirst:  %q\nsecond: %q", out1.String(), out2.String())
 		}
 	})
+}
+
+// FuzzParseAgrees is the parser's differential gate: ParseBytes and the
+// bufio.Scanner parser it replaced (referenceParse) must accept and reject
+// the same inputs, and on an accepted input build the same instance — the
+// same Format output, the same Names (nil and empty differ: "names" with no
+// arguments is an empty list), and Canonical bytes equal to the reference
+// encoder's. The one divergence allowed is ParseBytes rejecting a dom_of
+// value outside [0,dom), and then the line its error names must hold one.
+func FuzzParseAgrees(f *testing.F) {
+	f.Add([]byte("vars 2\ndom 2\ncon 0 1 : 0 1 | 1 0\n"))
+	f.Add([]byte("vars 4\ndom 3\nnames x y z w\ncon 0 1 : 0 1 | 1 0\ndom_of 2 : 0 2\n"))
+	f.Add([]byte("# comment\nvars 1\ndom 1 # trailing\n"))
+	f.Add([]byte("vars 0\ndom 1\nnames\n"))
+	f.Add([]byte("vars 2\ndom 2\ncon 0 1 :\ncon 1 0 : | 1 0 ||\n"))
+	f.Add([]byte("con 1 0 : 1 0\nvars 2\ndom 2\ndom_of 1 : 1 1 0\ndom_of 1 : 0\n"))
+	f.Add([]byte("vars +2\r\ndom 02\r\ncon\t0 -0 : +1 0\v|\f0 1\r\n"))
+	f.Add([]byte("vars 2\ndom 2\ncon 0 1 : 0 1 | 1 0\ncon 0 1 : 0\xc21 | 1 0\n"))
+	f.Add([]byte("vars 2\ndom 2\ndom_of 0 : 0|1\ncon 0 1 : 0 1 : 1 0\n"))
+	f.Add([]byte("vars 2\ndom 2\ndom_of 0 : 5\ncon 0 1 : 0 1 | 1 0\n"))
+	f.Add([]byte("vars 9223372036854775808\ndom -9223372036854775808\n"))
+	f.Add([]byte("vars 3\ndom 2\ndom_of 0 1 : 0\ndom_of 5 : 0\nnames a b\n"))
+	f.Fuzz(func(t *testing.T, input []byte) {
+		want, werr := referenceParse(bytes.NewReader(input))
+		got, gerr := ParseBytes(input)
+		switch {
+		case werr != nil && gerr != nil:
+			return
+		case werr != nil:
+			t.Fatalf("ParseBytes accepted what the reference rejects (%v)\ninput: %q", werr, input)
+		case gerr != nil:
+			if !domOfOutOfRange(input, want, gerr) {
+				t.Fatalf("ParseBytes rejected what the reference accepts: %v\ninput: %q", gerr, input)
+			}
+			return
+		}
+		if g, w := Canonical(got), referenceCanonical(want); !bytes.Equal(g, w) {
+			t.Fatalf("Canonical differs:\ngot  %q\nwant %q\ninput: %q", g, w, input)
+		}
+		if !reflect.DeepEqual(got.Names, want.Names) {
+			t.Fatalf("Names differ: got %#v want %#v\ninput: %q", got.Names, want.Names, input)
+		}
+		var g, w bytes.Buffer
+		if err := Format(&g, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := Format(&w, want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g.Bytes(), w.Bytes()) {
+			t.Fatalf("Format differs:\ngot  %q\nwant %q\ninput: %q", g.String(), w.String(), input)
+		}
+	})
+}
+
+// domOfOutOfRange reports whether err is ParseBytes' dom_of range rejection
+// and the line it names, read by the reference parser under want's vars and
+// dom, really restricts a variable to the value it names, outside [0,dom).
+func domOfOutOfRange(input []byte, want *csp.Instance, err error) bool {
+	var line, val, dom int
+	if _, serr := fmt.Sscanf(err.Error(), "cspio: line %d: dom_of value %d outside [0,%d)", &line, &val, &dom); serr != nil {
+		return false
+	}
+	lines := bytes.Split(input, []byte("\n"))
+	if dom != want.Dom || val >= 0 && val < dom || line < 1 || line > len(lines) {
+		return false
+	}
+	one, perr := referenceParse(strings.NewReader(fmt.Sprintf("vars %d\ndom %d\n%s\n", want.Vars, want.Dom, lines[line-1])))
+	if perr != nil {
+		return false
+	}
+	for _, d := range one.Domains {
+		if slices.Contains(d, val) {
+			return true
+		}
+	}
+	return false
 }

@@ -183,8 +183,13 @@ func NewAnalyzer(widthBudget, cacheSize int) *Analyzer {
 // first. The second result reports whether a (revalidated) cached verdict
 // was used.
 func (a *Analyzer) Classify(p *csp.Instance) (Classification, bool) {
+	return a.classifyKeyed(p, cspio.CanonicalHash(p))
+}
+
+// classifyKeyed is Classify with p's canonical hash already computed.
+func (a *Analyzer) classifyKeyed(p *csp.Instance, hash uint64) (Classification, bool) {
 	key := serve.CacheKey{
-		Hash:     cspio.CanonicalHash(p),
+		Hash:     hash,
 		Strategy: "dispatch",
 		Workers:  a.WidthBudget,
 	}
@@ -282,8 +287,13 @@ type Outcome struct {
 // Hard-classified instances (or a routed solver failing, which the reroute
 // counter records and the test suite pins to zero) reach the portfolio.
 func (a *Analyzer) Solve(ctx context.Context, p *csp.Instance) Outcome {
+	return a.solve(ctx, p, cspio.CanonicalHash(p))
+}
+
+// solve is Solve with p's canonical hash already computed: the auto row.
+func (a *Analyzer) solve(ctx context.Context, p *csp.Instance, hash uint64) Outcome {
 	t0 := time.Now()
-	cls, hit := a.Classify(p)
+	cls, hit := a.classifyKeyed(p, hash)
 	out := Outcome{Classification: &cls, Route: cls.Class, CacheHit: hit, ClassifyTime: time.Since(t0)}
 	cls.Class.counter().Inc()
 	obsClassVec.Inc(cls.Class.label())
