@@ -95,8 +95,11 @@ race-dispatch:
 # The search core (bitset domains, watched supports, nogood learning) and
 # the hard-instance generators behind its differential gate: the portfolio
 # races learning against MAC, so the whole suite runs under the detector.
+# The portfolio and cancellation tests run again on one and two processors,
+# fewer than the race's five lanes, so a lane that stops yielding fails.
 race-search:
 	$(GO) test -race -count=1 ./internal/csp/ ./internal/gen/
+	$(GO) test -race -count=1 -cpu 1,2 -run 'Portfolio|Cancel|Lane' ./internal/csp/
 
 # The cluster router and its binary: the health poller writes liveness/load
 # that every request reads, batch fan-out runs a worker pool, and the

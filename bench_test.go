@@ -616,10 +616,11 @@ func BenchmarkEngineOddCycleColoring(b *testing.B) {
 //     the phase transition) — its sub-benchmark runs under a 500k-node budget
 //     and still fails to decide the member, so its time is a lower bound.
 //
-// The portfolio races the three searchers (SearchStrategies; join evaluation
-// is kept out of the pool because its allocations throttle the race through
-// the garbage collector) and decides the whole family roughly an order of
-// magnitude faster than the best fixed strategy.
+// The portfolio races the default lanes (the four searchers and join
+// evaluation) and decides the whole family roughly an order of magnitude
+// faster than the best fixed strategy. Join evaluation stays in the pool:
+// its lane polls and yields after bounded work, so it neither holds a
+// processor through a whole preemption turn nor runs on after the winner.
 func engineMixedFamily() []*csp.Instance {
 	big := gen.ModelB(rand.New(rand.NewSource(1)), 150, 50, 0.12, 0.01)
 	loose := gen.ModelB(rand.New(rand.NewSource(1)), 60, 10, 0.3, 0.1)
@@ -648,9 +649,7 @@ func BenchmarkEngineMixedFamily(b *testing.B) {
 	b.Run("Portfolio", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, p := range family {
-				res := csp.Portfolio(context.Background(), p, csp.PortfolioOptions{
-					Strategies: csp.SearchStrategies(),
-				})
+				res := csp.Portfolio(context.Background(), p, csp.PortfolioOptions{})
 				if res.Aborted {
 					b.Fatal("portfolio aborted without limits")
 				}

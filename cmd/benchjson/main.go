@@ -15,10 +15,11 @@
 // label, so planner quality is versioned alongside the timing trajectory.
 //
 // With -search the tool ignores stdin and instead times the search-core
-// engines (seed, bitset MAC, restart/nogood learning) in-process on a fixed
-// suite of hard instances — pigeonhole, quasigroup completion, and Model B
-// at the phase transition — recording wall-clock runs, medians, node counts,
-// and seed-relative speedups. The default output switches to
+// engines (seed, bitset MAC, restart/nogood learning, and the default
+// portfolio race) in-process on a fixed suite of hard instances —
+// pigeonhole, quasigroup completion, Model B at the phase transition, and
+// the hard-search family the daemon's Hard route races on — recording
+// wall-clock runs, medians, node counts, and seed-relative speedups. The default output switches to
 // BENCH_search.json:
 //
 //	go run ./cmd/benchjson -search -label after
@@ -116,7 +117,7 @@ func main() {
 	case *note != "":
 		f.Note = *note
 	case f.Note == "" && *search:
-		f.Note = "search-core wall-clock per (instance, engine): seed vs bitset MAC vs restart/nogood learning; medians plus node counts and seed-relative speedups"
+		f.Note = "search-core wall-clock per (instance or family, engine): seed vs bitset MAC vs restart/nogood learning vs the portfolio race; medians plus node counts and seed-relative speedups"
 	case f.Note == "":
 		f.Note = "per-benchmark ns/op, B/op, allocs/op across -count repetitions; medians for comparison"
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -14,32 +15,52 @@ import (
 // JSON records every run plus the median, mirroring `go test -bench -count`.
 const searchReps = 3
 
-// searchCase is one hard instance in the search benchmark suite. Every
-// generator is seeded, so the suite is the same set of instances on every
-// machine and the trajectory file stays comparable across captures.
+// searchCase is one hard instance, or a family of them, in the search
+// benchmark suite. Every generator is seeded, so the suite is the same set
+// of instances on every machine and the trajectory file stays comparable
+// across captures. A family is timed as one run deciding every member in
+// turn; its node counts are summed over the members.
 type searchCase struct {
-	name string
-	inst *csp.Instance
+	name  string
+	insts []*csp.Instance
 }
 
 func searchCases() []searchCase {
+	one := func(p *csp.Instance) []*csp.Instance { return []*csp.Instance{p} }
 	return []searchCase{
 		// Fully symmetric UNSAT: the classic worst case for learning
 		// (restarts redo interchangeable subtrees) and the best case for
 		// raw per-node propagation speed.
-		{"SearchPigeonhole9x8", gen.Pigeonhole(9, 8)},
+		{"SearchPigeonhole9x8", one(gen.Pigeonhole(9, 8))},
 		// Quasigroup completion: structured SAT where conflict-weighted
 		// branching collapses the search tree.
-		{"SearchQuasigroup18h130", gen.Quasigroup(rand.New(rand.NewSource(1)), 18, 130)},
+		{"SearchQuasigroup18h130", one(gen.Quasigroup(rand.New(rand.NewSource(1)), 18, 130))},
 		// Model B at the phase transition, one UNSAT seed and one SAT seed.
-		{"SearchPhase35x20d25s1", gen.PhaseTransition(rand.New(rand.NewSource(1)), 35, 20, 0.25)},
-		{"SearchPhase35x20d25s2", gen.PhaseTransition(rand.New(rand.NewSource(2)), 35, 20, 0.25)},
+		{"SearchPhase35x20d25s1", one(gen.PhaseTransition(rand.New(rand.NewSource(1)), 35, 20, 0.25))},
+		{"SearchPhase35x20d25s2", one(gen.PhaseTransition(rand.New(rand.NewSource(2)), 35, 20, 0.25))},
+		// The cspdbench hard-search family (20 variables, 10 values,
+		// density 0.3), which the daemon's Hard route races the portfolio
+		// on. A member takes MAC about half a millisecond, so the case
+		// decides 50 seeded members per run.
+		{"SearchHard20x10d30x50", hardSearchFamily(50)},
 	}
 }
 
-// searchEngines are the three engines the rewrite is measured across: the
-// retained seed solver (the "before"), the bitset MAC engine, and the
-// restart/nogood learning engine.
+func hardSearchFamily(n int) []*csp.Instance {
+	rng := rand.New(rand.NewSource(1))
+	insts := make([]*csp.Instance, n)
+	for i := range insts {
+		insts[i] = gen.PhaseTransition(rng, 20, 10, 0.3)
+	}
+	return insts
+}
+
+// searchEngines are the engines the search core is measured across: the
+// retained seed solver (the "before"), the bitset MAC engine, the
+// restart/nogood learning engine, and the default portfolio race (MAC+MRV,
+// FC+Lex, CBJ, Learn and Join on goroutines), whose time shows what the
+// race costs over its winner. The portfolio's node count sums every lane's
+// effort, winners and losers alike, so it varies from run to run.
 var searchEngines = []struct {
 	name  string
 	solve func(*csp.Instance) csp.Result
@@ -53,6 +74,11 @@ var searchEngines = []struct {
 	{"learn", func(p *csp.Instance) csp.Result {
 		return csp.Solve(p, csp.Options{Learn: true})
 	}},
+	{"portfolio", func(p *csp.Instance) csp.Result {
+		pres := csp.Portfolio(context.Background(), p, csp.PortfolioOptions{})
+		pres.Result.Stats.Nodes = pres.Total.Nodes
+		return pres.Result
+	}},
 }
 
 // runSearchBench times every engine on every case in-process and returns
@@ -63,49 +89,73 @@ var searchEngines = []struct {
 func runSearchBench() (map[string]Bench, map[string]any) {
 	benches := map[string]Bench{}
 	snap := map[string]any{
-		"suite": fmt.Sprintf("%d instances x %d engines x %d reps", len(searchCases()), len(searchEngines), searchReps),
+		"suite": fmt.Sprintf("%d cases x %d engines x %d reps", len(searchCases()), len(searchEngines), searchReps),
 	}
 	for _, c := range searchCases() {
-		verdicts := make([]bool, len(searchEngines))
+		verdicts := make([][]bool, len(searchEngines))
 		medians := make([]float64, len(searchEngines))
 		for ei, eng := range searchEngines {
 			var runs []Run
-			var res csp.Result
+			var found []bool
+			var nodes, restarts, nogoods int64
 			for r := 0; r < searchReps; r++ {
+				found, nodes, restarts, nogoods = found[:0], 0, 0, 0
 				t0 := time.Now()
-				res = eng.solve(c.inst)
+				for _, p := range c.insts {
+					res := eng.solve(p)
+					if res.Aborted {
+						fmt.Fprintf(os.Stderr, "benchjson: %s/%s aborted\n", c.name, eng.name)
+						os.Exit(1)
+					}
+					found = append(found, res.Found)
+					nodes += res.Stats.Nodes
+					restarts += res.Stats.Restarts
+					nogoods += res.Stats.NogoodsRecorded
+				}
 				runs = append(runs, Run{NsOp: float64(time.Since(t0).Nanoseconds())})
 			}
-			if res.Aborted {
-				fmt.Fprintf(os.Stderr, "benchjson: %s/%s aborted\n", c.name, eng.name)
-				os.Exit(1)
-			}
-			verdicts[ei] = res.Found
+			verdicts[ei] = found
 			b := Bench{
 				Runs:       runs,
 				MedianNsOp: median(runs, func(r Run) float64 { return r.NsOp }),
 			}
 			medians[ei] = b.MedianNsOp
 			benches[c.name+"/"+eng.name] = b
-			snap[c.name+".nodes."+eng.name] = res.Stats.Nodes
+			snap[c.name+".nodes."+eng.name] = nodes
 			if eng.name == "learn" {
-				snap[c.name+".restarts"] = res.Stats.Restarts
-				snap[c.name+".nogoods"] = res.Stats.NogoodsRecorded
+				snap[c.name+".restarts"] = restarts
+				snap[c.name+".nogoods"] = nogoods
 			}
-			fmt.Fprintf(os.Stderr, "benchjson: %-24s %-7s median %12v nodes %d found=%v\n",
-				c.name, eng.name, time.Duration(b.MedianNsOp).Round(time.Millisecond), res.Stats.Nodes, res.Found)
+			fmt.Fprintf(os.Stderr, "benchjson: %-24s %-9s median %12v nodes %d sat %d/%d\n",
+				c.name, eng.name, time.Duration(b.MedianNsOp).Round(time.Microsecond), nodes, countTrue(found), len(found))
 		}
 		for ei := 1; ei < len(searchEngines); ei++ {
-			if verdicts[ei] != verdicts[0] {
-				fmt.Fprintf(os.Stderr, "benchjson: VERDICT MISMATCH on %s: %s=%v %s=%v\n",
-					c.name, searchEngines[0].name, verdicts[0], searchEngines[ei].name, verdicts[ei])
-				os.Exit(1)
+			for i, v := range verdicts[ei] {
+				if v != verdicts[0][i] {
+					fmt.Fprintf(os.Stderr, "benchjson: VERDICT MISMATCH on %s member %d: %s=%v %s=%v\n",
+						c.name, i, searchEngines[0].name, verdicts[0][i], searchEngines[ei].name, v)
+					os.Exit(1)
+				}
 			}
 			snap[c.name+".speedup."+searchEngines[ei].name] = round2(medians[0] / medians[ei])
 		}
-		snap[c.name+".found"] = verdicts[0]
+		if len(c.insts) == 1 {
+			snap[c.name+".found"] = verdicts[0][0]
+		} else {
+			snap[c.name+".sat"] = countTrue(verdicts[0])
+		}
 	}
 	return benches, snap
+}
+
+func countTrue(bs []bool) int {
+	n := 0
+	for _, b := range bs {
+		if b {
+			n++
+		}
+	}
+	return n
 }
 
 func round2(x float64) float64 { return float64(int64(x*100+0.5)) / 100 }

@@ -17,38 +17,79 @@ import (
 // attrOf names the relational attribute of variable v.
 func attrOf(v int) string { return fmt.Sprintf("v%d", v) }
 
-// ConstraintRelations converts the (normalized) instance's constraints into
-// attribute-named relations, one per constraint, plus one unary domain
-// relation for every variable mentioned in no constraint (so the join ranges
-// over all variables).
-func ConstraintRelations(p *Instance) []*relation.Relation {
-	q := p.withDomainsAsConstraints().Normalize()
-	rels := make([]*relation.Relation, 0, len(q.Constraints))
-	mentioned := make([]bool, q.Vars)
-	for _, con := range q.Constraints {
-		attrs := make([]string, len(con.Scope))
-		for i, v := range con.Scope {
-			attrs[i] = attrOf(v)
-			mentioned[v] = true
-		}
-		r := relation.MustNew(attrs...)
-		r.Grow(con.Table.Len())
-		for _, row := range con.Table.Tuples() {
-			r.MustAdd(relation.Tuple(row))
-		}
-		rels = append(rels, r)
-	}
-	for v := 0; v < q.Vars; v++ {
-		if mentioned[v] {
+// constraintRelations converts the instance's constraints into
+// attribute-named relations, one per constraint, plus one unary relation per
+// restricted domain and one unary domain relation for every variable
+// mentioned nowhere else (so the join ranges over all variables).
+//
+// Each relation is filled from its table in one pass, with no membership
+// checks, since a table's rows are already distinct. Only a scope that
+// repeats a variable goes through NormalizeDistinct's rewrite, because a
+// relation's attributes must be distinct. Constraints on the same scope are
+// not consolidated: the natural join intersects them anyway. A cancelChecker
+// ticks once per tuple, so the build polls ctx (and may yield the processor)
+// every cancelCheckInterval tuples rather than running to the end unpolled.
+func constraintRelations(ctx context.Context, p *Instance) ([]*relation.Relation, error) {
+	cc := newCancelChecker(ctx)
+	rels := make([]*relation.Relation, 0, len(p.Constraints)+len(p.Domains))
+	mentioned := make([]bool, p.Vars)
+	for v, dom := range p.Domains {
+		if dom == nil {
 			continue
 		}
+		mentioned[v] = true
 		r := relation.MustNew(attrOf(v))
-		for _, val := range q.DomainOf(v) {
+		for _, val := range dom {
+			if cc.cancelled() {
+				return nil, ctx.Err()
+			}
 			r.MustAdd(relation.Tuple{val})
 		}
 		rels = append(rels, r)
 	}
-	return rels
+	for _, con := range p.Constraints {
+		scope, table := con.Scope, con.Table
+		if repeatsVar(scope) {
+			scope, table = dedupScope(scope, table)
+		}
+		attrs := make([]string, len(scope))
+		for i, v := range scope {
+			attrs[i] = attrOf(v)
+			mentioned[v] = true
+		}
+		r := relation.MustNew(attrs...)
+		r.Grow(table.Len())
+		for _, row := range table.Tuples() {
+			if cc.cancelled() {
+				return nil, ctx.Err()
+			}
+			r.AddDistinct(row) // a table's rows are already a set
+		}
+		rels = append(rels, r)
+	}
+	for v := 0; v < p.Vars; v++ {
+		if mentioned[v] {
+			continue
+		}
+		r := relation.MustNew(attrOf(v))
+		for val := 0; val < p.Dom; val++ {
+			r.AddDistinct(relation.Tuple{val})
+		}
+		rels = append(rels, r)
+	}
+	return rels, nil
+}
+
+// repeatsVar reports whether a constraint scope names a variable twice.
+func repeatsVar(scope []int) bool {
+	for i, v := range scope {
+		for _, w := range scope[:i] {
+			if v == w {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // JoinSolve decides solvability by evaluating the natural join of the
@@ -83,7 +124,10 @@ func joinSolve(ctx context.Context, p *Instance) Result {
 	if ctx.Err() != nil {
 		return Result{Aborted: true}
 	}
-	rels := ConstraintRelations(p)
+	rels, err := constraintRelations(ctx, p)
+	if err != nil {
+		return Result{Aborted: true}
+	}
 	j, err := relation.JoinAllCtx(ctx, rels)
 	if err != nil {
 		return Result{Aborted: true}
@@ -97,7 +141,7 @@ func joinSolve(ctx context.Context, p *Instance) Result {
 		pos := j.Pos(attrOf(v))
 		if pos < 0 {
 			// Variable absent from every relation: impossible, since
-			// ConstraintRelations adds a unary domain relation; defensive.
+			// constraintRelations adds a unary domain relation; defensive.
 			sol[v] = 0
 			continue
 		}
@@ -110,7 +154,10 @@ func joinSolve(ctx context.Context, p *Instance) Result {
 // the attributes v0..v(n-1) — the full join of Proposition 2.1, projected
 // and reordered onto the variable attributes.
 func JoinSolutions(p *Instance) (*relation.Relation, error) {
-	rels := ConstraintRelations(p)
+	rels, err := constraintRelations(context.Background(), p)
+	if err != nil {
+		return nil, err
+	}
 	j := relation.JoinAll(rels)
 	attrs := make([]string, p.Vars)
 	for v := range attrs {

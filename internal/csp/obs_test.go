@@ -76,7 +76,7 @@ func TestPortfolioStatsMatchRegistry(t *testing.T) {
 		before := obsSearchNodes.Load()
 		beforeRaces := obsPortfolioRaces.Load()
 
-		res := Portfolio(context.Background(), p, PortfolioOptions{Strategies: SearchStrategies()})
+		res := Portfolio(context.Background(), p, PortfolioOptions{})
 		if !res.Found {
 			t.Fatal("portfolio unsolved")
 		}

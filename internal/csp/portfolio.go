@@ -52,18 +52,6 @@ func DefaultStrategies() []PortfolioStrategy {
 	}
 }
 
-// SearchStrategies returns the portfolio of search-based deciders only:
-// MAC+MRV, FC+Lex, CBJ and Learn. It exists because the join decider
-// materializes intermediate relations; on instances with large constraint
-// tables those allocations put the garbage collector under enough pressure
-// to slow every competitor in the race before the cancellation lands. When
-// instances are memory-heavy, race the searchers and keep join evaluation
-// out of the pool.
-func SearchStrategies() []PortfolioStrategy {
-	all := DefaultStrategies()
-	return all[:len(all)-1]
-}
-
 // PortfolioOptions configures a Portfolio call.
 type PortfolioOptions struct {
 	// Strategies to race; nil means DefaultStrategies().
@@ -86,9 +74,6 @@ type StrategyReport struct {
 	// typically shows Aborted=true because the winner cancelled it.
 	Found   bool
 	Aborted bool
-	// Cancelled marks strategies whose abort was caused by losing the race
-	// (the winner's cancellation), as opposed to their own node limit.
-	Cancelled bool
 }
 
 // PortfolioResult is the outcome of a portfolio race: the winning verdict,
@@ -112,6 +97,16 @@ type PortfolioResult struct {
 // strategies are waited for before returning, so Portfolio leaks no
 // goroutines. When every strategy aborts (node limits, or ctx cancelled
 // before any verdict), the result has Aborted=true.
+//
+// The race is fair on fewer processors than lanes, and its losers stop
+// promptly, because every built-in lane polls ctx after a bounded stretch of
+// work (cancelCheckInterval search nodes, propagation steps or support
+// scans; about a thousand rows or pairs inside the join kernel) and yields
+// the processor at a poll once it has run for yieldQuantum (0.1 ms). The
+// lanes therefore share processors in slices of about 0.1 ms, not the
+// runtime's ~10 ms preemption turns, so the race costs about what its winner
+// costs, and a loser returns within one poll interval of the winner's
+// cancellation.
 func Portfolio(ctx context.Context, p *Instance, popts PortfolioOptions) PortfolioResult {
 	start := time.Now()
 	strategies := popts.Strategies
@@ -161,9 +156,6 @@ func Portfolio(ctx context.Context, p *Instance, popts PortfolioOptions) Portfol
 			Stats:   v.res.Stats,
 			Found:   v.res.Found,
 			Aborted: v.res.Aborted,
-		}
-		if v.res.Aborted && winner >= 0 {
-			rep.Cancelled = true
 		}
 		if winner < 0 && !v.res.Aborted {
 			winner = v.idx

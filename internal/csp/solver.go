@@ -515,7 +515,11 @@ func (s *searcher) checkAssigned(v int) bool {
 }
 
 // forwardCheck prunes, for each constraint on v with exactly one unassigned
-// variable, the values of that variable with no supporting tuple.
+// variable, the values of that variable with no supporting tuple. Each
+// support scan ticks the cancelChecker: one FC node can scan dozens of
+// tables, so counting nodes alone would let a wide instance run for
+// milliseconds between polls. It returns false on a wipeout or (with
+// s.aborted set) on cancellation.
 func (s *searcher) forwardCheck(v int) bool {
 	for _, con := range s.watch[v] {
 		free := -1
@@ -535,6 +539,10 @@ func (s *searcher) forwardCheck(v int) bool {
 		for val := 0; val < s.p.Dom; val++ {
 			if !s.dom[free][val] {
 				continue
+			}
+			if s.cancel.cancelled() {
+				s.aborted = true
+				return false
 			}
 			if !s.hasSupportAssigned(con, free, val) {
 				s.dom[free][val] = false

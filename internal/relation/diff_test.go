@@ -321,3 +321,26 @@ func TestConcurrentJoinsShareInputs(t *testing.T) {
 		}
 	}
 }
+
+// A context cancelled after JoinAllCtx's first poll stops the planner inside
+// its O(k²) initial estimate pass: the pass polls every joinCheckEvery
+// estimates, so far fewer than all k(k-1)/2 pairs are estimated.
+func TestJoinAllPollsDuringPlanning(t *testing.T) {
+	const k = 80 // 3,160 pairs, more than three poll intervals
+	rels := make([]*Relation, k)
+	for i := range rels {
+		rels[i] = MustNew(fmt.Sprintf("a%d", i), fmt.Sprintf("a%d", i+1))
+		for v := 0; v < 4; v++ {
+			rels[i].AddDistinct(Tuple{v, (v + 1) % 4})
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	before := estimateCalls.Load()
+	if _, err := JoinAllCtx(ctx, rels); err == nil {
+		t.Fatal("JoinAllCtx under a cancelled context returned no error")
+	}
+	if calls := estimateCalls.Load() - before; calls > joinCheckEvery {
+		t.Fatalf("planner made %d estimates before polling, want <= %d", calls, joinCheckEvery)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"time"
 
 	"csdb/internal/obs"
 )
@@ -20,10 +21,13 @@ import (
 // own index is built lazily if it is ever probed.
 
 const (
-	// joinCheckEvery is how many candidate pairs are examined between
-	// context polls, per goroutine (the cancellation discipline shared with
-	// the parallel solver engine).
-	joinCheckEvery = 4096
+	// joinCheckEvery is how many units of work — candidate pairs probed,
+	// rows hashed or counted, pair estimates — run between context polls,
+	// per goroutine (the cancellation discipline shared with the search
+	// engines' cancelChecker). 1,024 units take 20-50 µs, the same slice as
+	// a search lane's poll interval, so a join racing the searchers gets
+	// no longer turns than they do.
+	joinCheckEvery = 1024
 	// parallelProbeMin is the probe-side row count above which the probe
 	// loop is partitioned across GOMAXPROCS workers. A var so tests can
 	// force both paths.
@@ -32,6 +36,53 @@ const (
 
 var parallelProbeMin = parallelProbeMinDefault
 
+// yieldQuantum is the least time a poller's goroutine runs between two
+// yields of the processor: the same quantum, for the same reason, as the
+// search engines' cancelChecker in internal/csp. Yielding at every poll
+// would cost a join running alone a processor wake-up every few tens of
+// microseconds.
+const yieldQuantum = 100 * time.Microsecond
+
+// poller amortizes context polls over a countdown of work units. A poll
+// also yields the processor (runtime.Gosched) once the goroutine has run
+// for yieldQuantum, and the first poll always yields, so a join racing
+// other goroutines on fewer processors shares time in short slices instead
+// of the runtime's ~10 ms preemption turns. A poller over a nil context
+// (the zero poller) never polls.
+type poller struct {
+	ctx       context.Context
+	countdown int
+	resumed   time.Time // when the goroutine last returned from a yield
+}
+
+func newPoller(ctx context.Context) *poller {
+	return &poller{ctx: ctx, countdown: joinCheckEvery}
+}
+
+// tick counts one unit of work; once every joinCheckEvery units it yields
+// (if the quantum has passed) and returns the context's error. The
+// countdown is small enough to inline into the kernel loops; poll is the
+// out-of-line rest.
+func (p *poller) tick() error {
+	if p.ctx == nil {
+		return nil
+	}
+	p.countdown--
+	if p.countdown > 0 {
+		return nil
+	}
+	return p.poll()
+}
+
+func (p *poller) poll() error {
+	p.countdown = joinCheckEvery
+	if time.Since(p.resumed) >= yieldQuantum {
+		runtime.Gosched()
+		p.resumed = time.Now()
+	}
+	return p.ctx.Err()
+}
+
 // joinTable is the transient build-side hash table: head maps a column-hash
 // to the last build row with that hash, next chains earlier ones.
 type joinTable struct {
@@ -39,10 +90,14 @@ type joinTable struct {
 	next []int32
 }
 
-// buildJoinTable hashes rows of s on the given columns.
-func buildJoinTable(s *Relation, cols []int) joinTable {
+// buildJoinTable hashes rows of s on the given columns, ticking pl once per
+// row.
+func buildJoinTable(pl *poller, s *Relation, cols []int) (joinTable, error) {
 	t := joinTable{head: make(map[uint64]int32, s.n), next: make([]int32, s.n)}
 	for i := 0; i < s.n; i++ {
+		if err := pl.tick(); err != nil {
+			return joinTable{}, err
+		}
 		h := hashRowCols(s.data, i*s.k, cols)
 		prev, ok := t.head[h]
 		if !ok {
@@ -51,7 +106,7 @@ func buildJoinTable(s *Relation, cols []int) joinTable {
 		t.next[i] = prev
 		t.head[h] = int32(i)
 	}
-	return t
+	return t, nil
 }
 
 // Join returns the natural join of r and s: the schema is r's attributes
@@ -65,9 +120,9 @@ func (r *Relation) Join(s *Relation) *Relation {
 }
 
 // joinCtx is Join with cooperative cancellation: when ctx is non-nil, the
-// probe loop polls it every few thousand candidate pairs and returns ctx's
-// error, so a cancelled caller is not stuck behind one exploding
-// intermediate result. It is also the kernel's metering point: probe/build/
+// build and probe loops poll it every joinCheckEvery rows or candidate pairs
+// (see poller, which also yields the processor) and return ctx's error, so
+// a cancelled caller is not stuck behind one exploding intermediate result. It is also the kernel's metering point: probe/build/
 // output row counts and arena bytes are flushed to the obs registry once per
 // call, and a span records the join's shape when tracing is active.
 func (r *Relation) joinCtx(ctx context.Context, s *Relation) (*Relation, error) {
@@ -124,11 +179,15 @@ func (r *Relation) joinImpl(ctx context.Context, s *Relation) (*Relation, error)
 		sOnlyPos[i] = s.pos[a]
 	}
 
-	build := buildJoinTable(s, sCols)
+	pl := newPoller(ctx)
+	build, err := buildJoinTable(pl, s, sCols)
+	if err != nil {
+		return nil, err
+	}
 
 	workers := runtime.GOMAXPROCS(0)
 	if r.n < parallelProbeMin || workers < 2 {
-		data, rows, err := joinProbeRange(ctx, r, s, build, rCols, sCols, sOnlyPos, 0, r.n)
+		data, rows, err := joinProbeRange(pl, r, s, build, rCols, sCols, sOnlyPos, 0, r.n)
 		if err != nil {
 			return nil, err
 		}
@@ -160,7 +219,7 @@ func (r *Relation) joinImpl(ctx context.Context, s *Relation) (*Relation, error)
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			data, rows, err := joinProbeRange(ctx, r, s, build, rCols, sCols, sOnlyPos, lo, hi)
+			data, rows, err := joinProbeRange(newPoller(ctx), r, s, build, rCols, sCols, sOnlyPos, lo, hi)
 			parts[w] = part{data: data, rows: rows, err: err}
 		}(w, lo, hi)
 	}
@@ -181,25 +240,17 @@ func (r *Relation) joinImpl(ctx context.Context, s *Relation) (*Relation, error)
 }
 
 // joinProbeRange probes rows lo..hi of r against the build table over s and
-// returns the emitted flat rows, polling ctx (when non-nil) every
-// joinCheckEvery candidate pairs.
-func joinProbeRange(ctx context.Context, r, s *Relation, build joinTable, rCols, sCols, sOnlyPos []int, lo, hi int) ([]int, int, error) {
+// returns the emitted flat rows, ticking pl once per candidate pair.
+func joinProbeRange(pl *poller, r, s *Relation, build joinTable, rCols, sCols, sOnlyPos []int, lo, hi int) ([]int, int, error) {
 	outK := r.k + len(sOnlyPos)
 	buf := make([]int, 0, (hi-lo)*outK)
 	rows := 0
-	countdown := joinCheckEvery
 	for i := lo; i < hi; i++ {
 		rBase := i * r.k
 		h := hashRowCols(r.data, rBase, rCols)
 		for id := lookupHead(build.head, h); id >= 0; id = build.next[id] {
-			if ctx != nil {
-				countdown--
-				if countdown <= 0 {
-					countdown = joinCheckEvery
-					if err := ctx.Err(); err != nil {
-						return nil, 0, err
-					}
-				}
+			if err := pl.tick(); err != nil {
+				return nil, 0, err
 			}
 			sBase := int(id) * s.k
 			match := true
@@ -261,7 +312,7 @@ func (r *Relation) semijoinImpl(s *Relation) *Relation {
 		rCols[i] = r.pos[a]
 		sCols[i] = s.pos[a]
 	}
-	build := buildJoinTable(s, sCols)
+	build, _ := buildJoinTable(&poller{}, s, sCols) // the zero poller never fails
 	out.data = make([]int, 0, r.n*r.k/2)
 	for i := 0; i < r.n; i++ {
 		rBase := i * r.k

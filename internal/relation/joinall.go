@@ -25,11 +25,22 @@ var estimateCalls atomic.Int64
 
 // estimateJoin is the cost estimate used for greedy join ordering: the
 // textbook |r|·|s| / Π_a max(d_r(a), d_s(a)) over the shared attributes a,
-// using real per-column distinct counts.
-func estimateJoin(r, s *Relation) int64 {
+// using real per-column distinct counts. pl is ticked once per estimate and
+// once per value the distinct counts visit.
+func estimateJoin(pl *poller, r, s *Relation) (int64, error) {
 	estimateCalls.Add(1)
+	if err := pl.tick(); err != nil {
+		return 0, err
+	}
 	est := float64(r.n) * float64(s.n)
-	rd, sd := r.distinctCounts(), s.distinctCounts()
+	rd, err := r.distinctCounts(pl)
+	if err != nil {
+		return 0, err
+	}
+	sd, err := s.distinctCounts(pl)
+	if err != nil {
+		return 0, err
+	}
 	for i, a := range r.attrs {
 		j, ok := s.pos[a]
 		if !ok {
@@ -44,13 +55,13 @@ func estimateJoin(r, s *Relation) int64 {
 		}
 	}
 	if est < 1 {
-		return 1
+		return 1, nil
 	}
 	const maxEst = 1 << 62
 	if est > maxEst {
-		return maxEst
+		return maxEst, nil
 	}
-	return int64(est)
+	return int64(est), nil
 }
 
 // pairItem is one candidate join in the planner heap. Slot ids are stable
@@ -88,8 +99,9 @@ func JoinAll(rels []*Relation) *Relation {
 }
 
 // JoinAllCtx is JoinAll under a context: the context is polled before every
-// pairwise join and periodically inside each one, and its error is returned
-// as soon as cancellation is observed. The join order is identical to
+// pairwise join and periodically inside each one and inside the planner's
+// estimates (see poller, which also yields the processor), and its error is
+// returned as soon as cancellation is observed. The join order is identical to
 // JoinAll, so cancelled and uncancelled runs do the same work up to the
 // point of cancellation.
 func JoinAllCtx(ctx context.Context, rels []*Relation) (*Relation, error) {
@@ -132,10 +144,18 @@ func joinAllPlanned(ctx context.Context, rels []*Relation, sp *obs.Span) (*Relat
 	}
 	aliveCount := len(rels)
 
+	// One poller spans the planning work (the O(k²) initial estimates and
+	// the distinct counts behind them, then each fresh slot's estimates);
+	// every pairwise join polls on its own inside joinCtx.
+	pl := newPoller(ctx)
 	h := make(pairHeap, 0, len(rels)*(len(rels)-1)/2)
 	for i := 0; i < len(rels); i++ {
 		for j := i + 1; j < len(rels); j++ {
-			h = append(h, pairItem{est: estimateJoin(rels[i], rels[j]), a: i, b: j})
+			est, err := estimateJoin(pl, rels[i], rels[j])
+			if err != nil {
+				return nil, err
+			}
+			h = append(h, pairItem{est: est, a: i, b: j})
 		}
 	}
 	heap.Init(&h)
@@ -195,7 +215,11 @@ func joinAllPlanned(ctx context.Context, rels []*Relation, sp *obs.Span) (*Relat
 		alive = append(alive, true)
 		for s := 0; s < id; s++ {
 			if alive[s] {
-				heap.Push(&h, pairItem{est: estimateJoin(joined, slots[s]), a: id, b: s})
+				est, err := estimateJoin(pl, joined, slots[s])
+				if err != nil {
+					return nil, err
+				}
+				heap.Push(&h, pairItem{est: est, a: id, b: s})
 			}
 		}
 	}

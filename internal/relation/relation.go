@@ -338,6 +338,23 @@ func (r *Relation) Add(t Tuple) error {
 	return nil
 }
 
+// AddDistinct appends t, which the caller guarantees is not already in r,
+// without the membership check (and lazily built index) that Add pays for:
+// it is how a relation is filled in one pass from rows that are already a
+// set, such as a deduplicated constraint table. It panics on an arity
+// mismatch, which is a programming error.
+func (r *Relation) AddDistinct(t Tuple) {
+	if len(t) != r.k {
+		panic(fmt.Sprintf("relation: tuple arity %d does not match schema arity %d", len(t), r.k))
+	}
+	if r.index != nil {
+		r.appendIndexed(t, hashVals(t))
+		return
+	}
+	r.appendUnique(t)
+	r.stats = nil
+}
+
 // MustAdd is Add but panics on error.
 func (r *Relation) MustAdd(t Tuple) {
 	if err := r.Add(t); err != nil {
@@ -593,20 +610,25 @@ func sharedAttrs(r, s *Relation) (common []string, sOnly []string) {
 
 // distinctCounts returns the number of distinct values per column, cached
 // until the next mutation. These are the statistics behind cost-based join
-// ordering in JoinAllCtx.
-func (r *Relation) distinctCounts() []int {
+// ordering in JoinAllCtx. pl is ticked once per value counted, so counting a
+// large intermediate result stays cancellable; a cancelled count caches
+// nothing.
+func (r *Relation) distinctCounts(pl *poller) ([]int, error) {
 	if r.stats != nil {
-		return r.stats
+		return r.stats, nil
 	}
 	stats := make([]int, r.k)
 	seen := make(map[int]struct{}, r.n)
 	for c := 0; c < r.k; c++ {
 		clear(seen)
 		for i := 0; i < r.n; i++ {
+			if err := pl.tick(); err != nil {
+				return nil, err
+			}
 			seen[r.data[i*r.k+c]] = struct{}{}
 		}
 		stats[c] = len(seen)
 	}
 	r.stats = stats
-	return stats
+	return stats, nil
 }

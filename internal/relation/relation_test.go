@@ -37,6 +37,37 @@ func TestAddDeduplicatesAndChecksArity(t *testing.T) {
 	}
 }
 
+// AddDistinct builds the same relation as Add from rows that are already a
+// set, whether or not the membership index exists yet, and keeps the
+// distinct-count statistics fresh.
+func TestAddDistinctMatchesAdd(t *testing.T) {
+	rows := []Tuple{{1, 2}, {2, 3}, {3, 1}}
+	want := MustFromTuples([]string{"x", "y"}, rows)
+	r := MustNew("x", "y")
+	for _, row := range rows[:2] {
+		r.AddDistinct(row)
+	}
+	if d, _ := r.distinctCounts(&poller{}); d[0] != 2 {
+		t.Fatalf("distinct counts %v before the last row", d)
+	}
+	if !r.Contains(Tuple{1, 2}) { // builds the index
+		t.Fatal("AddDistinct row missing")
+	}
+	r.AddDistinct(rows[2]) // appended through the built index
+	if !r.Equal(want) || !r.Contains(Tuple{3, 1}) {
+		t.Fatalf("AddDistinct built %v, want %v", r, want)
+	}
+	if d, _ := r.distinctCounts(&poller{}); d[0] != 3 {
+		t.Fatalf("stale distinct counts %v after AddDistinct", d)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("arity mismatch accepted")
+		}
+	}()
+	r.AddDistinct(Tuple{1})
+}
+
 func TestAddClonesTuple(t *testing.T) {
 	r := MustNew("x")
 	src := Tuple{7}
