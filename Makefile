@@ -67,10 +67,11 @@ race:
 race-engine:
 	$(GO) test -race -count=1 ./internal/csp/ ./internal/consistency/ ./internal/relation/
 
-# The relational kernel and its main consumer, with the parallel hash join
-# enabled — the acceptance gate for the integer-coded kernel.
+# The relational kernel, its tuple store (relation.Table, which is also
+# csp.Table and structure.Interp) and the packages built on that store, with
+# the parallel hash join enabled — the acceptance gate for the kernel.
 race-kernel:
-	$(GO) test -race -count=1 ./internal/relation/ ./internal/hypergraph/
+	$(GO) test -race -count=1 ./internal/relation/ ./internal/hypergraph/ ./internal/structure/ ./internal/cspio/
 
 # The observability layer and every binary that records or consumes it: the
 # registry, tracer and event ring are written to by every solver goroutine,

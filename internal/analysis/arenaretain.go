@@ -8,9 +8,10 @@ import (
 // arenaretain: row slices handed out by the relational kernel's arena
 // accessors must not be stored anywhere that outlives the call.
 //
-// The integer-coded kernel stores all rows of a relation in one flat value
-// array; Relation.Tuples and Relation.SortedTuples (and csp.Table.Tuples,
-// which shares the discipline) hand out views into that storage. A view
+// The library keeps every tuple set in one store, relation.Table, whose rows
+// live in one flat value array; Table.Row and Table.Tuples (and so
+// csp.Table and structure.Interp, which are that type) and
+// Relation.Tuples and Relation.SortedTuples hand out views into it. A view
 // retained across a kernel mutation aliases memory the kernel may grow or
 // rewrite — the classic stale-arena-pointer hazard. Reading a view inside
 // the call that obtained it is fine; storing it into a struct field, a
@@ -36,9 +37,7 @@ var arenaretainAnalyzer = &Analyzer{
 var arenaAccessors = map[string]map[string]map[string]bool{
 	"csdb/internal/relation": {
 		"Relation": {"Tuples": true, "SortedTuples": true},
-	},
-	"csdb/internal/csp": {
-		"Table": {"Tuples": true},
+		"Table":    {"Tuples": true, "Row": true},
 	},
 }
 

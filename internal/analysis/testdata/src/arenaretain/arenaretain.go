@@ -6,6 +6,7 @@ package arenaretaintest
 import (
 	"csdb/internal/csp"
 	"csdb/internal/relation"
+	"csdb/internal/structure"
 )
 
 type cache struct {
@@ -53,11 +54,38 @@ func badChannelSend(out chan []relation.Tuple, r *relation.Relation) {
 	out <- r.Tuples()
 }
 
-// badTableField: csp.Table.Tuples shares the discipline. (true positive)
-type tableCache struct{ tuples [][]int }
+// badTableField: csp.Table is the shared store, relation.Table. (true
+// positive)
+type tableCache struct {
+	tuples [][]int
+	row    []int
+}
 
 func badTableField(c *tableCache, t *csp.Table) {
 	c.tuples = t.Tuples()
+}
+
+// badTableRow: one Row view of a csp.Table kept in a field. (true positive)
+func badTableRow(c *tableCache, t *csp.Table) {
+	if t.Len() > 0 {
+		c.row = t.Row(0)
+	}
+}
+
+// badInterpRow: a structure's interpretation is the same store, so a row of
+// Rel(..).Tuples() aliases its arena too. (true positive)
+func badInterpRow(c *tableCache, s *structure.Structure) {
+	for _, row := range s.Rel("E").Tuples() {
+		c.row = row
+	}
+}
+
+// goodTableRowCopy: copying a Row view before keeping it. (near-miss
+// negative)
+func goodTableRowCopy(c *tableCache, t *csp.Table) {
+	if t.Len() > 0 {
+		c.row = append([]int(nil), t.Row(0)...)
+	}
 }
 
 // goodLocalUse: reading a view inside the call is the accessor's intended

@@ -210,8 +210,9 @@ func IsCoherent(a, b *structure.Structure) (bool, error) {
 		return false, fmt.Errorf("consistency: structures have different vocabularies")
 	}
 	for _, sym := range a.Voc().Symbols() {
+		bRows := b.Rel(sym.Name).Tuples()
 		for _, abar := range a.Rel(sym.Name).Tuples() {
-			for _, bbar := range b.Rel(sym.Name).Tuples() {
+			for _, bbar := range bRows {
 				h := make([]int, a.Size())
 				for i := range h {
 					h[i] = -1

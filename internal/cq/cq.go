@@ -427,7 +427,7 @@ func Contains(q1, q2 *Query) (bool, error) {
 	for i, v := range q1.Head {
 		want[i] = idx[v]
 	}
-	return res.Contains(want), nil
+	return res.Has(want), nil
 }
 
 // ContainsViaHomomorphism decides Q1 ⊆ Q2 by the second Chandra–Merlin

@@ -120,7 +120,7 @@ func TestEvaluateRepeatedVariableInAtom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 1 || !res.Contains(relation.Tuple{2}) {
+	if res.Len() != 1 || !res.Has(relation.Tuple{2}) {
 		t.Fatalf("loops = %v", res)
 	}
 }
@@ -247,7 +247,7 @@ func TestContainmentSoundOnRandomDatabases(t *testing.T) {
 				for i, v := range q1.Head {
 					row[r2.Pos(q2.Head[i])] = tup[r1.Pos(v)]
 				}
-				if !r2.Contains(row) {
+				if !r2.Has(row) {
 					t.Fatalf("trial %d: containment violated on db: %v in Q1 but not Q2\nq1=%s\nq2=%s", trial, tup, q1, q2)
 				}
 			}

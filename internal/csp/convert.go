@@ -15,20 +15,18 @@ import (
 
 // FromStructures builds the CSP instance CSP(A, B) of a homomorphism
 // instance: variables are A's elements, values are B's elements, and each
-// tuple t in a relation R^A yields the constraint (t, R^B).
+// tuple t in a relation R^A yields the constraint (t, R^B). The constraints
+// share B's interpretations (a structure's relations are csp tables), so b
+// must not gain tuples while the instance is in use.
 func FromStructures(a, b *structure.Structure) (*Instance, error) {
 	if !a.Voc().Equal(b.Voc()) {
 		return nil, fmt.Errorf("csp: structures have different vocabularies")
 	}
 	p := NewInstance(a.Size(), b.Size())
 	for _, sym := range a.Voc().Symbols() {
-		ain, bin := a.Rel(sym.Name), b.Rel(sym.Name)
-		table := NewTable(sym.Arity)
-		for _, row := range bin.Tuples() {
-			table.Add(row)
-		}
-		for _, t := range ain.Tuples() {
-			if err := p.AddConstraint(t, table); err != nil {
+		ain, table := a.Rel(sym.Name), b.Rel(sym.Name)
+		for i := 0; i < ain.Len(); i++ {
+			if err := p.AddConstraint(ain.Row(i), table); err != nil {
 				return nil, err
 			}
 		}
@@ -64,8 +62,10 @@ func ToStructures(p *Instance) (*structure.Structure, *structure.Structure, erro
 	}
 	byKey := make(map[string]entry)
 	var order []entry
-	for _, con := range q.Constraints {
+	keys := make([]string, len(q.Constraints))
+	for i, con := range q.Constraints {
 		k := con.Table.Key()
+		keys[i] = k
 		if _, ok := byKey[k]; !ok {
 			e := entry{name: fmt.Sprintf("R%d", len(order)), table: con.Table}
 			byKey[k] = e
@@ -85,14 +85,14 @@ func ToStructures(p *Instance) (*structure.Structure, *structure.Structure, erro
 		return nil, nil, err
 	}
 	for _, e := range order {
-		for _, row := range e.table.Tuples() {
-			if err := b.AddTuple(e.name, row...); err != nil {
+		for i := 0; i < e.table.Len(); i++ {
+			if err := b.AddTuple(e.name, e.table.Row(i)...); err != nil {
 				return nil, nil, err
 			}
 		}
 	}
-	for _, con := range q.Constraints {
-		name := byKey[con.Table.Key()].name
+	for i, con := range q.Constraints {
+		name := byKey[keys[i]].name
 		if err := a.AddTuple(name, con.Scope...); err != nil {
 			return nil, nil, err
 		}
@@ -118,7 +118,7 @@ func (p *Instance) withDomainsAsConstraints() *Instance {
 		out.MustAddConstraint([]int{v}, t)
 	}
 	for _, con := range p.Constraints {
-		out.MustAddConstraint(con.Scope, con.Table.Clone())
+		out.MustAddConstraint(con.Scope, con.Table)
 	}
 	return out
 }

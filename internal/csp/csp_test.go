@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"csdb/internal/relation"
 	"csdb/internal/structure"
 )
 
@@ -160,14 +161,14 @@ func TestSolveAllMatchesBruteForce(t *testing.T) {
 			if !p.Satisfies(sol) {
 				t.Fatalf("trial %d: invalid enumerated solution", trial)
 			}
-			seen[rowKey(sol)] = true
+			seen[relation.Tuple(sol).Key()] = true
 			return true
 		})
 		if int(n) != len(want) || len(seen) != len(want) {
 			t.Fatalf("trial %d: enumerated %d/%d distinct, brute force %d", trial, n, len(seen), len(want))
 		}
 		for _, w := range want {
-			if !seen[rowKey(w)] {
+			if !seen[relation.Tuple(w).Key()] {
 				t.Fatalf("trial %d: missing solution %v", trial, w)
 			}
 		}
@@ -248,7 +249,7 @@ func TestJoinSolutionsMatchesEnumeration(t *testing.T) {
 			for v := range w {
 				row[rel.Pos(attrOf(v))] = w[v]
 			}
-			if !rel.Contains(row) {
+			if !rel.Has(row) {
 				t.Fatalf("trial %d: join missing solution %v", trial, w)
 			}
 		}
@@ -311,7 +312,7 @@ func TestNormalizePreservesSolutions(t *testing.T) {
 		// Scopes in q are distinct (ordered) and variable-distinct.
 		seen := map[string]bool{}
 		for _, con := range q.Constraints {
-			k := rowKey(con.Scope)
+			k := relation.Tuple(con.Scope).Key()
 			if seen[k] {
 				t.Fatalf("trial %d: duplicate scope after Consolidate", trial)
 			}

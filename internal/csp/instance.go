@@ -11,173 +11,44 @@
 //     (FC), and maintaining generalized arc consistency (MAC), with
 //     MRV+degree variable ordering and search statistics;
 //   - the join-evaluation solver of Proposition 2.1.
+//
+// A constraint's table is relation.Table, the library's one tuple store
+// (structure.Interp is the same type): rows in insertion order in one flat
+// arena, indexed as they are added. Once added to an instance a table never
+// changes, so derived instances share tables instead of copying them, and
+// every reader (the portfolio's lanes run at once) may use them without
+// locks.
 package csp
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
+
+	"csdb/internal/relation"
 )
 
-// Table is a finite relation over values: the R of a constraint (t, R).
-// Tables are deduplicated sets of tuples with O(1) membership. Membership
-// uses an integer-hash index (FNV-1a over the values, collisions chained
-// through next and verified against the stored rows), mirroring the
-// allocation-free lookup discipline of internal/relation.
-type Table struct {
-	arity  int
-	tuples [][]int
-	index  map[uint64]int32 // row hash -> most recent row id with that hash
-	next   []int32          // per-row chain to earlier same-hash rows; -1 ends
-}
+// Table is a finite relation over values: the R of a constraint (t, R). It
+// is relation.Table, the library's one tuple store, so a constraint's table
+// is literally a relation (Proposition 2.1): rows in insertion order in one
+// flat arena, deduplicated on Add, with an allocation-free hash index that
+// Add keeps built, so any number of solvers may read one table at once.
+type Table = relation.Table
 
 // NewTable creates an empty table of the given arity (>= 1).
 func NewTable(arity int) *Table {
 	if arity < 1 {
 		panic(fmt.Sprintf("csp: table arity %d", arity))
 	}
-	return &Table{arity: arity, index: make(map[uint64]int32)}
-}
-
-// FNV-1a over machine words; see internal/relation for the rationale
-// (collisions are verified, the runtime re-hashes the uint64 key).
-const (
-	tableFNVOffset = 14695981039346656037
-	tableFNVPrime  = 1099511628211
-)
-
-func tableHash(row []int) uint64 {
-	h := uint64(tableFNVOffset)
-	for _, v := range row {
-		h ^= uint64(v)
-		h *= tableFNVPrime
-	}
-	return h
-}
-
-// find returns the id of the stored row equal to row, or -1.
-func (t *Table) find(row []int, h uint64) int32 {
-	id, ok := t.index[h]
-	if !ok {
-		return -1
-	}
-	for id >= 0 {
-		stored := t.tuples[id]
-		eq := true
-		for i, v := range row {
-			if stored[i] != v {
-				eq = false
-				break
-			}
-		}
-		if eq {
-			return id
-		}
-		id = t.next[id]
-	}
-	return -1
+	return relation.NewTable(arity)
 }
 
 // TableOf builds a table from rows; all rows must share the given arity.
 func TableOf(arity int, rows ...[]int) *Table {
 	t := NewTable(arity)
+	t.Grow(len(rows))
 	for _, r := range rows {
 		t.Add(r)
 	}
 	return t
-}
-
-// Arity returns the table's arity.
-func (t *Table) Arity() int { return t.arity }
-
-// Len returns the number of tuples.
-func (t *Table) Len() int { return len(t.tuples) }
-
-// Tuples returns the tuples. Do not modify.
-func (t *Table) Tuples() [][]int { return t.tuples }
-
-// Add inserts a tuple (copied); duplicates are ignored. It panics on arity
-// mismatch, which is a programming error.
-func (t *Table) Add(row []int) {
-	if len(row) != t.arity {
-		panic(fmt.Sprintf("csp: tuple arity %d for table arity %d", len(row), t.arity))
-	}
-	h := tableHash(row)
-	if t.find(row, h) >= 0 {
-		return
-	}
-	c := make([]int, len(row))
-	copy(c, row)
-	prev, ok := t.index[h]
-	if !ok {
-		prev = -1
-	}
-	t.next = append(t.next, prev)
-	t.index[h] = int32(len(t.tuples))
-	t.tuples = append(t.tuples, c)
-}
-
-// Has reports whether row is in the table.
-func (t *Table) Has(row []int) bool {
-	if len(row) != t.arity {
-		return false
-	}
-	return t.find(row, tableHash(row)) >= 0
-}
-
-// Clone returns a deep copy.
-func (t *Table) Clone() *Table {
-	c := NewTable(t.arity)
-	for _, r := range t.tuples {
-		c.Add(r)
-	}
-	return c
-}
-
-// Key returns a canonical content key: arity plus the sorted tuple keys.
-// Two tables with the same key contain exactly the same tuples.
-func (t *Table) Key() string {
-	keys := make([]string, 0, len(t.tuples))
-	for _, row := range t.tuples {
-		keys = append(keys, rowKey(row))
-	}
-	sortStrings(keys)
-	return fmt.Sprintf("%d|%s", t.arity, strings.Join(keys, ";"))
-}
-
-// Intersect returns the table containing the tuples present in both t and u.
-func (t *Table) Intersect(u *Table) (*Table, error) {
-	if t.arity != u.arity {
-		return nil, fmt.Errorf("csp: intersecting tables of arity %d and %d", t.arity, u.arity)
-	}
-	out := NewTable(t.arity)
-	for _, r := range t.tuples {
-		if u.Has(r) {
-			out.Add(r)
-		}
-	}
-	return out, nil
-}
-
-func rowKey(row []int) string {
-	b := make([]byte, 0, len(row)*3)
-	for i, v := range row {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(v), 10)
-	}
-	return string(b)
-}
-
-func sortStrings(s []string) {
-	// insertion sort: table counts here are small and this avoids importing
-	// sort into the hot path file... actually clarity wins:
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Constraint is a pair (t, R): an ordered scope of variable indices and a
@@ -205,6 +76,10 @@ func NewInstance(vars, dom int) *Instance {
 }
 
 // AddConstraint appends the constraint (scope, table) after validating it.
+// The instance keeps table itself, not a copy: once added, a table must not
+// gain rows. Every caller fills its table first, and the library relies on
+// this contract to share one table among constraints, derived instances
+// (NormalizeDistinct, Consolidate, ToStructures) and concurrent solvers.
 func (p *Instance) AddConstraint(scope []int, table *Table) error {
 	if len(scope) != table.Arity() {
 		return fmt.Errorf("csp: scope length %d does not match table arity %d", len(scope), table.Arity())
@@ -214,8 +89,8 @@ func (p *Instance) AddConstraint(scope []int, table *Table) error {
 			return fmt.Errorf("csp: scope variable %d outside [0,%d)", v, p.Vars)
 		}
 	}
-	for _, row := range table.Tuples() {
-		for _, val := range row {
+	for i := 0; i < table.Len(); i++ {
+		for _, val := range table.Row(i) {
 			if val < 0 || val >= p.Dom {
 				return fmt.Errorf("csp: table value %d outside [0,%d)", val, p.Dom)
 			}
@@ -330,17 +205,18 @@ func dedupScope(scope []int, table *Table) ([]int, *Table) {
 		}
 	}
 	if len(keep) == len(scope) {
-		return append([]int(nil), scope...), table.Clone()
+		return scope, table // no repeated variable: share the table
 	}
 	out := NewTable(len(keep))
+	proj := make([]int, len(keep))
 rows:
-	for _, row := range table.Tuples() {
+	for t := 0; t < table.Len(); t++ {
+		row := table.Row(t)
 		for i, v := range scope {
 			if row[i] != row[first[v]] {
 				continue rows // disagrees on a repeated variable
 			}
 		}
-		proj := make([]int, len(keep))
 		for j, i := range keep {
 			proj[j] = row[i]
 		}
@@ -351,14 +227,15 @@ rows:
 
 // Consolidate merges constraints that share the same ordered scope by
 // intersecting their tables, so every scope occurs at most once (the "single
-// constraint per tuple of variables" convention of Section 2).
+// constraint per tuple of variables" convention of Section 2). A scope held
+// by one constraint keeps that constraint's table.
 func (p *Instance) Consolidate() *Instance {
 	out := &Instance{Vars: p.Vars, Dom: p.Dom, Names: p.Names, Domains: p.Domains}
 	byScope := make(map[string]*Table)
 	order := make([]string, 0, len(p.Constraints))
 	scopes := make(map[string][]int)
 	for _, con := range p.Constraints {
-		k := rowKey(con.Scope)
+		k := relation.Tuple(con.Scope).Key()
 		if existing, ok := byScope[k]; ok {
 			merged, err := existing.Intersect(con.Table)
 			if err != nil {
@@ -366,9 +243,9 @@ func (p *Instance) Consolidate() *Instance {
 			}
 			byScope[k] = merged
 		} else {
-			byScope[k] = con.Table.Clone()
+			byScope[k] = con.Table
 			order = append(order, k)
-			scopes[k] = append([]int(nil), con.Scope...)
+			scopes[k] = con.Scope
 		}
 	}
 	for _, k := range order {

@@ -59,11 +59,11 @@ func constraintRelations(ctx context.Context, p *Instance) ([]*relation.Relation
 		}
 		r := relation.MustNew(attrs...)
 		r.Grow(table.Len())
-		for _, row := range table.Tuples() {
+		for t := 0; t < table.Len(); t++ {
 			if cc.cancelled() {
 				return nil, ctx.Err()
 			}
-			r.AddDistinct(row) // a table's rows are already a set
+			r.AddDistinct(table.Row(t)) // a table's rows are already a set
 		}
 		rels = append(rels, r)
 	}

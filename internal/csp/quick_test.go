@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"csdb/internal/relation"
 )
 
 // Property: normalization (duplicate-variable elimination + consolidation)
@@ -39,10 +41,10 @@ func TestNormalizePreservesSolutionsProperty(t *testing.T) {
 		}
 		set := map[string]bool{}
 		for _, s := range a {
-			set[rowKey(s)] = true
+			set[relation.Tuple(s).Key()] = true
 		}
 		for _, s := range b {
-			if !set[rowKey(s)] {
+			if !set[relation.Tuple(s).Key()] {
 				return false
 			}
 		}

@@ -562,8 +562,10 @@ func (s *searcher) forwardCheck(v int) bool {
 // the current assignment and with free=val (used by FC, where all other
 // scope variables are assigned).
 func (s *searcher) hasSupportAssigned(con *Constraint, free, val int) bool {
+	tab := con.Table
 tuples:
-	for _, row := range con.Table.Tuples() {
+	for t := 0; t < tab.Len(); t++ {
+		row := tab.Row(t)
 		for i, u := range con.Scope {
 			if u == free {
 				if row[i] != val {
@@ -636,8 +638,10 @@ func (s *searcher) revise(con *Constraint) ([]int, bool) {
 	for i := range supported {
 		supported[i] = make([]bool, s.p.Dom)
 	}
+	tab := con.Table
 tuples:
-	for _, row := range con.Table.Tuples() {
+	for t := 0; t < tab.Len(); t++ {
+		row := tab.Row(t)
 		for i, u := range scope {
 			if !s.dom[u][row[i]] {
 				continue tuples

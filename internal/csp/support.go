@@ -45,8 +45,8 @@ func CompileSupports(con *Constraint, dom int) *Supports {
 		sp.tail = ^uint64(0)
 	}
 	sp.hasRepeat = scopeHasRepeat(con.Scope)
-	for t, row := range con.Table.Tuples() {
-		for i, val := range row {
+	for t := 0; t < n; t++ {
+		for i, val := range con.Table.Row(t) {
 			sp.masks[(i*dom+val)*words+t>>6] |= 1 << (t & 63)
 		}
 	}

@@ -104,8 +104,8 @@ func (e *encoder) constraint(c *csp.Constraint) {
 	e.buf = append(e.buf, ':')
 	raw := len(e.buf)
 	e.rows = e.rows[:0]
-	for _, row := range c.Table.Tuples() {
-		lo := len(e.buf)
+	for t := 0; t < c.Table.Len(); t++ {
+		row, lo := c.Table.Row(t), len(e.buf)
 		for _, col := range perm {
 			e.buf = appendInt(e.buf, row[col])
 		}

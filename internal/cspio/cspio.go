@@ -200,9 +200,9 @@ func Format(w io.Writer, p *csp.Instance) error {
 		}
 	}
 	for _, con := range p.Constraints {
-		rows := make([]string, 0, con.Table.Len())
-		for _, row := range con.Table.Tuples() {
-			rows = append(rows, intsToString(row))
+		rows := make([]string, con.Table.Len())
+		for i := range rows {
+			rows[i] = intsToString(con.Table.Row(i))
 		}
 		if _, err := fmt.Fprintf(w, "con %s : %s\n", intsToString(con.Scope), strings.Join(rows, " | ")); err != nil {
 			return err

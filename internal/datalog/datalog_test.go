@@ -95,8 +95,8 @@ func TestTransitiveClosureMatchesBFS(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if reach[i][j] != tc.Contains(relation.Tuple{i, j}) {
-					t.Fatalf("trial %d: TC(%d,%d) = %v, want %v", trial, i, j, tc.Contains(relation.Tuple{i, j}), reach[i][j])
+				if reach[i][j] != tc.Has(relation.Tuple{i, j}) {
+					t.Fatalf("trial %d: TC(%d,%d) = %v, want %v", trial, i, j, tc.Has(relation.Tuple{i, j}), reach[i][j])
 				}
 			}
 		}
@@ -309,7 +309,7 @@ func TestRepeatedHeadVariable(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := res["D"]
-	if d.Len() != 2 || !d.Contains(relation.Tuple{3, 3}) || !d.Contains(relation.Tuple{5, 5}) {
+	if d.Len() != 2 || !d.Has(relation.Tuple{3, 3}) || !d.Has(relation.Tuple{5, 5}) {
 		t.Fatalf("D = %v", d)
 	}
 }
@@ -321,7 +321,7 @@ func TestRepeatedBodyVariable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res["L"].Len() != 1 || !res["L"].Contains(relation.Tuple{2}) {
+	if res["L"].Len() != 1 || !res["L"].Has(relation.Tuple{2}) {
 		t.Fatalf("L = %v", res["L"])
 	}
 }

@@ -120,7 +120,7 @@ func Eval(p *Program, edb Relations) (Relations, error) {
 					return nil, err
 				}
 				for _, t := range out.Tuples() {
-					if !total[r.Head.Pred].Contains(t) && !newDelta[r.Head.Pred].Contains(t) {
+					if !total[r.Head.Pred].Has(t) && !newDelta[r.Head.Pred].Has(t) {
 						newDelta[r.Head.Pred].MustAdd(t)
 						anyNew = true
 					}
@@ -143,7 +143,7 @@ func Eval(p *Program, edb Relations) (Relations, error) {
 // addNew merges out into total[pred] and delta[pred], keeping only new rows.
 func addNew(total, delta Relations, pred string, out *relation.Relation) {
 	for _, t := range out.Tuples() {
-		if !total[pred].Contains(t) {
+		if !total[pred].Has(t) {
 			total[pred].MustAdd(t)
 			delta[pred].MustAdd(t)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"csdb/internal/csp"
 	"csdb/internal/obs"
+	"csdb/internal/relation"
 )
 
 // This file lifts Yannakakis' algorithm from conjunctive queries to CSP
@@ -31,23 +32,6 @@ var (
 	obsAcyRowsReduced = obs.NewCounter("acyclic.rows_reduced")
 )
 
-// projKey renders the values of rows at the given positions as a map key.
-func projKey(row []int, positions []int) string {
-	b := make([]byte, 0, len(positions)*3)
-	for _, p := range positions {
-		v := row[p]
-		if v == 0 {
-			b = append(b, '0')
-		}
-		for v > 0 {
-			b = append(b, byte('0'+v%10))
-			v /= 10
-		}
-		b = append(b, ',')
-	}
-	return string(b)
-}
-
 // sharedPositions returns, for each variable occurring in both scopes, its
 // position in a and its position in b (pairs aligned).
 func sharedPositions(a, b []int) (inA, inB []int) {
@@ -64,18 +48,29 @@ func sharedPositions(a, b []int) (inA, inB []int) {
 	return inA, inB
 }
 
-// semijoin returns the rows of (tScope, tRows) that agree with some row of
-// (sScope, sRows) on the shared variables, filtering tRows in place.
-func semijoin(tScope []int, tRows [][]int, sScope []int, sRows [][]int) [][]int {
+// semijoin returns the ids of the rows of t (among tIDs) that agree with
+// some row of s (among sIDs) on the shared variables, filtering tIDs in
+// place. The projections of s are keyed in a relation.Table, so the probe
+// allocates nothing per row.
+func semijoin(tScope []int, t *csp.Table, tIDs []int32, sScope []int, s *csp.Table, sIDs []int32) []int32 {
 	inT, inS := sharedPositions(tScope, sScope)
-	keys := make(map[string]bool, len(sRows))
-	for _, row := range sRows {
-		keys[projKey(row, inS)] = true
+	keys := relation.NewTable(len(inS))
+	proj := make([]int, len(inS))
+	for _, id := range sIDs {
+		row := s.Row(int(id))
+		for c, j := range inS {
+			proj[c] = row[j]
+		}
+		keys.Add(proj)
 	}
-	kept := tRows[:0]
-	for _, row := range tRows {
-		if keys[projKey(row, inT)] {
-			kept = append(kept, row)
+	kept := tIDs[:0]
+	for _, id := range tIDs {
+		row := t.Row(int(id))
+		for c, j := range inT {
+			proj[c] = row[j]
+		}
+		if keys.Has(proj) {
+			kept = append(kept, id)
 		}
 	}
 	return kept
@@ -126,24 +121,26 @@ func SolveAcyclicCSP(p *csp.Instance, jt *JoinTree) (csp.Result, error) {
 		}
 	}
 
-	// Per-hyperedge working relations: scopes[i] is constraint i's
-	// (distinct-variable) scope, rows[i] its surviving row views. The views
-	// alias table storage, but never outlive this call.
+	// Per-hyperedge working relations: scopes[i] and tabs[i] are constraint
+	// i's (distinct-variable) scope and table, rows[i] the ids of its
+	// surviving rows.
 	m := len(q.Constraints)
 	scopes := make([][]int, m)
-	rows := make([][][]int, m)
+	tabs := make([]*csp.Table, m)
+	rows := make([][]int32, m)
 	var loaded int64
 	for i, con := range q.Constraints {
-		scopes[i] = con.Scope
-		var kept [][]int
+		scopes[i], tabs[i] = con.Scope, con.Table
+		var kept []int32
 	load:
-		for _, row := range con.Table.Tuples() {
+		for t := 0; t < con.Table.Len(); t++ {
+			row := con.Table.Row(t)
 			for j, v := range con.Scope {
 				if !domOK[v][row[j]] {
 					continue load
 				}
 			}
-			kept = append(kept, row)
+			kept = append(kept, int32(t))
 		}
 		loaded += int64(len(kept))
 		if len(kept) == 0 {
@@ -167,7 +164,7 @@ func SolveAcyclicCSP(p *csp.Instance, jt *JoinTree) (csp.Result, error) {
 		unsat := false
 		for _, i := range order {
 			if pa := jt.Parent[i]; pa >= 0 {
-				rows[pa] = semijoin(scopes[pa], rows[pa], scopes[i], rows[i])
+				rows[pa] = semijoin(scopes[pa], tabs[pa], rows[pa], scopes[i], tabs[i], rows[i])
 				semijoins++
 				if len(rows[pa]) == 0 {
 					unsat = true
@@ -179,7 +176,7 @@ func SolveAcyclicCSP(p *csp.Instance, jt *JoinTree) (csp.Result, error) {
 			for k := m - 1; k >= 0; k-- {
 				i := order[k]
 				if pa := jt.Parent[i]; pa >= 0 {
-					rows[i] = semijoin(scopes[i], rows[i], scopes[pa], rows[pa])
+					rows[i] = semijoin(scopes[i], tabs[i], rows[i], scopes[pa], tabs[pa], rows[pa])
 					semijoins++
 				}
 			}
@@ -201,22 +198,23 @@ func SolveAcyclicCSP(p *csp.Instance, jt *JoinTree) (csp.Result, error) {
 		// order, so every edge is reached after its parent).
 		for k := m - 1; k >= 0; k-- {
 			i := order[k]
-			picked := -1
+			var picked []int
 		candidates:
-			for ri, row := range rows[i] {
+			for _, id := range rows[i] {
+				row := tabs[i].Row(int(id))
 				for j, v := range scopes[i] {
 					if sol[v] >= 0 && sol[v] != row[j] {
 						continue candidates
 					}
 				}
-				picked = ri
+				picked = row
 				break
 			}
-			if picked < 0 {
+			if picked == nil {
 				return csp.Result{}, fmt.Errorf("hypergraph: acyclic extraction found no compatible tuple (internal error)")
 			}
 			for j, v := range scopes[i] {
-				sol[v] = rows[i][picked][j]
+				sol[v] = picked[j]
 			}
 		}
 	}

@@ -218,7 +218,7 @@ func TestSemijoinReduceRemovesDanglingTuples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reduced[0].Len() != 1 || !reduced[0].Contains(relation.Tuple{0, 1}) {
+	if reduced[0].Len() != 1 || !reduced[0].Has(relation.Tuple{0, 1}) {
 		t.Fatalf("R not reduced: %v", reduced[0])
 	}
 	if reduced[1].Len() != 1 {

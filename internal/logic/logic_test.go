@@ -46,7 +46,7 @@ func TestSatRelationAtom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loops.Len() != 1 || !loops.Contains(relation.Tuple{2}) {
+	if loops.Len() != 1 || !loops.Has(relation.Tuple{2}) {
 		t.Fatalf("loops = %v", loops)
 	}
 	// Missing predicate: empty.
@@ -83,7 +83,7 @@ func TestVacuousQuantifier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Len() != 1 || !r.Contains(relation.Tuple{0, 1}) {
+	if r.Len() != 1 || !r.Has(relation.Tuple{0, 1}) {
 		t.Fatalf("vacuous quantifier result = %v", r)
 	}
 }

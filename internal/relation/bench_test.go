@@ -94,7 +94,7 @@ func BenchmarkJoinMembership(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, t := range probes {
-			if !r.Contains(t) {
+			if !r.Has(t) {
 				b.Fatal("member missing")
 			}
 		}

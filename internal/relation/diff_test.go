@@ -195,7 +195,7 @@ func TestCollidingRowsAreDistinguished(t *testing.T) {
 	if r.Len() != n {
 		t.Fatalf("lost rows: %d vs %d inserted", r.Len(), n)
 	}
-	if !r.Contains(Tuple{0, 0}) || r.Contains(Tuple{64, 64}) {
+	if !r.Has(Tuple{0, 0}) || r.Has(Tuple{64, 64}) {
 		t.Fatal("membership wrong after bulk insert")
 	}
 	// Cartesian join: every build row lives in one hash bucket (no shared
@@ -239,7 +239,7 @@ func TestRowsIsDefensiveCopy(t *testing.T) {
 	for _, row := range rows {
 		row[0], row[1] = 99, 99
 	}
-	if !r.Contains(Tuple{1, 2}) || !r.Contains(Tuple{3, 4}) || r.Contains(Tuple{99, 99}) {
+	if !r.Has(Tuple{1, 2}) || !r.Has(Tuple{3, 4}) || r.Has(Tuple{99, 99}) {
 		t.Fatal("mutating Rows() output corrupted the relation")
 	}
 	if r.Len() != 2 {

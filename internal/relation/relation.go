@@ -12,25 +12,31 @@
 //
 // # Kernel layout
 //
-// Tuples are stored in a single flat row-major []int value array; a Tuple
-// handed out by Tuples, Rows or SortedTuples is a view into (a copy of) that
-// array. Membership is an integer-hash index: a map from the FNV-1a hash of
-// a row to the most recently inserted row with that hash, chained through a
+// There is one tuple store in the library, Table (table.go): rows of a
+// fixed arity in insertion order in a single flat row-major []int array,
+// with an integer-hash membership index, a map from the FNV-1a hash of a row
+// to the most recently inserted row with that hash, chained through a
 // per-row next array, so lookups allocate nothing and hash collisions are
-// resolved by comparing the stored values. Operator results that are
-// provably duplicate-free (join, semijoin, selection, intersection of
-// set-semantic inputs) are emitted without touching the index at all; the
-// index is materialized lazily on the first membership query.
+// resolved by comparing the stored values. csp.Table and structure.Interp
+// are that type, and a Relation is a Table plus its attribute names. A Tuple
+// handed out by Tuples, Rows or SortedTuples is a view into (a copy of) the
+// array, as is Table.Row.
 //
-// A relation may be read concurrently, but the lazy index build means the
-// first Contains/Add/Equal/Intersect call on an operator result mutates the
-// receiver: perform one such call (or any mutation) from a single goroutine
-// before sharing. The differential reference implementation for this kernel
-// is in naive.go.
+// Table.Add builds the index as it inserts, so a table filled through Add
+// never writes on a read: a finished constraint table or structure may be
+// read by any number of goroutines. Operator results that are provably
+// duplicate-free (join, semijoin, selection, intersection of set-semantic
+// inputs) are emitted without touching the index at all; a Relation
+// materializes its index lazily on the first membership query, and caches
+// its Tuples view and column statistics. So a Relation may be read
+// concurrently only after one Has/Add/Equal/Intersect call (or any
+// mutation) from a single goroutine. The differential reference
+// implementation for this kernel is in naive.go.
 package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -74,54 +80,16 @@ func (t Tuple) Clone() Tuple {
 	return c
 }
 
-// FNV-1a over machine words. Distribution across map buckets is handled by
-// the runtime's own hashing of the uint64 key, and equality of colliding
-// rows is always verified against the stored values, so word-wise (rather
-// than byte-wise) folding is safe.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// hashVals hashes a full row.
-func hashVals(vals []int) uint64 {
-	h := uint64(fnvOffset64)
-	for _, v := range vals {
-		h ^= uint64(v)
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// hashRowCols hashes the projection of the row starting at base in data onto
-// the given column offsets.
-func hashRowCols(data []int, base int, cols []int) uint64 {
-	h := uint64(fnvOffset64)
-	for _, c := range cols {
-		h ^= uint64(data[base+c])
-		h *= fnvPrime64
-	}
-	return h
-}
-
 // Relation is a finite relation over a named list of attributes.
 // The attribute order is significant for tuple layout but natural join and
 // set operations are attribute-name driven.
 type Relation struct {
-	attrs []string
+	Table                // the rows; the index is built lazily (see package comment)
+	attrs []string       // attribute names in column order
 	pos   map[string]int // attribute name -> column index
-	k     int            // arity
-	n     int            // row count
-	data  []int          // flat row-major values, len == n*k
 	rows  []Tuple        // cached row views; rebuilt when len(rows) != n
-
-	// Membership index, built lazily: index maps a row hash to the most
-	// recently inserted row id with that hash; next chains to the previous
-	// one (-1 terminates). No per-row allocations, collisions verified.
-	index map[uint64]int32
-	next  []int32
-
-	stats []int // cached per-column distinct counts; nil when stale
+	stats []int          // cached per-column distinct counts, taken at statN rows
+	statN int            // rows are only appended, so n != statN means stale
 }
 
 // New creates a relation with the given attributes and no tuples.
@@ -138,9 +106,9 @@ func New(attrs ...string) (*Relation, error) {
 		pos[a] = i
 	}
 	return &Relation{
+		Table: Table{k: len(attrs)},
 		attrs: append([]string(nil), attrs...),
 		pos:   pos,
-		k:     len(attrs),
 	}, nil
 }
 
@@ -181,20 +149,8 @@ func MustFromTuples(attrs []string, rows []Tuple) *Relation {
 // The returned slice must not be modified.
 func (r *Relation) Attrs() []string { return r.attrs }
 
-// Arity returns the number of attributes.
-func (r *Relation) Arity() int { return r.k }
-
-// Len returns the number of tuples.
-func (r *Relation) Len() int { return r.n }
-
 // Empty reports whether the relation has no tuples.
 func (r *Relation) Empty() bool { return r.n == 0 }
-
-// row returns a view of row i into the flat value array.
-func (r *Relation) row(i int) Tuple {
-	off := i * r.k
-	return Tuple(r.data[off : off+r.k : off+r.k])
-}
 
 // Tuples returns the relation's rows as views into the relation's storage.
 // The returned slice and its tuples must not be modified: writing through a
@@ -204,7 +160,7 @@ func (r *Relation) Tuples() []Tuple {
 	if len(r.rows) != r.n {
 		rows := make([]Tuple, r.n)
 		for i := range rows {
-			rows[i] = r.row(i)
+			rows[i] = Tuple(r.Row(i))
 		}
 		r.rows = rows
 	}
@@ -240,119 +196,28 @@ func (r *Relation) Pos(name string) int {
 	return -1
 }
 
-// Grow reserves capacity for n additional rows, sizing both the value array
-// and (if already built) the membership index. It is a hint only.
-func (r *Relation) Grow(n int) {
-	if n <= 0 {
-		return
-	}
-	need := (r.n + n) * r.k
-	if cap(r.data) < need {
-		grown := make([]int, len(r.data), need)
-		copy(grown, r.data)
-		r.data = grown
-	}
-	if r.next != nil && cap(r.next) < r.n+n {
-		grownNext := make([]int32, len(r.next), r.n+n)
-		copy(grownNext, r.next)
-		r.next = grownNext
-	}
-}
-
-// ensureIndex materializes the membership index. Mutates the receiver: see
-// the package comment for the concurrency contract.
-func (r *Relation) ensureIndex() {
-	if r.index != nil {
-		return
-	}
-	r.index = make(map[uint64]int32, r.n)
-	r.next = make([]int32, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		h := hashVals(r.row(i))
-		prev, ok := r.index[h]
-		if !ok {
-			prev = -1
-		}
-		r.next = append(r.next, prev)
-		r.index[h] = int32(i)
-	}
-}
-
-// lookup returns the id of the row equal to vals, or -1. The index must be
-// built.
-func (r *Relation) lookup(vals []int, h uint64) int32 {
-	id, ok := r.index[h]
-	if !ok {
-		return -1
-	}
-	for id >= 0 {
-		base := int(id) * r.k
-		eq := true
-		for c, v := range vals {
-			if r.data[base+c] != v {
-				eq = false
-				break
-			}
-		}
-		if eq {
-			return id
-		}
-		id = r.next[id]
-	}
-	return -1
-}
-
-// appendIndexed appends a row known to be absent and records it in the
-// (built) index.
-func (r *Relation) appendIndexed(vals []int, h uint64) {
-	r.data = append(r.data, vals...)
-	prev, ok := r.index[h]
-	if !ok {
-		prev = -1
-	}
-	r.next = append(r.next, prev)
-	r.index[h] = int32(r.n)
-	r.n++
-	r.stats = nil
-}
-
-// appendUnique appends a row that the caller guarantees is distinct from all
-// stored rows (set-semantics preserved by construction). Only legal while
-// the index is unbuilt.
-func (r *Relation) appendUnique(vals []int) {
-	r.data = append(r.data, vals...)
-	r.n++
-}
-
 // Add inserts a tuple. Duplicates are silently ignored.
 func (r *Relation) Add(t Tuple) error {
 	if len(t) != r.k {
 		return fmt.Errorf("relation: tuple arity %d does not match schema arity %d", len(t), r.k)
 	}
-	r.ensureIndex()
-	h := hashVals(t)
-	if r.lookup(t, h) >= 0 {
-		return nil
-	}
-	r.appendIndexed(t, h)
+	r.Table.Add(t)
 	return nil
 }
 
 // AddDistinct appends t, which the caller guarantees is not already in r,
 // without the membership check (and lazily built index) that Add pays for:
 // it is how a relation is filled in one pass from rows that are already a
-// set, such as a deduplicated constraint table. It panics on an arity
-// mismatch, which is a programming error.
+// set. It panics on an arity mismatch, which is a programming error.
 func (r *Relation) AddDistinct(t Tuple) {
 	if len(t) != r.k {
 		panic(fmt.Sprintf("relation: tuple arity %d does not match schema arity %d", len(t), r.k))
 	}
 	if r.index != nil {
 		r.appendIndexed(t, hashVals(t))
-		return
+	} else {
+		r.appendUnique(t)
 	}
-	r.appendUnique(t)
-	r.stats = nil
 }
 
 // MustAdd is Add but panics on error.
@@ -362,19 +227,10 @@ func (r *Relation) MustAdd(t Tuple) {
 	}
 }
 
-// Contains reports whether the tuple is a member of the relation.
-func (r *Relation) Contains(t Tuple) bool {
-	if len(t) != r.k || r.n == 0 {
-		return false
-	}
-	r.ensureIndex()
-	return r.lookup(t, hashVals(t)) >= 0
-}
-
 // Clone returns a deep copy of the relation.
 func (r *Relation) Clone() *Relation {
 	c := MustNew(r.attrs...)
-	c.data = append([]int(nil), r.data[:r.n*r.k]...)
+	c.data = slices.Clone(r.data[:r.n*r.k])
 	c.n = r.n
 	return c
 }
@@ -390,7 +246,7 @@ func (r *Relation) String() string {
 			b.WriteByte(' ')
 		}
 		b.WriteByte('[')
-		b.WriteString(r.row(i).Key())
+		b.WriteString(Tuple(r.Row(i)).Key())
 		b.WriteByte(']')
 	}
 	b.WriteByte('}')
@@ -432,7 +288,7 @@ func (r *Relation) Project(attrs ...string) (*Relation, error) {
 func (r *Relation) Select(pred func(Tuple) bool) *Relation {
 	out := MustNew(r.attrs...)
 	for i := 0; i < r.n; i++ {
-		if t := r.row(i); pred(t) {
+		if t := Tuple(r.Row(i)); pred(t) {
 			out.appendUnique(t)
 		}
 	}
@@ -549,7 +405,7 @@ func (r *Relation) Equal(s *Relation) bool {
 func (r *Relation) SortedTuples() []Tuple {
 	out := make([]Tuple, r.n)
 	for i := range out {
-		out[i] = r.row(i)
+		out[i] = Tuple(r.Row(i))
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -614,7 +470,7 @@ func sharedAttrs(r, s *Relation) (common []string, sOnly []string) {
 // large intermediate result stays cancellable; a cancelled count caches
 // nothing.
 func (r *Relation) distinctCounts(pl *poller) ([]int, error) {
-	if r.stats != nil {
+	if r.stats != nil && r.statN == r.n {
 		return r.stats, nil
 	}
 	stats := make([]int, r.k)
@@ -629,6 +485,6 @@ func (r *Relation) distinctCounts(pl *poller) ([]int, error) {
 		}
 		stats[c] = len(seen)
 	}
-	r.stats = stats
+	r.stats, r.statN = stats, r.n
 	return stats, nil
 }

@@ -32,7 +32,7 @@ func TestAddDeduplicatesAndChecksArity(t *testing.T) {
 	if err := r.Add(Tuple{1}); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
-	if !r.Contains(Tuple{1, 2}) || r.Contains(Tuple{2, 1}) {
+	if !r.Has(Tuple{1, 2}) || r.Has(Tuple{2, 1}) {
 		t.Fatal("membership wrong")
 	}
 }
@@ -50,11 +50,11 @@ func TestAddDistinctMatchesAdd(t *testing.T) {
 	if d, _ := r.distinctCounts(&poller{}); d[0] != 2 {
 		t.Fatalf("distinct counts %v before the last row", d)
 	}
-	if !r.Contains(Tuple{1, 2}) { // builds the index
+	if !r.Has(Tuple{1, 2}) { // builds the index
 		t.Fatal("AddDistinct row missing")
 	}
 	r.AddDistinct(rows[2]) // appended through the built index
-	if !r.Equal(want) || !r.Contains(Tuple{3, 1}) {
+	if !r.Equal(want) || !r.Has(Tuple{3, 1}) {
 		t.Fatalf("AddDistinct built %v, want %v", r, want)
 	}
 	if d, _ := r.distinctCounts(&poller{}); d[0] != 3 {
@@ -73,7 +73,7 @@ func TestAddClonesTuple(t *testing.T) {
 	src := Tuple{7}
 	r.MustAdd(src)
 	src[0] = 9
-	if !r.Contains(Tuple{7}) || r.Contains(Tuple{9}) {
+	if !r.Has(Tuple{7}) || r.Has(Tuple{9}) {
 		t.Fatal("relation aliases caller tuple")
 	}
 }
@@ -96,7 +96,7 @@ func TestProject(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Project: %v", err)
 	}
-	if !q.Contains(Tuple{3, 1}) {
+	if !q.Has(Tuple{3, 1}) {
 		t.Fatal("reordered projection wrong")
 	}
 }
@@ -191,14 +191,14 @@ func TestUnionIntersectAlignOrder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Union: %v", err)
 	}
-	if u.Len() != 2 || !u.Contains(Tuple{8, 9}) {
+	if u.Len() != 2 || !u.Has(Tuple{8, 9}) {
 		t.Fatalf("union wrong: %v", u)
 	}
 	i, err := r.Intersect(s)
 	if err != nil {
 		t.Fatalf("Intersect: %v", err)
 	}
-	if i.Len() != 1 || !i.Contains(Tuple{1, 2}) {
+	if i.Len() != 1 || !i.Has(Tuple{1, 2}) {
 		t.Fatalf("intersection wrong: %v", i)
 	}
 	if _, err := r.Union(MustNew("x", "z")); err == nil {
@@ -282,7 +282,7 @@ func TestJoinProjectionContainmentProperty(t *testing.T) {
 			return false
 		}
 		for _, t := range p.Tuples() {
-			if !r.Contains(t) {
+			if !r.Has(t) {
 				return false
 			}
 		}
@@ -308,7 +308,7 @@ func randomRelation(rng *rand.Rand, attrs []string, dom, n int) *Relation {
 func TestSelectAndSelectEq(t *testing.T) {
 	r := MustFromTuples([]string{"x", "y"}, []Tuple{{1, 2}, {2, 2}, {3, 4}})
 	even := r.Select(func(t Tuple) bool { return t[0]%2 == 0 })
-	if even.Len() != 1 || !even.Contains(Tuple{2, 2}) {
+	if even.Len() != 1 || !even.Has(Tuple{2, 2}) {
 		t.Fatalf("Select = %v", even)
 	}
 	eq, err := r.SelectEq("y", 2)

@@ -47,8 +47,8 @@ func FromCSP(inst *csp.Instance) (*Instance, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, t := range con.Table.Tuples() {
-				if err := rel.Add(t); err != nil {
+			for t := 0; t < con.Table.Len(); t++ {
+				if err := rel.Add(con.Table.Row(t)); err != nil {
 					return nil, err
 				}
 			}

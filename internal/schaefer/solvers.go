@@ -720,10 +720,12 @@ func (p *Instance) ToCSP() (*csp.Instance, error) {
 		return nil, err
 	}
 	out := csp.NewInstance(p.NumVars, 2)
+	tabs := make([]*csp.Table, len(p.Template.Rels)) // one shared table per relation
 	for _, con := range p.Cons {
-		tab := csp.NewTable(len(con.Scope))
-		for _, t := range p.Template.Rels[con.Rel].Tuples() {
-			tab.Add(t)
+		tab := tabs[con.Rel]
+		if tab == nil {
+			tab = csp.TableOf(len(con.Scope), p.Template.Rels[con.Rel].Tuples()...)
+			tabs[con.Rel] = tab
 		}
 		if err := out.AddConstraint(con.Scope, tab); err != nil {
 			return nil, err

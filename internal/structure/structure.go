@@ -5,14 +5,18 @@
 // problem between two of them (Section 2).
 //
 // Domain elements are the integers 0..N-1; an optional name table maps them
-// to human-readable labels. Relations are sets of integer tuples indexed for
-// fast membership tests.
+// to human-readable labels. Each relation's interpretation is a
+// relation.Table, the library's one tuple store (also csp.Table): rows in
+// one flat arena, indexed as they are added, so a finished structure may be
+// read from any number of goroutines.
 package structure
 
 import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"csdb/internal/relation"
 )
 
 // Symbol is a relation symbol of a relational vocabulary: a name and an arity.
@@ -103,91 +107,11 @@ func (v *Vocabulary) Clone() *Vocabulary {
 }
 
 // Interp is the interpretation of one relation symbol in a structure: a set
-// of tuples over the structure's domain. Membership uses an integer-hash
-// index (FNV-1a over the values, collisions chained through next and
-// verified against stored tuples) so homomorphism checks — which call Has
-// once per tuple per candidate map — allocate nothing per lookup.
-type Interp struct {
-	arity  int
-	tuples [][]int
-	index  map[uint64]int32 // tuple hash -> most recent tuple id
-	next   []int32          // chains earlier same-hash tuples; -1 ends
-}
-
-func newInterp(arity int) *Interp {
-	return &Interp{arity: arity, index: make(map[uint64]int32)}
-}
-
-const (
-	interpFNVOffset = 14695981039346656037
-	interpFNVPrime  = 1099511628211
-)
-
-func interpHash(t []int) uint64 {
-	h := uint64(interpFNVOffset)
-	for _, v := range t {
-		h ^= uint64(v)
-		h *= interpFNVPrime
-	}
-	return h
-}
-
-// find returns the id of the stored tuple equal to t, or -1.
-func (in *Interp) find(t []int, h uint64) int32 {
-	id, ok := in.index[h]
-	if !ok {
-		return -1
-	}
-	for id >= 0 {
-		stored := in.tuples[id]
-		eq := true
-		for i, v := range t {
-			if stored[i] != v {
-				eq = false
-				break
-			}
-		}
-		if eq {
-			return id
-		}
-		id = in.next[id]
-	}
-	return -1
-}
-
-// Arity returns the arity of the interpreted symbol.
-func (in *Interp) Arity() int { return in.arity }
-
-// Tuples returns the tuple list. Do not modify the returned slices.
-func (in *Interp) Tuples() [][]int { return in.tuples }
-
-// Len returns the number of tuples.
-func (in *Interp) Len() int { return len(in.tuples) }
-
-// Has reports whether the tuple is in the interpretation.
-func (in *Interp) Has(t []int) bool {
-	if len(t) != in.arity {
-		return false
-	}
-	return in.find(t, interpHash(t)) >= 0
-}
-
-func (in *Interp) add(t []int) bool {
-	h := interpHash(t)
-	if in.find(t, h) >= 0 {
-		return false
-	}
-	c := make([]int, len(t))
-	copy(c, t)
-	prev, ok := in.index[h]
-	if !ok {
-		prev = -1
-	}
-	in.next = append(in.next, prev)
-	in.index[h] = int32(len(in.tuples))
-	in.tuples = append(in.tuples, c)
-	return true
-}
+// of tuples over the structure's domain. It is relation.Table, the library's
+// one tuple store, so homomorphism checks (which call Has once per tuple per
+// candidate map) allocate nothing per lookup, and a structure's relations
+// are directly the tables of its CSP instance (Section 2).
+type Interp = relation.Table
 
 // Structure is a finite relational structure: a domain {0..N-1}, a
 // vocabulary, and an interpretation for each relation symbol.
@@ -206,7 +130,7 @@ func New(voc *Vocabulary, n int) (*Structure, error) {
 	}
 	s := &Structure{voc: voc.Clone(), n: n, rels: make(map[string]*Interp, voc.Len())}
 	for _, sym := range voc.Symbols() {
-		s.rels[sym.Name] = newInterp(sym.Arity)
+		s.rels[sym.Name] = relation.NewTable(sym.Arity)
 	}
 	return s, nil
 }
@@ -252,15 +176,15 @@ func (s *Structure) AddTuple(rel string, t ...int) error {
 	if !ok {
 		return fmt.Errorf("structure: unknown relation symbol %q", rel)
 	}
-	if len(t) != in.arity {
-		return fmt.Errorf("structure: tuple arity %d for symbol %q of arity %d", len(t), rel, in.arity)
+	if len(t) != in.Arity() {
+		return fmt.Errorf("structure: tuple arity %d for symbol %q of arity %d", len(t), rel, in.Arity())
 	}
 	for _, v := range t {
 		if v < 0 || v >= s.n {
 			return fmt.Errorf("structure: element %d outside domain [0,%d)", v, s.n)
 		}
 	}
-	in.add(t)
+	in.Add(t)
 	return nil
 }
 
@@ -296,9 +220,7 @@ func (s *Structure) Clone() *Structure {
 		c.names = append([]string(nil), s.names...)
 	}
 	for name, in := range s.rels {
-		for _, t := range in.tuples {
-			c.rels[name].add(t)
-		}
+		c.rels[name] = in.Clone()
 	}
 	return c
 }
@@ -346,7 +268,8 @@ func IsHomomorphism(a, b *Structure, h []int) bool {
 	img := make([]int, a.MaxArity())
 	for name, in := range a.rels {
 		bin := b.rels[name]
-		for _, t := range in.tuples {
+		for ti := 0; ti < in.Len(); ti++ {
+			t := in.Row(ti)
 			it := img[:len(t)]
 			for i, v := range t {
 				it[i] = h[v]
@@ -369,7 +292,8 @@ func IsPartialHomomorphism(a, b *Structure, h []int) bool {
 	for name, in := range a.rels {
 		bin := b.rels[name]
 	tuples:
-		for _, t := range in.tuples {
+		for ti := 0; ti < in.Len(); ti++ {
+			t := in.Row(ti)
 			it := img[:len(t)]
 			for i, v := range t {
 				if h[v] < 0 {
@@ -414,7 +338,8 @@ func Sum(a, b *Structure) (*Structure, error) {
 		return nil, err
 	}
 	for name, in := range a.rels {
-		for _, t := range in.tuples {
+		for ti := 0; ti < in.Len(); ti++ {
+			t := in.Row(ti)
 			if err := sum.AddTuple(name+"_1", t...); err != nil {
 				return nil, err
 			}
@@ -423,7 +348,8 @@ func Sum(a, b *Structure) (*Structure, error) {
 	shift := a.n
 	buf := make([]int, b.MaxArity())
 	for name, in := range b.rels {
-		for _, t := range in.tuples {
+		for ti := 0; ti < in.Len(); ti++ {
+			t := in.Row(ti)
 			st := buf[:len(t)]
 			for i, v := range t {
 				st[i] = v + shift
@@ -452,7 +378,8 @@ func Sum(a, b *Structure) (*Structure, error) {
 func (s *Structure) GaifmanEdges() [][2]int {
 	seen := make(map[[2]int]struct{})
 	for _, in := range s.rels {
-		for _, t := range in.tuples {
+		for ti := 0; ti < in.Len(); ti++ {
+			t := in.Row(ti)
 			for i := 0; i < len(t); i++ {
 				for j := i + 1; j < len(t); j++ {
 					u, v := t[i], t[j]
@@ -486,7 +413,8 @@ func (s *Structure) GaifmanEdges() [][2]int {
 func (s *Structure) TuplesContaining() [][]RelTuple {
 	out := make([][]RelTuple, s.n)
 	for name, in := range s.rels {
-		for _, t := range in.tuples {
+		for ti := 0; ti < in.Len(); ti++ {
+			t := in.Row(ti)
 			mentioned := make(map[int]struct{}, len(t))
 			for _, v := range t {
 				mentioned[v] = struct{}{}
