@@ -86,10 +86,9 @@ race-obs:
 race-serve:
 	$(GO) test -race -count=1 ./internal/serve/ ./cmd/cspd/
 
-# The tractability dispatcher and its differential gate: the classification
-# cache is shared across goroutines (cspd routes through one analyzer) and
-# the gate's hard-class trials race the portfolio, so the whole suite runs
-# under the detector.
+# The tractability dispatcher and its differential gate: the gate's
+# hard-class trials race the portfolio, so the whole suite runs under the
+# detector.
 race-dispatch:
 	$(GO) test -race -count=1 ./internal/dispatch/
 

@@ -191,7 +191,7 @@ func run(w io.Writer, cfg config) (err error) {
 	}
 
 	start := time.Now()
-	out, err := dispatch.NewAnalyzer(0, 0).Run(ctx, inst, cspio.CanonicalHash(inst), cfg.strategy, cfg.workers)
+	out, err := dispatch.NewAnalyzer(0, 0).Run(ctx, inst, cfg.strategy, cfg.workers)
 	if err != nil {
 		return err
 	}

@@ -72,7 +72,7 @@ func main() {
 	flag.DurationVar(&cfg.idleTimeout, "idle-timeout", 2*time.Minute, "cap on idle keep-alive connections between requests (0 = no limit)")
 	flag.IntVar(&cfg.maxInflight, "max-inflight", runtime.GOMAXPROCS(0), "max concurrent engine solves (0 = unlimited, disables the queue)")
 	flag.IntVar(&cfg.maxQueue, "queue", 64, "solve requests allowed to wait for a slot before overflow is shed with 429")
-	flag.IntVar(&cfg.cacheSize, "cache", 256, "result-cache entries (0 = caching off)")
+	flag.IntVar(&cfg.cacheSize, "cache", 256, "result-cache entries; the daemon's only cache (0 = caching off)")
 	flag.StringVar(&cfg.traceFlush, "trace-flush", "", "file to flush the span ring to on shutdown (empty = discard)")
 	flag.StringVar(&cfg.eventsFile, "events", "", "file to stream wide events to as JSON lines (empty = ring only, drained by /events)")
 	flag.Parse()

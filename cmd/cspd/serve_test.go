@@ -26,8 +26,8 @@ func distinctInstance(i int) string {
 
 // blockingDispatch is a controllable fake engine: each call signals
 // `started`, then waits for `release` to be closed or its context to die.
-func blockingDispatch(started chan<- struct{}, release <-chan struct{}) func(context.Context, *csp.Instance, uint64, solveParams) solveResponse {
-	return func(ctx context.Context, _ *csp.Instance, _ uint64, p solveParams) solveResponse {
+func blockingDispatch(started chan<- struct{}, release <-chan struct{}) func(context.Context, *csp.Instance, solveParams) solveResponse {
+	return func(ctx context.Context, _ *csp.Instance, p solveParams) solveResponse {
 		started <- struct{}{}
 		select {
 		case <-release:

@@ -158,9 +158,8 @@ type server struct {
 	flights serve.Group
 
 	// analyzer runs every solve through the strategy table; for
-	// strategy=auto it classifies instances and routes them to polynomial
-	// solvers, keeping its own classification LRU so repeat structure skips
-	// straight to the routed solver.
+	// strategy=auto it classifies each instance afresh and routes it to a
+	// polynomial solver. The result cache above is the daemon's only cache.
 	analyzer *dispatch.Analyzer
 
 	// baseCtx parents every engine solve; cancelSolves aborts them all (the
@@ -168,10 +167,9 @@ type server struct {
 	baseCtx      context.Context
 	cancelSolves context.CancelFunc
 
-	// dispatch runs one engine solve; hash is inst's canonical hash, the
-	// result-cache key's. Tests substitute a controllable fake; production
-	// uses realDispatch.
-	dispatch func(ctx context.Context, inst *csp.Instance, hash uint64, p solveParams) solveResponse
+	// dispatch runs one engine solve. Tests substitute a controllable fake;
+	// production uses realDispatch.
+	dispatch func(ctx context.Context, inst *csp.Instance, p solveParams) solveResponse
 }
 
 func newServer(cfg daemonConfig) *server {
@@ -181,7 +179,7 @@ func newServer(cfg daemonConfig) *server {
 		start:        time.Now(),
 		admit:        serve.NewAdmission(cfg.maxInflight, cfg.maxQueue),
 		cache:        serve.NewCache(cfg.cacheSize),
-		analyzer:     dispatch.NewAnalyzer(0, cfg.cacheSize),
+		analyzer:     dispatch.NewAnalyzer(0, 0),
 		baseCtx:      ctx,
 		cancelSolves: cancel,
 	}
@@ -401,7 +399,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithTimeout(obs.WithSpan(s.baseCtx, root), params.timeout)
 		defer cancel()
 		obsExecuted.Inc()
-		resp := s.dispatch(ctx, inst, key.Hash, params)
+		resp := s.dispatch(ctx, inst, params)
 		obsSolveNs.Observe(resp.WallNs)
 		if !resp.Aborted {
 			s.cache.Add(key, resp)
@@ -537,13 +535,12 @@ func (s *server) parseParams(q url.Values) (solveParams, error) {
 	return p, dispatch.Check(p.strategy, p.workers)
 }
 
-// realDispatch runs one solve through the strategy table, which classifies
-// auto requests under the result-cache key's hash rather than hashing again.
-// ctx carries the request's root span and is bounded by the solve timeout
-// and daemon shutdown.
-func (s *server) realDispatch(ctx context.Context, inst *csp.Instance, hash uint64, p solveParams) solveResponse {
+// realDispatch runs one solve through the strategy table. ctx carries the
+// request's root span and is bounded by the solve timeout and daemon
+// shutdown.
+func (s *server) realDispatch(ctx context.Context, inst *csp.Instance, p solveParams) solveResponse {
 	start := time.Now()
-	out, err := s.analyzer.Run(ctx, inst, hash, p.strategy, p.workers)
+	out, err := s.analyzer.Run(ctx, inst, p.strategy, p.workers)
 	// parseParams checked (strategy, workers) against the same table, so err
 	// is unreachable; should it happen, UNKNOWN is never cached.
 	return solveResponse{

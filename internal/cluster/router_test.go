@@ -191,6 +191,12 @@ func TestRouterFailoverOn5xx(t *testing.T) {
 func TestRouterAllDown(t *testing.T) {
 	rt, backends := testCluster(t, 2, func(c *Config) { c.PollInterval = time.Hour })
 	ts := routerServer(t, rt)
+	// Start's immediate sweep runs in the background: let it see both
+	// replicas live first, or it races the closes below and marks them down
+	// before any request does.
+	for rt.health.Sweeps() == 0 {
+		time.Sleep(time.Millisecond)
+	}
 	for _, b := range backends {
 		b.ts.Close()
 	}

@@ -21,7 +21,6 @@ import (
 
 	"csdb/internal/cq"
 	"csdb/internal/csp"
-	"csdb/internal/cspio"
 	"csdb/internal/dispatch"
 	"csdb/internal/structure"
 	"csdb/internal/treewidth"
@@ -94,8 +93,7 @@ func (p *Problem) Query() (*cq.Query, *structure.Structure, error) {
 	return q, b, nil
 }
 
-// analyzer routes every Solve; it is safe for concurrent use, and its
-// classification cache lets repeat structure skip straight to its solver.
+// analyzer routes every Solve; it is immutable, so safe for concurrent use.
 var analyzer = dispatch.NewAnalyzer(0, 0)
 
 // Result reports the outcome of Solve.
@@ -117,7 +115,7 @@ type Result struct {
 // and only the rest to the search portfolio. The error is non-nil only when
 // ctx ended before a verdict.
 func (p *Problem) Solve(ctx context.Context) (Result, error) {
-	out, err := analyzer.Run(ctx, p.inst, cspio.CanonicalHash(p.inst), "auto", 0)
+	out, err := analyzer.Run(ctx, p.inst, "auto", 0)
 	if err != nil {
 		return Result{}, err
 	}

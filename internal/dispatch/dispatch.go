@@ -13,16 +13,12 @@
 //	          of width ≤ budget              → decomposition DP (Thm 6.2)
 //	hard      none of the above              → csp.Portfolio
 //
-// Classification verdicts and their computed witnesses (join trees, tree
-// decompositions) are cached in an LRU keyed on cspio.CanonicalHash, so
-// repeat structure is classified for free. The canonical hash is
-// insensitive to constraint order while the cached witnesses are indexed by
-// constraint position, so a cached witness is always revalidated against
-// the live instance and recomputed when it does not fit — a cache hit can
-// therefore change the route's cost, never its correctness. Every SAT
-// answer from a routed solver is verified against the instance, and any
-// routed-solver error falls back to the portfolio, so misclassification
-// cannot corrupt a verdict.
+// Every check is polynomial and cheap next to any solve, so each instance
+// is classified afresh and its witness (join tree, tree decomposition) is
+// computed from the instance it routes. Every SAT answer from a routed
+// solver is verified against the instance, and any routed-solver error
+// falls back to the portfolio, so misclassification cannot corrupt a
+// verdict.
 //
 // The package also owns the one strategy table (strategy.go) that decides
 // how any front end solves an instance: Run resolves auto (the routing
@@ -38,17 +34,14 @@ import (
 
 	"csdb/internal/consistency"
 	"csdb/internal/csp"
-	"csdb/internal/cspio"
 	"csdb/internal/hypergraph"
 	"csdb/internal/obs"
 	"csdb/internal/schaefer"
-	"csdb/internal/serve"
 	"csdb/internal/treewidth"
 )
 
-// Per-class routing counters, the fallback counter the differential gate
-// asserts on (every portfolio invocation, hard-class or defensive), and the
-// cache effectiveness counters.
+// Per-class routing counters and the fallback counter the differential gate
+// asserts on (every portfolio invocation, hard-class or defensive).
 var (
 	obsClassTree     = obs.NewCounter("dispatch.class.tree")
 	obsClassSchaefer = obs.NewCounter("dispatch.class.schaefer")
@@ -56,9 +49,6 @@ var (
 	obsClassWidth    = obs.NewCounter("dispatch.class.width")
 	obsClassHard     = obs.NewCounter("dispatch.class.hard")
 	obsFallback      = obs.NewCounter("dispatch.fallback")
-	obsReroute       = obs.NewCounter("dispatch.reroute")
-	obsCacheHits     = obs.NewCounter("dispatch.cache.hits")
-	obsCacheStale    = obs.NewCounter("dispatch.cache.stale")
 	// PR-8 labeled telemetry: the same routing verdicts as one vector (so a
 	// scrape sees the class mix without string-prefix games), classification
 	// wall clock per class (routing cost is the dispatcher's overhead story),
@@ -144,69 +134,32 @@ type Classification struct {
 	Decomp   *treewidth.Decomposition
 }
 
-// Default analyzer knobs.
-const (
-	// DefaultWidthBudget is the largest witnessed primal-graph width routed
-	// to the decomposition DP. The DP enumerates up to d^(w+1) assignments
-	// per bag, so the budget keeps the "polynomial" honest.
-	DefaultWidthBudget = 3
-	// DefaultCacheSize is the classification LRU capacity.
-	DefaultCacheSize = 256
-)
+// DefaultWidthBudget is the largest witnessed primal-graph width routed to
+// the decomposition DP. The DP enumerates up to d^(w+1) assignments per
+// bag, so the budget keeps the "polynomial" honest.
+const DefaultWidthBudget = 3
 
 // Analyzer classifies instances and routes them to matching solvers. It is
-// safe for concurrent use (the cache is mutex-guarded; classification
-// itself is stateless).
+// immutable, so it is safe for concurrent use.
 type Analyzer struct {
 	// WidthBudget bounds the BoundedWidth class (see DefaultWidthBudget).
 	WidthBudget int
-	cache       *serve.Cache
 }
 
-// NewAnalyzer returns an analyzer with the given width budget and
-// classification-cache capacity; zero or negative values select the
-// defaults.
-func NewAnalyzer(widthBudget, cacheSize int) *Analyzer {
+// NewAnalyzer returns an analyzer with the given width budget; zero or
+// negative selects DefaultWidthBudget. The second argument is ignored: it
+// is kept only because cspdbench still passes a cache size.
+func NewAnalyzer(widthBudget, _ int) *Analyzer {
 	if widthBudget <= 0 {
 		widthBudget = DefaultWidthBudget
 	}
-	if cacheSize <= 0 {
-		cacheSize = DefaultCacheSize
-	}
-	// Quiet: the classification cache reports through dispatch.cache.*;
-	// counting its lookups as cspd.cache.* would corrupt the daemon's
-	// result-cache hit rate (one auto-routed miss would count twice).
-	return &Analyzer{WidthBudget: widthBudget, cache: serve.NewQuietCache(cacheSize)}
+	return &Analyzer{WidthBudget: widthBudget}
 }
 
-// Classify determines the instance's structural class, consulting the cache
-// first. The second result reports whether a (revalidated) cached verdict
-// was used.
+// Classify determines the instance's structural class. The second result is
+// always false: it is kept only because cspdbench still reads it.
 func (a *Analyzer) Classify(p *csp.Instance) (Classification, bool) {
-	return a.classifyKeyed(p, cspio.CanonicalHash(p))
-}
-
-// classifyKeyed is Classify with p's canonical hash already computed.
-func (a *Analyzer) classifyKeyed(p *csp.Instance, hash uint64) (Classification, bool) {
-	key := serve.CacheKey{
-		Hash:     hash,
-		Strategy: "dispatch",
-		Workers:  a.WidthBudget,
-	}
-	if v, ok := a.cache.Get(key); ok {
-		cls := v.(Classification)
-		if a.revalidate(p, cls) {
-			obsCacheHits.Inc()
-			return cls, true
-		}
-		// The canonical hash is order-insensitive but witnesses are indexed
-		// by constraint position: a permuted twin (or a hash collision) can
-		// hit the cache with a witness that does not fit this instance.
-		obsCacheStale.Inc()
-	}
-	cls := a.classify(p)
-	a.cache.Add(key, cls)
-	return cls, false
+	return a.classify(p), false
 }
 
 // classify runs the decision tree. Order matters: trees are the cheapest
@@ -231,32 +184,6 @@ func (a *Analyzer) classify(p *csp.Instance) Classification {
 	return Classification{Class: Hard}
 }
 
-// revalidate checks a cached classification against the live instance:
-// witness-free classes are recheckable from scratch at near-witness cost,
-// and witnessed classes must fit this instance's constraint ordering. A
-// Hard verdict is accepted as-is — routing a tractable twin to the
-// portfolio would cost time, never correctness, and canonical-hash equality
-// preserves every property the classifier tests.
-func (a *Analyzer) revalidate(p *csp.Instance, cls Classification) bool {
-	switch cls.Class {
-	case Tree:
-		return consistency.IsTreeStructured(p)
-	case Schaefer:
-		if p.Dom != 2 {
-			return false
-		}
-		sp, err := schaefer.FromCSP(p)
-		return err == nil && sp.Template.IsTractable()
-	case Acyclic:
-		return cls.JoinTree != nil &&
-			hypergraph.FromInstance(p).ValidateJoinTree(cls.JoinTree) == nil
-	case BoundedWidth:
-		return cls.Decomp != nil && cls.Decomp.Width() <= a.WidthBudget &&
-			cls.Decomp.Validate(treewidth.PrimalGraph(p)) == nil
-	}
-	return true
-}
-
 // Outcome is the result of a dispatched solve: the verdict plus how it was
 // reached.
 type Outcome struct {
@@ -276,25 +203,19 @@ type Outcome struct {
 	Winner string
 	// Subtrees is the parallel row's root-domain partition count.
 	Subtrees int
-	// ClassifyTime is the wall clock spent classifying (including the cache
-	// lookup and any witness revalidation).
+	// ClassifyTime is the wall clock spent classifying.
 	ClassifyTime time.Duration
-	// CacheHit reports that a cached classification was reused.
-	CacheHit bool
 }
 
 // Solve classifies the instance and runs the matching solver; only
 // Hard-classified instances (or a routed solver failing, which the reroute
-// counter records and the test suite pins to zero) reach the portfolio.
+// counter records and the test suite pins to zero) reach the portfolio. It
+// is the strategy table's auto row; other callers use Run, and Solve stays
+// exported only for cspdbench.
 func (a *Analyzer) Solve(ctx context.Context, p *csp.Instance) Outcome {
-	return a.solve(ctx, p, cspio.CanonicalHash(p))
-}
-
-// solve is Solve with p's canonical hash already computed: the auto row.
-func (a *Analyzer) solve(ctx context.Context, p *csp.Instance, hash uint64) Outcome {
 	t0 := time.Now()
-	cls, hit := a.classifyKeyed(p, hash)
-	out := Outcome{Classification: &cls, Route: cls.Class, CacheHit: hit, ClassifyTime: time.Since(t0)}
+	cls := a.classify(p)
+	out := Outcome{Classification: &cls, Route: cls.Class, ClassifyTime: time.Since(t0)}
 	cls.Class.counter().Inc()
 	obsClassVec.Inc(cls.Class.label())
 	obsClassifyNs.Observe(out.ClassifyTime.Nanoseconds(), cls.Class.label())
@@ -314,7 +235,6 @@ func (a *Analyzer) solve(ctx context.Context, p *csp.Instance, hash uint64) Outc
 		}
 		// A routed solver refusing an instance it was classified for is a
 		// bug; stay correct by rerouting to the portfolio.
-		obsReroute.Inc()
 		obsRerouteVec.Inc(cls.Class.label())
 	}
 
@@ -347,11 +267,7 @@ func (a *Analyzer) solveClass(p *csp.Instance, cls Classification) (csp.Result, 
 	case Acyclic:
 		res, err = hypergraph.SolveAcyclicCSP(p, cls.JoinTree)
 	case BoundedWidth:
-		d := cls.Decomp
-		if d == nil {
-			d = treewidth.BestHeuristic(treewidth.PrimalGraph(p))
-		}
-		res, err = treewidth.SolveDecomposed(p, d)
+		res, err = treewidth.SolveDecomposed(p, cls.Decomp)
 	default:
 		err = fmt.Errorf("dispatch: class %v has no routed solver", cls.Class)
 	}
@@ -368,5 +284,12 @@ func (a *Analyzer) solveClass(p *csp.Instance, cls Classification) (csp.Result, 
 // front ends that assert "no PTIME instance reached the portfolio".
 func FallbackCount() int64 { return obsFallback.Load() }
 
-// RerouteCount exposes the defensive-reroute counter.
-func RerouteCount() int64 { return obsReroute.Load() }
+// RerouteCount exposes the defensive-reroute count, summed over the routed
+// classes (only they can reroute).
+func RerouteCount() int64 {
+	var n int64
+	for _, c := range []Class{Tree, Schaefer, Acyclic, BoundedWidth} {
+		n += obsRerouteVec.Load(c.label())
+	}
+	return n
+}

@@ -77,12 +77,9 @@ func TestClassifyCanonical(t *testing.T) {
 	an := NewAnalyzer(0, 0)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cls, hit := an.Classify(tc.p)
+			cls, _ := an.Classify(tc.p)
 			if cls.Class != tc.want {
 				t.Fatalf("class = %v, want %v", cls.Class, tc.want)
-			}
-			if hit {
-				t.Fatal("first classification reported a cache hit")
 			}
 			// The witness must match the class.
 			switch cls.Class {
@@ -99,22 +96,37 @@ func TestClassifyCanonical(t *testing.T) {
 	}
 }
 
-// TestSolveRoutes runs each canonical instance through the dispatcher and
-// checks the route taken, the verdict against the complete search engine,
-// and that only the Hard instance moved the fallback counter.
+// reversed returns p with its constraints in reverse order: the same
+// instance up to constraint order, so its witnesses are indexed differently.
+func reversed(p *csp.Instance) *csp.Instance {
+	twin := csp.NewInstance(p.Vars, p.Dom)
+	for i := len(p.Constraints) - 1; i >= 0; i-- {
+		twin.MustAddConstraint(p.Constraints[i].Scope, p.Constraints[i].Table)
+	}
+	return twin
+}
+
+// TestSolveRoutes runs each canonical instance and its constraint-reversed
+// twin through the dispatcher and checks the route taken, the verdict
+// against the complete search engine, and that only the Hard instances
+// moved the fallback counter.
 func TestSolveRoutes(t *testing.T) {
 	enableObs(t)
-	cases := []struct {
+	type solveCase struct {
 		name string
 		p    *csp.Instance
 		want Class
-	}{
+	}
+	cases := []solveCase{
 		{"path", pathCSP(3), Tree},
 		{"boolean-triangle", triangleCSP(2), Schaefer},
 		{"ternary-acyclic", ternaryAcyclicCSP(), Acyclic},
 		{"triangle-d3", triangleCSP(3), BoundedWidth},
 		{"k6-coloring-unsat", gen.Coloring(completeGraph(6), 4), Hard},
 		{"k5-coloring-sat", gen.Coloring(completeGraph(5), 5), Hard},
+	}
+	for _, tc := range cases {
+		cases = append(cases, solveCase{tc.name + "-reversed", reversed(tc.p), tc.want})
 	}
 	an := NewAnalyzer(0, 0)
 	for _, tc := range cases {
@@ -160,61 +172,10 @@ func TestWidthBudget(t *testing.T) {
 	}
 }
 
-// TestClassificationCache: the same instance hits the cache on
-// reclassification, and a constraint-permuted twin — which shares the
-// canonical hash but not the constraint ordering the witnesses are indexed
-// by — must still be classified correctly (revalidated or recomputed) and
-// solved correctly, with no defensive reroute.
-func TestClassificationCache(t *testing.T) {
-	enableObs(t)
-	an := NewAnalyzer(0, 0)
-	p := ternaryAcyclicCSP()
-
-	cls1, hit := an.Classify(p)
-	if hit {
-		t.Fatal("cold cache reported a hit")
-	}
-	cls2, hit := an.Classify(p)
-	if !hit {
-		t.Fatal("identical instance missed the cache")
-	}
-	if cls1.Class != cls2.Class {
-		t.Fatalf("cache changed the class: %v vs %v", cls1.Class, cls2.Class)
-	}
-
-	// Constraint-reversed twin: same canonical hash, different positions.
-	twin := csp.NewInstance(p.Vars, p.Dom)
-	for i := len(p.Constraints) - 1; i >= 0; i-- {
-		twin.MustAddConstraint(p.Constraints[i].Scope, p.Constraints[i].Table)
-	}
-	rr0 := RerouteCount()
-	clsT, _ := an.Classify(twin)
-	if clsT.Class != cls1.Class {
-		t.Fatalf("permuted twin classified %v, original %v", clsT.Class, cls1.Class)
-	}
-	out := an.Solve(context.Background(), twin)
-	if out.Route != cls1.Class || out.Fallback {
-		t.Fatalf("twin routed %v (fallback=%v), want %v", out.Route, out.Fallback, cls1.Class)
-	}
-	want := csp.Solve(twin, csp.Options{})
-	if out.Found != want.Found {
-		t.Fatalf("twin verdict %v, search %v", out.Found, want.Found)
-	}
-	if out.Found && !twin.Satisfies(out.Solution) {
-		t.Fatalf("twin non-solution %v", out.Solution)
-	}
-	if d := RerouteCount() - rr0; d != 0 {
-		t.Fatalf("permuted twin triggered %d defensive reroutes", d)
-	}
-}
-
 func TestAnalyzerDefaults(t *testing.T) {
 	an := NewAnalyzer(0, 0)
 	if an.WidthBudget != DefaultWidthBudget {
 		t.Fatalf("WidthBudget = %d, want %d", an.WidthBudget, DefaultWidthBudget)
-	}
-	if an.cache == nil {
-		t.Fatal("analyzer built without a cache")
 	}
 }
 

@@ -44,9 +44,8 @@ var fuzzSeeds = []string{
 // FuzzDispatch is the grammar-aware differential fuzzer: any parseable
 // instance small enough to solve exhaustively must get the same verdict
 // from the dispatcher and from the complete search engine, and any SAT
-// answer must satisfy the instance. The analyzer is shared across inputs so
-// the classification cache (including hash-collision and permuted-twin
-// paths) is fuzzed too.
+// answer must satisfy the instance. The analyzer is shared across inputs,
+// as it is in cspd.
 func FuzzDispatch(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add([]byte(s))

@@ -19,24 +19,24 @@ type strategy struct {
 	// workers reports that the row reads Run's worker bound; every other row
 	// rejects a positive one.
 	workers bool
-	// run decides p; hash is p's cspio.CanonicalHash, which only auto reads.
-	run func(a *Analyzer, ctx context.Context, p *csp.Instance, hash uint64, workers int) Outcome
+	// run decides p.
+	run func(a *Analyzer, ctx context.Context, p *csp.Instance, workers int) Outcome
 }
 
 // table lists the strategies in help order. Only auto consults structure;
 // the rest are engine rows, whose Outcome carries no classification.
 var table = []strategy{
 	{name: "auto", help: "classify the structure and run the matching polynomial solver; the portfolio only for hard instances",
-		run: func(a *Analyzer, ctx context.Context, p *csp.Instance, hash uint64, _ int) Outcome {
-			return a.solve(ctx, p, hash)
+		run: func(a *Analyzer, ctx context.Context, p *csp.Instance, _ int) Outcome {
+			return a.Solve(ctx, p)
 		}},
 	{name: "portfolio", help: "race the MAC, FC, CBJ, learning and join lanes; the first verdict wins",
-		run: func(_ *Analyzer, ctx context.Context, p *csp.Instance, _ uint64, _ int) Outcome {
+		run: func(_ *Analyzer, ctx context.Context, p *csp.Instance, _ int) Outcome {
 			res := csp.Portfolio(ctx, p, csp.PortfolioOptions{})
 			return Outcome{Result: res.Result, Winner: res.Winner}
 		}},
 	{name: "parallel", help: "split the root variable's domain across a pool of workers (0 = GOMAXPROCS)", workers: true,
-		run: func(_ *Analyzer, ctx context.Context, p *csp.Instance, _ uint64, workers int) Outcome {
+		run: func(_ *Analyzer, ctx context.Context, p *csp.Instance, workers int) Outcome {
 			res := csp.SolveParallel(ctx, p, csp.ParallelOptions{Workers: workers})
 			return Outcome{Result: res.Result, Subtrees: res.Subtrees}
 		}},
@@ -44,19 +44,19 @@ var table = []strategy{
 	{name: "fc", help: "backtracking search with forward checking", run: search(csp.Options{Algorithm: csp.FC})},
 	{name: "bt", help: "chronological backtracking", run: search(csp.Options{Algorithm: csp.BT})},
 	{name: "cbj", help: "conflict-directed backjumping",
-		run: func(_ *Analyzer, ctx context.Context, p *csp.Instance, _ uint64, _ int) Outcome {
+		run: func(_ *Analyzer, ctx context.Context, p *csp.Instance, _ int) Outcome {
 			return Outcome{Result: csp.SolveCBJCtx(ctx, p, csp.Options{})}
 		}},
 	{name: "learn", help: "the restart/nogood learning engine", run: search(csp.Options{Learn: true})},
 	{name: "join", help: "natural join of the constraint relations (Proposition 2.1)",
-		run: func(_ *Analyzer, ctx context.Context, p *csp.Instance, _ uint64, _ int) Outcome {
+		run: func(_ *Analyzer, ctx context.Context, p *csp.Instance, _ int) Outcome {
 			return Outcome{Result: csp.JoinSolveCtx(ctx, p)}
 		}},
 }
 
 // search is the runner of a csp.SolveCtx row.
-func search(opts csp.Options) func(*Analyzer, context.Context, *csp.Instance, uint64, int) Outcome {
-	return func(_ *Analyzer, ctx context.Context, p *csp.Instance, _ uint64, _ int) Outcome {
+func search(opts csp.Options) func(*Analyzer, context.Context, *csp.Instance, int) Outcome {
+	return func(_ *Analyzer, ctx context.Context, p *csp.Instance, _ int) Outcome {
 		return Outcome{Result: csp.SolveCtx(ctx, p, opts)}
 	}
 }
@@ -84,17 +84,15 @@ func Check(name string, workers int) error {
 	return err
 }
 
-// Run decides p with the named strategy. hash is p's cspio.CanonicalHash,
-// which a front end computes once per request for its own cache key; auto
-// keys its classification cache on it. workers bounds the parallel row's
+// Run decides p with the named strategy. workers bounds the parallel row's
 // pool; any other row rejects a positive value. The error reports only a
 // bad name or worker bound: an expired ctx yields an aborted Outcome.
-func (a *Analyzer) Run(ctx context.Context, p *csp.Instance, hash uint64, name string, workers int) (Outcome, error) {
+func (a *Analyzer) Run(ctx context.Context, p *csp.Instance, name string, workers int) (Outcome, error) {
 	row, err := lookup(name, workers)
 	if err != nil {
 		return Outcome{}, err
 	}
-	out := row.run(a, ctx, p, hash, workers)
+	out := row.run(a, ctx, p, workers)
 	out.Strategy = row.name
 	return out, nil
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"csdb/internal/csp"
-	"csdb/internal/cspio"
 	"csdb/internal/gen"
 )
 
@@ -20,7 +19,7 @@ func TestRunEveryStrategyAgrees(t *testing.T) {
 		p := gen.ModelB(rng, 5+rng.Intn(3), 3, 0.6, 0.4)
 		want := csp.SolveSeed(p, csp.Options{}).Found
 		for _, name := range Names() {
-			out, err := a.Run(context.Background(), p, cspio.CanonicalHash(p), name, 0)
+			out, err := a.Run(context.Background(), p, name, 0)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, name, err)
 			}
@@ -66,7 +65,7 @@ func TestCheckRejectsBadRequests(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Fatalf("Check(%q, %d) = %v, want %q", tc.name, tc.workers, err, tc.wantErr)
 		}
-		if _, err := NewAnalyzer(0, 0).Run(context.Background(), csp.NewInstance(1, 1), 0, tc.name, tc.workers); err == nil {
+		if _, err := NewAnalyzer(0, 0).Run(context.Background(), csp.NewInstance(1, 1), tc.name, tc.workers); err == nil {
 			t.Fatalf("Run(%q, %d) accepted what Check rejects", tc.name, tc.workers)
 		}
 	}
@@ -93,14 +92,14 @@ func TestStrategyLabelAndHelpCoverTable(t *testing.T) {
 func TestOutcomeExplain(t *testing.T) {
 	a := NewAnalyzer(0, 0)
 	tree := gen.CSPOnGraph(rand.New(rand.NewSource(1)), gen.RandomTree(rand.New(rand.NewSource(2)), 6), 3, 0.2)
-	out, err := a.Run(context.Background(), tree, cspio.CanonicalHash(tree), "auto", 0)
+	out, err := a.Run(context.Background(), tree, "auto", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := out.Explain(); !strings.HasPrefix(got, "route tree: ") {
 		t.Fatalf("auto explain = %q", got)
 	}
-	out, err = a.Run(context.Background(), tree, cspio.CanonicalHash(tree), "cbj", 0)
+	out, err = a.Run(context.Background(), tree, "cbj", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,25 +109,5 @@ func TestOutcomeExplain(t *testing.T) {
 	rerouted := Outcome{Classification: &Classification{Class: Acyclic}, Route: Hard}
 	if got := rerouted.Explain(); !strings.Contains(got, "route acyclic") || !strings.Contains(got, "portfolio decided") {
 		t.Fatalf("reroute explain = %q", got)
-	}
-}
-
-// The auto row classifies under the hash Run is given, the same key Classify
-// and Solve compute: a front end that hashed the instance for its own cache
-// shares the classification cache without hashing again.
-func TestRunClassifiesUnderGivenHash(t *testing.T) {
-	a := NewAnalyzer(0, 0)
-	tree := gen.CSPOnGraph(rand.New(rand.NewSource(3)), gen.RandomTree(rand.New(rand.NewSource(4)), 8), 3, 0.2)
-	h := cspio.CanonicalHash(tree)
-	if _, hit := a.Classify(tree); hit {
-		t.Fatal("first Classify hit an empty cache")
-	}
-	out, err := a.Run(context.Background(), tree, h, "auto", 0)
-	if err != nil || !out.CacheHit || out.Route != Tree {
-		t.Fatalf("Run under the canonical hash: hit=%v route=%v err=%v, want a Tree hit", out.CacheHit, out.Route, err)
-	}
-	out, err = a.Run(context.Background(), tree, h+1, "auto", 0)
-	if err != nil || out.CacheHit || out.Route != Tree {
-		t.Fatalf("Run under another hash: hit=%v route=%v err=%v, want a Tree miss", out.CacheHit, out.Route, err)
 	}
 }

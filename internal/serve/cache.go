@@ -21,7 +21,6 @@ type CacheKey struct {
 type Cache struct {
 	mu      sync.Mutex
 	cap     int
-	quiet   bool       // skip the cspd.cache.* counters (secondary caches)
 	order   *list.List // front = most recently used; values are *cacheEntry
 	entries map[CacheKey]*list.Element
 }
@@ -44,19 +43,6 @@ func NewCache(capacity int) *Cache {
 	}
 }
 
-// NewQuietCache is NewCache without the cspd.cache.* counters. Those
-// counters are documented as the daemon's canonical result cache, so
-// secondary users of the LRU (the dispatcher's classification cache keeps
-// its own dispatch.cache.* counters) must not inflate them — a hit rate
-// computed from cspd.cache.outcome has to describe one cache.
-func NewQuietCache(capacity int) *Cache {
-	c := NewCache(capacity)
-	if c != nil {
-		c.quiet = true
-	}
-	return c
-}
-
 // Get returns the cached value for k, refreshing its recency. The hit/miss
 // counter pair records every lookup.
 func (c *Cache) Get(k CacheKey) (any, bool) {
@@ -67,17 +53,13 @@ func (c *Cache) Get(k CacheKey) (any, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.entries[k]
 	if !ok {
-		if !c.quiet {
-			obsCacheMiss.Inc()
-			obsCacheOutcome.Inc("miss")
-		}
+		obsCacheMiss.Inc()
+		obsCacheOutcome.Inc("miss")
 		return nil, false
 	}
 	c.order.MoveToFront(el)
-	if !c.quiet {
-		obsCacheHits.Inc()
-		obsCacheOutcome.Inc("hit")
-	}
+	obsCacheHits.Inc()
+	obsCacheOutcome.Inc("hit")
 	return el.Value.(*cacheEntry).val, true
 }
 
@@ -99,10 +81,8 @@ func (c *Cache) Add(k CacheKey, v any) {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
 		delete(c.entries, oldest.Value.(*cacheEntry).key)
-		if !c.quiet {
-			obsCacheEvict.Inc()
-			obsCacheOutcome.Inc("evict")
-		}
+		obsCacheEvict.Inc()
+		obsCacheOutcome.Inc("evict")
 	}
 }
 

@@ -104,40 +104,3 @@ func TestCacheOutcomeVec(t *testing.T) {
 		t.Fatalf("evict delta = %d, want 1", d)
 	}
 }
-
-// TestQuietCacheRecordsNothing pins the secondary-cache contract: a quiet
-// LRU (the dispatcher's classification cache) behaves identically but never
-// moves the cspd.cache.* counters, so the daemon's result-cache hit rate
-// describes exactly one cache.
-func TestQuietCacheRecordsNothing(t *testing.T) {
-	withObs(t)
-	hit0 := obsCacheOutcome.Load("hit")
-	miss0 := obsCacheOutcome.Load("miss")
-	evict0 := obsCacheOutcome.Load("evict")
-	hits0, miss0s, evict0s := obsCacheHits.Load(), obsCacheMiss.Load(), obsCacheEvict.Load()
-
-	c := NewQuietCache(1)
-	k1 := CacheKey{Hash: 1}
-	k2 := CacheKey{Hash: 2}
-	c.Get(k1) // miss
-	c.Add(k1, "v1")
-	if v, ok := c.Get(k1); !ok || v != "v1" { // hit
-		t.Fatalf("quiet cache lost its entry: %v,%v", v, ok)
-	}
-	c.Add(k2, "v2") // evicts k1
-	if c.Len() != 1 {
-		t.Fatalf("quiet cache Len = %d, want 1", c.Len())
-	}
-	for name, d := range map[string]int64{
-		"outcome hit":   obsCacheOutcome.Load("hit") - hit0,
-		"outcome miss":  obsCacheOutcome.Load("miss") - miss0,
-		"outcome evict": obsCacheOutcome.Load("evict") - evict0,
-		"hits":          obsCacheHits.Load() - hits0,
-		"misses":        obsCacheMiss.Load() - miss0s,
-		"evictions":     obsCacheEvict.Load() - evict0s,
-	} {
-		if d != 0 {
-			t.Errorf("quiet cache moved %s by %d", name, d)
-		}
-	}
-}
