@@ -11,7 +11,7 @@ GO ?= go
 BENCH_LABEL ?= after
 FUZZTIME ?= 10s
 
-.PHONY: check build test verify vet lint cspdbench-check fuzz-smoke race race-engine race-kernel race-obs race-serve race-dispatch race-search race-cluster bench bench-serve bench-search bench-cluster obs-overhead expofmt csptop-smoke
+.PHONY: check build test verify vet lint cspdbench-check fuzz-smoke race race-engine race-kernel race-obs race-serve race-dispatch race-search race-cluster bench bench-serve bench-dispatch bench-search bench-cluster obs-overhead expofmt csptop-smoke
 
 # Default target: everything a PR must pass locally. expofmt is the
 # exposition-format gate (Prometheus text writer + /metrics content tests).
@@ -46,12 +46,13 @@ cspdbench-check:
 
 # Briefly run every native fuzz target (instance parser round trip, parser
 # vs its reference oracle, differential join oracle, tractability
-# dispatcher). FUZZTIME=2m fuzz-smoke for a longer shake.
+# dispatcher, GYO against its map-based oracle). FUZZTIME=2m fuzz-smoke for a longer shake.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseInstance -fuzztime $(FUZZTIME) ./internal/cspio/
 	$(GO) test -run '^$$' -fuzz FuzzParseAgrees -fuzztime $(FUZZTIME) ./internal/cspio/
 	$(GO) test -run '^$$' -fuzz FuzzJoinDifferential -fuzztime $(FUZZTIME) ./internal/relation/
 	$(GO) test -run '^$$' -fuzz FuzzDispatch -fuzztime $(FUZZTIME) ./internal/dispatch/
+	$(GO) test -run '^$$' -fuzz FuzzGYO -fuzztime $(FUZZTIME) ./internal/dispatch/
 	$(GO) test -run '^$$' -fuzz FuzzSearchDifferential -fuzztime $(FUZZTIME) ./internal/csp/
 
 # Tier-1 verification (ROADMAP.md): the module builds and all tests pass.
@@ -124,6 +125,15 @@ bench-serve:
 		-benchtime=0.3s -run '^$$' -timeout 30m ./cmd/cspd/ \
 		| $(GO) run ./cmd/benchjson -o BENCH_serve.json -label $(BENCH_LABEL) \
 		-note "cspd request latency: cold engine solve vs canonical result-cache hit on PHP(8), plus the cache-key (parse+hash) cost"
+
+# Benchmark the dispatcher's classification into BENCH_serve.json: one
+# classify per op over cspdbench-sized tree, Schaefer, acyclic, width and
+# hard (phase-transition) families — the cost of consulting structure
+# before every auto-routed solve.
+bench-dispatch:
+	$(GO) test -bench 'Classify' -benchmem -count 5 -benchtime=0.3s \
+		-run '^$$' -timeout 30m ./internal/dispatch/ \
+		| $(GO) run ./cmd/benchjson -o BENCH_serve.json -label $(BENCH_LABEL)
 
 # Benchmark the cluster router into BENCH_serve.json: aggregate throughput
 # as replicas are added (sleep-bound backends expose per-node capacity), and

@@ -2,9 +2,9 @@ package consistency
 
 import (
 	"fmt"
+	"slices"
 
 	"csdb/internal/csp"
-	"csdb/internal/graph"
 )
 
 // This file implements Freuder's classical theorem — the historical root of
@@ -15,9 +15,11 @@ import (
 // IsTreeStructured reports whether the instance is binary (all scopes have
 // at most 2 distinct variables) and its primal graph is a forest. It is a
 // pure shape check on scopes — no constraint tables are cloned or rewritten
-// — so the dispatcher can afford to call it on every instance.
+// — so the dispatcher can afford to call it on every instance: the distinct
+// edges are sorted out of one flat slice and merged in a union-find forest,
+// and an edge joining two vertices already connected closes a cycle.
 func IsTreeStructured(p *csp.Instance) bool {
-	g := graph.New(p.Vars)
+	edges := make([]uint64, 0, len(p.Constraints))
 	for _, con := range p.Constraints {
 		a, b := -1, -1
 		for _, v := range con.Scope {
@@ -30,43 +32,29 @@ func IsTreeStructured(p *csp.Instance) bool {
 				return false // a third distinct variable in one scope
 			}
 		}
-		if a >= 0 && b >= 0 {
-			g.AddEdge(a, b)
+		if b >= 0 {
+			edges = append(edges, uint64(min(a, b))<<32|uint64(max(a, b)))
 		}
 	}
-	return isForest(g)
-}
-
-func isForest(g *graph.Graph) bool {
-	visited := make([]int, g.N()) // 0 unseen, 1 seen
-	parent := make([]int, g.N())
-	for i := range parent {
-		parent[i] = -1
+	slices.Sort(edges)
+	edges = slices.Compact(edges)
+	root := make([]int32, p.Vars)
+	for v := range root {
+		root[v] = int32(v)
 	}
-	for start := 0; start < g.N(); start++ {
-		if visited[start] == 1 {
-			continue
+	find := func(v int32) int32 {
+		for root[v] != v {
+			root[v] = root[root[v]] // path halving
+			v = root[v]
 		}
-		visited[start] = 1
-		stack := []int{start}
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, u := range g.Neighbors(v) {
-				if u == v {
-					return false // self-loop: not a forest
-				}
-				if u == parent[v] {
-					continue
-				}
-				if visited[u] == 1 {
-					return false // cross edge: cycle
-				}
-				visited[u] = 1
-				parent[u] = v
-				stack = append(stack, u)
-			}
+		return v
+	}
+	for _, e := range edges {
+		ra, rb := find(int32(e>>32)), find(int32(uint32(e)))
+		if ra == rb {
+			return false
 		}
+		root[ra] = rb
 	}
 	return true
 }

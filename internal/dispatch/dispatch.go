@@ -13,12 +13,16 @@
 //	          of width ≤ budget              → decomposition DP (Thm 6.2)
 //	hard      none of the above              → csp.Portfolio
 //
-// Every check is polynomial and cheap next to any solve, so each instance
-// is classified afresh and its witness (join tree, tree decomposition) is
-// computed from the instance it routes. Every SAT answer from a routed
-// solver is verified against the instance, and any routed-solver error
-// falls back to the portfolio, so misclassification cannot corrupt a
-// verdict.
+// The shape checks (forest, GYO, width) are flat kernels with no map per
+// variable or edge, and the width check is a budgeted decision: each
+// heuristic elimination stops at its first bag wider than the budget, so
+// "no structure" costs microseconds. Each
+// instance is classified afresh, and each witness (the Schaefer template
+// instance, the join tree, the tree decomposition) is computed once, from
+// the instance it routes, and handed to the routed solver. Every SAT
+// answer from a routed solver is verified against the instance, and any
+// routed-solver error falls back to the portfolio, so misclassification
+// cannot corrupt a verdict.
 //
 // The package also owns the one strategy table (strategy.go) that decides
 // how any front end solves an instance: Run resolves auto (the routing
@@ -124,12 +128,13 @@ func (c Class) counter() *obs.Counter {
 }
 
 // Classification is a class verdict plus the witness that makes the routed
-// solver applicable: a join tree for Acyclic, a tree decomposition (and its
-// width) for BoundedWidth. Tree, Schaefer and Hard carry no witness — their
-// routes re-derive everything they need from the instance.
+// solver applicable: the Boolean template instance for Schaefer, a join
+// tree for Acyclic, a tree decomposition (and its width) for BoundedWidth.
+// Tree and Hard carry no witness — their routes need only the instance.
 type Classification struct {
 	Class    Class
 	Width    int
+	Boolean  *schaefer.Instance
 	JoinTree *hypergraph.JoinTree
 	Decomp   *treewidth.Decomposition
 }
@@ -172,7 +177,7 @@ func (a *Analyzer) classify(p *csp.Instance) Classification {
 	}
 	if p.Dom == 2 {
 		if sp, err := schaefer.FromCSP(p); err == nil && sp.Template.IsTractable() {
-			return Classification{Class: Schaefer}
+			return Classification{Class: Schaefer, Boolean: sp}
 		}
 	}
 	if acyclic, jt := hypergraph.FromInstance(p).GYO(); acyclic {
@@ -256,14 +261,10 @@ func (a *Analyzer) solveClass(p *csp.Instance, cls Classification) (csp.Result, 
 	case Tree:
 		res, err = consistency.SolveTree(p)
 	case Schaefer:
-		var sp *schaefer.Instance
-		sp, err = schaefer.FromCSP(p)
-		if err == nil {
-			var assign []int
-			var ok bool
-			assign, ok, _, err = schaefer.Solve(sp)
-			res = csp.Result{Found: ok, Solution: assign}
-		}
+		var assign []int
+		var ok bool
+		assign, ok, _, err = schaefer.Solve(cls.Boolean)
+		res = csp.Result{Found: ok, Solution: assign}
 	case Acyclic:
 		res, err = hypergraph.SolveAcyclicCSP(p, cls.JoinTree)
 	case BoundedWidth:

@@ -1,11 +1,13 @@
 package gen
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
 	"csdb/internal/cq"
 	"csdb/internal/csp"
+	"csdb/internal/cspio"
 	"csdb/internal/schaefer"
 	"csdb/internal/treewidth"
 )
@@ -142,5 +144,34 @@ func TestNotEqualTable(t *testing.T) {
 	nt := NotEqualTable(3)
 	if nt.Len() != 6 || nt.Has([]int{1, 1}) || !nt.Has([]int{0, 2}) {
 		t.Fatalf("NotEqualTable wrong: %v", nt.Tuples())
+	}
+}
+
+// TestGraphGeneratorsReproducible runs every graph-based generator twice
+// from one seed and requires byte-identical instance text: graph edges
+// iterate in ascending order, so a seed names one instance.
+func TestGraphGeneratorsReproducible(t *testing.T) {
+	gens := []struct {
+		name string
+		gen  func(rng *rand.Rand) *csp.Instance
+	}{
+		{"RandomGraph", func(rng *rand.Rand) *csp.Instance { return CSPOnGraph(rng, RandomGraph(rng, 30, 0.2), 3, 0.3) }},
+		{"RandomGraph-coloring", func(rng *rand.Rand) *csp.Instance { return Coloring(RandomGraph(rng, 30, 0.2), 3) }},
+		{"PartialKTree", func(rng *rand.Rand) *csp.Instance {
+			g, _ := PartialKTree(rng, 30, 3, 0.3)
+			return CSPOnGraph(rng, g, 3, 0.3)
+		}},
+		{"RandomTree", func(rng *rand.Rand) *csp.Instance { return CSPOnGraph(rng, RandomTree(rng, 30), 3, 0.3) }},
+	}
+	for _, g := range gens {
+		var runs [2]bytes.Buffer
+		for i := range runs {
+			if err := cspio.Format(&runs[i], g.gen(rand.New(rand.NewSource(19)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(runs[0].Bytes(), runs[1].Bytes()) {
+			t.Fatalf("%s: two runs from one seed differ:\n%s\n---\n%s", g.name, runs[0].String(), runs[1].String())
+		}
 	}
 }

@@ -5,21 +5,59 @@
 // Section 4), and connected components.
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sort"
+)
 
 // Graph is a simple undirected graph on vertices 0..N-1. Self-loops are
 // permitted (a loop makes every H-coloring problem trivial) but parallel
-// edges are not.
+// edges are not. Each adjacency list is kept sorted ascending, so every
+// traversal, and every generator built on one, is reproducible.
 type Graph struct {
 	n   int
-	adj []map[int]struct{}
+	adj [][]int
 }
 
 // New returns an empty graph with n vertices.
 func New(n int) *Graph {
-	g := &Graph{n: n, adj: make([]map[int]struct{}, n)}
-	for i := range g.adj {
-		g.adj[i] = make(map[int]struct{})
+	return &Graph{n: n, adj: make([][]int, n)}
+}
+
+// FromEdges returns the graph on n vertices with the given edges; repeats
+// are dropped. Its adjacency lists are carved from one array, so building
+// it costs the same few allocations however many edges it has.
+func FromEdges(n int, edges [][2]int) *Graph {
+	g := New(n)
+	off := make([]int32, n+1)
+	for _, e := range edges {
+		u, v := e[0], e[1]
+		if u < 0 || u >= n || v < 0 || v >= n {
+			panic(fmt.Sprintf("graph: edge (%d,%d) outside [0,%d)", u, v, n))
+		}
+		off[u+1]++
+		if u != v {
+			off[v+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	arena := make([]int, off[n])
+	for v := range g.adj {
+		g.adj[v] = arena[off[v]:off[v]]
+	}
+	for _, e := range edges {
+		u, v := e[0], e[1]
+		g.adj[u] = append(g.adj[u], v)
+		if u != v {
+			g.adj[v] = append(g.adj[v], u)
+		}
+	}
+	for v, nb := range g.adj {
+		slices.Sort(nb)
+		g.adj[v] = slices.Clip(slices.Compact(nb))
 	}
 	return g
 }
@@ -33,8 +71,19 @@ func (g *Graph) AddEdge(u, v int) {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		panic(fmt.Sprintf("graph: edge (%d,%d) outside [0,%d)", u, v, g.n))
 	}
-	g.adj[u][v] = struct{}{}
-	g.adj[v][u] = struct{}{}
+	g.adj[u] = insertSorted(g.adj[u], v)
+	if u != v {
+		g.adj[v] = insertSorted(g.adj[v], u)
+	}
+}
+
+// insertSorted adds x to the ascending list s unless it is already there.
+func insertSorted(s []int, x int) []int {
+	i, found := slices.BinarySearch(s, x)
+	if found {
+		return s
+	}
+	return slices.Insert(s, i, x)
 }
 
 // HasEdge reports whether {u,v} is an edge.
@@ -42,8 +91,8 @@ func (g *Graph) HasEdge(u, v int) bool {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return false
 	}
-	_, ok := g.adj[u][v]
-	return ok
+	_, found := slices.BinarySearch(g.adj[u], v)
+	return found
 }
 
 // HasLoop reports whether any vertex has a self-loop.
@@ -59,36 +108,28 @@ func (g *Graph) HasLoop() bool {
 // Degree returns the degree of v (loops count once).
 func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 
-// Neighbors returns the neighbors of v in unspecified order.
-func (g *Graph) Neighbors(v int) []int {
-	out := make([]int, 0, len(g.adj[v]))
-	for u := range g.adj[v] {
-		out = append(out, u)
-	}
-	return out
-}
+// Neighbors returns the neighbors of v in ascending order. The slice is the
+// graph's own list: callers must not modify it, and it is invalidated by
+// the next AddEdge touching v.
+func (g *Graph) Neighbors(v int) []int { return slices.Clip(g.adj[v]) }
 
 // NumEdges returns the number of undirected edges (loops count once).
 func (g *Graph) NumEdges() int {
 	total := 0
-	for v := 0; v < g.n; v++ {
-		for u := range g.adj[v] {
-			if u >= v {
-				total++
-			}
-		}
+	for v, nb := range g.adj {
+		total += len(nb) - sort.SearchInts(nb, v)
 	}
 	return total
 }
 
-// Edges returns all undirected edges as (u,v) pairs with u <= v.
+// Edges returns all undirected edges as (u,v) pairs with u <= v, in
+// ascending order.
 func (g *Graph) Edges() [][2]int {
 	out := make([][2]int, 0, g.NumEdges())
 	for v := 0; v < g.n; v++ {
-		for u := range g.adj[v] {
-			if u >= v {
-				out = append(out, [2]int{v, u})
-			}
+		nb := g.adj[v]
+		for _, u := range nb[sort.SearchInts(nb, v):] {
+			out = append(out, [2]int{v, u})
 		}
 	}
 	return out
@@ -97,10 +138,8 @@ func (g *Graph) Edges() [][2]int {
 // Clone returns a deep copy.
 func (g *Graph) Clone() *Graph {
 	c := New(g.n)
-	for v := 0; v < g.n; v++ {
-		for u := range g.adj[v] {
-			c.adj[v][u] = struct{}{}
-		}
+	for v, nb := range g.adj {
+		c.adj[v] = slices.Clone(nb)
 	}
 	return c
 }
@@ -123,7 +162,7 @@ func (g *Graph) TwoColor() ([]int, bool) {
 		for len(queue) > 0 {
 			v := queue[0]
 			queue = queue[1:]
-			for u := range g.adj[v] {
+			for _, u := range g.adj[v] {
 				if u == v {
 					return nil, false // loop
 				}
@@ -168,7 +207,7 @@ func (g *Graph) Components() [][]int {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			members = append(members, v)
-			for u := range g.adj[v] {
+			for _, u := range g.adj[v] {
 				if comp[u] < 0 {
 					comp[u] = id
 					stack = append(stack, u)

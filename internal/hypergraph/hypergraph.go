@@ -8,6 +8,7 @@ package hypergraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"csdb/internal/cq"
@@ -27,23 +28,29 @@ func New(n int) *Hypergraph { return &Hypergraph{N: n} }
 
 // AddEdge appends a hyperedge (deduplicated, sorted).
 func (h *Hypergraph) AddEdge(vs ...int) error {
+	if err := h.checkEdge(vs); err != nil {
+		return err
+	}
+	h.Edges = append(h.Edges, sortedSet(slices.Clone(vs)))
+	return nil
+}
+
+func (h *Hypergraph) checkEdge(vs []int) error {
 	if len(vs) == 0 {
 		return fmt.Errorf("hypergraph: empty hyperedge")
 	}
-	set := make(map[int]bool)
 	for _, v := range vs {
 		if v < 0 || v >= h.N {
 			return fmt.Errorf("hypergraph: vertex %d outside [0,%d)", v, h.N)
 		}
-		set[v] = true
 	}
-	edge := make([]int, 0, len(set))
-	for v := range set {
-		edge = append(edge, v)
-	}
-	sort.Ints(edge)
-	h.Edges = append(h.Edges, edge)
 	return nil
+}
+
+// sortedSet sorts vs in place and drops repeats, returning the clipped set.
+func sortedSet(vs []int) []int {
+	slices.Sort(vs)
+	return slices.Clip(slices.Compact(vs))
 }
 
 // MustAddEdge is AddEdge but panics on error.
@@ -80,11 +87,24 @@ func FromQuery(q *cq.Query) (*Hypergraph, map[string]int, error) {
 }
 
 // FromInstance builds the constraint hypergraph of a CSP instance: vertices
-// are variables, one hyperedge per constraint scope.
+// are variables, one hyperedge per constraint scope. The edges are carved
+// from one array.
 func FromInstance(p *csp.Instance) *Hypergraph {
 	h := New(p.Vars)
+	total := 0
 	for _, con := range p.Constraints {
-		h.MustAddEdge(con.Scope...)
+		total += len(con.Scope)
+	}
+	arena := make([]int, 0, total)
+	h.Edges = make([][]int, 0, len(p.Constraints))
+	for _, con := range p.Constraints {
+		if err := h.checkEdge(con.Scope); err != nil {
+			panic(err)
+		}
+		start := len(arena)
+		e := sortedSet(append(arena, con.Scope...)[start:])
+		arena = arena[:start+len(e)]
+		h.Edges = append(h.Edges, e)
 	}
 	return h
 }
@@ -106,80 +126,152 @@ type JoinTree struct {
 // edge ("ears' private vertices") and (b) removes an edge that becomes a
 // subset of another edge, attaching it to that edge in the join tree. The
 // hypergraph is acyclic iff everything reduces away.
+//
+// Each pass of (b) visits edges in ascending index order and attaches an
+// edge to the lowest-indexed live edge containing it, so the join tree is
+// a function of the edge order. The kernel is flat: a removed vertex is
+// gone from every live edge at once (it was in only one), so an edge's live
+// set is its sorted vertex list minus the gone vertices; per-vertex live
+// occurrence counts find the private vertices; and a superset of an edge
+// must contain each of its live vertices, so only the edges holding its
+// rarest one are tried. After the first pass only edges that lost a vertex
+// are tried again: sets only shrink, so an edge that had no superset still
+// has none.
 func (h *Hypergraph) GYO() (acyclic bool, jt *JoinTree) {
 	m := len(h.Edges)
 	if m == 0 {
 		return true, &JoinTree{Parent: nil, Root: -1}
 	}
-	// Working copies of edge vertex sets.
-	sets := make([]map[int]bool, m)
-	alive := make([]bool, m)
-	for i, e := range h.Edges {
-		sets[i] = make(map[int]bool, len(e))
+	// occ[occOff[v]:occOff[v+1]] lists the edges containing v, ascending;
+	// cnt[v] counts the live ones.
+	occOff := make([]int32, h.N+1)
+	cnt := make([]int32, h.N)
+	for _, e := range h.Edges {
 		for _, v := range e {
-			sets[i][v] = true
+			occOff[v+1]++
 		}
-		alive[i] = true
 	}
+	for v := 0; v < h.N; v++ {
+		occOff[v+1] += occOff[v]
+	}
+	occ := make([]int32, occOff[h.N])
+	for i, e := range h.Edges {
+		for _, v := range e {
+			occ[occOff[v]+cnt[v]] = int32(i)
+			cnt[v]++
+		}
+	}
+	gone := make([]bool, h.N)
+	alive := make([]bool, m)
+	size := make([]int32, m) // live vertices per edge
 	parent := make([]int, m)
-	for i := range parent {
+	tried := make([]int32, m) // the edges (b) tries next, ascending
+	for i, e := range h.Edges {
+		alive[i] = true
+		size[i] = int32(len(e))
 		parent[i] = -1
+		tried[i] = int32(i)
 	}
-	aliveCount := m
+	var private []int32 // vertices whose live count dropped to one
+	for v, c := range cnt {
+		if c == 1 {
+			private = append(private, int32(v))
+		}
+	}
+	aliveCount, lowest := m, 0
 
-	occurrences := func(v int) []int {
-		var occ []int
-		for i := range sets {
-			if alive[i] && sets[i][v] {
-				occ = append(occ, i)
+	// superset returns the lowest-indexed live edge j != i whose live set
+	// contains i's, or -1.
+	superset := func(i int) int {
+		e, x := h.Edges[i], -1
+		for _, v := range e {
+			if !gone[v] && (x < 0 || cnt[v] < cnt[x]) {
+				x = v
 			}
 		}
-		return occ
+		if x < 0 { // empty: any live edge contains it
+			for !alive[lowest] {
+				lowest++
+			}
+			for j := lowest; j < m; j++ {
+				if alive[j] && j != i {
+					return j
+				}
+			}
+			return -1
+		}
+		if cnt[x] == 1 {
+			return -1 // x is in no other live edge
+		}
+	candidates:
+		for _, j32 := range occ[occOff[x]:occOff[x+1]] {
+			j := int(j32)
+			if j == i || !alive[j] || size[j] < size[i] {
+				continue
+			}
+			f, q := h.Edges[j], 0
+			for _, v := range e {
+				if gone[v] {
+					continue
+				}
+				for q < len(f) && f[q] < v {
+					q++
+				}
+				if q == len(f) || f[q] != v {
+					continue candidates
+				}
+			}
+			return j
+		}
+		return -1
 	}
 
 	for {
 		changed := false
 		// (a) Remove vertices in exactly one live edge.
-		for v := 0; v < h.N; v++ {
-			occ := occurrences(v)
-			if len(occ) == 1 {
-				if sets[occ[0]][v] {
-					delete(sets[occ[0]], v)
-					changed = true
-				}
-			}
-		}
-		// (b) Remove an edge contained in another live edge.
-		for i := 0; i < m; i++ {
-			if !alive[i] {
+		for _, v := range private {
+			if gone[v] || cnt[v] != 1 {
 				continue
 			}
-			for j := 0; j < m; j++ {
-				if i == j || !alive[j] {
-					continue
-				}
-				if subset(sets[i], sets[j]) {
-					alive[i] = false
-					parent[i] = j
-					aliveCount--
-					changed = true
+			gone[v], cnt[v], changed = true, 0, true
+			for _, i := range occ[occOff[v]:occOff[v+1]] {
+				if alive[i] {
+					size[i]--
+					tried = append(tried, i)
 					break
 				}
 			}
 		}
-		if aliveCount == 1 {
-			// Acyclic: the surviving edge is the root.
-			root := -1
-			for i := range alive {
-				if alive[i] {
-					root = i
+		private = private[:0]
+		// (b) Remove an edge contained in another live edge.
+		slices.Sort(tried)
+		for _, i32 := range slices.Compact(tried) {
+			i := int(i32)
+			if !alive[i] {
+				continue
+			}
+			j := superset(i)
+			if j < 0 {
+				continue
+			}
+			alive[i], parent[i] = false, j
+			aliveCount--
+			changed = true
+			for _, v := range h.Edges[i] {
+				if !gone[v] {
+					if cnt[v]--; cnt[v] == 1 {
+						private = append(private, int32(v))
+					}
 				}
 			}
-			// Compress parents of removed edges onto live ancestors: the
-			// recorded parents already point at edges that were alive at
-			// removal time, which may themselves have been removed later —
-			// that is fine, the pointers still form a tree rooted at root.
-			return true, &JoinTree{Parent: parent, Root: root}
+		}
+		tried = tried[:0]
+		if aliveCount == 1 {
+			// Acyclic: the surviving edge is the root. The recorded parents
+			// point at edges that were alive at removal time, which may
+			// themselves have been removed later — that is fine, the
+			// pointers still form a tree rooted at root.
+			return true, &JoinTree{Parent: parent, Root: slices.Index(alive, true)}
 		}
 		if !changed {
 			return false, nil
@@ -191,18 +283,6 @@ func (h *Hypergraph) GYO() (acyclic bool, jt *JoinTree) {
 func (h *Hypergraph) IsAcyclic() bool {
 	ac, _ := h.GYO()
 	return ac
-}
-
-func subset(a, b map[int]bool) bool {
-	if len(a) > len(b) {
-		return false
-	}
-	for v := range a {
-		if !b[v] {
-			return false
-		}
-	}
-	return true
 }
 
 // ValidateJoinTree checks the join-tree connectedness property against the

@@ -16,7 +16,6 @@ package treewidth
 
 import (
 	"fmt"
-	"sort"
 
 	"csdb/internal/graph"
 )
@@ -234,10 +233,4 @@ func TrivialDecomposition(n int) *Decomposition {
 		bag[i] = i
 	}
 	return &Decomposition{Bags: [][]int{bag}, Adj: [][]int{nil}}
-}
-
-func sortedCopy(s []int) []int {
-	c := append([]int(nil), s...)
-	sort.Ints(c)
-	return c
 }

@@ -17,17 +17,17 @@ import (
 // variable, with an edge between every two variables sharing a constraint
 // scope.
 func PrimalGraph(p *csp.Instance) *graph.Graph {
-	g := graph.New(p.Vars)
+	var edges [][2]int
 	for _, con := range p.Constraints {
-		for i := 0; i < len(con.Scope); i++ {
-			for j := i + 1; j < len(con.Scope); j++ {
-				if con.Scope[i] != con.Scope[j] {
-					g.AddEdge(con.Scope[i], con.Scope[j])
+		for i, u := range con.Scope {
+			for _, v := range con.Scope[i+1:] {
+				if u != v {
+					edges = append(edges, [2]int{u, v})
 				}
 			}
 		}
 	}
-	return g
+	return graph.FromEdges(p.Vars, edges)
 }
 
 // SolveDecomposed decides the instance by DP over the given tree

@@ -2,6 +2,7 @@ package treewidth
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"csdb/internal/csp"
@@ -273,6 +274,27 @@ func TestBuildFormulaCoversIsolatedElements(t *testing.T) {
 	ok, err := logic.Holds(f, structure.Clique(2))
 	if err != nil || !ok {
 		t.Fatalf("isolated element formula: %v %v", ok, err)
+	}
+}
+
+// TestDecomposeWithinBudget pins the budgeted contract on random graphs:
+// whenever BestHeuristic's width fits the budget, DecomposeWithin returns
+// that very decomposition, and otherwise it returns nil, false.
+func TestDecomposeWithinBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		g := randomG(rng, rng.Intn(41), 0.3*rng.Float64())
+		best := BestHeuristic(g)
+		for budget := 1; budget <= 5; budget++ {
+			d, ok := DecomposeWithin(g, budget)
+			if best.Width() <= budget {
+				if !ok || !reflect.DeepEqual(d, best) {
+					t.Fatalf("trial %d budget %d: DecomposeWithin = %v %+v, BestHeuristic %+v", trial, budget, ok, d, best)
+				}
+			} else if ok || d != nil {
+				t.Fatalf("trial %d budget %d: width %d over budget, DecomposeWithin = %v %+v", trial, budget, best.Width(), ok, d)
+			}
+		}
 	}
 }
 
