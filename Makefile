@@ -96,8 +96,9 @@ race-dispatch:
 # The search core (bitset domains, watched supports, nogood learning) and
 # the hard-instance generators behind its differential gate: the portfolio
 # races learning against MAC, so the whole suite runs under the detector.
-# The portfolio and cancellation tests run again on one and two processors,
-# fewer than the race's five lanes, so a lane that stops yielding fails.
+# The portfolio, cancellation and lane tests run again on one and two
+# processors, fewer than the race's three lanes, so a lane that stops
+# yielding, in its search or its set-up, fails.
 race-search:
 	$(GO) test -race -count=1 ./internal/csp/ ./internal/gen/
 	$(GO) test -race -count=1 -cpu 1,2 -run 'Portfolio|Cancel|Lane' ./internal/csp/

@@ -616,11 +616,12 @@ func BenchmarkEngineOddCycleColoring(b *testing.B) {
 //     the phase transition) — its sub-benchmark runs under a 500k-node budget
 //     and still fails to decide the member, so its time is a lower bound.
 //
-// The portfolio races the default lanes (the four searchers and join
-// evaluation) and decides the whole family roughly an order of magnitude
-// faster than the best fixed strategy. Join evaluation stays in the pool:
-// its lane polls and yields after bounded work, so it neither holds a
-// processor through a whole preemption turn nor runs on after the winner.
+// The portfolio races the three default lanes (MAC+MRV, CBJ, Learn) and
+// decides the whole family more than an order of magnitude faster than the
+// best fixed strategy. On the big-domain member CBJ wins in about a
+// millisecond while MAC+MRV and Learn are still compiling their supports;
+// that set-up polls and yields like the search, so the losers neither hold
+// a processor nor run on after the winner.
 func engineMixedFamily() []*csp.Instance {
 	big := gen.ModelB(rand.New(rand.NewSource(1)), 150, 50, 0.12, 0.01)
 	loose := gen.ModelB(rand.New(rand.NewSource(1)), 60, 10, 0.3, 0.1)

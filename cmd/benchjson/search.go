@@ -58,9 +58,9 @@ func hardSearchFamily(n int) []*csp.Instance {
 // searchEngines are the engines the search core is measured across: the
 // retained seed solver (the "before"), the bitset MAC engine, the
 // restart/nogood learning engine, and the default portfolio race (MAC+MRV,
-// FC+Lex, CBJ, Learn and Join on goroutines), whose time shows what the
-// race costs over its winner. The portfolio's node count sums every lane's
-// effort, winners and losers alike, so it varies from run to run.
+// CBJ and Learn on goroutines), whose time shows what the race costs over
+// its winner. The portfolio's node count sums every lane's effort, winners
+// and losers alike, so it varies from run to run.
 var searchEngines = []struct {
 	name  string
 	solve func(*csp.Instance) csp.Result

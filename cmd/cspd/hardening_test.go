@@ -4,6 +4,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"strings"
@@ -262,5 +263,40 @@ func TestDomOfOutOfRangeRejected(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/healthz after the rejected body: status %d", resp.StatusCode)
+	}
+}
+
+// TestHostileHeaderRejected is the regression test for a 19-byte POST that
+// killed cspd: `vars 5000000` / `dom 2` with no constraints reached the join
+// lane, whose planner presized a pair heap of k(k-1)/2 entries and panicked
+// in a lane goroutine, and every other engine sized gigabytes of per-variable
+// state. The body is served in-process, with no http.Server to recover a
+// handler panic, under the default strategy and under strategy=join: each
+// gets a 400 naming the limit and exactly one wide event.
+func TestHostileHeaderRejected(t *testing.T) {
+	withDaemonObs(t)
+	h := newServer(testConfig()).mux()
+	const body = "vars 5000000\ndom 2\n"
+	if len(body) != 19 {
+		t.Fatalf("body is %d bytes, want the 19-byte reproducer", len(body))
+	}
+	for _, query := range []string{"", "strategy=join"} {
+		obs.DefaultEvents().Drain()
+		tooBigBefore := obsTooLarge.Load()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/solve?"+query, strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "instance too large") {
+			t.Fatalf("?%s: status %d body %q, want 400 naming the size limit", query, rec.Code, rec.Body.String())
+		}
+		events := obs.DefaultEvents().Drain()
+		if len(events) != 1 {
+			t.Fatalf("?%s: %d wide events, want 1", query, len(events))
+		}
+		if ev := events[0]; ev.Verdict != obs.VerdictError || ev.Cause != "instance_too_large" {
+			t.Fatalf("?%s: event verdict %q cause %q, want error/instance_too_large", query, ev.Verdict, ev.Cause)
+		}
+		if d := obsTooLarge.Load() - tooBigBefore; d != 1 {
+			t.Fatalf("?%s: too_large counter delta %d, want 1", query, d)
+		}
 	}
 }

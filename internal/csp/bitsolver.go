@@ -58,6 +58,7 @@ type bitSearcher struct {
 	vweight []float64
 
 	cancel  cancelChecker
+	start   time.Time // entry into newBitSearcher: Stats.Duration covers set-up
 	stats   Stats
 	found   int64
 	limit   int64
@@ -69,8 +70,12 @@ type bitSearcher struct {
 	searchSpan *obs.Span
 }
 
+// newBitSearcher compiles the instance's supports and watch lists. The
+// compilation ticks the lane's cancelChecker like the search does (see
+// compileSupports), so a lane cancelled during set-up stops within one poll
+// interval with s.aborted set, and run then returns Aborted at once.
 func newBitSearcher(ctx context.Context, p *Instance, opts Options) *bitSearcher {
-	s := &bitSearcher{p: p, opts: opts, learn: opts.Learn, curCon: -1, cancel: newCancelChecker(ctx)}
+	s := &bitSearcher{p: p, opts: opts, learn: opts.Learn, curCon: -1, cancel: newCancelChecker(ctx), start: time.Now()}
 	s.span = obs.StartChild(obs.SpanFrom(ctx), "csp.solve")
 	s.span.SetInt("vars", int64(p.Vars))
 	s.span.SetInt("dom", int64(p.Dom))
@@ -86,7 +91,11 @@ func newBitSearcher(ctx context.Context, p *Instance, opts Options) *bitSearcher
 	s.degree = make([]int, p.Vars)
 	maxWords := 1
 	for cid, con := range p.Constraints {
-		sp := CompileSupports(con, p.Dom)
+		sp, ok := compileSupports(con, p.Dom, &s.cancel)
+		if !ok {
+			s.aborted = true
+			return s
+		}
 		s.sup[cid] = sp
 		if sp.words > maxWords {
 			maxWords = sp.words
@@ -119,9 +128,8 @@ func newBitSearcher(ctx context.Context, p *Instance, opts Options) *bitSearcher
 }
 
 func (s *bitSearcher) run(limit int64, yield func([]int) bool) Result {
-	start := time.Now()
 	res := s.solve(limit, yield)
-	res.Stats.Duration = time.Since(start)
+	res.Stats.Duration = time.Since(s.start)
 	res.Stats.Strategy = s.opts.label()
 	s.finishObs(res)
 	return res
@@ -131,7 +139,7 @@ func (s *bitSearcher) solve(limit int64, yield func([]int) bool) Result {
 	s.limit = limit
 	s.yield = yield
 
-	if s.cancel.cancelledNow() {
+	if s.aborted || s.cancel.cancelledNow() {
 		s.aborted = true
 		return Result{Aborted: true, Stats: s.stats}
 	}

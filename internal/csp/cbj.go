@@ -23,10 +23,9 @@ func SolveCBJ(p *Instance, opts Options) Result {
 // SolveCBJCtx is SolveCBJ under a context: the search polls ctx every
 // cancelCheckInterval nodes and returns Aborted=true once it is cancelled.
 func SolveCBJCtx(ctx context.Context, p *Instance, opts Options) Result {
-	start := time.Now()
 	s := newSearcher(ctx, p, opts)
 	res := solveCBJ(s)
-	res.Stats.Duration = time.Since(start)
+	res.Stats.Duration = time.Since(s.start)
 	res.Stats.Strategy = "CBJ"
 	s.finishObs(res)
 	return res

@@ -75,6 +75,10 @@ func TestPortfolioStatsMatchRegistry(t *testing.T) {
 		p := obsTestInstance()
 		before := obsSearchNodes.Load()
 		beforeRaces := obsPortfolioRaces.Load()
+		beforeWins := map[string]int64{}
+		for _, st := range DefaultStrategies() {
+			beforeWins[st.Name] = obsPortfolioLane.Load(laneLabel(st.Name), "win")
+		}
 
 		res := Portfolio(context.Background(), p, PortfolioOptions{})
 		if !res.Found {
@@ -93,9 +97,14 @@ func TestPortfolioStatsMatchRegistry(t *testing.T) {
 		if got := obsPortfolioRaces.Load() - beforeRaces; got != 1 {
 			t.Fatalf("race counter delta %d, want 1", got)
 		}
-		win := obs.NewCounter("csp.portfolio.win." + res.Winner).Load()
-		if win < 1 {
-			t.Fatalf("no win recorded for %q", res.Winner)
+		for name, was := range beforeWins {
+			want := int64(0)
+			if name == res.Winner {
+				want = 1
+			}
+			if got := obsPortfolioLane.Load(laneLabel(name), "win") - was; got != want {
+				t.Fatalf("lane %s win delta %d, want %d (winner %q)", name, got, want, res.Winner)
+			}
 		}
 	})
 }

@@ -12,8 +12,9 @@ import (
 // decided by several interchangeable complete procedures — backtracking
 // search with propagation, conflict-directed backjumping, and join
 // evaluation — and no single one dominates across instance classes. A
-// portfolio races them concurrently under one context and returns the first
-// definitive verdict, cancelling the losers.
+// portfolio races several of them concurrently under one context and returns
+// the first definitive verdict, cancelling the losers. The default race keeps
+// only the procedures that win some family (DefaultStrategies).
 
 // PortfolioStrategy is one competitor in a portfolio: a named complete
 // decision procedure. Run must honor ctx (returning Aborted=true once it is
@@ -23,20 +24,19 @@ type PortfolioStrategy struct {
 	Run  func(ctx context.Context, p *Instance, opts Options) Result
 }
 
-// DefaultStrategies returns the standard portfolio: MAC+MRV search, FC+Lex
-// search, conflict-directed backjumping, the restart/nogood learning engine,
-// and join evaluation per Proposition 2.1. Racing learning against plain
-// MAC costs one goroutine and lets whichever propagation style fits the
-// instance (systematic vs conflict-directed) deliver the verdict; the
-// dispatcher's Hard route inherits the race automatically.
+// DefaultStrategies returns the standard portfolio of three lanes: MAC+MRV
+// search, conflict-directed backjumping, and the restart/nogood learning
+// engine. Each wins a family the others lose: MAC+MRV and Learn between them
+// decide every phase-transition instance fastest, and CBJ alone decides a
+// loose big-domain instance in about a millisecond where MAC's per-node
+// propagation scans large tables for nothing (BenchmarkEngineMixedFamily).
+// FC+Lex and join evaluation were never the fastest lane and stay out; they
+// remain rows of the dispatcher's strategy table. The dispatcher's Hard
+// route inherits the race.
 func DefaultStrategies() []PortfolioStrategy {
 	return []PortfolioStrategy{
 		{Name: "MAC+MRV", Run: func(ctx context.Context, p *Instance, opts Options) Result {
 			opts.Algorithm, opts.VarOrder = MAC, MRV
-			return SolveCtx(ctx, p, opts)
-		}},
-		{Name: "FC+Lex", Run: func(ctx context.Context, p *Instance, opts Options) Result {
-			opts.Algorithm, opts.VarOrder = FC, Lex
 			return SolveCtx(ctx, p, opts)
 		}},
 		{Name: "CBJ", Run: func(ctx context.Context, p *Instance, opts Options) Result {
@@ -45,9 +45,6 @@ func DefaultStrategies() []PortfolioStrategy {
 		{Name: "Learn", Run: func(ctx context.Context, p *Instance, opts Options) Result {
 			opts.Learn, opts.VarOrder = true, MRV
 			return SolveCtx(ctx, p, opts)
-		}},
-		{Name: "Join", Run: func(ctx context.Context, p *Instance, _ Options) Result {
-			return JoinSolveCtx(ctx, p)
 		}},
 	}
 }
@@ -98,15 +95,16 @@ type PortfolioResult struct {
 // goroutines. When every strategy aborts (node limits, or ctx cancelled
 // before any verdict), the result has Aborted=true.
 //
-// The race is fair on fewer processors than lanes, and its losers stop
-// promptly, because every built-in lane polls ctx after a bounded stretch of
-// work (cancelCheckInterval search nodes, propagation steps or support
-// scans; about a thousand rows or pairs inside the join kernel) and yields
-// the processor at a poll once it has run for yieldQuantum (0.1 ms). The
-// lanes therefore share processors in slices of about 0.1 ms, not the
-// runtime's ~10 ms preemption turns, so the race costs about what its winner
-// costs, and a loser returns within one poll interval of the winner's
-// cancellation.
+// The race is fair on fewer processors than lanes (three default lanes on
+// two cores), and its losers stop promptly, because every built-in lane
+// polls ctx after a bounded stretch of work (cancelCheckInterval search
+// nodes, propagation steps, support scans or set-up ticks; about a thousand
+// rows or pairs inside the join kernel) and yields the processor at a poll
+// once it has run for yieldQuantum (0.1 ms). The lanes therefore share
+// processors in slices of about 0.1 ms, not the runtime's ~10 ms preemption
+// turns, so the race costs about what its winner costs, and a loser returns
+// within one poll interval of the winner's cancellation, even while it is
+// still compiling its supports.
 func Portfolio(ctx context.Context, p *Instance, popts PortfolioOptions) PortfolioResult {
 	start := time.Now()
 	strategies := popts.Strategies
@@ -168,8 +166,6 @@ func Portfolio(ctx context.Context, p *Instance, popts PortfolioOptions) Portfol
 	}
 	if winner < 0 {
 		out.Result = Result{Aborted: true, Stats: out.Total}
-	} else {
-		obsPortfolioWin(out.Winner)
 	}
 	for i := range out.Reports {
 		recordLaneOutcome(out.Reports[i].Name, i == winner)

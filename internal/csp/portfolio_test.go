@@ -109,7 +109,6 @@ func TestPortfolioNodeLimitPerStrategy(t *testing.T) {
 	var maxNodes int64
 	for _, res := range []Result{
 		Solve(p, Options{Algorithm: MAC, VarOrder: MRV}),
-		Solve(p, Options{Algorithm: FC, VarOrder: Lex}),
 		SolveCBJ(p, Options{}),
 	} {
 		if res.Found || res.Aborted {
@@ -257,7 +256,7 @@ func TestPortfolioLaneOutcomes(t *testing.T) {
 	obs.SetEnabled(true)
 	t.Cleanup(func() { obs.SetEnabled(prev) })
 
-	lanes := []string{"mac_mrv", "fc_lex", "cbj", "learn", "join"}
+	lanes := []string{"mac_mrv", "cbj", "learn"}
 	before := map[string][2]int64{}
 	for _, l := range lanes {
 		before[l] = [2]int64{obsPortfolioLane.Load(l, "win"), obsPortfolioLane.Load(l, "loss")}

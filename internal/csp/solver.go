@@ -220,6 +220,7 @@ type searcher struct {
 	trail []trailEntry // pruned (var, val) pairs for undo
 
 	cancel  cancelChecker
+	start   time.Time // entry into newSearcher: Stats.Duration covers set-up
 	stats   Stats
 	found   int64
 	limit   int64
@@ -237,7 +238,7 @@ type searcher struct {
 type trailEntry struct{ v, val int }
 
 func newSearcher(ctx context.Context, p *Instance, opts Options) *searcher {
-	s := &searcher{p: p, opts: opts, cancel: newCancelChecker(ctx)}
+	s := &searcher{p: p, opts: opts, cancel: newCancelChecker(ctx), start: time.Now()}
 	s.span = obs.StartChild(obs.SpanFrom(ctx), "csp.solve")
 	s.span.SetInt("vars", int64(p.Vars))
 	s.span.SetInt("dom", int64(p.Dom))
@@ -291,9 +292,8 @@ func scopeHasRepeat(scope []int) bool {
 }
 
 func (s *searcher) run(limit int64, yield func([]int) bool) Result {
-	start := time.Now()
 	res := s.solve(limit, yield)
-	res.Stats.Duration = time.Since(start)
+	res.Stats.Duration = time.Since(s.start)
 	res.Stats.Strategy = s.opts.label()
 	s.finishObs(res)
 	return res

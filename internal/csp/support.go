@@ -27,6 +27,22 @@ type Supports struct {
 // CompileSupports builds the support masks of one constraint over a value
 // range of dom.
 func CompileSupports(con *Constraint, dom int) *Supports {
+	sp, _ := compileSupports(con, dom, &cancelChecker{})
+	return sp
+}
+
+// setupRowsPerTick is the number of table rows compiled per tick of the
+// engine's cancelChecker, so a lane's set-up polls after bounded work however
+// large one table is. A row costs an OR per scope position; 16 rows, with
+// the masks' share of zeroed words, take about as long as one search node,
+// so a poll interval of set-up lasts about as long as one of search (see
+// cancelCheckInterval).
+const setupRowsPerTick = 16
+
+// compileSupports is CompileSupports ticking c once per setupRowsPerTick rows
+// (from the first row, so every nonempty constraint ticks at least once). It
+// reports false, with no masks, once c is cancelled.
+func compileSupports(con *Constraint, dom int, c *cancelChecker) (*Supports, bool) {
 	n := con.Table.Len()
 	words := (n + 63) >> 6
 	if words == 0 {
@@ -46,11 +62,14 @@ func CompileSupports(con *Constraint, dom int) *Supports {
 	}
 	sp.hasRepeat = scopeHasRepeat(con.Scope)
 	for t := 0; t < n; t++ {
+		if t%setupRowsPerTick == 0 && c.cancelled() {
+			return nil, false
+		}
 		for i, val := range con.Table.Row(t) {
 			sp.masks[(i*dom+val)*words+t>>6] |= 1 << (t & 63)
 		}
 	}
-	return sp
+	return sp, true
 }
 
 // Scope is the constraint's variable scope (shared, read-only).

@@ -30,7 +30,7 @@ var table = []strategy{
 		run: func(a *Analyzer, ctx context.Context, p *csp.Instance, _ int) Outcome {
 			return a.Solve(ctx, p)
 		}},
-	{name: "portfolio", help: "race the MAC, FC, CBJ, learning and join lanes; the first verdict wins",
+	{name: "portfolio", help: "race the MAC, CBJ and learning lanes; the first verdict wins",
 		run: func(_ *Analyzer, ctx context.Context, p *csp.Instance, _ int) Outcome {
 			res := csp.Portfolio(ctx, p, csp.PortfolioOptions{})
 			return Outcome{Result: res.Result, Winner: res.Winner}

@@ -72,7 +72,7 @@ func E13(seed int64) *Table {
 		})
 	}
 	t.Notes = append(t.Notes,
-		"Dispatch time includes classification (tree / Schaefer / GYO / width probe) and the routed PTIME solve; the portfolio races MAC, FC, CBJ and join to a first verdict.",
+		"Dispatch time includes classification (tree / Schaefer / GYO / width probe) and the routed PTIME solve; the portfolio races MAC+MRV, CBJ and Learn to a first verdict.",
 		"`fallbacks` counts dispatcher solves answered by the portfolio — 0 means every instance was classified into a PTIME class, the differential gate's invariant.")
 	t.Elapsed = time.Since(start)
 	return t

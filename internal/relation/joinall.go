@@ -148,7 +148,7 @@ func joinAllPlanned(ctx context.Context, rels []*Relation, sp *obs.Span) (*Relat
 	// the distinct counts behind them, then each fresh slot's estimates);
 	// every pairwise join polls on its own inside joinCtx.
 	pl := newPoller(ctx)
-	h := make(pairHeap, 0, len(rels)*(len(rels)-1)/2)
+	var h pairHeap
 	for i := 0; i < len(rels); i++ {
 		for j := i + 1; j < len(rels); j++ {
 			est, err := estimateJoin(pl, rels[i], rels[j])
