@@ -127,12 +127,13 @@ bench-serve:
 		| $(GO) run ./cmd/benchjson -o BENCH_serve.json -label $(BENCH_LABEL) \
 		-note "cspd request latency: cold engine solve vs canonical result-cache hit on PHP(8), plus the cache-key (parse+hash) cost"
 
-# Benchmark the dispatcher's classification into BENCH_serve.json: one
-# classify per op over cspdbench-sized tree, Schaefer, acyclic, width and
-# hard (phase-transition) families — the cost of consulting structure
-# before every auto-routed solve.
+# Benchmark the dispatcher into BENCH_serve.json: one classify per op over
+# cspdbench-sized tree, Schaefer, acyclic, width and hard (phase-transition)
+# families — the cost of consulting structure before every auto-routed
+# solve — and one routed solve per op (BenchmarkSolveClass) over the same
+# instances of every routed class.
 bench-dispatch:
-	$(GO) test -bench 'Classify' -benchmem -count 5 -benchtime=0.3s \
+	$(GO) test -bench 'Classify|SolveClass' -benchmem -count 5 -benchtime=0.3s \
 		-run '^$$' -timeout 30m ./internal/dispatch/ \
 		| $(GO) run ./cmd/benchjson -o BENCH_serve.json -label $(BENCH_LABEL)
 

@@ -301,7 +301,7 @@ func BenchmarkE9(b *testing.B) {
 		dec := treewidth.FromOrdering(g, order)
 		b.Run(fmt.Sprintf("DP_n%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := treewidth.SolveDecomposed(inst, dec); err != nil {
+				if _, err := treewidth.SolveDecomposed(context.Background(), inst, dec); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -442,14 +442,15 @@ func BenchmarkAblation_BTvsCBJ(b *testing.B) {
 	})
 }
 
-// Freuder's backtrack-free tree algorithm vs MAC on tree instances.
+// Freuder's tree algorithm (the join-tree engine over the constraint forest)
+// vs MAC on tree instances.
 func BenchmarkAblation_TreeSolver(b *testing.B) {
 	rng := rand.New(rand.NewSource(20))
 	g := graph.Path(200)
 	inst := gen.CSPOnGraph(rng, g, 4, 0.3)
 	b.Run("Freuder", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := consistency.SolveTree(inst); err != nil {
+			if _, err := hypergraph.SolveAcyclicCSP(context.Background(), inst, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

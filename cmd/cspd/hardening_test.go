@@ -270,33 +270,45 @@ func TestDomOfOutOfRangeRejected(t *testing.T) {
 // killed cspd: `vars 5000000` / `dom 2` with no constraints reached the join
 // lane, whose planner presized a pair heap of k(k-1)/2 entries and panicked
 // in a lane goroutine, and every other engine sized gigabytes of per-variable
-// state. The body is served in-process, with no http.Server to recover a
-// handler panic, under the default strategy and under strategy=join: each
-// gets a 400 naming the limit and exactly one wide event.
+// state. With a dom_of line, 33 bytes declaring two million variables made
+// the parser itself allocate 47 MB for the domain table before the size
+// check ran. Each body is served in-process, with no http.Server to recover
+// a handler panic, under the default strategy and under strategy=join: each
+// gets a 400 naming the limit and exactly one wide event, and the request
+// allocates no more than allocPerBodyByte bytes per body byte.
 func TestHostileHeaderRejected(t *testing.T) {
 	withDaemonObs(t)
 	h := newServer(testConfig()).mux()
-	const body = "vars 5000000\ndom 2\n"
-	if len(body) != 19 {
-		t.Fatalf("body is %d bytes, want the 19-byte reproducer", len(body))
-	}
-	for _, query := range []string{"", "strategy=join"} {
-		obs.DefaultEvents().Drain()
-		tooBigBefore := obsTooLarge.Load()
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/solve?"+query, strings.NewReader(body)))
-		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "instance too large") {
-			t.Fatalf("?%s: status %d body %q, want 400 naming the size limit", query, rec.Code, rec.Body.String())
-		}
-		events := obs.DefaultEvents().Drain()
-		if len(events) != 1 {
-			t.Fatalf("?%s: %d wide events, want 1", query, len(events))
-		}
-		if ev := events[0]; ev.Verdict != obs.VerdictError || ev.Cause != "instance_too_large" {
-			t.Fatalf("?%s: event verdict %q cause %q, want error/instance_too_large", query, ev.Verdict, ev.Cause)
-		}
-		if d := obsTooLarge.Load() - tooBigBefore; d != 1 {
-			t.Fatalf("?%s: too_large counter delta %d, want 1", query, d)
+	// An in-process rejection, its recorder and its wide event cost 2-4 KB
+	// (100-180 bytes per body byte here); the domain table cost 47 MB.
+	const allocPerBodyByte = 512
+	for _, body := range []string{"vars 5000000\ndom 2\n", "vars 2000000\ndom 2\ndom_of 0 : 1\n"} {
+		for _, query := range []string{"", "strategy=join"} {
+			obs.DefaultEvents().Drain()
+			tooBigBefore := obsTooLarge.Load()
+			rec := httptest.NewRecorder()
+			req := httptest.NewRequest(http.MethodPost, "/solve?"+query, strings.NewReader(body))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			h.ServeHTTP(rec, req)
+			runtime.ReadMemStats(&after)
+			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "instance too large") {
+				t.Fatalf("%q ?%s: status %d body %q, want 400 naming the size limit", body, query, rec.Code, rec.Body.String())
+			}
+			alloc := after.TotalAlloc - before.TotalAlloc
+			if alloc > allocPerBodyByte*uint64(len(body)) {
+				t.Fatalf("%q ?%s: the request allocated %d bytes, over %d per body byte", body, query, alloc, allocPerBodyByte)
+			}
+			events := obs.DefaultEvents().Drain()
+			if len(events) != 1 {
+				t.Fatalf("%q ?%s: %d wide events, want 1", body, query, len(events))
+			}
+			if ev := events[0]; ev.Verdict != obs.VerdictError || ev.Cause != "instance_too_large" {
+				t.Fatalf("%q ?%s: event verdict %q cause %q, want error/instance_too_large", body, query, ev.Verdict, ev.Cause)
+			}
+			if d := obsTooLarge.Load() - tooBigBefore; d != 1 {
+				t.Fatalf("%q ?%s: too_large counter delta %d, want 1", body, query, d)
+			}
 		}
 	}
 }

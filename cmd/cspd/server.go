@@ -140,14 +140,6 @@ func routeLabel(r string) string {
 // is generous.
 const maxBodyBytes = 16 << 20
 
-// maxVarsDom bounds vars×dom of a POSTed instance, and so each of vars and
-// dom. The engines size per-variable and per-value state (domains, watch
-// lists, assignment arrays) by them before they read a constraint, so
-// without it a 19-byte body declaring five million variables costs about a
-// gigabyte per request. 1<<20 is over a hundred times the largest instance
-// any test, example or cspdbench workload sends (150 variables of 50 values).
-const maxVarsDom = 1 << 20
-
 // solveParams are the validated query parameters of one /solve request.
 type solveParams struct {
 	strategy string
@@ -369,15 +361,14 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	inst, err := cspio.ParseBytes(body)
+	if errors.Is(err, cspio.ErrTooLarge) {
+		obsTooLarge.Inc()
+		fail(http.StatusBadRequest, "instance_too_large", err.Error())
+		return
+	}
 	if err != nil {
 		obsErrors.Inc()
 		fail(http.StatusBadRequest, "parse", "parse: "+err.Error())
-		return
-	}
-	if inst.Vars > maxVarsDom || inst.Dom > maxVarsDom || inst.Vars*inst.Dom > maxVarsDom {
-		obsTooLarge.Inc()
-		fail(http.StatusBadRequest, "instance_too_large",
-			fmt.Sprintf("instance too large: vars %d × dom %d, limit is %d", inst.Vars, inst.Dom, maxVarsDom))
 		return
 	}
 

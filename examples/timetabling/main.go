@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -40,7 +41,7 @@ func main() {
 		conflicts.N(), conflicts.NumEdges(), dec.Width(), slots, dec.Width()+1)
 
 	t0 := time.Now()
-	res, err := treewidth.SolveDecomposed(inst, dec)
+	res, err := treewidth.SolveDecomposed(context.Background(), inst, dec)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,12 +1,22 @@
 package consistency
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"csdb/internal/csp"
+	"csdb/internal/hypergraph"
 	"csdb/internal/structure"
 )
+
+// solveTree is the tree route: the dispatcher sends a tree-structured
+// instance to the join-tree engine as an α-acyclic one, over GYO's join
+// tree of its constraint forest. (The old mask-based solver is the route
+// differential's oracle in internal/dispatch.)
+func solveTree(p *csp.Instance) (csp.Result, error) {
+	return hypergraph.SolveAcyclicCSP(context.Background(), p, nil)
+}
 
 func TestIsTreeStructured(t *testing.T) {
 	// Path coloring: tree-structured.
@@ -36,14 +46,14 @@ func TestIsTreeStructured(t *testing.T) {
 
 func TestSolveTreeRejectsNonTrees(t *testing.T) {
 	cyc := csp.MustFromStructures(structure.Cycle(4), structure.Clique(2))
-	if _, err := SolveTree(cyc); err == nil {
+	if _, err := solveTree(cyc); err == nil {
 		t.Fatal("cycle accepted")
 	}
 }
 
 func TestSolveTreeOnPathColoring(t *testing.T) {
 	p := csp.MustFromStructures(structure.Path(7), structure.Clique(2))
-	res, err := SolveTree(p)
+	res, err := solveTree(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,13 +97,13 @@ func randomTreeInstance(rng *rand.Rand, n, d int) *csp.Instance {
 	return p
 }
 
-// Freuder's theorem, checked against the complete solver: SolveTree and MAC
-// agree on satisfiability, and SolveTree's solutions are valid.
+// Freuder's theorem, checked against the complete solver: the tree route and
+// MAC agree on satisfiability, and the tree route's solutions are valid.
 func TestSolveTreeAgainstMAC(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 120; trial++ {
 		p := randomTreeInstance(rng, 2+rng.Intn(8), 2+rng.Intn(3))
-		res, err := SolveTree(p)
+		res, err := solveTree(p)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -116,7 +126,7 @@ func TestSolveTreeParallelConstraints(t *testing.T) {
 	// Consistent pairs: (0,1) from first ∧ (1,0)-flipped={(0,1)}... the
 	// joint solutions are assignments (x0,x1) with (x0,x1) in first table
 	// and (x1,x0) in second: (0,1) works since (1,0) in second.
-	res, err := SolveTree(p)
+	res, err := solveTree(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +145,7 @@ func TestSolveTreeDisconnected(t *testing.T) {
 	p.MustAddConstraint([]int{0, 1}, csp.TableOf(2, []int{0, 1}))
 	p.MustAddConstraint([]int{2, 3}, csp.TableOf(2, []int{1, 1}))
 	p.MustAddConstraint([]int{3}, csp.TableOf(1, []int{0}))
-	res, err := SolveTree(p)
+	res, err := solveTree(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,5 +57,5 @@ func ExampleProblem_Solve() {
 	fmt.Println(res.Explanation)
 	// Output:
 	// true tree
-	// route tree: tree-structured binary instance: backtrack-free directional arc consistency (Freuder)
+	// route tree: tree-structured binary instance: join-tree engine over its forest of constraints (Freuder, the width-1 case)
 }

@@ -22,6 +22,7 @@ package csp
 
 import (
 	"fmt"
+	"slices"
 
 	"csdb/internal/relation"
 )
@@ -183,37 +184,50 @@ func (p *Instance) Satisfies(assignment []int) bool {
 // into an equivalent constraint with distinct scope variables, per the
 // standard reduction in Section 2: tuples disagreeing on the repeated
 // positions are deleted and the duplicate column is projected out. The
-// result is a new instance with the same solution set.
+// result is a new instance with the same solution set. A constraint whose
+// scope repeats no variable is shared with p, not copied or re-validated,
+// so an instance that needs no rewrite costs one slice.
 func (p *Instance) NormalizeDistinct() *Instance {
-	out := &Instance{Vars: p.Vars, Dom: p.Dom, Names: p.Names, Domains: p.Domains}
-	for _, con := range p.Constraints {
-		scope, table := dedupScope(con.Scope, con.Table)
-		out.MustAddConstraint(scope, table)
+	out := &Instance{Vars: p.Vars, Dom: p.Dom, Names: p.Names, Domains: p.Domains,
+		Constraints: make([]*Constraint, len(p.Constraints))}
+	for i, con := range p.Constraints {
+		if scope, table := dedupScope(con.Scope, con.Table); len(scope) < len(con.Scope) {
+			con = &Constraint{Scope: scope, Table: table}
+		}
+		out.Constraints[i] = con
 	}
 	return out
 }
 
+// dedupScope returns the scope without its repeated variables and the table
+// of the rows that agree on every repetition, projected onto that scope; a
+// scope that repeats no variable comes back as it is, with its table.
 func dedupScope(scope []int, table *Table) ([]int, *Table) {
-	first := make(map[int]int) // variable -> first position
-	keep := make([]int, 0, len(scope))
-	newScope := make([]int, 0, len(scope))
+	repeats := false
 	for i, v := range scope {
-		if _, seen := first[v]; !seen {
-			first[v] = i
+		if slices.Contains(scope[:i], v) {
+			repeats = true
+			break
+		}
+	}
+	if !repeats {
+		return scope, table // share the table
+	}
+	first := make([]int, len(scope)) // per position, its variable's first one
+	var keep, newScope []int
+	for i, v := range scope {
+		if first[i] = slices.Index(scope, v); first[i] == i {
 			keep = append(keep, i)
 			newScope = append(newScope, v)
 		}
-	}
-	if len(keep) == len(scope) {
-		return scope, table // no repeated variable: share the table
 	}
 	out := NewTable(len(keep))
 	proj := make([]int, len(keep))
 rows:
 	for t := 0; t < table.Len(); t++ {
 		row := table.Row(t)
-		for i, v := range scope {
-			if row[i] != row[first[v]] {
+		for i, f := range first {
+			if row[i] != row[f] {
 				continue rows // disagrees on a repeated variable
 			}
 		}

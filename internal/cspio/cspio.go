@@ -12,7 +12,8 @@
 //
 // Directives may come in any order. Every value in a con tuple or a dom_of
 // list must lie in [0,dom); a dom_of value outside it is rejected with the
-// line that holds it.
+// line that holds it. An instance whose vars×dom exceeds MaxVarsDom is
+// rejected with an error wrapping ErrTooLarge.
 //
 // DIMACS format: the classic "p edge N M" header with "e u v" lines
 // (1-based vertices).
@@ -27,6 +28,7 @@ package cspio
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -37,6 +39,19 @@ import (
 	"csdb/internal/csp"
 	"csdb/internal/graph"
 )
+
+// MaxVarsDom bounds vars×dom, and so each of vars and dom, of a parsed
+// instance. Every engine sizes per-variable and per-value state (domains,
+// watch lists, assignment arrays) by them before it reads a constraint, and
+// the parser itself sizes the per-variable domain table by vars, so without
+// it a 19-byte body declaring five million variables costs about a
+// gigabyte. It is checked once the whole body is read and before anything
+// is sized by vars. 1<<20 is over a hundred times the largest instance any
+// test, example or benchmark workload parses (150 variables of 50 values).
+const MaxVarsDom = 1 << 20
+
+// ErrTooLarge is wrapped by the error for an instance over MaxVarsDom.
+var ErrTooLarge = errors.New("instance too large")
 
 // Parse reads all of r and parses it as an instance in the text format.
 func Parse(r io.Reader) (*csp.Instance, error) {
@@ -149,6 +164,9 @@ func ParseBytes(body []byte) (*csp.Instance, error) {
 	}
 	if vars < 0 || dom < 0 {
 		return nil, fmt.Errorf("cspio: missing vars/dom directives")
+	}
+	if vars > MaxVarsDom || dom > MaxVarsDom || vars*dom > MaxVarsDom {
+		return nil, fmt.Errorf("cspio: %w: vars %d × dom %d, limit is %d", ErrTooLarge, vars, dom, MaxVarsDom)
 	}
 	inst := csp.NewInstance(vars, dom)
 	if names != nil {

@@ -116,6 +116,9 @@ func referenceParse(r io.Reader) (*csp.Instance, error) {
 	if vars < 0 || dom < 0 {
 		return nil, fmt.Errorf("cspio: missing vars/dom directives")
 	}
+	if vars > MaxVarsDom || dom > MaxVarsDom || vars*dom > MaxVarsDom {
+		return nil, fmt.Errorf("cspio: %w", ErrTooLarge)
+	}
 	inst = csp.NewInstance(vars, dom)
 	if names != nil {
 		if len(names) != vars {

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -93,6 +94,40 @@ func BenchmarkClassify(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				classifySink = an.classify(insts[i%len(insts)])
+			}
+		})
+	}
+}
+
+// solveSink keeps the benchmarked verdicts live.
+var solveSink csp.Result
+
+// BenchmarkSolveClass times one routed solve per op — solveClass on a
+// classification made outside the timer — cycling through the same 64
+// instances per family as BenchmarkClassify. The hard family has no routed
+// solver, so it is skipped.
+func BenchmarkSolveClass(b *testing.B) {
+	an := NewAnalyzer(0, 0)
+	ctx := context.Background()
+	for _, fam := range classifyFamilies {
+		if fam.name == "hard" {
+			continue
+		}
+		rng := rand.New(rand.NewSource(19))
+		insts := make([]*csp.Instance, 64)
+		classes := make([]Classification, len(insts))
+		for i := range insts {
+			insts[i] = fam.gen(rng)
+			classes[i] = an.classify(insts[i])
+		}
+		b.Run(fam.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := an.solveClass(ctx, insts[i%len(insts)], classes[i%len(insts)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				solveSink = res
 			}
 		})
 	}

@@ -3,15 +3,25 @@
 // Analyzer classifies each instance along the tractability lines the
 // library implements:
 //
-//	tree      tree-shaped binary CSP        → directional arc consistency
-//	                                           (Freuder; width-1 of Thm 6.2)
+//	tree      tree-shaped binary CSP        → join-tree engine over the
+//	                                           constraint forest (Freuder;
+//	                                           width-1 of Thm 6.2)
 //	schaefer  Boolean template in a Schaefer
 //	          class                          → dedicated dichotomy solver
 //	acyclic   α-acyclic constraint
-//	          hypergraph (GYO)               → Yannakakis full reducer
+//	          hypergraph (GYO)               → join-tree engine over GYO's
+//	                                           join tree (Yannakakis)
 //	width     primal-graph tree decomposition
-//	          of width ≤ budget              → decomposition DP (Thm 6.2)
+//	          of width ≤ budget              → join-tree engine over the
+//	                                           bag relations (Thm 6.2)
 //	hard      none of the above              → csp.Portfolio
+//
+// The three bounded-width routes are one algorithm (relation.JoinTree: full
+// reducer, then backtrack-free extraction) over three join trees. A forest
+// of binary constraints is routed as an acyclic instance, whose nodes are
+// its constraints along GYO's join tree; a bounded-width instance's nodes
+// are its bags, each the relation of the bag assignments its constraints
+// allow.
 //
 // The shape checks (forest, GYO, width) are flat kernels with no map per
 // variable or edge, and the width check is a budgeted decision: each
@@ -19,10 +29,12 @@
 // "no structure" costs microseconds. Each
 // instance is classified afresh, and each witness (the Schaefer template
 // instance, the join tree, the tree decomposition) is computed once, from
-// the instance it routes, and handed to the routed solver. Every SAT
-// answer from a routed solver is verified against the instance, and any
-// routed-solver error falls back to the portfolio, so misclassification
-// cannot corrupt a verdict.
+// the instance it routes, and handed to the routed solver, which trusts it.
+// Every SAT answer from a routed solver is verified against the instance,
+// and any routed-solver error falls back to the portfolio, so
+// misclassification cannot corrupt a verdict. The join-tree routes poll the
+// caller's context: an expired one ends the solve as Aborted, with no
+// reroute.
 //
 // The package also owns the one strategy table (strategy.go) that decides
 // how any front end solves an instance: Run resolves auto (the routing
@@ -130,7 +142,8 @@ func (c Class) counter() *obs.Counter {
 // Classification is a class verdict plus the witness that makes the routed
 // solver applicable: the Boolean template instance for Schaefer, a join
 // tree for Acyclic, a tree decomposition (and its width) for BoundedWidth.
-// Tree and Hard carry no witness — their routes need only the instance.
+// Tree and Hard carry no witness: the tree route builds GYO's join tree
+// itself, and Hard needs only the instance.
 type Classification struct {
 	Class    Class
 	Width    int
@@ -214,9 +227,10 @@ type Outcome struct {
 
 // Solve classifies the instance and runs the matching solver; only
 // Hard-classified instances (or a routed solver failing, which the reroute
-// counter records and the test suite pins to zero) reach the portfolio. It
-// is the strategy table's auto row; other callers use Run, and Solve stays
-// exported only for cspdbench.
+// counter records and the test suite pins to zero) reach the portfolio. A
+// routed solve that ctx ends returns Aborted, neither rerouted nor handed to
+// the portfolio. It is the strategy table's auto row; other callers use Run,
+// and Solve stays exported only for cspdbench.
 func (a *Analyzer) Solve(ctx context.Context, p *csp.Instance) Outcome {
 	t0 := time.Now()
 	cls := a.classify(p)
@@ -227,7 +241,7 @@ func (a *Analyzer) Solve(ctx context.Context, p *csp.Instance) Outcome {
 
 	if cls.Class != Hard {
 		solveStart := time.Now()
-		res, err := a.solveClass(p, cls)
+		res, err := a.solveClass(ctx, p, cls)
 		if err == nil {
 			out.Result = res
 			if out.Result.Stats.Strategy == "" {
@@ -254,21 +268,21 @@ func (a *Analyzer) Solve(ctx context.Context, p *csp.Instance) Outcome {
 
 // solveClass runs the class's dedicated solver. Every SAT verdict is
 // checked against the original instance before it is returned.
-func (a *Analyzer) solveClass(p *csp.Instance, cls Classification) (csp.Result, error) {
+func (a *Analyzer) solveClass(ctx context.Context, p *csp.Instance, cls Classification) (csp.Result, error) {
 	var res csp.Result
 	var err error
 	switch cls.Class {
 	case Tree:
-		res, err = consistency.SolveTree(p)
+		res, err = hypergraph.SolveAcyclicCSP(ctx, p, nil)
 	case Schaefer:
 		var assign []int
 		var ok bool
 		assign, ok, _, err = schaefer.Solve(cls.Boolean)
 		res = csp.Result{Found: ok, Solution: assign}
 	case Acyclic:
-		res, err = hypergraph.SolveAcyclicCSP(p, cls.JoinTree)
+		res, err = hypergraph.SolveAcyclicCSP(ctx, p, cls.JoinTree)
 	case BoundedWidth:
-		res, err = treewidth.SolveDecomposed(p, cls.Decomp)
+		res, err = treewidth.SolveDecomposed(ctx, p, cls.Decomp)
 	default:
 		err = fmt.Errorf("dispatch: class %v has no routed solver", cls.Class)
 	}

@@ -1,0 +1,235 @@
+package dispatch
+
+import (
+	"bytes"
+	"context"
+	"math"
+	"math/big"
+	"math/rand"
+	"testing"
+	"time"
+
+	"csdb/internal/consistency"
+	"csdb/internal/csp"
+	"csdb/internal/cspio"
+	"csdb/internal/gen"
+	"csdb/internal/hypergraph"
+	"csdb/internal/treewidth"
+)
+
+// routeCases are the instances the route differential adds to the gen
+// families and the FuzzDispatch corpus: the shapes a normaliser or a
+// domain restriction can get wrong, and one instance whose shared scope
+// is too big for a dense projection key.
+func routeCases() []*csp.Instance {
+	var out []*csp.Instance
+	ne := gen.NotEqualTable(3)
+
+	// Repeated-variable scopes beside ordinary ones.
+	p := csp.NewInstance(3, 3)
+	p.MustAddConstraint([]int{0, 0}, csp.TableOf(2, []int{1, 1}, []int{2, 0}))
+	p.MustAddConstraint([]int{0, 1}, ne)
+	p.MustAddConstraint([]int{2, 1, 2}, csp.TableOf(3, []int{0, 1, 0}, []int{1, 2, 1}, []int{2, 2, 0}))
+	out = append(out, p)
+
+	// Parallel constraints, both orientations, plus unary ones.
+	p = csp.NewInstance(3, 3)
+	p.MustAddConstraint([]int{0, 1}, ne)
+	p.MustAddConstraint([]int{1, 0}, csp.TableOf(2, []int{1, 0}, []int{2, 1}, []int{0, 2}))
+	p.MustAddConstraint([]int{1}, csp.TableOf(1, []int{1}, []int{2}))
+	p.MustAddConstraint([]int{1, 2}, ne)
+	p.MustAddConstraint([]int{2}, csp.TableOf(1, []int{0}))
+	out = append(out, p)
+
+	// Domain restrictions: an empty one, one on an unconstrained variable,
+	// and one that prunes a table; and an unconstrained variable besides.
+	for _, doms := range [][][]int{
+		{{}, nil, nil, nil},
+		{nil, {2}, nil, {1, 2}},
+		{{0}, {1, 2}, nil, nil},
+	} {
+		p = csp.NewInstance(4, 3)
+		p.Domains = doms
+		p.MustAddConstraint([]int{0, 1}, csp.TableOf(2, []int{0, 0}, []int{1, 1}, []int{2, 2}))
+		p.MustAddConstraint([]int{1, 2}, ne)
+		out = append(out, p)
+	}
+
+	// The Table-key fallback: two ternary constraints sharing two variables
+	// over 300 values, 300² > 2^16 keys.
+	for _, sat := range []bool{true, false} {
+		p = csp.NewInstance(4, 300)
+		a := csp.TableOf(3, []int{0, 299, 17}, []int{5, 150, 150}, []int{7, 298, 1})
+		b := csp.TableOf(3, []int{299, 17, 3}, []int{150, 149, 4})
+		if !sat {
+			b = csp.TableOf(3, []int{299, 16, 3}, []int{150, 149, 4})
+		}
+		p.MustAddConstraint([]int{0, 1, 2}, a)
+		p.MustAddConstraint([]int{1, 2, 3}, b)
+		out = append(out, p)
+	}
+	return out
+}
+
+// TestRouteDifferential runs every join-tree route against the kernel it
+// replaced (kernels_oracle_test.go) and against the seed search engine,
+// over every gen family, the FuzzDispatch corpus, their constraint-reversed
+// twins and routeCases: verdicts must agree, witnesses must satisfy the
+// instance, and counts must be equal. The tree route runs on every forest
+// instance, the acyclic route on every α-acyclic one, and the width route
+// (solve and count) over the classifier's decomposition within budget 3,
+// or else the best heuristic one when its bags stay small.
+func TestRouteDifferential(t *testing.T) {
+	var insts []*csp.Instance
+	for _, fam := range oracleFamilies() {
+		rng := rand.New(rand.NewSource(int64(len(fam.name)) * 104729))
+		for trial := 0; trial < 12; trial++ {
+			if p := fam.gen(rng); p != nil {
+				insts = append(insts, p)
+			}
+		}
+	}
+	for _, s := range fuzzCorpus(t) {
+		if p, err := cspio.Parse(bytes.NewReader([]byte(s))); err == nil {
+			insts = append(insts, p)
+		}
+	}
+	for _, p := range insts[:len(insts):len(insts)] {
+		insts = append(insts, reversed(p))
+	}
+	insts = append(insts, routeCases()...)
+
+	ctx := context.Background()
+	ran := map[string]int{}
+	for i, p := range insts {
+		want := csp.SolveSeed(p, csp.Options{})
+		check := func(route string, got csp.Result, err error, oracle csp.Result, oerr error) {
+			t.Helper()
+			if err != nil || oerr != nil {
+				t.Fatalf("instance %d, %s route: engine err %v, oracle err %v", i, route, err, oerr)
+			}
+			if got.Found != oracle.Found || got.Found != want.Found {
+				t.Fatalf("instance %d, %s route: engine found=%v, oracle %v, seed %v", i, route, got.Found, oracle.Found, want.Found)
+			}
+			if got.Found && !p.Satisfies(got.Solution) {
+				t.Fatalf("instance %d, %s route: non-solution %v", i, route, got.Solution)
+			}
+			ran[route]++
+		}
+		if consistency.IsTreeStructured(p) {
+			got, err := hypergraph.SolveAcyclicCSP(ctx, p, nil)
+			oracle, oerr := oracleSolveTree(p)
+			check("tree", got, err, oracle, oerr)
+		}
+		if acyclic, jt := hypergraph.FromInstance(p).GYO(); acyclic {
+			got, err := hypergraph.SolveAcyclicCSP(ctx, p, jt)
+			oracle, oerr := oracleSolveAcyclic(p)
+			check("acyclic", got, err, oracle, oerr)
+		}
+		g := treewidth.PrimalGraph(p)
+		d, ok := treewidth.DecomposeWithin(g, DefaultWidthBudget)
+		if !ok {
+			d = treewidth.BestHeuristic(g)
+		}
+		if math.Pow(float64(p.Dom), float64(d.Width()+1)) > 1<<14 {
+			continue // the oracle's bag enumeration would dominate the test
+		}
+		got, err := treewidth.SolveDecomposed(ctx, p, d)
+		oracle, oerr := oracleSolveDecomposed(p, d)
+		check("width", got, err, oracle, oerr)
+		n, err := treewidth.CountDecomposed(ctx, p, d)
+		on, oerr := oracleCountDecomposed(p, d)
+		if err != nil || oerr != nil || n.Cmp(on) != 0 {
+			t.Fatalf("instance %d: count %v (err %v), oracle %v (err %v)", i, n, err, on, oerr)
+		}
+		if p.Vars <= 12 {
+			if seed := big.NewInt(csp.CountSolutions(p, 0)); n.Cmp(seed) != 0 {
+				t.Fatalf("instance %d: count %v, enumeration %v", i, n, seed)
+			}
+		}
+		ran["count"]++
+	}
+	t.Logf("routes run: %v over %d instances", ran, len(insts))
+	for _, route := range []string{"tree", "acyclic", "width", "count"} {
+		if ran[route] == 0 {
+			t.Errorf("no instance reached the %s route", route)
+		}
+	}
+}
+
+// routeInstances returns one instance per join-tree class, each classified
+// as that class.
+func routeInstances(t *testing.T) map[Class]*csp.Instance {
+	t.Helper()
+	rng := rand.New(rand.NewSource(22))
+	insts := map[Class]*csp.Instance{
+		Tree:         gen.CSPOnGraph(rng, gen.RandomTree(rng, 30), 4, 0.3),
+		Acyclic:      gen.AcyclicCSP(rng, 30, 3, 3, 0.3),
+		BoundedWidth: onEdges(rng, 18, 4, partial2TreeEdges(rng, 18, 0.1)),
+	}
+	an := NewAnalyzer(0, 0)
+	for c, p := range insts {
+		if got := an.classify(p).Class; got != c {
+			t.Fatalf("%v instance classified %v", c, got)
+		}
+	}
+	return insts
+}
+
+// A context that has already expired ends every join-tree route as
+// Aborted: no verdict, no defensive reroute, no portfolio.
+func TestRoutedSolveHonoursExpiredContext(t *testing.T) {
+	enableObs(t)
+	an := NewAnalyzer(0, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for c, p := range routeInstances(t) {
+		fb0, rr0 := FallbackCount(), RerouteCount()
+		out := an.Solve(ctx, p)
+		if !out.Aborted || out.Found || out.Route != c || out.Fallback {
+			t.Fatalf("%v: aborted=%v found=%v route=%v fallback=%v, want an aborted %v route",
+				c, out.Aborted, out.Found, out.Route, out.Fallback, c)
+		}
+		if FallbackCount() != fb0 || RerouteCount() != rr0 {
+			t.Fatalf("%v: fallback %d→%d, reroute %d→%d: an abort must move neither",
+				c, fb0, FallbackCount(), rr0, RerouteCount())
+		}
+	}
+}
+
+// A width-3 instance over 1,000 values has bags of up to 10^12 candidate
+// rows: the route must notice its deadline while it enumerates them. Runs
+// in race-dispatch.
+func TestWidthRouteHonoursDeadline(t *testing.T) {
+	enableObs(t)
+	const n, dom = 12, 1000
+	g, _ := gen.PartialKTree(rand.New(rand.NewSource(3)), n, 3, 0)
+	p := csp.NewInstance(n, dom)
+	all := csp.NewTable(2) // two rows per value: each constraint prunes, but a bag's unconstrained pairs do not
+	for a := 0; a < dom; a++ {
+		all.Add([]int{a, (a + 1) % dom})
+		all.Add([]int{a, (a + 7) % dom})
+	}
+	for _, e := range g.Edges() {
+		p.MustAddConstraint([]int{e[0], e[1]}, all)
+	}
+	an := NewAnalyzer(0, 0)
+	if c := an.classify(p); c.Class != BoundedWidth || c.Width != 3 {
+		t.Fatalf("classified %v width %d, want width 3", c.Class, c.Width)
+	}
+	fb0, rr0 := FallbackCount(), RerouteCount()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	out := an.Solve(ctx, p)
+	elapsed := time.Since(start)
+	if !out.Aborted || out.Route != BoundedWidth {
+		t.Fatalf("aborted=%v route=%v found=%v after %v, want an aborted width route", out.Aborted, out.Route, out.Found, elapsed)
+	}
+	if elapsed > 250*time.Millisecond {
+		t.Fatalf("width route returned %v after its 20ms deadline", elapsed)
+	}
+	if FallbackCount() != fb0 || RerouteCount() != rr0 {
+		t.Fatal("the abort moved the fallback or reroute counter")
+	}
+}

@@ -173,13 +173,13 @@ func (o Outcome) Explain() string {
 	var why string
 	switch cls.Class {
 	case Tree:
-		why = "tree-structured binary instance: backtrack-free directional arc consistency (Freuder)"
+		why = "tree-structured binary instance: join-tree engine over its forest of constraints (Freuder, the width-1 case)"
 	case Schaefer:
 		why = "Boolean template inside one of Schaefer's classes: dedicated dichotomy solver"
 	case Acyclic:
-		why = "α-acyclic constraint hypergraph (GYO join tree): Yannakakis full reducer"
+		why = "α-acyclic constraint hypergraph: join-tree engine over GYO's join tree (Yannakakis full reducer)"
 	case BoundedWidth:
-		why = fmt.Sprintf("primal graph has a tree decomposition of width %d: decomposition DP (Theorem 6.2)", cls.Width)
+		why = fmt.Sprintf("primal graph has a tree decomposition of width %d: join-tree engine over its bag relations (Theorem 6.2)", cls.Width)
 	default:
 		why = "no tree, Schaefer, acyclic or bounded-width witness: portfolio search"
 	}

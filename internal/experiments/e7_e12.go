@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -175,7 +176,7 @@ func E9(seed int64) *Table {
 				var dpRes, btRes, macRes csp.Result
 				dpTime += timed(func() {
 					var err error
-					dpRes, err = treewidth.SolveDecomposed(inst, dec)
+					dpRes, err = treewidth.SolveDecomposed(context.Background(), inst, dec)
 					if err != nil {
 						panic(err)
 					}

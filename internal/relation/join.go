@@ -36,34 +36,36 @@ const (
 
 var parallelProbeMin = parallelProbeMinDefault
 
-// yieldQuantum is the least time a poller's goroutine runs between two
+// yieldQuantum is the least time a Poller's goroutine runs between two
 // yields of the processor: the same quantum, for the same reason, as the
 // search engines' cancelChecker in internal/csp. Yielding at every poll
 // would cost a join running alone a processor wake-up every few tens of
 // microseconds.
 const yieldQuantum = 100 * time.Microsecond
 
-// poller amortizes context polls over a countdown of work units. A poll
+// Poller amortizes context polls over a countdown of work units. A poll
 // also yields the processor (runtime.Gosched) once the goroutine has run
 // for yieldQuantum, and the first poll always yields, so a join racing
 // other goroutines on fewer processors shares time in short slices instead
-// of the runtime's ~10 ms preemption turns. A poller over a nil context
-// (the zero poller) never polls.
-type poller struct {
+// of the runtime's ~10 ms preemption turns. A Poller over a nil context
+// (the zero Poller) never polls. The join-tree engine's route builders
+// (bag enumeration) tick one too.
+type Poller struct {
 	ctx       context.Context
 	countdown int
 	resumed   time.Time // when the goroutine last returned from a yield
 }
 
-func newPoller(ctx context.Context) *poller {
-	return &poller{ctx: ctx, countdown: joinCheckEvery}
+// NewPoller returns a Poller over ctx.
+func NewPoller(ctx context.Context) *Poller {
+	return &Poller{ctx: ctx, countdown: joinCheckEvery}
 }
 
-// tick counts one unit of work; once every joinCheckEvery units it yields
+// Tick counts one unit of work; once every joinCheckEvery units it yields
 // (if the quantum has passed) and returns the context's error. The
 // countdown is small enough to inline into the kernel loops; poll is the
 // out-of-line rest.
-func (p *poller) tick() error {
+func (p *Poller) Tick() error {
 	if p.ctx == nil {
 		return nil
 	}
@@ -74,7 +76,7 @@ func (p *poller) tick() error {
 	return p.poll()
 }
 
-func (p *poller) poll() error {
+func (p *Poller) poll() error {
 	p.countdown = joinCheckEvery
 	if time.Since(p.resumed) >= yieldQuantum {
 		runtime.Gosched()
@@ -92,10 +94,10 @@ type joinTable struct {
 
 // buildJoinTable hashes rows of s on the given columns, ticking pl once per
 // row.
-func buildJoinTable(pl *poller, s *Relation, cols []int) (joinTable, error) {
+func buildJoinTable(pl *Poller, s *Relation, cols []int) (joinTable, error) {
 	t := joinTable{head: make(map[uint64]int32, s.n), next: make([]int32, s.n)}
 	for i := 0; i < s.n; i++ {
-		if err := pl.tick(); err != nil {
+		if err := pl.Tick(); err != nil {
 			return joinTable{}, err
 		}
 		h := hashRowCols(s.data, i*s.k, cols)
@@ -121,7 +123,7 @@ func (r *Relation) Join(s *Relation) *Relation {
 
 // joinCtx is Join with cooperative cancellation: when ctx is non-nil, the
 // build and probe loops poll it every joinCheckEvery rows or candidate pairs
-// (see poller, which also yields the processor) and return ctx's error, so
+// (see Poller, which also yields the processor) and return ctx's error, so
 // a cancelled caller is not stuck behind one exploding intermediate result. It is also the kernel's metering point: probe/build/
 // output row counts and arena bytes are flushed to the obs registry once per
 // call, and a span records the join's shape when tracing is active.
@@ -179,7 +181,7 @@ func (r *Relation) joinImpl(ctx context.Context, s *Relation) (*Relation, error)
 		sOnlyPos[i] = s.pos[a]
 	}
 
-	pl := newPoller(ctx)
+	pl := NewPoller(ctx)
 	build, err := buildJoinTable(pl, s, sCols)
 	if err != nil {
 		return nil, err
@@ -219,7 +221,7 @@ func (r *Relation) joinImpl(ctx context.Context, s *Relation) (*Relation, error)
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			data, rows, err := joinProbeRange(newPoller(ctx), r, s, build, rCols, sCols, sOnlyPos, lo, hi)
+			data, rows, err := joinProbeRange(NewPoller(ctx), r, s, build, rCols, sCols, sOnlyPos, lo, hi)
 			parts[w] = part{data: data, rows: rows, err: err}
 		}(w, lo, hi)
 	}
@@ -241,7 +243,7 @@ func (r *Relation) joinImpl(ctx context.Context, s *Relation) (*Relation, error)
 
 // joinProbeRange probes rows lo..hi of r against the build table over s and
 // returns the emitted flat rows, ticking pl once per candidate pair.
-func joinProbeRange(pl *poller, r, s *Relation, build joinTable, rCols, sCols, sOnlyPos []int, lo, hi int) ([]int, int, error) {
+func joinProbeRange(pl *Poller, r, s *Relation, build joinTable, rCols, sCols, sOnlyPos []int, lo, hi int) ([]int, int, error) {
 	outK := r.k + len(sOnlyPos)
 	buf := make([]int, 0, (hi-lo)*outK)
 	rows := 0
@@ -249,7 +251,7 @@ func joinProbeRange(pl *poller, r, s *Relation, build joinTable, rCols, sCols, s
 		rBase := i * r.k
 		h := hashRowCols(r.data, rBase, rCols)
 		for id := lookupHead(build.head, h); id >= 0; id = build.next[id] {
-			if err := pl.tick(); err != nil {
+			if err := pl.Tick(); err != nil {
 				return nil, 0, err
 			}
 			sBase := int(id) * s.k
@@ -312,7 +314,7 @@ func (r *Relation) semijoinImpl(s *Relation) *Relation {
 		rCols[i] = r.pos[a]
 		sCols[i] = s.pos[a]
 	}
-	build, _ := buildJoinTable(&poller{}, s, sCols) // the zero poller never fails
+	build, _ := buildJoinTable(&Poller{}, s, sCols) // the zero Poller never fails
 	out.data = make([]int, 0, r.n*r.k/2)
 	for i := 0; i < r.n; i++ {
 		rBase := i * r.k

@@ -27,9 +27,9 @@ var estimateCalls atomic.Int64
 // textbook |r|·|s| / Π_a max(d_r(a), d_s(a)) over the shared attributes a,
 // using real per-column distinct counts. pl is ticked once per estimate and
 // once per value the distinct counts visit.
-func estimateJoin(pl *poller, r, s *Relation) (int64, error) {
+func estimateJoin(pl *Poller, r, s *Relation) (int64, error) {
 	estimateCalls.Add(1)
-	if err := pl.tick(); err != nil {
+	if err := pl.Tick(); err != nil {
 		return 0, err
 	}
 	est := float64(r.n) * float64(s.n)
@@ -100,7 +100,7 @@ func JoinAll(rels []*Relation) *Relation {
 
 // JoinAllCtx is JoinAll under a context: the context is polled before every
 // pairwise join and periodically inside each one and inside the planner's
-// estimates (see poller, which also yields the processor), and its error is
+// estimates (see Poller, which also yields the processor), and its error is
 // returned as soon as cancellation is observed. The join order is identical to
 // JoinAll, so cancelled and uncancelled runs do the same work up to the
 // point of cancellation.
@@ -144,10 +144,10 @@ func joinAllPlanned(ctx context.Context, rels []*Relation, sp *obs.Span) (*Relat
 	}
 	aliveCount := len(rels)
 
-	// One poller spans the planning work (the O(k²) initial estimates and
+	// One Poller spans the planning work (the O(k²) initial estimates and
 	// the distinct counts behind them, then each fresh slot's estimates);
 	// every pairwise join polls on its own inside joinCtx.
-	pl := newPoller(ctx)
+	pl := NewPoller(ctx)
 	var h pairHeap
 	for i := 0; i < len(rels); i++ {
 		for j := i + 1; j < len(rels); j++ {

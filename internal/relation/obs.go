@@ -22,6 +22,11 @@ import "csdb/internal/obs"
 //	relation.planner.actual_rows summed actual cardinalities
 //	relation.planner.est_ratio   histogram of max(est,actual)/min(est,actual)
 //	                             per pair — the planner's estimate error
+//	relation.jointree.solves       join-tree engine solves (tree, acyclic
+//	                               and width routes alike)
+//	relation.jointree.semijoins    semijoin steps across the up+down passes
+//	relation.jointree.rows_loaded  node rows entering the reducer
+//	relation.jointree.rows_reduced rows surviving the full reducer
 var (
 	obsJoinCalls         = obs.NewCounter("relation.join.calls")
 	obsJoinProbeRows     = obs.NewCounter("relation.join.probe_rows")
@@ -36,6 +41,10 @@ var (
 	obsPlannerEstRows    = obs.NewCounter("relation.planner.est_rows")
 	obsPlannerActualRows = obs.NewCounter("relation.planner.actual_rows")
 	obsPlannerEstRatio   = obs.NewHistogram("relation.planner.est_ratio")
+	obsTreeSolves        = obs.NewCounter("relation.jointree.solves")
+	obsTreeSemijoins     = obs.NewCounter("relation.jointree.semijoins")
+	obsTreeRowsLoaded    = obs.NewCounter("relation.jointree.rows_loaded")
+	obsTreeRowsReduced   = obs.NewCounter("relation.jointree.rows_reduced")
 )
 
 // intBytes is the arena footprint of n stored ints.

@@ -205,21 +205,6 @@ func (r *Relation) Add(t Tuple) error {
 	return nil
 }
 
-// AddDistinct appends t, which the caller guarantees is not already in r,
-// without the membership check (and lazily built index) that Add pays for:
-// it is how a relation is filled in one pass from rows that are already a
-// set. It panics on an arity mismatch, which is a programming error.
-func (r *Relation) AddDistinct(t Tuple) {
-	if len(t) != r.k {
-		panic(fmt.Sprintf("relation: tuple arity %d does not match schema arity %d", len(t), r.k))
-	}
-	if r.index != nil {
-		r.appendIndexed(t, hashVals(t))
-	} else {
-		r.appendUnique(t)
-	}
-}
-
 // MustAdd is Add but panics on error.
 func (r *Relation) MustAdd(t Tuple) {
 	if err := r.Add(t); err != nil {
@@ -469,7 +454,7 @@ func sharedAttrs(r, s *Relation) (common []string, sOnly []string) {
 // ordering in JoinAllCtx. pl is ticked once per value counted, so counting a
 // large intermediate result stays cancellable; a cancelled count caches
 // nothing.
-func (r *Relation) distinctCounts(pl *poller) ([]int, error) {
+func (r *Relation) distinctCounts(pl *Poller) ([]int, error) {
 	if r.stats != nil && r.statN == r.n {
 		return r.stats, nil
 	}
@@ -478,7 +463,7 @@ func (r *Relation) distinctCounts(pl *poller) ([]int, error) {
 	for c := 0; c < r.k; c++ {
 		clear(seen)
 		for i := 0; i < r.n; i++ {
-			if err := pl.tick(); err != nil {
+			if err := pl.Tick(); err != nil {
 				return nil, err
 			}
 			seen[r.data[i*r.k+c]] = struct{}{}

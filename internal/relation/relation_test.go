@@ -47,7 +47,7 @@ func TestAddDistinctMatchesAdd(t *testing.T) {
 	for _, row := range rows[:2] {
 		r.AddDistinct(row)
 	}
-	if d, _ := r.distinctCounts(&poller{}); d[0] != 2 {
+	if d, _ := r.distinctCounts(&Poller{}); d[0] != 2 {
 		t.Fatalf("distinct counts %v before the last row", d)
 	}
 	if !r.Has(Tuple{1, 2}) { // builds the index
@@ -57,7 +57,7 @@ func TestAddDistinctMatchesAdd(t *testing.T) {
 	if !r.Equal(want) || !r.Has(Tuple{3, 1}) {
 		t.Fatalf("AddDistinct built %v, want %v", r, want)
 	}
-	if d, _ := r.distinctCounts(&poller{}); d[0] != 3 {
+	if d, _ := r.distinctCounts(&Poller{}); d[0] != 3 {
 		t.Fatalf("stale distinct counts %v after AddDistinct", d)
 	}
 	defer func() {

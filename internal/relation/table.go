@@ -51,9 +51,11 @@ func hashRowCols(data []int, base int, cols []int) uint64 {
 //
 // Concurrency: Add builds the index as it inserts, so a table filled through
 // Add, Clone or Intersect never mutates itself on a read, and any number of
-// goroutines may call Has, Len, Row, Tuples and Key on it at once. Only a
-// Relation's own operator results skip the index and build it lazily (see
-// the package comment); those are never shared as a Table.
+// goroutines may call Has, Len, Row, Tuples and Key on it at once. Only
+// AddDistinct and a Relation's own operator results skip the index and
+// build it lazily (see the package comment); such a table stays private to
+// the code that fills it (a Relation, a join-tree bag) until a first lookup
+// has built the index.
 type Table struct {
 	k     int              // arity
 	n     int              // row count
@@ -179,6 +181,22 @@ func (t *Table) Add(row []int) bool {
 	}
 	t.appendIndexed(row, h)
 	return true
+}
+
+// AddDistinct appends a copy of row, which the caller guarantees is not
+// already in the table, without the membership check Add pays for: it is
+// how a table (or a Relation) is filled in one pass from rows that are
+// already a set. It panics on an arity mismatch, which is a programming
+// error.
+func (t *Table) AddDistinct(row []int) {
+	if len(row) != t.k {
+		panic(fmt.Sprintf("relation: tuple arity %d for table arity %d", len(row), t.k))
+	}
+	if t.index != nil {
+		t.appendIndexed(row, hashVals(row))
+	} else {
+		t.appendUnique(row)
+	}
 }
 
 // Has reports whether row is in the table. A row of the wrong arity is
