@@ -130,10 +130,12 @@ bench-serve:
 # Benchmark the dispatcher into BENCH_serve.json: one classify per op over
 # cspdbench-sized tree, Schaefer, acyclic, width and hard (phase-transition)
 # families — the cost of consulting structure before every auto-routed
-# solve — and one routed solve per op (BenchmarkSolveClass) over the same
-# instances of every routed class.
+# solve — one routed solve per op (BenchmarkSolveClass) over the same
+# instances of every routed class, and the front end every request runs
+# first (BenchmarkFrontEnd: the same instances' bodies through ParseBytes,
+# and their CanonicalHash, timed apart).
 bench-dispatch:
-	$(GO) test -bench 'Classify|SolveClass' -benchmem -count 5 -benchtime=0.3s \
+	$(GO) test -bench 'Classify|SolveClass|FrontEnd' -benchmem -count 5 -benchtime=0.3s \
 		-run '^$$' -timeout 30m ./internal/dispatch/ \
 		| $(GO) run ./cmd/benchjson -o BENCH_serve.json -label $(BENCH_LABEL)
 

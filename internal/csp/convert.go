@@ -56,24 +56,20 @@ func ToStructures(p *Instance) (*structure.Structure, *structure.Structure, erro
 
 	// Deduplicate tables by content; name them R0, R1, ...
 	voc := structure.MustVocabulary()
-	type entry struct {
-		name  string
-		table *Table
-	}
-	byKey := make(map[string]entry)
-	var order []entry
-	keys := make([]string, len(q.Constraints))
+	var ids TableIDs
+	var tables []*Table // of each table id
+	var names []string
+	nameOf := make([]string, len(q.Constraints)) // of each constraint's table
 	for i, con := range q.Constraints {
-		k := con.Table.Key()
-		keys[i] = k
-		if _, ok := byKey[k]; !ok {
-			e := entry{name: fmt.Sprintf("R%d", len(order)), table: con.Table}
-			byKey[k] = e
-			order = append(order, e)
-			if err := voc.Add(structure.Symbol{Name: e.name, Arity: con.Table.Arity()}); err != nil {
+		id, added := ids.ID(con.Table)
+		if added {
+			tables = append(tables, con.Table)
+			names = append(names, fmt.Sprintf("R%d", id))
+			if err := voc.Add(structure.Symbol{Name: names[id], Arity: con.Table.Arity()}); err != nil {
 				return nil, nil, err
 			}
 		}
+		nameOf[i] = names[id]
 	}
 
 	a, err := structure.New(voc, q.Vars)
@@ -84,16 +80,15 @@ func ToStructures(p *Instance) (*structure.Structure, *structure.Structure, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, e := range order {
-		for i := 0; i < e.table.Len(); i++ {
-			if err := b.AddTuple(e.name, e.table.Row(i)...); err != nil {
+	for id, table := range tables {
+		for i := 0; i < table.Len(); i++ {
+			if err := b.AddTuple(names[id], table.Row(i)...); err != nil {
 				return nil, nil, err
 			}
 		}
 	}
 	for i, con := range q.Constraints {
-		name := byKey[keys[i]].name
-		if err := a.AddTuple(name, con.Scope...); err != nil {
+		if err := a.AddTuple(nameOf[i], con.Scope...); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -83,7 +83,7 @@ func TestTableBasics(t *testing.T) {
 	if _, err := tab.Intersect(TableOf(1, []int{0})); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
-	if tab.Key() != TableOf(2, []int{1, 0}, []int{0, 1}).Key() {
+	if other := TableOf(2, []int{1, 0}, []int{0, 1}); tab.Digest() != other.Digest() || !tab.Equal(other) {
 		t.Fatal("key not canonical")
 	}
 }

@@ -245,27 +245,66 @@ rows:
 // by one constraint keeps that constraint's table.
 func (p *Instance) Consolidate() *Instance {
 	out := &Instance{Vars: p.Vars, Dom: p.Dom, Names: p.Names, Domains: p.Domains}
-	byScope := make(map[string]*Table)
-	order := make([]string, 0, len(p.Constraints))
-	scopes := make(map[string][]int)
+	var scopes digestIDs[[]int]
+	var tabs []*Table
 	for _, con := range p.Constraints {
-		k := relation.Tuple(con.Scope).Key()
-		if existing, ok := byScope[k]; ok {
-			merged, err := existing.Intersect(con.Table)
-			if err != nil {
-				panic(err) // impossible: same scope implies same arity
-			}
-			byScope[k] = merged
-		} else {
-			byScope[k] = con.Table
-			order = append(order, k)
-			scopes[k] = con.Scope
+		id, added := scopes.id(relation.Tuple(con.Scope).Hash(), con.Scope, slices.Equal[[]int])
+		if added {
+			tabs = append(tabs, con.Table)
+			continue
 		}
+		merged, err := tabs[id].Intersect(con.Table)
+		if err != nil {
+			panic(err) // impossible: same scope implies same arity
+		}
+		tabs[id] = merged
 	}
-	for _, k := range order {
-		out.MustAddConstraint(scopes[k], byScope[k])
+	for id, scope := range scopes.vals {
+		out.MustAddConstraint(scope, tabs[id])
 	}
 	return out
+}
+
+// TableIDs numbers tables by content: equal tables (Table.Equal) share an
+// id, and ids count up from 0 in order of first appearance.
+type TableIDs struct{ ids digestIDs[*Table] }
+
+// ID returns t's id and whether t is the first table with its content. A
+// table is found by its Digest and confirmed with Equal, so a digest
+// collision never merges two tables.
+func (s *TableIDs) ID(t *Table) (int, bool) {
+	return s.ids.id(t.Digest(), t, (*Table).Equal)
+}
+
+// digestIDs numbers values by content, in order of first appearance: a
+// value is found by its 64-bit digest and confirmed with an equality test.
+// first holds the latest id of each digest, and next chains each id to the
+// previous one with the same digest, -1 at the first.
+type digestIDs[T any] struct {
+	first map[uint64]int
+	next  []int
+	vals  []T
+}
+
+// id returns v's id, adding v when no value equal to it (by equal) has one,
+// and reports whether it was added. d must be v's digest.
+func (s *digestIDs[T]) id(d uint64, v T, equal func(a, b T) bool) (int, bool) {
+	head, ok := s.first[d]
+	if !ok {
+		head = -1
+	}
+	for id := head; id >= 0; id = s.next[id] {
+		if equal(s.vals[id], v) {
+			return id, false
+		}
+	}
+	if s.first == nil {
+		s.first = make(map[uint64]int)
+	}
+	s.first[d] = len(s.vals)
+	s.next = append(s.next, head)
+	s.vals = append(s.vals, v)
+	return len(s.vals) - 1, true
 }
 
 // Normalize applies NormalizeDistinct then Consolidate.

@@ -72,8 +72,8 @@ func TestJoinCountsMatchProperty(t *testing.T) {
 	}
 }
 
-// Property: Table.Key is insertion-order independent and Clone preserves
-// content.
+// Property: the content key (Table.Digest, confirmed by Table.Equal) is
+// insertion-order independent and Clone preserves content.
 func TestTableKeyCanonicalProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -90,7 +90,8 @@ func TestTableKeyCanonicalProperty(t *testing.T) {
 		for _, i := range perm {
 			t2.Add(rows[i])
 		}
-		return t1.Key() == t2.Key() && t1.Clone().Key() == t1.Key()
+		return t1.Digest() == t2.Digest() && t1.Equal(t2) && t2.Equal(t1) &&
+			t1.Clone().Digest() == t1.Digest() && t1.Clone().Equal(t1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)

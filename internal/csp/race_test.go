@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -183,6 +184,80 @@ func TestLaneSetupPollsOnBigDomain(t *testing.T) {
 		if alloc > setupAllocBound {
 			t.Errorf("%s: allocated %d bytes before the rival got the processor, want <= %d",
 				lane.Name, alloc, setupAllocBound)
+		}
+	}
+}
+
+// pollClock is a context that records the time of every Err call and, from
+// the call after number cancelAt on, reports Canceled: the lane is
+// cancelled just after that poll and must notice at its next one. Only the
+// lane's own goroutine polls it.
+type pollClock struct {
+	context.Context
+	cancelAt int
+	at       []time.Time
+}
+
+func (c *pollClock) Err() error {
+	c.at = append(c.at, time.Now())
+	if len(c.at) > c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestLanePollsInPropagationOnBigDomain pins prompt cancellation during the
+// bitset engine's propagation, on the same big-domain Model B member as
+// TestLaneSetupPollsOnBigDomain. There one revision runs word-wise over
+// 40-word masks, so a poll every cancelCheckInterval revisions (1-2 ms)
+// would come 20-50 times later than a poll every cancelCheckInterval
+// set-up ticks (20-65 µs). A MAC+MRV lane cancelled just after a poll in
+// its root propagation must return within a few set-up poll intervals.
+// The bound is relative to the same run's set-up polls, so a slow machine
+// or the race detector scales both sides alike.
+func TestLanePollsInPropagationOnBigDomain(t *testing.T) {
+	p := gen.ModelB(rand.New(rand.NewSource(1)), 150, 50, 0.12, 0.01)
+	var lane csp.PortfolioStrategy
+	for _, l := range csp.DefaultStrategies() {
+		if l.Name == "MAC+MRV" {
+			lane = l
+		}
+	}
+	if lane.Run == nil {
+		t.Fatal("want the MAC+MRV lane among the defaults")
+	}
+	// Set-up ticks once per SetupRowsPerTick rows of each table, and polls
+	// once per CancelCheckInterval ticks.
+	ticks := 0
+	for _, c := range p.Constraints {
+		ticks += (c.Table.Len() + csp.SetupRowsPerTick - 1) / csp.SetupRowsPerTick
+	}
+	setupPolls := ticks / csp.CancelCheckInterval
+	median := func(ts []time.Time) time.Duration {
+		gaps := make([]time.Duration, 0, len(ts))
+		for i := 1; i < len(ts); i++ {
+			gaps = append(gaps, ts[i].Sub(ts[i-1]))
+		}
+		slices.Sort(gaps)
+		return gaps[len(gaps)/2]
+	}
+	for _, past := range []int{4, 8, 16} {
+		ctx := &pollClock{Context: context.Background(), cancelAt: setupPolls + past}
+		res := lane.Run(ctx, p, csp.Options{})
+		returned := time.Now()
+		if !res.Aborted || res.Found {
+			t.Fatalf("cancelled %d polls past set-up: found=%v aborted=%v, want Aborted", past, res.Found, res.Aborted)
+		}
+		if len(ctx.at) != ctx.cancelAt+1 {
+			t.Fatalf("cancelled %d polls past set-up: the lane polled %d times, want %d", past, len(ctx.at), ctx.cancelAt+1)
+		}
+		setupGap := median(ctx.at[2 : setupPolls-2])
+		lag := returned.Sub(ctx.at[ctx.cancelAt-1])
+		t.Logf("cancelled %d polls past set-up (%d set-up polls): returned %v after the cancel; set-up polls %v apart (median)",
+			past, setupPolls, lag, setupGap)
+		if lag > 8*setupGap {
+			t.Errorf("cancelled %d polls past set-up: returned %v after the cancel, want <= 8 set-up poll intervals (%v)",
+				past, lag, 8*setupGap)
 		}
 	}
 }

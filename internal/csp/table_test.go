@@ -18,7 +18,7 @@ import (
 // TestTableDifferential drives the one tuple store through its csp.Table and
 // structure.Structure entry points against a map[string]bool oracle:
 // duplicate adds, membership of absent rows and of rows of the wrong arity,
-// Len, Clone, the content key and insertion order.
+// Len, Clone, the content key (Digest and Equal) and insertion order.
 func TestTableDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -70,8 +70,8 @@ func TestTableDifferential(t *testing.T) {
 			if got.Has(make([]int, arity+1)) || got.Has(make([]int, arity-1)) {
 				t.Fatalf("trial %d: Has accepted a row of the wrong arity", trial)
 			}
-			if got.Key() != tab.Key() {
-				t.Fatalf("trial %d: equal tables have keys %q and %q", trial, got.Key(), tab.Key())
+			if got.Digest() != tab.Digest() || !got.Equal(tab) || !tab.Equal(got) {
+				t.Fatalf("trial %d: equal tables have digests %x and %x (Equal %v)", trial, got.Digest(), tab.Digest(), got.Equal(tab))
 			}
 		}
 		if s.HasTuple("R", make([]int, arity)...) != oracle[fmt.Sprint(make([]int, arity))] {
@@ -83,7 +83,7 @@ func TestTableDifferential(t *testing.T) {
 		for i := len(order) - 1; i >= 0; i-- {
 			rev.Add(order[i])
 		}
-		if rev.Key() != tab.Key() {
+		if rev.Digest() != tab.Digest() || !rev.Equal(tab) {
 			t.Fatalf("trial %d: key depends on insertion order", trial)
 		}
 		outside := make([]int, arity) // a row outside the domain: new
@@ -91,7 +91,7 @@ func TestTableDifferential(t *testing.T) {
 			outside[i] = dom
 		}
 		c := tab.Clone()
-		if !c.Add(outside) || c.Key() == tab.Key() || tab.Len() != len(order) || tab.Has(outside) {
+		if !c.Add(outside) || c.Equal(tab) || tab.Equal(c) || tab.Len() != len(order) || tab.Has(outside) {
 			t.Fatalf("trial %d: a clone's new row leaked into the original or its key", trial)
 		}
 	}

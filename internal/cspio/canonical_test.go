@@ -2,12 +2,15 @@ package cspio
 
 import (
 	"bytes"
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"csdb/internal/csp"
 	"csdb/internal/gen"
@@ -221,5 +224,146 @@ func TestCanonicalHashIsFNVOfCanonical(t *testing.T) {
 		if got, want := CanonicalHash(p), golden[filepath.Base(path)]; got != want {
 			t.Errorf("%s: CanonicalHash %#x, pinned %#x", path, got, want)
 		}
+	}
+}
+
+// canonicalAgrees fails unless Canonical(p) is the reference encoder's
+// bytes and CanonicalHash(p) is FNV-1a of them.
+func canonicalAgrees(t *testing.T, name string, p *csp.Instance) {
+	t.Helper()
+	enc := Canonical(p)
+	if want := referenceCanonical(p); !bytes.Equal(enc, want) {
+		t.Fatalf("%s: Canonical differs from the reference encoder:\n got %q\nwant %q", name, enc, want)
+	}
+	h := fnv.New64a()
+	h.Write(enc)
+	if got, want := CanonicalHash(p), h.Sum64(); got != want {
+		t.Fatalf("%s: CanonicalHash %#x, FNV-1a of Canonical %#x", name, got, want)
+	}
+}
+
+// randomConstraints adds m constraints of arity 1-5 (scopes may repeat a
+// variable) with rows random rows each, values in [0, dom).
+func randomConstraints(rng *rand.Rand, p *csp.Instance, m, rows int) {
+	for c := 0; c < m; c++ {
+		arity := 1 + rng.Intn(5)
+		scope := make([]int, arity)
+		for i := range scope {
+			scope[i] = rng.Intn(p.Vars)
+		}
+		tab := csp.NewTable(arity)
+		row := make([]int, arity)
+		for r := 0; r < rows; r++ {
+			for i := range row {
+				row[i] = rng.Intn(p.Dom)
+			}
+			tab.Add(row)
+		}
+		p.MustAddConstraint(scope, tab)
+	}
+}
+
+// TestCanonicalRankKeysMatchReference checks the rank-keyed encoder against
+// the reference encoder (which renders and byte-sorts every row) across
+// domain sizes where decimal byte order and numeric order part: at dom 11
+// the codes "10 " sort before "2 ". Each dom runs with few rows (the ranks
+// of the values present, found by search) and with at least dom cells (a
+// rank table indexed by value). At 2^16 values a row of arity 5 needs 80
+// bits, so its constraint takes the rendered path beside keyed ones (with
+// ranks of the values present too, once 2^13 of them occur).
+func TestCanonicalRankKeysMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for _, dom := range []int{9, 10, 11, 100, 1000, 1 << 16} {
+		for _, dense := range []bool{false, true} {
+			p := csp.NewInstance(6, dom)
+			if dom < 30 {
+				randomConstraints(rng, p, 1, 1) // at most 5 cells
+			} else {
+				randomConstraints(rng, p, min(8, dom/30), 6) // at most dom cells
+			}
+			if dense {
+				// A unary table of every value fills the cells to dom.
+				tab := csp.NewTable(1)
+				for _, v := range rng.Perm(dom) {
+					tab.Add([]int{v})
+				}
+				p.MustAddConstraint([]int{rng.Intn(6)}, tab)
+				randomConstraints(rng, p, 1, dom/5+1)
+			}
+			if dom == 1<<16 {
+				// 2,000 rows of arity 5 hold over 2^13 distinct values, so
+				// even ranked by the values present a key needs 5·14 bits.
+				tab := csp.NewTable(5)
+				row := make([]int, 5)
+				for r := 0; r < 2000; r++ {
+					for i := range row {
+						row[i] = rng.Intn(dom)
+					}
+					tab.Add(row)
+				}
+				p.MustAddConstraint([]int{4, 2, 0, 1, 2}, tab)
+			}
+			name := fmt.Sprintf("dom %d (dense %v)", dom, dense)
+			if rt := newRankTable(p); (rt.dense != nil) != dense {
+				t.Fatalf("%s: dense rank table %v", name, rt.dense != nil)
+			}
+			canonicalAgrees(t, name, p)
+			if dom == 1<<16 {
+				rt, rendered := newRankTable(p), false
+				for _, c := range p.Constraints {
+					rendered = rendered || len(c.Scope)*rt.width > 64
+				}
+				if !rendered {
+					t.Fatalf("%s: no constraint's keys overflow 64 bits", name)
+				}
+			}
+		}
+	}
+}
+
+// TestCanonicalRankKeysOddValues covers what the parser never produces but
+// an Instance may hold: values outside [0, dom), negative ones among them
+// ("-" sorts before every digit), and codes longer than a word.
+func TestCanonicalRankKeysOddValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for _, spread := range []int{3, 30, 1e12} {
+		p := csp.NewInstance(5, 4)
+		for c := 0; c < 6; c++ {
+			arity := 1 + rng.Intn(3)
+			tab := csp.NewTable(arity)
+			for r := 0; r < 12; r++ {
+				row := make([]int, arity)
+				for i := range row {
+					row[i] = rng.Intn(2*spread) - spread
+				}
+				tab.Add(row)
+			}
+			p.Constraints = append(p.Constraints, &csp.Constraint{Scope: rng.Perm(5)[:arity], Table: tab})
+		}
+		canonicalAgrees(t, fmt.Sprintf("values in ±%d", spread), p)
+	}
+}
+
+// TestCanonicalHashHugeDomain hashes a 31-byte body declaring 2^20 values
+// and using one. The rank table must cost what the cells cost, not what
+// dom does: a table over every value would allocate megabytes and take
+// milliseconds here.
+func TestCanonicalHashHugeDomain(t *testing.T) {
+	p, err := ParseBytes([]byte("vars 1\ndom 1048576\ncon 0 : 5\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonicalAgrees(t, "huge dom", p)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	best := time.Hour
+	for i := 0; i < 5; i++ {
+		start := time.Now()
+		CanonicalHash(p)
+		best = min(best, time.Since(start))
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := (after.TotalAlloc - before.TotalAlloc) / 5; alloc > 4<<10 || best > time.Millisecond {
+		t.Errorf("CanonicalHash of a one-cell instance over 2^20 values: %d bytes, %v; want <= 4 KB and <= 1 ms", alloc, best)
 	}
 }

@@ -1,12 +1,14 @@
 package dispatch
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"csdb/internal/csp"
+	"csdb/internal/cspio"
 	"csdb/internal/gen"
 	"csdb/internal/schaefer"
 )
@@ -94,6 +96,53 @@ func BenchmarkClassify(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				classifySink = an.classify(insts[i%len(insts)])
+			}
+		})
+	}
+}
+
+// frontEndSink keeps the benchmarked parses and hashes live.
+var frontEndSink struct {
+	inst *csp.Instance
+	hash uint64
+}
+
+// BenchmarkFrontEnd times the two layers every /solve runs before the
+// dispatcher, one body per op, over the same 64 instances per family as
+// BenchmarkClassify rendered through cspio.Format: parse, the body into an
+// instance (one Table per constraint), and hash, the instance's
+// CanonicalHash (the result-cache key).
+func BenchmarkFrontEnd(b *testing.B) {
+	for _, fam := range classifyFamilies {
+		rng := rand.New(rand.NewSource(19))
+		bodies := make([][]byte, 64)
+		insts := make([]*csp.Instance, len(bodies))
+		for i := range bodies {
+			var buf bytes.Buffer
+			if err := cspio.Format(&buf, fam.gen(rng)); err != nil {
+				b.Fatal(err)
+			}
+			bodies[i] = buf.Bytes()
+			inst, err := cspio.ParseBytes(bodies[i])
+			if err != nil {
+				b.Fatal(err)
+			}
+			insts[i] = inst
+		}
+		b.Run(fam.name+"/parse", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				inst, err := cspio.ParseBytes(bodies[i%len(bodies)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				frontEndSink.inst = inst
+			}
+		})
+		b.Run(fam.name+"/hash", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				frontEndSink.hash = cspio.CanonicalHash(insts[i%len(insts)])
 			}
 		})
 	}

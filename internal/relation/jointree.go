@@ -353,6 +353,7 @@ func (k *keyer) reset(s, n int) int {
 		return size
 	}
 	k.tab = NewTable(s)
+	k.tab.Grow(n)
 	k.tab.ensureIndex()
 	k.proj = slices.Grow(k.proj[:0], s)[:s]
 	return n
@@ -373,11 +374,9 @@ func (k *keyer) key(row, pos []int, add bool) int {
 	for c, p := range pos {
 		k.proj[c] = row[p]
 	}
-	h := hashVals(k.proj)
-	id := k.tab.lookup(k.proj, h)
-	if id < 0 && add {
-		k.tab.appendIndexed(k.proj, h)
-		id = int32(k.tab.n - 1)
+	if add {
+		id, _ := k.tab.insert(k.proj, hashVals(k.proj))
+		return int(id)
 	}
-	return int(id)
+	return int(k.tab.lookup(k.proj, hashVals(k.proj)))
 }

@@ -17,7 +17,6 @@ func FromCSP(inst *csp.Instance) (*Instance, error) {
 	}
 	q := inst.Normalize()
 	tpl := &Template{}
-	byKey := make(map[string]int)
 	out := &Instance{Template: tpl, NumVars: q.Vars}
 	// Fold per-variable domain restrictions into unary constraints.
 	if q.Domains != nil {
@@ -39,10 +38,13 @@ func FromCSP(inst *csp.Instance) (*Instance, error) {
 			out.Cons = append(out.Cons, Application{Rel: idx, Scope: []int{v}})
 		}
 	}
+	// The constraint tables' relations follow the restrictions', one per
+	// distinct table, in order of first appearance.
+	var ids csp.TableIDs
+	first := len(tpl.Rels)
 	for _, con := range q.Constraints {
-		k := con.Table.Key()
-		idx, ok := byKey[k]
-		if !ok {
+		id, added := ids.ID(con.Table)
+		if added {
 			rel, err := NewBoolRel(con.Table.Arity())
 			if err != nil {
 				return nil, err
@@ -52,11 +54,9 @@ func FromCSP(inst *csp.Instance) (*Instance, error) {
 					return nil, err
 				}
 			}
-			idx = len(tpl.Rels)
 			tpl.Rels = append(tpl.Rels, rel)
-			byKey[k] = idx
 		}
-		out.Cons = append(out.Cons, Application{Rel: idx, Scope: con.Scope})
+		out.Cons = append(out.Cons, Application{Rel: first + id, Scope: con.Scope})
 	}
 	return out, nil
 }
