@@ -19,7 +19,7 @@ import (
 //
 //   - ctx.Err() or ctx.Done() on a context.Context value;
 //   - a call to a function that itself (transitively) performs such a check —
-//     so the engine's amortized cancelChecker.cancelled() helper and the
+//     so the engine's amortized cancelChecker.cancelledAfter helper and the
 //     context-aware solver entry points count; the transitive set comes from
 //     the shared call-graph engine's PollsCtx summaries;
 //   - a select statement with a <-ctx.Done() case.

@@ -81,7 +81,7 @@ func (c *cbjSearcher) search(depth int) (bool, int, map[int]bool) {
 			c.depthOf[v] = -1
 			return false, -1, nil
 		}
-		if c.cancel.cancelled() {
+		if c.cancel.cancelledAfter(1) {
 			c.aborted = true
 			c.depthOf[v] = -1
 			return false, -1, nil

@@ -40,7 +40,7 @@ func constraintRelations(ctx context.Context, p *Instance) ([]*relation.Relation
 		mentioned[v] = true
 		r := relation.MustNew(attrOf(v))
 		for _, val := range dom {
-			if cc.cancelled() {
+			if cc.cancelledAfter(1) {
 				return nil, ctx.Err()
 			}
 			r.MustAdd(relation.Tuple{val})
@@ -60,7 +60,7 @@ func constraintRelations(ctx context.Context, p *Instance) ([]*relation.Relation
 		r := relation.MustNew(attrs...)
 		r.Grow(table.Len())
 		for t := 0; t < table.Len(); t++ {
-			if cc.cancelled() {
+			if cc.cancelledAfter(1) {
 				return nil, ctx.Err()
 			}
 			r.AddDistinct(table.Row(t)) // a table's rows are already a set

@@ -372,7 +372,7 @@ func (s *searcher) search(out *[]int) bool {
 			s.aborted = true
 			return true
 		}
-		if s.cancel.cancelled() {
+		if s.cancel.cancelledAfter(1) {
 			s.aborted = true
 			return true
 		}
@@ -540,7 +540,7 @@ func (s *searcher) forwardCheck(v int) bool {
 			if !s.dom[free][val] {
 				continue
 			}
-			if s.cancel.cancelled() {
+			if s.cancel.cancelledAfter(1) {
 				s.aborted = true
 				return false
 			}
@@ -600,7 +600,7 @@ func (s *searcher) gacLoop(queue []*Constraint) bool {
 		inQueue[c] = true
 	}
 	for len(queue) > 0 {
-		if s.cancel.cancelled() {
+		if s.cancel.cancelledAfter(1) {
 			s.aborted = true
 			return false
 		}

@@ -62,7 +62,7 @@ func compileSupports(con *Constraint, dom int, c *cancelChecker) (*Supports, boo
 	}
 	sp.hasRepeat = scopeHasRepeat(con.Scope)
 	for t := 0; t < n; t++ {
-		if t%setupRowsPerTick == 0 && c.cancelled() {
+		if t%setupRowsPerTick == 0 && c.cancelledAfter(1) {
 			return nil, false
 		}
 		for i, val := range con.Table.Row(t) {
