@@ -45,8 +45,10 @@ cspdbench-check:
 	$(GO) -C cspdbench test ./...
 
 # Briefly run every native fuzz target (instance parser round trip, parser
-# vs its reference oracle, differential join oracle, tractability
-# dispatcher, GYO against its map-based oracle). FUZZTIME=2m fuzz-smoke for a longer shake.
+# vs its reference oracle, differential join oracle with its join-tree
+# reducer arm — a two-node tree reduced against the reference semijoins —,
+# tractability dispatcher, GYO against its map-based oracle). FUZZTIME=2m
+# fuzz-smoke for a longer shake.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseInstance -fuzztime $(FUZZTIME) ./internal/cspio/
 	$(GO) test -run '^$$' -fuzz FuzzParseAgrees -fuzztime $(FUZZTIME) ./internal/cspio/

@@ -303,16 +303,18 @@ func TestMetricsServeLayer(t *testing.T) {
 	}
 	for _, key := range []string{
 		"cspd.solve.executed", "cspd.solve.collapsed", "cspd.solve.too_large",
-		"cspd.cache.hits", "cspd.cache.misses", "cspd.cache.evictions",
 		"cspd.cache.len", "cspd.admit.shed", "cspd.admit.queue_depth",
-		"cspd.admit.queue_wait_ns",
+		`cspd.admit.wait_ns{outcome="fast"}`,
 	} {
 		if _, ok := snap[key]; !ok {
 			t.Fatalf("/metrics missing %q", key)
 		}
 	}
-	if v, ok := snap["cspd.cache.hits"].(float64); !ok || v < 1 {
-		t.Fatalf("cspd.cache.hits = %v, want >= 1", snap["cspd.cache.hits"])
+	for _, outcome := range []string{"hit", "miss"} {
+		key := `cspd.cache.outcome{outcome="` + outcome + `"}`
+		if v, ok := snap[key].(float64); !ok || v < 1 {
+			t.Fatalf("%s = %v, want >= 1", key, snap[key])
+		}
 	}
 }
 

@@ -8,11 +8,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
 
-	"csdb/internal/consistency"
 	"csdb/internal/csp"
 )
 
@@ -37,7 +37,10 @@ func main() {
 
 	// How far does pure propagation get? (Section 5: consistency makes
 	// implied constraints explicit.)
-	domains, ok := consistency.GAC(inst)
+	domains, ok, err := csp.GAC(context.Background(), inst)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if !ok {
 		log.Fatal("puzzle is inconsistent")
 	}

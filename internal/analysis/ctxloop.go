@@ -26,8 +26,8 @@ import (
 //
 // One amortization idiom is recognized: `if counter%interval == 0 { ...check
 // ... }` counts as a check, because the guard is evaluated every iteration
-// and the poll happens on a fixed cadence (the repo's gacCheckInterval
-// discipline). A check that is merely conditional on arbitrary state does
+// and the poll happens on a fixed cadence (the shape of the bitset engine's
+// set-up, which ticks its checker once per setupRowsPerTick rows). A check that is merely conditional on arbitrary state does
 // not count — that is exactly the bug class (a branch that stops polling)
 // this analyzer exists to catch.
 var ctxloopAnalyzer = &Analyzer{

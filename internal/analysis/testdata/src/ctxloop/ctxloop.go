@@ -59,7 +59,7 @@ func goodSelectDone(ctx context.Context, work chan int) {
 	}
 }
 
-// goodAmortized: the repo's gacCheckInterval idiom — a modulo gate evaluated
+// goodAmortized: the amortized-poll idiom — a modulo gate evaluated
 // every iteration with the poll on a fixed cadence. (near-miss negative: the
 // check is inside an if, but the amortized shape is sanctioned)
 func goodAmortized(ctx context.Context, queue []int) error {

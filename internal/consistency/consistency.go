@@ -3,8 +3,10 @@
 // (Definition 5.2), their game-theoretic characterization via existential
 // k-pebble games (Proposition 5.3), the procedure for *establishing* strong
 // k-consistency from the largest winning strategy (Theorem 5.6), the
-// coherence property (Definition 5.5), and generalized arc consistency
-// (GAC-3) as the workhorse propagation used in search.
+// coherence property (Definition 5.5), and the recognition of Freuder's
+// tree-structured instances (tree.go). Generalized arc consistency, the
+// workhorse propagation of search, is csp.GAC: the bitset engine's root
+// propagation.
 package consistency
 
 import (

@@ -1,6 +1,7 @@
 package consistency
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -240,7 +241,7 @@ func TestGACPrunesWithoutLosingSolutions(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 100; trial++ {
 		p := randomInstance(rng, 2+rng.Intn(4), 2+rng.Intn(3))
-		domains, consistent := GAC(p)
+		domains, consistent := gac(t, p)
 		sols := allSolutions(p)
 		if !consistent {
 			if len(sols) != 0 {
@@ -256,11 +257,9 @@ func TestGACPrunesWithoutLosingSolutions(t *testing.T) {
 			}
 		}
 		// Idempotence: propagating again changes nothing.
-		q, ok := Propagate(p)
-		if !ok {
-			t.Fatalf("trial %d: Propagate inconsistent after consistent GAC", trial)
-		}
-		domains2, consistent2 := GAC(q)
+		q := p.Clone()
+		q.Domains = domains
+		domains2, consistent2 := gac(t, q)
 		if !consistent2 {
 			t.Fatalf("trial %d: second GAC inconsistent", trial)
 		}
@@ -276,12 +275,12 @@ func TestGACDetectsInconsistency(t *testing.T) {
 	p := csp.NewInstance(2, 2)
 	p.MustAddConstraint([]int{0, 1}, csp.TableOf(2, []int{0, 1}))
 	p.MustAddConstraint([]int{0, 1}, csp.TableOf(2, []int{1, 0}))
-	if _, consistent := GAC(p); consistent {
+	if _, consistent := gac(t, p); consistent {
 		t.Fatal("contradictory constraints not detected")
 	}
 	empty := csp.NewInstance(1, 2)
 	empty.Domains = [][]int{{}}
-	if _, consistent := GAC(empty); consistent {
+	if _, consistent := gac(t, empty); consistent {
 		t.Fatal("empty initial domain not detected")
 	}
 }
@@ -291,7 +290,7 @@ func TestGACSolvesTreeStructuredInstances(t *testing.T) {
 	// be read off greedily; here we just verify GAC leaves all variables
 	// with nonempty domains on a satisfiable path coloring.
 	p := csp.MustFromStructures(structure.Path(6), structure.Clique(2))
-	domains, consistent := GAC(p)
+	domains, consistent := gac(t, p)
 	if !consistent {
 		t.Fatal("path coloring inconsistent")
 	}
@@ -300,6 +299,16 @@ func TestGACSolvesTreeStructuredInstances(t *testing.T) {
 			t.Fatalf("variable %d wiped", v)
 		}
 	}
+}
+
+// gac runs csp.GAC under a context that is never cancelled.
+func gac(t *testing.T, p *csp.Instance) ([][]int, bool) {
+	t.Helper()
+	domains, consistent, err := csp.GAC(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return domains, consistent
 }
 
 func randomInstance(rng *rand.Rand, vars, dom int) *csp.Instance {

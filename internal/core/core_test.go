@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"csdb/internal/consistency"
 	"csdb/internal/cq"
 	"csdb/internal/csp"
 	"csdb/internal/cspio"
@@ -187,7 +186,7 @@ func TestPreprocess(t *testing.T) {
 	inst := csp.NewInstance(2, 2)
 	inst.MustAddConstraint([]int{0, 1}, csp.TableOf(2, []int{0, 1}))
 	inst.MustAddConstraint([]int{0, 1}, csp.TableOf(2, []int{1, 0}))
-	if _, ok := consistency.Propagate(inst); ok {
+	if _, ok, err := csp.GAC(context.Background(), inst); err != nil || ok {
 		t.Fatal("GAC did not refute the instance")
 	}
 	res, err := FromCSP(inst).Solve(context.Background())
@@ -345,10 +344,12 @@ func TestPreprocessWithSchaeferAndDomains(t *testing.T) {
 		t.Fatalf("schaefer with domains: %+v", res)
 	}
 	// The GAC-reduced instance decides the same way.
-	reduced, ok := consistency.Propagate(inst)
-	if !ok {
+	domains, ok, err := csp.GAC(context.Background(), inst)
+	if err != nil || !ok {
 		t.Fatal("GAC refuted a satisfiable instance")
 	}
+	reduced := inst.Clone()
+	reduced.Domains = domains
 	res2, err := FromCSP(reduced).Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)

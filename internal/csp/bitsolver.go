@@ -70,16 +70,20 @@ type bitSearcher struct {
 	searchSpan *obs.Span
 }
 
-// newBitSearcher compiles the instance's supports and watch lists. The
+// newBitSearcher opens a solve's span and sets the engine up for it.
+func newBitSearcher(ctx context.Context, p *Instance, opts Options) *bitSearcher {
+	sp := startSolveSpan(ctx, p)
+	s := setUpBitSearcher(ctx, p, opts)
+	s.span = sp
+	return s
+}
+
+// setUpBitSearcher compiles the instance's supports and watch lists. The
 // compilation ticks the lane's cancelChecker like the search does (see
 // compileSupports), so a lane cancelled during set-up stops within one poll
 // interval with s.aborted set, and run then returns Aborted at once.
-func newBitSearcher(ctx context.Context, p *Instance, opts Options) *bitSearcher {
+func setUpBitSearcher(ctx context.Context, p *Instance, opts Options) *bitSearcher {
 	s := &bitSearcher{p: p, opts: opts, learn: opts.Learn, curCon: -1, cancel: newCancelChecker(ctx), start: time.Now()}
-	s.span = obs.StartChild(obs.SpanFrom(ctx), "csp.solve")
-	s.span.SetInt("vars", int64(p.Vars))
-	s.span.SetInt("dom", int64(p.Dom))
-	s.span.SetInt("constraints", int64(len(p.Constraints)))
 	s.d = NewDomainSet(p)
 	s.assign = make([]int, p.Vars)
 	for v := range s.assign {
@@ -139,22 +143,8 @@ func (s *bitSearcher) solve(limit int64, yield func([]int) bool) Result {
 	s.limit = limit
 	s.yield = yield
 
-	if s.aborted || s.cancel.cancelledNow() {
-		s.aborted = true
-		return Result{Aborted: true, Stats: s.stats}
-	}
-	// Root propagation (the engine is MAC: GAC always holds at decisions).
-	sp := obs.StartChild(s.span, "csp.propagate")
-	sp.SetStr("phase", "root")
-	before := s.stats.Prunings
-	for cid := range s.sup {
-		s.inQueue[cid] = true
-		s.queue = append(s.queue, int32(cid))
-	}
-	ok := s.propagate()
-	sp.SetInt("prunings", s.stats.Prunings-before)
-	sp.End()
-	if !ok {
+	// The engine is MAC: GAC always holds at decisions.
+	if !s.propagateRoot() {
 		return Result{Aborted: s.aborted, Stats: s.stats}
 	}
 	s.rootMark = len(s.trail)
@@ -175,6 +165,60 @@ func (s *bitSearcher) solve(limit int64, yield func([]int) bool) Result {
 		return Result{Found: true, Solution: solution, Stats: s.stats}
 	}
 	return Result{Aborted: s.aborted, Stats: s.stats}
+}
+
+// propagateRoot polls the context and, unless it or the set-up was
+// cancelled, revises every constraint to the root GAC fixpoint. It reports
+// false on a wipeout or a cancellation; s.aborted tells them apart.
+func (s *bitSearcher) propagateRoot() bool {
+	if s.aborted || s.cancel.cancelledNow() {
+		s.aborted = true
+		return false
+	}
+	sp := obs.StartChild(s.span, "csp.propagate")
+	sp.SetStr("phase", "root")
+	before := s.stats.Prunings
+	for cid := range s.sup {
+		s.inQueue[cid] = true
+		s.queue = append(s.queue, int32(cid))
+	}
+	ok := s.propagate()
+	sp.SetInt("prunings", s.stats.Prunings-before)
+	sp.End()
+	return ok
+}
+
+// GAC establishes generalized arc consistency on the instance as a
+// standalone step: every value without a supporting tuple under the
+// current domains is removed, to a fixpoint. Arc consistency on binary
+// networks is the k=2 case of strong k-consistency, and GAC is its
+// generalization to any arity. GAC runs the bitset engine's set-up and root
+// propagation, the code a MAC solve runs before its first decision, and
+// records no solve: when tracing, its one csp.propagate span nests under
+// ctx's span.
+//
+// It returns the pruned domains and whether every domain survives; an
+// empty declared domain is inconsistent. GAC closures are unique, so any
+// GAC algorithm reaches these domains. The propagation polls ctx like a
+// search lane; the error is ctx's, and then no verdict is implied. The
+// input is not modified.
+func GAC(ctx context.Context, p *Instance) (domains [][]int, consistent bool, err error) {
+	s := setUpBitSearcher(ctx, p, Options{})
+	s.span = obs.SpanFrom(ctx)
+	ok := s.propagateRoot()
+	if s.aborted {
+		return nil, false, ctx.Err()
+	}
+	domains = make([][]int, p.Vars)
+	for v := range domains {
+		if domains[v] = s.d.Values(v, nil); len(domains[v]) == 0 {
+			ok = false
+		}
+	}
+	if !ok {
+		return nil, false, nil
+	}
+	return domains, true, nil
 }
 
 // search mirrors the seed searcher's contract: true means stop entirely
@@ -345,7 +389,7 @@ func (s *bitSearcher) propagate() bool {
 		} else {
 			s.curCon = cid
 		}
-		_, ok := s.sup[cid].Revise(s.d, s.scratch, s.onPruneFn)
+		ok := s.sup[cid].Revise(s.d, s.scratch, s.onPruneFn)
 		s.curCon = -1
 		if !ok {
 			if s.vweight != nil && !s.aborted {

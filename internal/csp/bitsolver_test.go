@@ -2,6 +2,7 @@ package csp
 
 import (
 	"context"
+	"math/bits"
 	"testing"
 	"time"
 )
@@ -45,9 +46,9 @@ func TestCompileSupportsMasks(t *testing.T) {
 	tbl.Add([]int{2, 1})
 	tbl.Add([]int{2, 2})
 	p.MustAddConstraint([]int{0, 1}, tbl)
-	sp := CompileSupports(p.Constraints[0], p.Dom)
-	if sp.Tuples() != 3 || sp.Words() != 1 || sp.hasRepeat {
-		t.Fatalf("tuples=%d words=%d hasRepeat=%v", sp.Tuples(), sp.Words(), sp.hasRepeat)
+	sp, _ := compileSupports(p.Constraints[0], p.Dom, &cancelChecker{})
+	if sp.words != 1 || sp.hasRepeat {
+		t.Fatalf("words=%d hasRepeat=%v", sp.words, sp.hasRepeat)
 	}
 	if sp.tail != 0b111 {
 		t.Fatalf("tail = %b", sp.tail)
@@ -59,7 +60,7 @@ func TestCompileSupportsMasks(t *testing.T) {
 	if m := sp.mask(0, 2); m[0] != 0b110 {
 		t.Fatalf("mask(0,2) = %b", m[0])
 	}
-	rep := CompileSupports(&Constraint{Scope: []int{0, 0}, Table: tbl}, p.Dom)
+	rep, _ := compileSupports(&Constraint{Scope: []int{0, 0}, Table: tbl}, p.Dom, &cancelChecker{})
 	if !rep.hasRepeat {
 		t.Fatal("repeated scope not flagged")
 	}
@@ -72,17 +73,17 @@ func TestSupportsRevise(t *testing.T) {
 	tbl.Add([]int{2, 1})
 	tbl.Add([]int{2, 2})
 	p.MustAddConstraint([]int{0, 1}, tbl)
-	sp := CompileSupports(p.Constraints[0], p.Dom)
+	sp, _ := compileSupports(p.Constraints[0], p.Dom, &cancelChecker{})
 	d := NewDomainSet(p)
-	scratch := make([]uint64, 2*sp.Words())
+	scratch := make([]uint64, 2*sp.words)
 
 	var pruned []nglit
-	live, ok := sp.Revise(d, scratch, func(v, val int) bool {
+	ok := sp.Revise(d, scratch, func(v, val int) bool {
 		pruned = append(pruned, nglit{int32(v), int32(val)})
 		d.Remove(v, val)
 		return true
 	})
-	if !ok || live != 3 {
+	if live := bits.OnesCount64(scratch[0]); !ok || live != 3 {
 		t.Fatalf("live=%d ok=%v", live, ok)
 	}
 	// Value 1 of var 0 and value 0 of var 1 have no supporting tuple.
@@ -93,18 +94,18 @@ func TestSupportsRevise(t *testing.T) {
 	// Narrow var 1 to {2}: only tuple (2,2) survives, so var 0 loses 0.
 	d.Remove(1, 1)
 	pruned = pruned[:0]
-	live, ok = sp.Revise(d, scratch, func(v, val int) bool {
+	ok = sp.Revise(d, scratch, func(v, val int) bool {
 		pruned = append(pruned, nglit{int32(v), int32(val)})
 		d.Remove(v, val)
 		return true
 	})
-	if !ok || live != 1 || len(pruned) != 1 || pruned[0] != (nglit{0, 0}) {
-		t.Fatalf("live=%d ok=%v pruned=%v", live, ok, pruned)
+	if live := bits.OnesCount64(scratch[0]); !ok || live != 1 || len(pruned) != 1 || pruned[0] != (nglit{0, 0}) {
+		t.Fatalf("live=%b ok=%v pruned=%v", scratch[0], ok, pruned)
 	}
 
 	// Empty var 0: revision reports a dead constraint.
 	d.Remove(0, 2)
-	if _, ok = sp.Revise(d, scratch, func(v, val int) bool { t.Fatal("prune on dead constraint"); return false }); ok {
+	if ok = sp.Revise(d, scratch, func(v, val int) bool { t.Fatal("prune on dead constraint"); return false }); ok {
 		t.Fatal("Revise ok on empty live set")
 	}
 }

@@ -242,25 +242,24 @@ rows:
 // Consolidate merges constraints that share the same ordered scope by
 // intersecting their tables, so every scope occurs at most once (the "single
 // constraint per tuple of variables" convention of Section 2). A scope held
-// by one constraint keeps that constraint's table.
+// by one constraint keeps that constraint, shared with p as NormalizeDistinct
+// shares it; the intersection of valid tables is valid, so nothing is
+// re-validated.
 func (p *Instance) Consolidate() *Instance {
-	out := &Instance{Vars: p.Vars, Dom: p.Dom, Names: p.Names, Domains: p.Domains}
-	var scopes digestIDs[[]int]
-	var tabs []*Table
+	out := &Instance{Vars: p.Vars, Dom: p.Dom, Names: p.Names, Domains: p.Domains,
+		Constraints: make([]*Constraint, 0, len(p.Constraints))}
+	scopes := digestIDs[[]int]{first: make(map[uint64]int, len(p.Constraints))}
 	for _, con := range p.Constraints {
 		id, added := scopes.id(relation.Tuple(con.Scope).Hash(), con.Scope, slices.Equal[[]int])
 		if added {
-			tabs = append(tabs, con.Table)
+			out.Constraints = append(out.Constraints, con)
 			continue
 		}
-		merged, err := tabs[id].Intersect(con.Table)
+		merged, err := out.Constraints[id].Table.Intersect(con.Table)
 		if err != nil {
 			panic(err) // impossible: same scope implies same arity
 		}
-		tabs[id] = merged
-	}
-	for id, scope := range scopes.vals {
-		out.MustAddConstraint(scope, tabs[id])
+		out.Constraints[id] = &Constraint{Scope: con.Scope, Table: merged}
 	}
 	return out
 }

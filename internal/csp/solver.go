@@ -239,10 +239,7 @@ type trailEntry struct{ v, val int }
 
 func newSearcher(ctx context.Context, p *Instance, opts Options) *searcher {
 	s := &searcher{p: p, opts: opts, cancel: newCancelChecker(ctx), start: time.Now()}
-	s.span = obs.StartChild(obs.SpanFrom(ctx), "csp.solve")
-	s.span.SetInt("vars", int64(p.Vars))
-	s.span.SetInt("dom", int64(p.Dom))
-	s.span.SetInt("constraints", int64(len(p.Constraints)))
+	s.span = startSolveSpan(ctx, p)
 	s.dom = make([][]bool, p.Vars)
 	s.size = make([]int, p.Vars)
 	s.assign = make([]int, p.Vars)
@@ -267,6 +264,15 @@ func newSearcher(ctx context.Context, p *Instance, opts Options) *searcher {
 		}
 	}
 	return s
+}
+
+// startSolveSpan opens a solve's span under ctx's, nil unless tracing.
+func startSolveSpan(ctx context.Context, p *Instance) *obs.Span {
+	sp := obs.StartChild(obs.SpanFrom(ctx), "csp.solve")
+	sp.SetInt("vars", int64(p.Vars))
+	sp.SetInt("dom", int64(p.Dom))
+	sp.SetInt("constraints", int64(len(p.Constraints)))
+	return sp
 }
 
 // scopeRepeat reports whether scope[i] already occurred earlier in scope.

@@ -11,24 +11,16 @@ import "math/bits"
 // idea). Compilation is per-searcher, never cached on the shared Constraint,
 // so concurrent engines (portfolio, SolveParallel) stay race-free.
 type Supports struct {
-	scope  []int
-	dom    int
-	words  int // words per tuple-index mask
-	tuples int
-	masks  []uint64 // arity*dom masks of `words` words, one arena
-	tail   uint64   // live-set mask of the last word (bits >= tuples clear)
+	scope []int
+	dom   int
+	words int      // words per tuple-index mask
+	masks []uint64 // arity*dom masks of `words` words, one arena
+	tail  uint64   // live-set mask of the last word (bits >= tuples clear)
 	// hasRepeat marks a scope with a repeated variable. Pruning such a
 	// constraint's own value can kill tuples that were live through the
 	// variable's other positions, so one Revise pass is not a fixpoint and
 	// the propagation loop must let the constraint re-enqueue itself.
 	hasRepeat bool
-}
-
-// CompileSupports builds the support masks of one constraint over a value
-// range of dom.
-func CompileSupports(con *Constraint, dom int) *Supports {
-	sp, _ := compileSupports(con, dom, &cancelChecker{})
-	return sp
 }
 
 // setupRowsPerTick is the number of table rows compiled per tick of the
@@ -39,9 +31,10 @@ func CompileSupports(con *Constraint, dom int) *Supports {
 // cancelCheckInterval).
 const setupRowsPerTick = 16
 
-// compileSupports is CompileSupports ticking c once per setupRowsPerTick rows
-// (from the first row, so every nonempty constraint ticks at least once). It
-// reports false, with no masks, once c is cancelled.
+// compileSupports builds the support masks of one constraint over a value
+// range of dom, ticking c once per setupRowsPerTick rows (from the first
+// row, so every nonempty constraint ticks at least once). It reports false,
+// with no masks, once c is cancelled.
 func compileSupports(con *Constraint, dom int, c *cancelChecker) (*Supports, bool) {
 	n := con.Table.Len()
 	words := (n + 63) >> 6
@@ -49,11 +42,10 @@ func compileSupports(con *Constraint, dom int, c *cancelChecker) (*Supports, boo
 		words = 1
 	}
 	sp := &Supports{
-		scope:  con.Scope,
-		dom:    dom,
-		words:  words,
-		tuples: n,
-		masks:  make([]uint64, len(con.Scope)*dom*words),
+		scope: con.Scope,
+		dom:   dom,
+		words: words,
+		masks: make([]uint64, len(con.Scope)*dom*words),
 	}
 	if r := n & 63; r != 0 {
 		sp.tail = 1<<r - 1
@@ -71,21 +63,6 @@ func compileSupports(con *Constraint, dom int, c *cancelChecker) (*Supports, boo
 	}
 	return sp, true
 }
-
-// Scope is the constraint's variable scope (shared, read-only).
-func (sp *Supports) Scope() []int { return sp.scope }
-
-// Words is the scratch stride one revision needs (callers provide a scratch
-// slice of at least 2*Words() words).
-func (sp *Supports) Words() int { return sp.words }
-
-// Tuples is the table length the masks were compiled from.
-func (sp *Supports) Tuples() int { return sp.tuples }
-
-// HasRepeat reports whether the scope repeats a variable, in which case one
-// Revise pass is not a fixpoint of the constraint's own revision and the
-// propagation loop must let the constraint re-enqueue itself on its prunes.
-func (sp *Supports) HasRepeat() bool { return sp.hasRepeat }
 
 // HasValue reports whether any tuple carries val at scope position i — the
 // static condition for watching (scope[i], val).
@@ -110,10 +87,10 @@ func (sp *Supports) mask(i, val int) []uint64 {
 // every (variable, value) in the scope whose mask misses it. The callback
 // must remove the value from d (so later scope positions see the narrowed
 // domain) and return false to stop the revision — a domain wipeout or an
-// abort. Revise returns the number of live tuples and ok=false when the
-// constraint has no live tuple or onPrune stopped it; scratch must hold at
-// least 2*Words() words.
-func (sp *Supports) Revise(d *DomainSet, scratch []uint64, onPrune func(v, val int) bool) (live int64, ok bool) {
+// abort. Revise reports false when the constraint has no live tuple or
+// onPrune stopped it; scratch must hold at least 2*words words, and its
+// first words words hold the live-tuple set afterwards.
+func (sp *Supports) Revise(d *DomainSet, scratch []uint64, onPrune func(v, val int) bool) bool {
 	nw := sp.words
 	liveSet := scratch[:nw]
 	union := scratch[nw : 2*nw]
@@ -144,11 +121,8 @@ func (sp *Supports) Revise(d *DomainSet, scratch []uint64, onPrune func(v, val i
 			}
 		}
 		if !any {
-			return 0, false
+			return false
 		}
-	}
-	for j := 0; j < nw; j++ {
-		live += int64(bits.OnesCount64(liveSet[j]))
 	}
 	// Prune unsupported values. For a scope without repeated variables,
 	// removing a value whose mask misses the live set leaves the live set
@@ -175,10 +149,10 @@ func (sp *Supports) Revise(d *DomainSet, scratch []uint64, onPrune func(v, val i
 					}
 				}
 				if !supported && !onPrune(u, val) {
-					return live, false
+					return false
 				}
 			}
 		}
 	}
-	return live, true
+	return true
 }

@@ -177,6 +177,11 @@ func TestYannakakisMatchesNaiveEvaluation(t *testing.T) {
 		cq.MustParse("Q(X) :- R(X,Y), S(Y,Z)"),
 		cq.MustParse("Q(X,Y) :- R(X,Y), S(Y,Z), S(Y,W)"),
 		cq.MustParse("Q :- R(X,Y), S(Y,Z)"),
+		// Branching trees whose head variables sit in different branches,
+		// so early projection after each child's join matters.
+		cq.MustParse("Q(Y,W) :- R(X,Y), R(X,Z), S(X,W)"),
+		cq.MustParse("Q(X,W,V) :- R(X,Y), S(Y,Z), T(Y,W), R(W,V)"),
+		cq.MustParse("Q(Z,V) :- R(X,Y), S(Y,Z), T(Y,W), R(W,V), S(X,U)"),
 	}
 	for trial := 0; trial < 40; trial++ {
 		db := randomDB(rng, 4+rng.Intn(3))
@@ -223,6 +228,51 @@ func TestSemijoinReduceRemovesDanglingTuples(t *testing.T) {
 	}
 	if reduced[1].Len() != 1 {
 		t.Fatalf("S reduced wrongly: %v", reduced[1])
+	}
+}
+
+// TestSemijoinReduceIsProjectedJoin: each atom's reduced relation is the
+// projection of the join of the whole body onto the atom's variables — on
+// chains, stars, atoms that repeat a variable, bodies with no shared
+// variable, and joins that come out empty.
+func TestSemijoinReduceIsProjectedJoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	queries := []*cq.Query{
+		cq.MustParse("Q(X,W) :- R(X,Y), S(Y,Z), T(Z,W)"),
+		cq.MustParse("Q(X) :- R(X,Y), S(Y,Z), T(Y,W), R(W,V)"),
+		cq.MustParse("Q(X) :- R(X,X), S(X,Y), T(Y,Y)"),
+		cq.MustParse("Q :- R(X,Y), S(Z,W)"),
+		cq.MustParse("Q(X) :- R(X,Y), S(Y,Z), T(Z,U), R(U,V), S(V,W)"),
+	}
+	empty := 0
+	for trial := 0; trial < 40; trial++ {
+		db := randomDB(rng, 3+rng.Intn(4))
+		for qi, q := range queries {
+			all := &cq.Query{Name: "All", Head: q.Vars(), Body: q.Body}
+			join, err := all.Evaluate(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if join.Empty() {
+				empty++
+			}
+			reduced, err := SemijoinReduce(q, db)
+			if err != nil {
+				t.Fatalf("trial %d query %d: %v", trial, qi, err)
+			}
+			for i, r := range reduced {
+				want, err := join.Project(r.Attrs()...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !r.Equal(want) {
+					t.Fatalf("trial %d query %d atom %d: reduced %v, projected join %v", trial, qi, i, r, want)
+				}
+			}
+		}
+	}
+	if empty == 0 {
+		t.Fatal("no empty join: the empty case is untested")
 	}
 }
 

@@ -1,7 +1,9 @@
 package hypergraph
 
 import (
+	"context"
 	"fmt"
+	"slices"
 
 	"csdb/internal/cq"
 	"csdb/internal/obs"
@@ -9,108 +11,64 @@ import (
 	"csdb/internal/structure"
 )
 
-// Observability handles for the acyclic-join pipeline (see README
-// "Observability"):
-//
-//	yannakakis.runs           full Yannakakis evaluations
-//	yannakakis.semijoins      semijoin steps across the up+down passes
-//	yannakakis.rows_loaded    per-atom input rows before reduction
-//	yannakakis.rows_reduced   per-atom rows surviving the full reducer
-var (
-	obsYanRuns        = obs.NewCounter("yannakakis.runs")
-	obsYanSemijoins   = obs.NewCounter("yannakakis.semijoins")
-	obsYanRowsLoaded  = obs.NewCounter("yannakakis.rows_loaded")
-	obsYanRowsReduced = obs.NewCounter("yannakakis.rows_reduced")
-)
-
-// relRows sums the cardinalities of a relation slice (the "pass size" the
-// Section 6 analysis bounds: after the full reducer every intermediate stays
-// within the final output's magnitude).
-func relRows(rels []*relation.Relation) int64 {
-	var n int64
-	for _, r := range rels {
-		n += int64(r.Len())
-	}
-	return n
-}
-
-// fullReduce runs the upward and downward semijoin passes of the full
-// reducer in place, recording pass sizes in the obs registry and, when
-// tracing, as spans nested under parent (one per pass, with before/after
-// row totals).
-func fullReduce(rels []*relation.Relation, jt *JoinTree, order []int, parent *obs.Span) {
-	if obs.Enabled() {
-		obsYanRowsLoaded.Add(relRows(rels))
-	}
-	var semijoins int64
-	up := obs.StartChild(parent, "yannakakis.semijoin_up")
-	for _, i := range order {
-		if p := jt.Parent[i]; p >= 0 {
-			rels[p] = rels[p].Semijoin(rels[i])
-			semijoins++
-		}
-	}
-	if up != nil {
-		up.SetInt("rows", relRows(rels))
-		up.End()
-	}
-	down := obs.StartChild(parent, "yannakakis.semijoin_down")
-	for k := len(order) - 1; k >= 0; k-- {
-		i := order[k]
-		if p := jt.Parent[i]; p >= 0 {
-			rels[i] = rels[i].Semijoin(rels[p])
-			semijoins++
-		}
-	}
-	obsYanSemijoins.Add(semijoins)
-	if obs.Enabled() {
-		obsYanRowsReduced.Add(relRows(rels))
-	}
-	if down != nil {
-		down.SetInt("rows", relRows(rels))
-		down.End()
-	}
-}
-
-// Yannakakis evaluates an α-acyclic conjunctive query on a database in
-// polynomial time: a full-reducer pass of semijoins up and down the join
-// tree eliminates all dangling tuples, after which the join can be computed
-// bottom-up with early projection and never blows up beyond the final
-// output. This is the classical algorithm behind the acyclic-joins line of
-// work the paper surveys in Section 6.
-func Yannakakis(q *cq.Query, db *structure.Structure) (*relation.Relation, error) {
-	h, _, err := FromQuery(q)
+// reduceQuery runs the join-tree engine's full reducer over an α-acyclic
+// query's atoms: one node per atom, holding the atom's relation over
+// FromQuery's variable indices, joined by GYO's join tree. It returns the
+// reduced atom relations, in the atom order of the query, and the tree.
+func reduceQuery(q *cq.Query, db *structure.Structure) ([]*relation.Relation, *JoinTree, error) {
+	h, idx, err := FromQuery(q)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	acyclic, jt := h.GYO()
 	if !acyclic {
-		return nil, fmt.Errorf("hypergraph: query is not α-acyclic")
+		return nil, nil, fmt.Errorf("hypergraph: query is not α-acyclic")
 	}
-	obsYanRuns.Inc()
-	sp := obs.StartChild(nil, "hypergraph.yannakakis")
-	sp.SetInt("atoms", int64(len(q.Body)))
-	defer sp.End()
-
 	rels := make([]*relation.Relation, len(q.Body))
+	tree := &relation.JoinTree{Dom: db.Size(), Nodes: make([]relation.Node, len(q.Body)), Parent: jt.Parent}
 	for i, a := range q.Body {
 		r, err := cq.AtomRelation(a, db)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		rels[i] = r
+		scope := make([]int, len(r.Attrs()))
+		for j, v := range r.Attrs() {
+			scope[j] = idx[v]
+		}
+		rels[i], tree.Nodes[i] = r, relation.Node{Scope: scope, Rows: &r.Table}
+	}
+	reduced, err := tree.Reduce(context.Background())
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, t := range reduced {
+		if rels[i], err = relation.FromTable(rels[i].Attrs(), t); err != nil {
+			return nil, nil, err
+		}
+	}
+	return rels, jt, nil
+}
+
+// Yannakakis evaluates an α-acyclic conjunctive query on a database in
+// polynomial time: the full reducer (semijoins up and down the join tree,
+// run by the join-tree engine) eliminates all dangling tuples, after which
+// the join can be computed bottom-up with early projection and never blows
+// up beyond the final output. This is the classical algorithm behind the
+// acyclic-joins line of work the paper surveys in Section 6.
+func Yannakakis(q *cq.Query, db *structure.Structure) (*relation.Relation, error) {
+	sp := obs.StartChild(nil, "hypergraph.yannakakis")
+	sp.SetInt("atoms", int64(len(q.Body)))
+	defer sp.End()
+	rels, jt, err := reduceQuery(q, db)
+	if err != nil {
+		return nil, err
 	}
 
-	order := topoOrder(jt, len(q.Body)) // children before parents
-
-	// Full reducer: upward then downward semijoin passes.
-	fullReduce(rels, jt, order, sp)
-
-	// Bottom-up join along the tree with early projection: the partial
-	// result at node i keeps only head variables and the variables shared
-	// with i's parent — by the join-tree connectedness property every
-	// variable of the subtree used elsewhere occurs in both i and its
-	// parent, so nothing needed is dropped.
+	// Bottom-up join along the tree with early projection: after each join,
+	// the partial result at node i keeps only the head variables and the
+	// variables of i's parent and of the children still to join. By the
+	// join-tree connectedness property, a variable of the joined part used
+	// elsewhere occurs in one of those atoms, so nothing needed is dropped.
 	children := make([][]int, len(q.Body))
 	for i, p := range jt.Parent {
 		if p >= 0 {
@@ -121,32 +79,35 @@ func Yannakakis(q *cq.Query, db *structure.Structure) (*relation.Relation, error
 	for _, v := range q.Head {
 		headSet[v] = true
 	}
+	// keep projects r onto the head variables and those of atom parent (-1
+	// for none) and of the atoms later, and returns r itself when it keeps
+	// every attribute.
+	keep := func(r *relation.Relation, parent int, later []int) (*relation.Relation, error) {
+		var attrs []string
+		for _, v := range r.Attrs() {
+			if headSet[v] || parent >= 0 && slices.Contains(q.Body[parent].Args, v) ||
+				slices.ContainsFunc(later, func(a int) bool { return slices.Contains(q.Body[a].Args, v) }) {
+				attrs = append(attrs, v)
+			}
+		}
+		if len(attrs) == len(r.Attrs()) {
+			return r, nil
+		}
+		return r.Project(attrs...)
+	}
 	var joinUp func(i int) (*relation.Relation, error)
 	joinUp = func(i int) (*relation.Relation, error) {
-		cur := rels[i]
-		for _, c := range children[i] {
+		cur, kids := rels[i], children[i]
+		for k, c := range kids {
 			sub, err := joinUp(c)
 			if err != nil {
 				return nil, err
 			}
-			cur = cur.Join(sub)
-		}
-		// Project onto head vars plus vars shared with the parent.
-		sharedWithParent := make(map[string]bool)
-		if p := jt.Parent[i]; p >= 0 {
-			for _, v := range q.Body[p].Args {
-				sharedWithParent[v] = true
+			if cur, err = keep(cur.Join(sub), jt.Parent[i], kids[k+1:]); err != nil {
+				return nil, err
 			}
 		}
-		var keep []string
-		kept := make(map[string]bool)
-		for _, v := range cur.Attrs() {
-			if (headSet[v] || sharedWithParent[v]) && !kept[v] {
-				kept[v] = true
-				keep = append(keep, v)
-			}
-		}
-		return cur.Project(keep...)
+		return keep(cur, jt.Parent[i], nil)
 	}
 	joinSpan := obs.StartChild(sp, "yannakakis.join_up")
 	result, err := joinUp(jt.Root)
@@ -169,48 +130,10 @@ func Yannakakis(q *cq.Query, db *structure.Structure) (*relation.Relation, error
 	return result.Project(q.Head...)
 }
 
-// topoOrder returns the edges of a join tree with children before parents.
-func topoOrder(jt *JoinTree, m int) []int {
-	children := make([][]int, m)
-	for i, p := range jt.Parent {
-		if p >= 0 {
-			children[p] = append(children[p], i)
-		}
-	}
-	var order []int
-	var rec func(i int)
-	rec = func(i int) {
-		for _, c := range children[i] {
-			rec(c)
-		}
-		order = append(order, i)
-	}
-	rec(jt.Root)
-	return order
-}
-
-// SemijoinReduce runs only the full-reducer passes and returns the reduced
+// SemijoinReduce runs only the full reducer and returns the reduced
 // per-atom relations, in the atom order of the query. Exposed for the
 // experiment that counts intermediate sizes against the naive join.
 func SemijoinReduce(q *cq.Query, db *structure.Structure) ([]*relation.Relation, error) {
-	h, _, err := FromQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	acyclic, jt := h.GYO()
-	if !acyclic {
-		return nil, fmt.Errorf("hypergraph: query is not α-acyclic")
-	}
-	rels := make([]*relation.Relation, len(q.Body))
-	for i, a := range q.Body {
-		r, err := cq.AtomRelation(a, db)
-		if err != nil {
-			return nil, err
-		}
-		rels[i] = r
-	}
-	sp := obs.StartChild(nil, "hypergraph.semijoin_reduce")
-	fullReduce(rels, jt, topoOrder(jt, len(q.Body)), sp)
-	sp.End()
-	return rels, nil
+	rels, _, err := reduceQuery(q, db)
+	return rels, err
 }

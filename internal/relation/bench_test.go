@@ -38,17 +38,6 @@ func BenchmarkJoinLargeNatural(b *testing.B) {
 	}
 }
 
-func BenchmarkSemijoinLarge(b *testing.B) {
-	r, s := benchPair(20000, 2000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sj := r.Semijoin(s)
-		if sj.Empty() {
-			b.Fatal("semijoin unexpectedly empty")
-		}
-	}
-}
-
 func BenchmarkProjectLarge(b *testing.B) {
 	rng := rand.New(rand.NewSource(23))
 	r := MustNew("x", "y", "z")

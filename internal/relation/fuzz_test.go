@@ -37,8 +37,9 @@ func decodeFuzzRel(data *[]byte) *Relation {
 
 // FuzzJoinDifferential decodes two relations from the fuzz input and checks
 // the integer-coded hash kernel against the string-keyed reference
-// implementation (naive.go) for Join and Semijoin: same schema, same row
-// multiset. This is the fuzz-driven extension of diff_test.go's fixed-seed
+// implementation (naive.go) for Join, and the join-tree engine's full
+// reducer over the two-node tree r → s against the reference semijoins
+// r ⋉ s and s ⋉ r: same schema, same row multiset. This is the fuzz-driven extension of diff_test.go's fixed-seed
 // differential suite.
 func FuzzJoinDifferential(f *testing.F) {
 	f.Add([]byte{2, 0, 2, 0, 1, 1, 0, 2, 1, 3, 1, 1, 2})
@@ -51,7 +52,9 @@ func FuzzJoinDifferential(f *testing.F) {
 		nr, ns := naiveFrom(r), naiveFrom(s)
 
 		fuzzSameRows(t, "join", r.Join(s), nr.join(ns))
-		fuzzSameRows(t, "semijoin", r.Semijoin(s), nr.semijoin(ns))
+		rs, sr := reduceSemijoin(t, 4, r, s)
+		fuzzSameRows(t, "reduce child", rs, nr.semijoin(ns))
+		fuzzSameRows(t, "reduce parent", sr, ns.semijoin(nr))
 	})
 }
 

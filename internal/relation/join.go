@@ -9,14 +9,14 @@ import (
 	"csdb/internal/obs"
 )
 
-// Natural join and semijoin on the integer-hash kernel.
+// Natural join on the integer-hash kernel.
 //
-// Both operators build a transient index over the build side's shared
+// A join builds a transient index over the build side's shared
 // columns — the Table's open-addressed slots, one per distinct key, each
 // holding the latest build row with that key, and a next array chaining
 // every row to the previous one with the same key, so the build allocates
 // no per-row values and a probe compares key values once per key, not once
-// per candidate pair — and then stream the probe side. Because the inputs
+// per candidate pair — and then streams the probe side. Because the inputs
 // are duplicate-free sets and a natural-join output row is determined by its
 // (r-row, s-row) pair projected onto r.attrs ∪ s.attrs, the output is itself
 // duplicate-free and is emitted straight into the flat value array with no
@@ -297,48 +297,4 @@ func joinProbeRange(pl *Poller, r, s *Relation, build joinTable, rCols, sOnlyPos
 		}
 	}
 	return buf, rows, nil
-}
-
-// Semijoin returns the tuples of r that join with at least one tuple of s on
-// the shared attributes (r ⋉ s). If r and s share no attributes, the result
-// is r when s is nonempty and empty when s is empty (consistent with the
-// Cartesian-product reading of natural join).
-func (r *Relation) Semijoin(s *Relation) *Relation {
-	out := r.semijoinImpl(s)
-	if obs.Enabled() {
-		obsSemijoinCalls.Inc()
-		obsSemijoinProbeRows.Add(int64(r.n))
-		obsSemijoinKeptRows.Add(int64(out.n))
-	}
-	return out
-}
-
-func (r *Relation) semijoinImpl(s *Relation) *Relation {
-	common, _ := sharedAttrs(r, s)
-	if len(common) == 0 {
-		if s.Empty() {
-			return MustNew(r.attrs...)
-		}
-		return r.Clone()
-	}
-	out := MustNew(r.attrs...)
-	if r.n == 0 || s.n == 0 {
-		return out
-	}
-	rCols := make([]int, len(common))
-	sCols := make([]int, len(common))
-	for i, a := range common {
-		rCols[i] = r.pos[a]
-		sCols[i] = s.pos[a]
-	}
-	build, _ := buildJoinTable(&Poller{}, s, sCols) // the zero Poller never fails
-	out.data = make([]int, 0, r.n*r.k/2)
-	for i := 0; i < r.n; i++ {
-		rBase := i * r.k
-		if build.head(r.data, rBase, rCols) >= 0 {
-			// A subset of r's distinct rows is distinct: emit unchecked.
-			out.appendUnique(r.data[rBase : rBase+r.k])
-		}
-	}
-	return out
 }

@@ -218,12 +218,12 @@ func (r *reducer) up() (bool, error) {
 	return true, nil
 }
 
-// Solve runs the full reducer and extracts a solution root first. It
-// returns an assignment of vars variables, -1 on every variable in no node,
-// and false when the join of the nodes is empty. The error is ctx's, or
-// reports a parent array that is not a forest or (for a tree without the
-// connectedness property) an extraction that found no compatible row.
-func (t *JoinTree) Solve(ctx context.Context, vars int) ([]int, bool, error) {
+// reduce runs the full reducer: semijoins up the tree, then down. It
+// reports false when the join of the nodes is empty, in which case some
+// node's surviving rows may remain; otherwise every surviving row extends
+// to a row of the join. The run is recorded in the relation.jointree.*
+// counters.
+func (t *JoinTree) reduce(ctx context.Context) (*reducer, bool, error) {
 	r, ok, err := t.newReducer(ctx)
 	if err != nil {
 		return nil, false, err
@@ -233,16 +233,54 @@ func (t *JoinTree) Solve(ctx context.Context, vars int) ([]int, bool, error) {
 		ok, err = r.up()
 	}
 	if !ok {
-		return nil, false, err
+		return r, false, err
 	}
 	// Down: each child keeps the rows some surviving parent row matches.
 	for _, i := range r.order {
 		if pa := t.Parent[i]; pa >= 0 {
 			cPos, pPos := r.shared(i)
 			if err := r.semijoin(i, cPos, pa, pPos); err != nil {
-				return nil, false, err
+				return r, false, err
 			}
 		}
+	}
+	return r, true, nil
+}
+
+// Reduce runs the full reducer and returns one table per node holding the
+// node's rows that some row of the join uses, in insertion order: node i's
+// table is the projection of the join onto its scope. When the join is
+// empty every table is empty. The tables carry no index yet (a first lookup
+// builds it, as for AddDistinct). The error is ctx's, or reports a parent
+// array that is not a forest.
+func (t *JoinTree) Reduce(ctx context.Context) ([]*Table, error) {
+	r, ok, err := t.reduce(ctx)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Table, len(t.Nodes))
+	for i, n := range t.Nodes {
+		out[i] = NewTable(n.Rows.k)
+		if !ok {
+			continue
+		}
+		out[i].data = make([]int, 0, len(r.rows[i])*n.Rows.k)
+		for _, id := range r.rows[i] {
+			out[i].appendUnique(n.Rows.Row(int(id)))
+		}
+	}
+	return out, nil
+}
+
+// Solve runs the full reducer and extracts a solution root first. It
+// returns an assignment of vars variables, -1 on every variable in no node,
+// and false when the join of the nodes is empty. The error is ctx's, or
+// reports a parent array that is not a forest or (for a tree without the
+// connectedness property) an extraction that found no compatible row.
+func (t *JoinTree) Solve(ctx context.Context, vars int) ([]int, bool, error) {
+	r, ok, err := t.reduce(ctx)
+	if !ok {
+		return nil, false, err
 	}
 	// Extract: by connectedness, the variables of a node assigned before it
 	// are its parent's, and the down pass left a row matching the parent's.
@@ -277,7 +315,7 @@ func (t *JoinTree) Solve(ctx context.Context, vars int) ([]int, bool, error) {
 	return sol, true, nil
 }
 
-// flush records one Solve's effort.
+// flush records one full reducer run's effort.
 func (r *reducer) flush() {
 	if !obs.Enabled() {
 		return

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -79,15 +80,62 @@ func naiveJoin(t *JoinTree) *naiveRel {
 	out := newNaive(nil)
 	out.add(nil)
 	for _, n := range t.Nodes {
-		attrs := make([]string, len(n.Scope))
-		for j, v := range n.Scope {
-			attrs[j] = fmt.Sprintf("x%d", v)
+		out = out.join(naiveNode(n))
+	}
+	return out
+}
+
+// naiveNode is a node's table as an oracle relation over attributes xV.
+func naiveNode(n Node) *naiveRel {
+	attrs := make([]string, len(n.Scope))
+	for j, v := range n.Scope {
+		attrs[j] = fmt.Sprintf("x%d", v)
+	}
+	r := newNaive(attrs)
+	for i := 0; i < n.Rows.Len(); i++ {
+		r.add(n.Rows.Row(i))
+	}
+	return r
+}
+
+// maxOracleRows bounds the rows of one naive join step in naiveReduced.
+const maxOracleRows = 1 << 16
+
+// naiveReduced returns, for each node, the projection of the naive join of
+// all nodes onto the node's scope. The trees of a forest share no
+// variable, so the join of all nodes is the product of the trees' joins:
+// it is empty when one tree's join is, and otherwise a node's projection is
+// that of its own tree's join. Joining tree by tree keeps the oracle off
+// the product's size; a tree whose join step could pass maxOracleRows rows
+// makes it give up and return nil.
+func naiveReduced(t *JoinTree) []*naiveRel {
+	root := make([]int, len(t.Nodes))
+	for i := range root {
+		for root[i] = i; t.Parent[root[i]] >= 0; root[i] = t.Parent[root[i]] {
 		}
-		r := newNaive(attrs)
-		for i := 0; i < n.Rows.Len(); i++ {
-			r.add(n.Rows.Row(i))
+	}
+	joins := map[int]*naiveRel{}
+	for i, n := range t.Nodes {
+		j, ok := joins[root[i]]
+		if !ok {
+			j = newNaive(nil)
+			j.add(nil)
 		}
-		out = out.join(r)
+		if len(j.tuples)*n.Rows.Len() > maxOracleRows {
+			return nil
+		}
+		joins[root[i]] = j.join(naiveNode(n))
+	}
+	out := make([]*naiveRel, len(t.Nodes))
+	for i, n := range t.Nodes {
+		out[i] = joins[root[i]].project(naiveNode(n).attrs)
+	}
+	for _, j := range joins {
+		if len(j.tuples) == 0 {
+			for i := range out {
+				out[i] = newNaive(out[i].attrs)
+			}
+		}
 	}
 	return out
 }
@@ -135,6 +183,53 @@ func TestJoinTreeMatchesNaiveJoin(t *testing.T) {
 	}
 }
 
+// TestReduceMatchesNaiveJoin: on random join trees, forests of trees that
+// share no variable, and trees whose join is empty (a node's table may be
+// empty, or its rows may match nothing), over small domains and over 300
+// values, every reduced node equals the projection of the naive join of
+// all nodes onto the node's scope, keeps the node's row order, and is
+// empty when the join is.
+func TestReduceMatchesNaiveJoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	empty, skipped := 0, 0
+	for trial := 0; trial < 600; trial++ {
+		dom := 1 + rng.Intn(3)
+		if trial%3 == 0 {
+			dom = 300
+		}
+		tree, _ := randomJoinTree(rng, dom)
+		want := naiveReduced(tree)
+		if want == nil {
+			skipped++
+			continue
+		}
+		if len(want[0].tuples) == 0 {
+			empty++
+		}
+		got, err := tree.Reduce(context.Background())
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for i, n := range tree.Nodes {
+			sameRows(t, fmt.Sprintf("trial %d node %d", trial, i), mustFromTable(want[i].attrs, got[i]), want[i])
+			for r, k := 0, 0; r < got[i].Len(); r, k = r+1, k+1 {
+				for k < n.Rows.Len() && !slices.Equal(n.Rows.Row(k), got[i].Row(r)) {
+					k++
+				}
+				if k == n.Rows.Len() {
+					t.Fatalf("trial %d node %d: reduced rows out of insertion order", trial, i)
+				}
+			}
+		}
+	}
+	if skipped > 6 {
+		t.Fatalf("the oracle gave up on %d of 600 trees", skipped)
+	}
+	if empty < 100 || empty > 500 {
+		t.Fatalf("%d of 600 joins empty: the trees do not exercise both cases", empty)
+	}
+}
+
 // The Table-key fallback is the only path for a shared scope whose dense
 // key space exceeds denseKeys; pin where it starts.
 func TestKeyerFallsBackBeyondDenseKeys(t *testing.T) {
@@ -179,6 +274,9 @@ func TestJoinTreeRejectsNonForests(t *testing.T) {
 		if _, err := tree.Count(context.Background()); !errors.Is(err, errNotForest) {
 			t.Errorf("parents %v: Count err %v", parent, err)
 		}
+		if _, err := tree.Reduce(context.Background()); !errors.Is(err, errNotForest) {
+			t.Errorf("parents %v: Reduce err %v", parent, err)
+		}
 	}
 }
 
@@ -191,5 +289,8 @@ func TestJoinTreeHonoursExpiredContext(t *testing.T) {
 	}
 	if _, err := tree.Count(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Count err %v", err)
+	}
+	if _, err := tree.Reduce(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Reduce err %v", err)
 	}
 }

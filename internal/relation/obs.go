@@ -3,7 +3,7 @@ package relation
 import "csdb/internal/obs"
 
 // Observability handles for the relational kernel. Everything is recorded at
-// operator-call boundaries — one flush per join/semijoin/JoinAll — never per
+// operator-call boundaries — one flush per join, JoinAll or join-tree run — never per
 // probed row, so the disabled-mode cost is a few atomic loads per operator.
 //
 // Metric catalog (see README "Observability"):
@@ -13,17 +13,15 @@ import "csdb/internal/obs"
 //	relation.join.build_rows     build-side rows hashed
 //	relation.join.output_rows    result rows emitted
 //	relation.join.arena_bytes    bytes appended to result arenas
-//	relation.semijoin.calls      semijoins executed
-//	relation.semijoin.probe_rows probe-side rows streamed
-//	relation.semijoin.kept_rows  rows surviving the semijoin
 //	relation.planner.joins       multiway joins planned (JoinAll calls)
 //	relation.planner.pairs       pairwise joins the planner committed
 //	relation.planner.est_rows    summed cardinality estimates of those pairs
 //	relation.planner.actual_rows summed actual cardinalities
 //	relation.planner.est_ratio   histogram of max(est,actual)/min(est,actual)
 //	                             per pair — the planner's estimate error
-//	relation.jointree.solves       join-tree engine solves (tree, acyclic
-//	                               and width routes alike)
+//	relation.jointree.solves       join-tree engine full-reducer runs
+//	                               (the tree, acyclic and width routes'
+//	                               solves and conjunctive-query evaluation)
 //	relation.jointree.semijoins    semijoin steps across the up+down passes
 //	relation.jointree.rows_loaded  node rows entering the reducer
 //	relation.jointree.rows_reduced rows surviving the full reducer
@@ -33,9 +31,6 @@ var (
 	obsJoinBuildRows     = obs.NewCounter("relation.join.build_rows")
 	obsJoinOutputRows    = obs.NewCounter("relation.join.output_rows")
 	obsJoinArenaBytes    = obs.NewCounter("relation.join.arena_bytes")
-	obsSemijoinCalls     = obs.NewCounter("relation.semijoin.calls")
-	obsSemijoinProbeRows = obs.NewCounter("relation.semijoin.probe_rows")
-	obsSemijoinKeptRows  = obs.NewCounter("relation.semijoin.kept_rows")
 	obsPlannerJoins      = obs.NewCounter("relation.planner.joins")
 	obsPlannerPairs      = obs.NewCounter("relation.planner.pairs")
 	obsPlannerEstRows    = obs.NewCounter("relation.planner.est_rows")

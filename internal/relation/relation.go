@@ -1,6 +1,7 @@
 // Package relation implements attribute-named finite relations and the
 // relational-algebra operators needed by the rest of the library: natural
-// join, projection, selection, semijoin, rename, union and intersection.
+// join, projection, selection, rename, union and intersection. Semijoins
+// run in one place, the join-tree engine's full reducer (jointree.go).
 //
 // It is the substrate for Proposition 2.1 of the paper (a CSP instance is
 // solvable iff the natural join of its constraint relations is nonempty) and
@@ -28,7 +29,7 @@
 // Table.Add builds the index as it inserts, so a table filled through Add
 // never writes on a read: a finished constraint table or structure may be
 // read by any number of goroutines. Operator results that are provably
-// duplicate-free (join, semijoin, selection, intersection of set-semantic
+// duplicate-free (join, selection, intersection of set-semantic
 // inputs) are emitted without touching the index at all; a Relation
 // materializes its index lazily on the first membership query, and caches
 // its Tuples view and column statistics. So a Relation may be read
@@ -143,6 +144,20 @@ func FromTuples(attrs []string, rows []Tuple) (*Relation, error) {
 			return nil, err
 		}
 	}
+	return r, nil
+}
+
+// FromTable returns a relation with the given attributes over t's rows. The
+// relation takes t over: t must not be used afterwards.
+func FromTable(attrs []string, t *Table) (*Relation, error) {
+	r, err := New(attrs...)
+	if err != nil {
+		return nil, err
+	}
+	if t.k != r.k {
+		return nil, fmt.Errorf("relation: table arity %d for %d attributes", t.k, r.k)
+	}
+	r.Table = *t
 	return r, nil
 }
 

@@ -171,8 +171,8 @@ func tableDifferential(t *testing.T, what string, rng *rand.Rand, arity, dom, ro
 }
 
 // TestJoinOperatorsWithOneHomeSlot runs the operators that index through
-// slots (Join's and Semijoin's build side, Project, Union, Intersect,
-// Equal) against the reference kernel with every row sent home to slot 0,
+// slots (Join's build side, the join-tree reducer's Table keys, Project,
+// Union, Intersect, Equal) against the reference kernel with every row sent home to slot 0,
 // so each build and probe walks a probe run as long as its index is full.
 func TestJoinOperatorsWithOneHomeSlot(t *testing.T) {
 	withOneHomeSlot(func() {
@@ -183,7 +183,9 @@ func TestJoinOperatorsWithOneHomeSlot(t *testing.T) {
 			s := randomRel(rng, randomSchema(rng), dom, 60)
 			nr, ns := naiveFrom(r), naiveFrom(s)
 			sameRows(t, "join", r.Join(s), nr.join(ns))
-			sameRows(t, "semijoin", r.Semijoin(s), nr.semijoin(ns))
+			rs, sr := reduceSemijoin(t, 1<<20, r, s)
+			sameRows(t, "reduce child", rs, nr.semijoin(ns))
+			sameRows(t, "reduce parent", sr, ns.semijoin(nr))
 			attrs := r.Attrs()[:1]
 			p, err := r.Project(attrs...)
 			if err != nil {

@@ -73,7 +73,6 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 		obsQueueDepth.Add(-1)
 		wait := time.Since(start).Nanoseconds()
 		a.noteWait(wait)
-		obsQueueWait.Observe(wait)
 		obsWaitNs.Observe(wait, "queued")
 	}()
 	select {

@@ -73,7 +73,7 @@ func TestAdmissionShedsWhenFull(t *testing.T) {
 
 func TestAdmissionQueueWaitAndShed(t *testing.T) {
 	withObs(t)
-	shedBefore, waitBefore := obsShed.Load(), obsQueueWait.Count()
+	shedBefore, waitBefore := obsShed.Load(), obsWaitNs.Series("queued").Count()
 	a := NewAdmission(1, 1)
 	hold, err := a.Acquire(context.Background())
 	if err != nil {
@@ -100,7 +100,7 @@ func TestAdmissionQueueWaitAndShed(t *testing.T) {
 	if got := obsShed.Load() - shedBefore; got != 1 {
 		t.Fatalf("shed counter delta = %d, want 1", got)
 	}
-	if got := obsQueueWait.Count() - waitBefore; got != 1 {
+	if got := obsWaitNs.Series("queued").Count() - waitBefore; got != 1 {
 		t.Fatalf("queue-wait observations delta = %d, want 1 (only the queued waiter)", got)
 	}
 }

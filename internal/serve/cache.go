@@ -53,12 +53,10 @@ func (c *Cache) Get(k CacheKey) (any, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.entries[k]
 	if !ok {
-		obsCacheMiss.Inc()
 		obsCacheOutcome.Inc("miss")
 		return nil, false
 	}
 	c.order.MoveToFront(el)
-	obsCacheHits.Inc()
 	obsCacheOutcome.Inc("hit")
 	return el.Value.(*cacheEntry).val, true
 }
@@ -81,7 +79,6 @@ func (c *Cache) Add(k CacheKey, v any) {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
 		delete(c.entries, oldest.Value.(*cacheEntry).key)
-		obsCacheEvict.Inc()
 		obsCacheOutcome.Inc("evict")
 	}
 }

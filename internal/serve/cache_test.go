@@ -18,7 +18,7 @@ func TestCacheDisabled(t *testing.T) {
 
 func TestCacheHitMissEvict(t *testing.T) {
 	withObs(t)
-	hits, misses, evicts := obsCacheHits.Load(), obsCacheMiss.Load(), obsCacheEvict.Load()
+	hits, misses, evicts := obsCacheOutcome.Load("hit"), obsCacheOutcome.Load("miss"), obsCacheOutcome.Load("evict")
 	c := NewCache(2)
 	if _, ok := c.Get(k(1)); ok {
 		t.Fatal("empty cache hit")
@@ -42,13 +42,13 @@ func TestCacheHitMissEvict(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", c.Len())
 	}
-	if d := obsCacheHits.Load() - hits; d != 3 {
+	if d := obsCacheOutcome.Load("hit") - hits; d != 3 {
 		t.Fatalf("hit delta = %d, want 3", d)
 	}
-	if d := obsCacheMiss.Load() - misses; d != 2 {
+	if d := obsCacheOutcome.Load("miss") - misses; d != 2 {
 		t.Fatalf("miss delta = %d, want 2", d)
 	}
-	if d := obsCacheEvict.Load() - evicts; d != 1 {
+	if d := obsCacheOutcome.Load("evict") - evicts; d != 1 {
 		t.Fatalf("evict delta = %d, want 1", d)
 	}
 }

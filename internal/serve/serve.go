@@ -20,20 +20,15 @@ package serve
 
 import "csdb/internal/obs"
 
-// Registry names. Queue depth is a live gauge; queue wait is observed once
-// per queued acquisition (shed and fast-path acquisitions never queue). The
-// labeled pair is the PR-8 RED layer: cspd.admit.wait_ns carries every
-// acquisition (outcome fast|queued, so the fast-path share is visible) and
-// cspd.cache.outcome is the one-stop cache counter (outcome hit|miss|evict)
-// behind csptop's hit-rate line; the unlabeled metrics stay for the PR-5
-// JSON schema.
+// Registry names. Queue depth is a live gauge. cspd.admit.wait_ns observes
+// the wait of every acquisition that is not shed, labeled fast (a free
+// slot, wait 0) or queued (a wait its context may have cut short); shed
+// acquisitions are counted, not observed. cspd.cache.outcome counts every
+// cache lookup and eviction (outcome hit|miss|evict) and feeds csptop's
+// hit-rate line.
 var (
 	obsQueueDepth   = obs.NewGauge("cspd.admit.queue_depth")
-	obsQueueWait    = obs.NewHistogram("cspd.admit.queue_wait_ns")
 	obsShed         = obs.NewCounter("cspd.admit.shed")
-	obsCacheHits    = obs.NewCounter("cspd.cache.hits")
-	obsCacheMiss    = obs.NewCounter("cspd.cache.misses")
-	obsCacheEvict   = obs.NewCounter("cspd.cache.evictions")
 	obsWaitNs       = obs.NewHistogramVec("cspd.admit.wait_ns", "outcome")
 	obsCacheOutcome = obs.NewCounterVec("cspd.cache.outcome", "outcome")
 )
