@@ -61,8 +61,8 @@ fuzz-smoke:
 verify: build test
 
 # Race-check the whole module. The concurrent solver paths (portfolio,
-# parallel search, cancellation) live in internal/csp, but the full module
-# runs under the detector so future concurrency is covered automatically.
+# cancellation) live in internal/csp, but the full module runs under the
+# detector so future concurrency is covered automatically.
 race:
 	$(GO) test -race -count=1 ./...
 

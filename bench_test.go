@@ -557,21 +557,17 @@ func BenchmarkAblation_DigraphReduction(b *testing.B) {
 	})
 }
 
-// --- Engine: the parallel portfolio solver (README "Parallel solving") ---
+// --- Engine: the portfolio race (README "Parallel solving") ---
 //
-// Three workload families compare the sequential deciders against the
-// work-splitting parallel search and the portfolio race. The E1-E12
-// baselines above stay sequential; these benchmarks are the concurrency
-// story only.
+// Four workload families compare the sequential deciders against the
+// portfolio race. The E1-E12 baselines above stay sequential; these
+// benchmarks are the concurrency story only.
 
 func engineSolvers(p *csp.Instance) map[string]func() csp.Result {
 	return map[string]func() csp.Result{
 		"MAC": func() csp.Result { return csp.Solve(p, csp.Options{}) },
 		"FC":  func() csp.Result { return csp.Solve(p, csp.Options{Algorithm: csp.FC, VarOrder: csp.Lex}) },
 		"CBJ": func() csp.Result { return csp.SolveCBJ(p, csp.Options{}) },
-		"Parallel": func() csp.Result {
-			return csp.SolveParallel(context.Background(), p, csp.ParallelOptions{Workers: 4}).Result
-		},
 		"Portfolio": func() csp.Result {
 			return csp.Portfolio(context.Background(), p, csp.PortfolioOptions{}).Result
 		},
@@ -579,7 +575,7 @@ func engineSolvers(p *csp.Instance) map[string]func() csp.Result {
 }
 
 func benchEngine(b *testing.B, p *csp.Instance) {
-	for _, name := range []string{"MAC", "FC", "CBJ", "Parallel", "Portfolio"} {
+	for _, name := range []string{"MAC", "FC", "CBJ", "Portfolio"} {
 		run := engineSolvers(p)[name]
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

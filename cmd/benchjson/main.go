@@ -65,10 +65,12 @@ type Label struct {
 	Obs         map[string]any   `json:"obs,omitempty"`
 }
 
-// File is the on-disk trajectory format.
+// File is the on-disk trajectory format. Each label stays raw JSON: a merge
+// decodes and re-encodes only the label it writes, so every other label
+// keeps its bytes (and its obs keys their order).
 type File struct {
-	Note   string           `json:"note"`
-	Labels map[string]Label `json:"labels"`
+	Note   string                     `json:"note"`
+	Labels map[string]json.RawMessage `json:"labels"`
 }
 
 func main() {
@@ -79,9 +81,8 @@ func main() {
 	note := flag.String("note", "", "override the file's note line (kept from the existing file when empty)")
 	flag.Parse()
 
-	var runs map[string][]Run
-	var searchBenches map[string]Bench
-	var searchSnap map[string]any
+	c := capture{label: *label, note: *note,
+		defaultNote: "per-benchmark ns/op, B/op, allocs/op across -count repetitions; medians for comparison"}
 	if *search {
 		// The search suite produces its own timings; -o keeps its flag
 		// default only if the user did not set it explicitly.
@@ -94,78 +95,107 @@ func main() {
 		if !explicitOut {
 			*out = "BENCH_search.json"
 		}
-		searchBenches, searchSnap = runSearchBench()
+		c.defaultNote = "search-core wall-clock per (instance or family, engine): seed vs bitset MAC vs restart/nogood learning vs the portfolio race; medians plus node counts and seed-relative speedups"
+		c.benches, c.obs = runSearchBench()
 	} else {
-		runs = parseBench(os.Stdin)
+		runs := parseBench(os.Stdin)
 		if len(runs) == 0 {
 			fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines found on stdin")
 			os.Exit(1)
 		}
+		c.benches = map[string]Bench{}
+		for name, rs := range runs {
+			c.benches[name] = Bench{
+				Runs:           rs,
+				MedianNsOp:     median(rs, func(r Run) float64 { return r.NsOp }),
+				MedianBOp:      median(rs, func(r Run) float64 { return r.BOp }),
+				MedianAllocsOp: median(rs, func(r Run) float64 { return r.AllocsOp }),
+			}
+		}
+		if *withObs {
+			c.obs = captureObsSnapshot()
+		}
 	}
 
-	f := File{Labels: map[string]Label{}}
-	if data, err := os.ReadFile(*out); err == nil {
+	prev, err := os.ReadFile(*out)
+	if err != nil && !os.IsNotExist(err) {
+		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		os.Exit(1)
+	}
+	data, n, err := merge(prev, c)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", *out, err)
+		os.Exit(1)
+	}
+	if err := os.WriteFile(*out, data, 0o644); err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks under label %q to %s\n", n, *label, *out)
+}
+
+// capture is one labeled run to merge into a trajectory file.
+type capture struct {
+	label string
+	// note replaces the file's note line when set; defaultNote is the note
+	// of a file that has none.
+	note, defaultNote string
+	benches           map[string]Bench
+	// obs replaces the label's snapshot when non-nil.
+	obs map[string]any
+}
+
+// merge folds c into the trajectory file held in data (empty for a new
+// file) and returns the new file with the number of benchmarks under c's
+// label. If the label exists, c's benchmarks update its entries and leave
+// the rest intact (so a capture of a subset, such as a backfilled baseline
+// for one new benchmark, adds to the label), and its snapshot stays unless c
+// brings one.
+func merge(data []byte, c capture) ([]byte, int, error) {
+	var f File
+	if len(data) > 0 {
 		if err := json.Unmarshal(data, &f); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: cannot parse existing %s: %v\n", *out, err)
-			os.Exit(1)
+			return nil, 0, fmt.Errorf("cannot parse existing file: %v", err)
 		}
-		if f.Labels == nil {
-			f.Labels = map[string]Label{}
-		}
+	}
+	if f.Labels == nil {
+		f.Labels = map[string]json.RawMessage{}
 	}
 	switch {
-	case *note != "":
-		f.Note = *note
-	case f.Note == "" && *search:
-		f.Note = "search-core wall-clock per (instance or family, engine): seed vs bitset MAC vs restart/nogood learning vs the portfolio race; medians plus node counts and seed-relative speedups"
+	case c.note != "":
+		f.Note = c.note
 	case f.Note == "":
-		f.Note = "per-benchmark ns/op, B/op, allocs/op across -count repetitions; medians for comparison"
+		f.Note = c.defaultNote
 	}
 
-	// Merge into the label if it already exists: a capture of a subset of
-	// benchmarks (e.g. a backfilled baseline for one new benchmark) updates
-	// those entries and leaves the rest of the label intact.
-	benches := map[string]Bench{}
-	if prev, ok := f.Labels[*label]; ok {
-		for name, b := range prev.Benchmarks {
-			benches[name] = b
+	var l Label
+	if raw, ok := f.Labels[c.label]; ok {
+		if err := json.Unmarshal(raw, &l); err != nil {
+			return nil, 0, fmt.Errorf("cannot parse label %q: %v", c.label, err)
 		}
 	}
-	for name, rs := range runs {
-		benches[name] = Bench{
-			Runs:           rs,
-			MedianNsOp:     median(rs, func(r Run) float64 { return r.NsOp }),
-			MedianBOp:      median(rs, func(r Run) float64 { return r.BOp }),
-			MedianAllocsOp: median(rs, func(r Run) float64 { return r.AllocsOp }),
-		}
+	if l.Benchmarks == nil {
+		l.Benchmarks = map[string]Bench{}
 	}
-	for name, b := range searchBenches {
-		benches[name] = b
+	for name, b := range c.benches {
+		l.Benchmarks[name] = b
 	}
-	obsSnap := f.Labels[*label].Obs // keep an earlier snapshot unless replaced
-	if *withObs {
-		obsSnap = captureObsSnapshot()
+	if c.obs != nil {
+		l.Obs = c.obs
 	}
-	if searchSnap != nil {
-		obsSnap = searchSnap
-	}
-	f.Labels[*label] = Label{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		Benchmarks:  benches,
-		Obs:         obsSnap,
-	}
-
-	data, err := json.MarshalIndent(&f, "", "  ")
+	l.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
+	l.GoVersion = runtime.Version()
+	raw, err := json.Marshal(&l)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
+		return nil, 0, err
 	}
-	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
+	f.Labels[c.label] = raw
+
+	out, err := json.MarshalIndent(&f, "", "  ")
+	if err != nil {
+		return nil, 0, err
 	}
-	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks under label %q to %s\n", len(benches), *label, *out)
+	return append(out, '\n'), len(l.Benchmarks), nil
 }
 
 // captureObsSnapshot runs the canonical chain-join workload (the shape

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	csolve [-strategy name] [-workers n] [-timeout d] [-explain]
+//	csolve [-strategy name] [-timeout d] [-explain]
 //	       [-trace out.jsonl] [-events out.jsonl] instance.csp
 //	csolve [-all max | -count] instance.csp
 //	csolve -coloring k graph.col
@@ -18,9 +18,8 @@
 // instances; the other strategies run one engine directly (csolve -h lists
 // them). The summary line names the requested strategy, the route and
 // classification time (auto), the portfolio winner, the engine that ran,
-// its effort and the wall clock. -workers bounds the parallel strategy's
-// pool and is rejected with any other. -timeout is the solve's deadline
-// whatever the strategy: the verdict is UNKNOWN when it expires. -explain
+// its effort and the wall clock. -timeout is the solve's deadline whatever
+// the strategy: the verdict is UNKNOWN when it expires. -explain
 // prints why the solve took its route, from the classification that routed
 // it. -all enumerates solutions by MAC search and -count counts them by
 // decomposition DP; both ignore -strategy. -trace turns on structured span
@@ -56,7 +55,6 @@ type config struct {
 	all      int64
 	count    bool
 	timeout  time.Duration
-	workers  int
 	trace    string
 	events   string
 	args     []string
@@ -69,7 +67,6 @@ func main() {
 	all := flag.Int64("all", 0, "enumerate up to this many solutions by MAC search")
 	count := flag.Bool("count", false, "count solutions exactly via decomposition DP")
 	timeout := flag.Duration("timeout", 0, "deadline for the solve (0 = none)")
-	workers := flag.Int("workers", 0, "worker-pool size for -strategy parallel (0 = GOMAXPROCS)")
 	trace := flag.String("trace", "", "write the solve's span trace to this file as JSON lines")
 	events := flag.String("events", "", "write the solve's wide event to this file as a JSON line")
 	flag.Usage = func() {
@@ -80,7 +77,7 @@ func main() {
 
 	cfg := config{
 		strategy: *strategy, coloring: *coloring, explain: *explain,
-		all: *all, count: *count, timeout: *timeout, workers: *workers,
+		all: *all, count: *count, timeout: *timeout,
 		trace: *trace, events: *events, args: flag.Args(),
 	}
 	if err := run(os.Stdout, cfg); err != nil {
@@ -97,7 +94,7 @@ func run(w io.Writer, cfg config) (err error) {
 	if cfg.timeout < 0 {
 		return fmt.Errorf("-timeout must be non-negative, got %v", cfg.timeout)
 	}
-	if err := dispatch.Check(cfg.strategy, cfg.workers); err != nil {
+	if err := dispatch.Check(cfg.strategy); err != nil {
 		return err
 	}
 	if len(cfg.args) == 1 {
@@ -191,7 +188,7 @@ func run(w io.Writer, cfg config) (err error) {
 	}
 
 	start := time.Now()
-	out, err := dispatch.NewAnalyzer(0, 0).Run(ctx, inst, cfg.strategy, cfg.workers)
+	out, err := dispatch.NewAnalyzer(0, 0).Run(ctx, inst, cfg.strategy)
 	if err != nil {
 		return err
 	}
@@ -217,8 +214,8 @@ func run(w io.Writer, cfg config) (err error) {
 
 // summary renders the one-line verdict of a strategy-table solve: the
 // strategy asked for; for auto, the route the verdict came from and the
-// classification time; the portfolio winner and parallel split when those
-// ran; then the engine, its effort and the wall clock.
+// classification time; the portfolio winner when one raced; then the
+// engine, its effort and the wall clock.
 func summary(out dispatch.Outcome, wall time.Duration) string {
 	verdict := "UNSAT"
 	switch {
@@ -234,9 +231,6 @@ func summary(out dispatch.Outcome, wall time.Duration) string {
 	}
 	if out.Winner != "" {
 		fmt.Fprintf(&b, ", portfolio winner %s", out.Winner)
-	}
-	if out.Subtrees > 0 {
-		fmt.Fprintf(&b, ", %d subtrees", out.Subtrees)
 	}
 	st := out.Stats
 	fmt.Fprintf(&b, ", engine %s, %d nodes, depth %d", st.Strategy, st.Nodes, st.MaxDepth)

@@ -25,7 +25,8 @@ func runOut(t *testing.T, cfg config) string {
 }
 
 // -strategy takes exactly the strategy table's names; the retired forced
-// routes and their spellings are rejected.
+// routes, the removed parallel and join rows and other spellings are
+// rejected.
 func TestParseStrategy(t *testing.T) {
 	sample := []string{"../../testdata/sample.csp"}
 	for _, name := range dispatch.Names() {
@@ -33,7 +34,7 @@ func TestParseStrategy(t *testing.T) {
 			t.Fatalf("strategy %s: output %q", name, got)
 		}
 	}
-	for _, name := range []string{"search", "treewidth", "schaefer", "tree", "quantum"} {
+	for _, name := range []string{"search", "treewidth", "schaefer", "tree", "parallel", "join", "quantum"} {
 		if err := run(io.Discard, config{strategy: name, args: sample}); err == nil ||
 			!strings.Contains(err.Error(), "unknown strategy") {
 			t.Fatalf("strategy %q: err = %v", name, err)
@@ -56,7 +57,7 @@ func TestRunOnInstanceFile(t *testing.T) {
 
 // -timeout is only the deadline of the requested strategy: the summary
 // names that strategy with and without it, and -explain works with every
-// strategy. -workers is accepted by parallel alone.
+// strategy.
 func TestRunEngineFlags(t *testing.T) {
 	sample := []string{"../../testdata/sample.csp"}
 	for _, name := range dispatch.Names() {
@@ -71,15 +72,6 @@ func TestRunEngineFlags(t *testing.T) {
 	}
 	if got := runOut(t, config{strategy: "mac", timeout: 2 * time.Second, args: sample}); !strings.Contains(got, "engine MAC+MRV") {
 		t.Fatalf("-strategy mac -timeout: output %q", got)
-	}
-	if got := runOut(t, config{strategy: "parallel", workers: 2, args: sample}); !strings.Contains(got, "subtrees") {
-		t.Fatalf("-strategy parallel -workers 2: output %q", got)
-	}
-	for _, name := range []string{"auto", "learn", "mac", "portfolio"} {
-		if err := run(io.Discard, config{strategy: name, workers: 2, args: sample}); err == nil ||
-			!strings.Contains(err.Error(), "conflicting workers") {
-			t.Fatalf("-strategy %s -workers 2: err = %v", name, err)
-		}
 	}
 }
 

@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math/rand"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -55,7 +58,8 @@ var summaryRoute = regexp.MustCompile(`route=(\w+)`)
 // TestCSolveAgreesWithCspd is the cross-binary gate: for one instance per
 // generator family and every strategy-table row, the csolve binary and the
 // in-process cspd handler return the same verdict and the same route (none
-// for engine rows).
+// for engine rows). A name the table no longer serves (parallel, join) is
+// refused by both: csolve exits 2 and cspd answers 400 unknown strategy.
 func TestCSolveAgreesWithCspd(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
@@ -108,6 +112,27 @@ func TestCSolveAgreesWithCspd(t *testing.T) {
 			if res.Route != wantRoute {
 				t.Fatalf("%s/%s: route %q, want %q", fam.name, name, res.Route, wantRoute)
 			}
+		}
+	}
+
+	sample := filepath.Join(dir, "tree.csp")
+	for _, name := range []string{"parallel", "join"} {
+		cmd := exec.Command(csolve, "-strategy", name, sample)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), "unknown strategy") {
+			t.Fatalf("csolve -strategy %s: err %v, stderr %q; want exit 2 naming the unknown strategy", name, err, stderr.String())
+		}
+		resp, err := http.Post(ts.URL+"/solve?strategy="+name, "text/plain", strings.NewReader(sampleInstance))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "unknown strategy") {
+			t.Fatalf("cspd strategy=%s: status %d body %q, want 400 unknown strategy", name, resp.StatusCode, msg)
 		}
 	}
 }

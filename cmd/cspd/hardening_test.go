@@ -269,41 +269,22 @@ func TestDomOfOutOfRangeRejected(t *testing.T) {
 // TestHostileHeaderRejected is the regression test for a 19-byte POST that
 // killed cspd: `vars 5000000` / `dom 2` with no constraints reached the join
 // lane, whose planner presized a pair heap of k(k-1)/2 entries and panicked
-// in a lane goroutine, and every other engine sized gigabytes of per-variable
-// state. With a dom_of line, 33 bytes declaring two million variables made
-// the parser itself allocate 47 MB for the domain table before the size
-// check ran. Each body is served in-process, with no http.Server to recover
-// a handler panic, under the default strategy and under strategy=join: each
-// gets a 400 naming the limit and exactly one wide event, and the request
-// allocates no more than allocPerBodyByte bytes per body byte.
+// in a lane goroutine, and every other engine used to size gigabytes of
+// per-variable state. With a dom_of line, 33 bytes declaring two million
+// variables made the parser itself allocate 47 MB for the domain table
+// before the size check ran. Each body is served in-process, with no
+// http.Server to recover a handler panic, under the default strategy and
+// under strategy=mac: each gets a 400 naming the limit and exactly one wide
+// event, and the request allocates no more than allocPerBodyByte bytes per
+// body byte.
 func TestHostileHeaderRejected(t *testing.T) {
 	withDaemonObs(t)
 	h := newServer(testConfig()).mux()
-	// An in-process rejection, its recorder and its wide event cost 2-4 KB
-	// (100-180 bytes per body byte here); the domain table cost 47 MB.
-	const allocPerBodyByte = 512
 	for _, body := range []string{"vars 5000000\ndom 2\n", "vars 2000000\ndom 2\ndom_of 0 : 1\n"} {
-		for _, query := range []string{"", "strategy=join"} {
-			obs.DefaultEvents().Drain()
+		for _, query := range []string{"", "strategy=mac"} {
 			tooBigBefore := obsTooLarge.Load()
-			rec := httptest.NewRecorder()
-			req := httptest.NewRequest(http.MethodPost, "/solve?"+query, strings.NewReader(body))
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			h.ServeHTTP(rec, req)
-			runtime.ReadMemStats(&after)
-			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "instance too large") {
-				t.Fatalf("%q ?%s: status %d body %q, want 400 naming the size limit", body, query, rec.Code, rec.Body.String())
-			}
-			alloc := after.TotalAlloc - before.TotalAlloc
-			if alloc > allocPerBodyByte*uint64(len(body)) {
-				t.Fatalf("%q ?%s: the request allocated %d bytes, over %d per body byte", body, query, alloc, allocPerBodyByte)
-			}
-			events := obs.DefaultEvents().Drain()
-			if len(events) != 1 {
-				t.Fatalf("%q ?%s: %d wide events, want 1", body, query, len(events))
-			}
-			if ev := events[0]; ev.Verdict != obs.VerdictError || ev.Cause != "instance_too_large" {
+			ev := serveRejected(t, h, body, query, "instance too large")
+			if ev.Verdict != obs.VerdictError || ev.Cause != "instance_too_large" {
 				t.Fatalf("%q ?%s: event verdict %q cause %q, want error/instance_too_large", body, query, ev.Verdict, ev.Cause)
 			}
 			if d := obsTooLarge.Load() - tooBigBefore; d != 1 {
@@ -311,4 +292,48 @@ func TestHostileHeaderRejected(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRemovedJoinRowRejected pins the end of the 14-byte memory hazard:
+// under the removed strategy=join row, `vars 22` / `dom 2` was the join of
+// 22 unconstrained domain relations, 2^22 rows, and allocated 4.6 GB. The
+// name is now unknown, so the body is refused before any solve, in-process
+// and within the hostile-header allocation bound.
+func TestRemovedJoinRowRejected(t *testing.T) {
+	withDaemonObs(t)
+	h := newServer(testConfig()).mux()
+	ev := serveRejected(t, h, "vars 22\ndom 2\n", "strategy=join", "unknown strategy")
+	if ev.Verdict != obs.VerdictError || ev.Cause != "params" {
+		t.Fatalf("event verdict %q cause %q, want error/params", ev.Verdict, ev.Cause)
+	}
+}
+
+// serveRejected serves one /solve request in-process and requires a 400
+// whose body mentions wantIn, exactly one wide event (which it returns), and
+// an allocation of at most allocPerBodyByte bytes per body byte.
+func serveRejected(t *testing.T, h http.Handler, body, query, wantIn string) obs.SolveEvent {
+	t.Helper()
+	// An in-process rejection, its recorder and its wide event cost 2-4 KB
+	// (100-180 bytes per body byte for the size-limit bodies); the domain
+	// table cost 47 MB.
+	const allocPerBodyByte = 512
+	obs.DefaultEvents().Drain()
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/solve?"+query, strings.NewReader(body))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), wantIn) {
+		t.Fatalf("%q ?%s: status %d body %q, want 400 naming %q", body, query, rec.Code, rec.Body.String(), wantIn)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if alloc > allocPerBodyByte*uint64(len(body)) {
+		t.Fatalf("%q ?%s: the request allocated %d bytes, over %d per body byte", body, query, alloc, allocPerBodyByte)
+	}
+	events := obs.DefaultEvents().Drain()
+	if len(events) != 1 {
+		t.Fatalf("%q ?%s: %d wide events, want 1", body, query, len(events))
+	}
+	return events[0]
 }

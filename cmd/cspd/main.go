@@ -1,8 +1,9 @@
-// Command cspd is the solver daemon: it serves the portfolio/parallel CSP
-// engine over HTTP with first-class observability — a /metrics endpoint
-// exposing the shared atomic registry, a /trace endpoint draining the
-// structured span ring, the standard pprof handlers, and a /solve endpoint
-// that runs a POSTed instance under a per-request trace ID.
+// Command cspd is the solver daemon: it serves the dispatcher's strategy
+// table (structural routing, the portfolio race and the search engines)
+// over HTTP with first-class observability — a /metrics endpoint exposing
+// the shared atomic registry, a /trace endpoint draining the structured
+// span ring, the standard pprof handlers, and a /solve endpoint that runs a
+// POSTed instance under a per-request trace ID.
 //
 // Because CSP solving is worst-case intractable, the daemon is built to
 // survive heavy repeated traffic rather than to merely multiplex the

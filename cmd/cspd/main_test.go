@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"csdb/internal/dispatch"
 	"csdb/internal/obs"
 )
 
@@ -124,10 +125,11 @@ func drainSpans(t *testing.T, ts *httptest.Server, query string) []obs.SpanRecor
 	return spans
 }
 
-// TestSolveEndToEnd drives /solve across strategies and checks verdicts.
+// TestSolveEndToEnd drives /solve across every strategy-table row and
+// checks verdicts.
 func TestSolveEndToEnd(t *testing.T) {
 	ts, _ := startDaemon(t)
-	for _, strategy := range []string{"mac", "fc", "bt", "cbj", "join", "learn", "portfolio", "parallel"} {
+	for _, strategy := range dispatch.Names() {
 		res := postSolve(t, ts, "strategy="+strategy+"&timeout=10s", sampleInstance)
 		if !res.Found || res.Aborted {
 			t.Fatalf("strategy %s: found=%v aborted=%v", strategy, res.Found, res.Aborted)
@@ -152,7 +154,6 @@ func TestSolveRejectsBadInput(t *testing.T) {
 	for _, tc := range []struct{ query, body string }{
 		{"strategy=warp", sampleInstance},
 		{"timeout=yesterday", sampleInstance},
-		{"workers=-1", sampleInstance},
 		{"", "vars banana"},
 	} {
 		resp, err := http.Post(ts.URL+"/solve?"+tc.query, "text/plain", strings.NewReader(tc.body))

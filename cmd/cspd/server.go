@@ -39,18 +39,17 @@ import (
 // Solve requests are parameterized by query string:
 //
 //	strategy  a row of the dispatcher's strategy table (internal/dispatch):
-//	          auto|portfolio|parallel|mac|fc|bt|cbj|learn|join
+//	          auto|portfolio|mac|fc|bt|cbj|learn
 //	          (default portfolio); learn is the restart/nogood engine
 //	timeout   Go duration, capped by -max-timeout         (default 30s)
-//	workers   worker bound for strategy=parallel; any other strategy
-//	          rejects workers>0 with 400 "conflicting workers", so a
-//	          bound the engine ignores never splits the result cache
 //	route     auto|portfolio — alias for strategy, the dispatcher surface:
 //	          route=auto classifies the instance's structure and runs the
 //	          matching polynomial solver (internal/dispatch); the response
 //	          then carries the chosen route in "route". route and strategy
 //	          are distinct cache keys, so an auto-routed result is never
 //	          replayed to a portfolio caller or vice versa.
+//
+// Any other parameter is ignored.
 //
 // Every request gets a trace ID (req-N); the solve runs under a root span
 // carrying it, so /trace output can be attributed per request even when
@@ -62,7 +61,7 @@ import (
 //
 //  1. a canonical result cache — instances are hashed order-insensitively
 //     (cspio.CanonicalHash), and a completed non-aborted result for the same
-//     (instance, strategy, workers) is replayed without touching the engine;
+//     (instance, strategy) is replayed without touching the engine;
 //  2. singleflight collapsing — concurrent identical requests share one
 //     engine solve (and one admission slot);
 //  3. admission control — at most -max-inflight engine solves run at once,
@@ -144,7 +143,6 @@ const maxBodyBytes = 16 << 20
 type solveParams struct {
 	strategy string
 	timeout  time.Duration
-	workers  int
 }
 
 // server carries daemon configuration and the serving layers shared by
@@ -281,7 +279,6 @@ type solveResponse struct {
 	Aborted  bool   `json:"aborted"`
 	Solution []int  `json:"solution,omitempty"`
 	Winner   string `json:"winner,omitempty"`
-	Subtrees int    `json:"subtrees,omitempty"`
 	// Route is set for strategy=auto: the structural class the dispatcher
 	// routed the instance to (tree, schaefer, acyclic, width, hard).
 	Route  string    `json:"route,omitempty"`
@@ -384,7 +381,6 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	key := serve.CacheKey{
 		Hash:     cspio.CanonicalHash(inst),
 		Strategy: params.strategy,
-		Workers:  params.workers,
 	}
 	// The cache lookup lives inside the flight so a result committed by an
 	// overlapping request is found even when this caller raced past its own
@@ -500,9 +496,9 @@ func retryAfterSeconds(estimate, drainBudget time.Duration) int {
 	return secs
 }
 
-// parseParams validates the query string. The strategy and worker bound are
-// checked here, at the boundary, against the same table Run resolves them
-// in, so neither the flight nor the engine can see a bad pair.
+// parseParams validates the query string. The strategy is checked here, at
+// the boundary, against the same table Run resolves it in, so neither the
+// flight nor the engine can see a bad name.
 func (s *server) parseParams(q url.Values) (solveParams, error) {
 	p := solveParams{strategy: "portfolio", timeout: 30 * time.Second}
 	if st := q.Get("strategy"); st != "" {
@@ -530,14 +526,7 @@ func (s *server) parseParams(q url.Values) (solveParams, error) {
 	if s.cfg.maxTimeout > 0 && p.timeout > s.cfg.maxTimeout {
 		p.timeout = s.cfg.maxTimeout
 	}
-	if ws := q.Get("workers"); ws != "" {
-		n, err := strconv.Atoi(ws)
-		if err != nil || n < 0 {
-			return p, fmt.Errorf("bad workers %s", strconv.Quote(ws))
-		}
-		p.workers = n
-	}
-	return p, dispatch.Check(p.strategy, p.workers)
+	return p, dispatch.Check(p.strategy)
 }
 
 // realDispatch runs one solve through the strategy table. ctx carries the
@@ -545,16 +534,15 @@ func (s *server) parseParams(q url.Values) (solveParams, error) {
 // shutdown.
 func (s *server) realDispatch(ctx context.Context, inst *csp.Instance, p solveParams) solveResponse {
 	start := time.Now()
-	out, err := s.analyzer.Run(ctx, inst, p.strategy, p.workers)
-	// parseParams checked (strategy, workers) against the same table, so err
-	// is unreachable; should it happen, UNKNOWN is never cached.
+	out, err := s.analyzer.Run(ctx, inst, p.strategy)
+	// parseParams checked the strategy against the same table, so err is
+	// unreachable; should it happen, UNKNOWN is never cached.
 	return solveResponse{
 		Strategy: p.strategy,
 		Found:    out.Found,
 		Aborted:  out.Aborted || err != nil,
 		Solution: out.Solution,
 		Winner:   out.Winner,
-		Subtrees: out.Subtrees,
 		Route:    out.RouteName(),
 		Stats:    out.Stats,
 		WallNs:   time.Since(start).Nanoseconds(),

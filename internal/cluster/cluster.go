@@ -26,8 +26,8 @@
 //   - Router is the HTTP surface: POST /solve proxies one instance with
 //     retry-once failover to the next live ring position on connection
 //     failure or 5xx; POST /solve/batch fans many instances out with
-//     bounded intra-batch parallelism (the SolveParallel worker-pool
-//     discipline: fixed workers draining a jobs channel); GET /healthz,
+//     bounded intra-batch parallelism (fixed workers draining a jobs
+//     channel); GET /healthz,
 //     /metrics and /replicas expose the router's own state.
 //
 // When every reachable replica sheds, the router propagates 429 with the

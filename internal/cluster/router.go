@@ -37,7 +37,7 @@ type Config struct {
 	ShedDepth int64
 	// BatchWorkers bounds intra-batch parallelism: how many items of one
 	// /solve/batch request are in flight at once (default GOMAXPROCS, capped
-	// at 8 — the same bounded-worker-pool discipline as csp.SolveParallel).
+	// at 8), drained from one jobs channel by a fixed pool of workers.
 	BatchWorkers int
 	// MaxBatchItems bounds one batch request (default 256).
 	MaxBatchItems int
@@ -408,10 +408,9 @@ func (rt *Router) writeProxied(w http.ResponseWriter, res proxyResult) {
 type batchItem struct {
 	// Instance is the instance text (the same format POST /solve accepts).
 	Instance string `json:"instance"`
-	// Strategy, Timeout, Workers and Route mirror /solve's query parameters.
+	// Strategy, Timeout and Route mirror /solve's query parameters.
 	Strategy string `json:"strategy,omitempty"`
 	Timeout  string `json:"timeout,omitempty"`
-	Workers  int    `json:"workers,omitempty"`
 	Route    string `json:"route,omitempty"`
 }
 
@@ -423,9 +422,6 @@ func (it batchItem) query() string {
 	}
 	if it.Timeout != "" {
 		q.Set("timeout", it.Timeout)
-	}
-	if it.Workers > 0 {
-		q.Set("workers", strconv.Itoa(it.Workers))
 	}
 	if it.Route != "" {
 		q.Set("route", it.Route)
@@ -453,8 +449,8 @@ type batchResponse struct {
 
 // handleBatch fans a batch of instances out across the replica set: each
 // item routes independently (consistent-hash affinity per item), with at
-// most BatchWorkers items in flight at once — the bounded worker-pool
-// discipline of csp.SolveParallel, applied across the network.
+// most BatchWorkers items in flight at once: a fixed pool of workers drains
+// one jobs channel.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	obsBatches.Inc()
 	if r.Method != http.MethodPost {

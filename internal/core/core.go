@@ -115,7 +115,7 @@ type Result struct {
 // and only the rest to the search portfolio. The error is non-nil only when
 // ctx ended before a verdict.
 func (p *Problem) Solve(ctx context.Context) (Result, error) {
-	out, err := analyzer.Run(ctx, p.inst, "auto", 0)
+	out, err := analyzer.Run(ctx, p.inst, "auto")
 	if err != nil {
 		return Result{}, err
 	}

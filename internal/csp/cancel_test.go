@@ -28,7 +28,6 @@ func TestPreCancelledContextAborts(t *testing.T) {
 		"SolveCtx":    func() Result { return SolveCtx(ctx, p, Options{}) },
 		"SolveCBJCtx": func() Result { return SolveCBJCtx(ctx, p, Options{}) },
 		"JoinSolve":   func() Result { return JoinSolveCtx(ctx, p) },
-		"Parallel":    func() Result { return SolveParallel(ctx, p, ParallelOptions{}).Result },
 		"Portfolio":   func() Result { return Portfolio(ctx, p, PortfolioOptions{}).Result },
 	} {
 		start := time.Now()
@@ -52,9 +51,6 @@ func TestCancellationMidSearch(t *testing.T) {
 		"MAC": func(ctx context.Context) Result { return SolveCtx(ctx, p, Options{}) },
 		"FC":  func(ctx context.Context) Result { return SolveCtx(ctx, p, Options{Algorithm: FC, VarOrder: Lex}) },
 		"CBJ": func(ctx context.Context) Result { return SolveCBJCtx(ctx, p, Options{}) },
-		"Parallel": func(ctx context.Context) Result {
-			return SolveParallel(ctx, p, ParallelOptions{Workers: 2}).Result
-		},
 		"Portfolio": func(ctx context.Context) Result {
 			return Portfolio(ctx, p, PortfolioOptions{}).Result
 		},
@@ -73,10 +69,9 @@ func TestCancellationMidSearch(t *testing.T) {
 	}
 }
 
-// TestCancellationLeaksNoGoroutines races the portfolio and the parallel
-// solver on a hard instance under a short deadline and asserts the goroutine
-// count returns to its baseline: every loser must be joined before the call
-// returns.
+// TestCancellationLeaksNoGoroutines races the portfolio on a hard instance
+// under a short deadline and asserts the goroutine count returns to its
+// baseline: every loser must be joined before the call returns.
 func TestCancellationLeaksNoGoroutines(t *testing.T) {
 	p := pigeonhole(12)
 	before := runtime.NumGoroutine()
@@ -85,11 +80,6 @@ func TestCancellationLeaksNoGoroutines(t *testing.T) {
 		if res := Portfolio(context.Background(), p, PortfolioOptions{Timeout: timeout}); !res.Aborted {
 			t.Fatalf("portfolio run %d: expected abort under %v deadline, got %+v", i, timeout, res.Result)
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		if res := SolveParallel(ctx, p, ParallelOptions{Workers: 4}); !res.Aborted {
-			t.Fatalf("parallel run %d: expected abort under %v deadline, got %+v", i, timeout, res.Result)
-		}
-		cancel()
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -120,7 +110,6 @@ func TestRandomCancellationNeverCorruptsVerdict(t *testing.T) {
 			SolveCtx(ctx, p, Options{}),
 			SolveCBJCtx(ctx, p, Options{}),
 			JoinSolveCtx(ctx, p),
-			SolveParallel(ctx, p, ParallelOptions{Workers: 2}).Result,
 			Portfolio(ctx, p, PortfolioOptions{}).Result,
 		} {
 			if res.Aborted {

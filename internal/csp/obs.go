@@ -22,8 +22,6 @@ import "csdb/internal/obs"
 //	csp.portfolio.races    portfolio races run
 //	csp.portfolio.lane     labeled vector {lane, outcome}: per-lane win/loss
 //	                       tallies across races (outcome win|loss)
-//	csp.parallel.runs      SolveParallel calls
-//	csp.parallel.subtrees  root-domain subtrees searched
 var (
 	obsSolveCalls       = obs.NewCounter("csp.solve.calls")
 	obsSearchNodes      = obs.NewCounter("csp.search.nodes")
@@ -36,8 +34,6 @@ var (
 	obsSearchNogoodHits = obs.NewCounter("csp.search.nogood_hits")
 	obsJoinSolveCalls   = obs.NewCounter("csp.joinsolve.calls")
 	obsPortfolioRaces   = obs.NewCounter("csp.portfolio.races")
-	obsParallelRuns     = obs.NewCounter("csp.parallel.runs")
-	obsParallelSubtrees = obs.NewCounter("csp.parallel.subtrees")
 )
 
 // obsPortfolioLane is the labeled per-lane outcome vector: one increment per
@@ -76,10 +72,8 @@ func recordLaneOutcome(name string, won bool) {
 // flushSolveObs flushes one finished solve into the shared registry and
 // closes the solve span. It is the single funnel for the seed searcher
 // family (BT/FC via run), CBJ (via SolveCBJCtx), and the bitset/learning
-// engine: per-subtree and per-strategy effort counters of the concurrent
-// engines therefore arrive in the registry through the same counters their
-// merged Stats are built from, which is what TestParallelStatsMatchRegistry
-// locks in.
+// engine: every portfolio lane's effort therefore arrives in the registry
+// through the same counters its Stats are built from.
 func flushSolveObs(span *obs.Span, res Result) {
 	if obs.Enabled() {
 		obsSolveCalls.Inc()

@@ -16,9 +16,9 @@ func withObs(t *testing.T, f func()) {
 	f()
 }
 
-// obsTestInstance is a pigeonhole-flavored instance hard enough that the
-// parallel engine searches several subtrees and racks up real node counts:
-// a 6-queens board via the inequality tables the package tests use.
+// obsTestInstance is an instance hard enough that every portfolio lane
+// racks up real node counts: a 6-queens board via the inequality tables the
+// package tests use.
 func obsTestInstance() *Instance {
 	const n = 6
 	p := NewInstance(n, n)
@@ -38,38 +38,11 @@ func obsTestInstance() *Instance {
 	return p
 }
 
-// TestParallelStatsMatchRegistry is the satellite acceptance test for
-// routing Stats merging through the shared registry: the per-subtree node
-// counts that SolveParallel merges atomically must equal the delta the
-// shared obs counter sees, i.e. every subtree's effort arrives in the
-// registry exactly once, through the same per-solve flush the merged total
-// is built from.
-func TestParallelStatsMatchRegistry(t *testing.T) {
-	withObs(t, func() {
-		p := obsTestInstance()
-		beforeNodes := obsSearchNodes.Load()
-		beforeBacktracks := obsSearchBacktracks.Load()
-		beforeSubtrees := obsParallelSubtrees.Load()
-
-		res := SolveParallel(context.Background(), p, ParallelOptions{Workers: 4})
-		if !res.Found {
-			t.Fatal("6-queens unsolved")
-		}
-		if got := obsSearchNodes.Load() - beforeNodes; got != res.Stats.Nodes {
-			t.Fatalf("registry node delta %d != merged total %d", got, res.Stats.Nodes)
-		}
-		if got := obsSearchBacktracks.Load() - beforeBacktracks; got != res.Stats.Backtracks {
-			t.Fatalf("registry backtrack delta %d != merged total %d", got, res.Stats.Backtracks)
-		}
-		if got := obsParallelSubtrees.Load() - beforeSubtrees; got != int64(res.Subtrees) {
-			t.Fatalf("registry subtree delta %d != %d", got, res.Subtrees)
-		}
-	})
-}
-
-// TestPortfolioStatsMatchRegistry does the same for the portfolio race: the
-// merged Total must equal the sum of the per-strategy reports and the
-// registry delta (every competitor flushes its own effort exactly once).
+// TestPortfolioStatsMatchRegistry is the acceptance test for routing Stats
+// merging through the shared registry: the race's merged Total must equal
+// the sum of the per-strategy reports and the registry delta (every
+// competitor flushes its own effort exactly once, through the same per-solve
+// flush the merged total is built from).
 func TestPortfolioStatsMatchRegistry(t *testing.T) {
 	withObs(t, func() {
 		p := obsTestInstance()

@@ -32,9 +32,8 @@ func pigeonhole(n int) *Instance {
 
 // TestPortfolioAgreesWithSequential is the differential headline test: on
 // 320 random instances spanning the density/tightness phase transition, the
-// portfolio race and the work-splitting parallel search must reproduce the
-// brute-force verdict exactly, and any solution they return must satisfy
-// the instance.
+// portfolio race must reproduce the brute-force verdict exactly, and any
+// solution it returns must satisfy the instance.
 func TestPortfolioAgreesWithSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	trials := 0
@@ -61,19 +60,6 @@ func TestPortfolioAgreesWithSequential(t *testing.T) {
 				if pres.Found && !p.Satisfies(pres.Solution) {
 					t.Fatalf("d=%v t=%v #%d: portfolio solution %v violates the instance (winner %s)",
 						density, tightness, i, pres.Solution, pres.Winner)
-				}
-
-				rres := SolveParallel(context.Background(), p, ParallelOptions{Workers: 3})
-				if rres.Aborted {
-					t.Fatalf("d=%v t=%v #%d: parallel solve aborted without limits", density, tightness, i)
-				}
-				if rres.Found != want {
-					t.Fatalf("d=%v t=%v #%d: parallel found=%v, brute force says %v",
-						density, tightness, i, rres.Found, want)
-				}
-				if rres.Found && !p.Satisfies(rres.Solution) {
-					t.Fatalf("d=%v t=%v #%d: parallel solution %v violates the instance",
-						density, tightness, i, rres.Solution)
 				}
 			}
 		}
@@ -167,39 +153,6 @@ func TestPortfolioAbortedStrategyDoesNotPoisonWinner(t *testing.T) {
 	}
 	if res.Total.Nodes != res.Reports[0].Stats.Nodes+res.Reports[1].Stats.Nodes {
 		t.Fatalf("merged total %d != sum of per-strategy nodes", res.Total.Nodes)
-	}
-}
-
-func TestSolveParallelEdgeCases(t *testing.T) {
-	// Zero variables: trivially satisfiable with the empty assignment.
-	empty := NewInstance(0, 3)
-	if res := SolveParallel(context.Background(), empty, ParallelOptions{}); !res.Found || len(res.Solution) != 0 {
-		t.Fatalf("empty instance: %+v", res)
-	}
-	// Empty root domain: trivially UNSAT, not aborted.
-	dead := NewInstance(2, 3)
-	dead.Domains = [][]int{{}, {0, 1}}
-	if res := SolveParallel(context.Background(), dead, ParallelOptions{}); res.Found || res.Aborted {
-		t.Fatalf("empty-domain instance: %+v", res)
-	}
-	// Per-subtree node limit: a limit too small for any subtree proof must
-	// surface as Aborted, never as a false UNSAT.
-	hard := pigeonhole(8)
-	res := SolveParallel(context.Background(), hard, ParallelOptions{Options: Options{NodeLimit: 2}})
-	if res.Found || !res.Aborted {
-		t.Fatalf("starved parallel solve must abort, got %+v", res.Result)
-	}
-	// Stats attribution and subtree accounting.
-	queens := nqueensInstance(6)
-	pres := SolveParallel(context.Background(), queens, ParallelOptions{Workers: 2})
-	if !pres.Found || !queens.Satisfies(pres.Solution) {
-		t.Fatalf("6-queens: %+v", pres.Result)
-	}
-	if pres.Subtrees != 6 || pres.Workers != 2 {
-		t.Fatalf("subtrees=%d workers=%d, want 6/2", pres.Subtrees, pres.Workers)
-	}
-	if pres.Stats.Strategy != "parallel(MAC+MRV)" {
-		t.Fatalf("strategy attribution = %q", pres.Stats.Strategy)
 	}
 }
 

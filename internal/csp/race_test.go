@@ -29,9 +29,9 @@ func (c *cancelOnSecondErr) Err() error {
 }
 
 // everyEngine is the default race's three lanes plus the two engines that
-// left it, FC+Lex and join evaluation. Those stay strategy-table rows
-// (strategy=fc, strategy=join), and cspd's timeout relies on their prompt
-// cancellation as much as the race relies on its lanes'.
+// left it, FC+Lex and join evaluation. FC stays a strategy-table row
+// (strategy=fc) and join evaluation stays Proposition 2.1's decider, and
+// both must cancel as promptly as the race's lanes.
 func everyEngine() []csp.PortfolioStrategy {
 	return append(csp.DefaultStrategies(),
 		csp.PortfolioStrategy{Name: "FC+Lex", Run: func(ctx context.Context, p *csp.Instance, opts csp.Options) csp.Result {

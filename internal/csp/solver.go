@@ -62,9 +62,9 @@ type Options struct {
 	VarOrder  VarOrder
 	// NodeLimit aborts the search after this many search nodes (0 = no
 	// limit). An aborted search reports Found=false, Aborted=true. The limit
-	// is local to one search: every strategy of a Portfolio and every worker
-	// subtree of SolveParallel counts its own nodes against its own limit —
-	// it is a per-strategy budget, not a global one.
+	// is local to one search: every strategy of a Portfolio counts its own
+	// nodes against its own limit — it is a per-strategy budget, not a
+	// global one.
 	NodeLimit int64
 	// RootConsistency, when true, runs one GAC pass before search even for
 	// BT/FC (MAC always does).
@@ -99,7 +99,7 @@ type Stats struct {
 	// Duration is the wall-clock time of the solve call.
 	Duration time.Duration
 	// Strategy attributes the stats to the procedure that produced them
-	// (e.g. "MAC+MRV", "CBJ", "Join", "parallel(FC+Lex)", "Learn+DomWdeg").
+	// (e.g. "MAC+MRV", "CBJ", "Join", "FC+Lex", "Learn+DomWdeg").
 	Strategy string
 	// Restarts, NogoodsRecorded and NogoodHits describe the learning
 	// engine's effort (zero for every other strategy): Luby restarts taken,

@@ -9,7 +9,7 @@ import "math/bits"
 // positions of the OR of the masks of the position's remaining values, and a
 // value is supported iff its mask intersects the live set (the compact-table
 // idea). Compilation is per-searcher, never cached on the shared Constraint,
-// so concurrent engines (portfolio, SolveParallel) stay race-free.
+// so the portfolio's concurrent lanes stay race-free.
 type Supports struct {
 	scope []int
 	dom   int

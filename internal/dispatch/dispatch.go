@@ -38,9 +38,9 @@
 //
 // The package also owns the one strategy table (strategy.go) that decides
 // how any front end solves an instance: Run resolves auto (the routing
-// above), portfolio, parallel, mac, fc, bt, cbj, learn or join to a
-// cancellable runner. csolve, cspd and core all call Run, so they accept
-// the same names, reject the same worker bounds and route alike.
+// above), portfolio, mac, fc, bt, cbj or learn to a cancellable runner.
+// csolve, cspd and core all call Run, so they accept the same names and
+// route alike.
 package dispatch
 
 import (
@@ -219,8 +219,6 @@ type Outcome struct {
 	Fallback bool
 	// Winner is the portfolio's winning lane, whenever a portfolio ran.
 	Winner string
-	// Subtrees is the parallel row's root-domain partition count.
-	Subtrees int
 	// ClassifyTime is the wall clock spent classifying.
 	ClassifyTime time.Duration
 }

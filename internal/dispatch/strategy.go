@@ -16,83 +16,63 @@ import (
 type strategy struct {
 	name string
 	help string
-	// workers reports that the row reads Run's worker bound; every other row
-	// rejects a positive one.
-	workers bool
-	// run decides p.
-	run func(a *Analyzer, ctx context.Context, p *csp.Instance, workers int) Outcome
+	run  func(a *Analyzer, ctx context.Context, p *csp.Instance) Outcome
 }
 
 // table lists the strategies in help order. Only auto consults structure;
 // the rest are engine rows, whose Outcome carries no classification.
 var table = []strategy{
 	{name: "auto", help: "classify the structure and run the matching polynomial solver; the portfolio only for hard instances",
-		run: func(a *Analyzer, ctx context.Context, p *csp.Instance, _ int) Outcome {
+		run: func(a *Analyzer, ctx context.Context, p *csp.Instance) Outcome {
 			return a.Solve(ctx, p)
 		}},
 	{name: "portfolio", help: "race the MAC, CBJ and learning lanes; the first verdict wins",
-		run: func(_ *Analyzer, ctx context.Context, p *csp.Instance, _ int) Outcome {
+		run: func(_ *Analyzer, ctx context.Context, p *csp.Instance) Outcome {
 			res := csp.Portfolio(ctx, p, csp.PortfolioOptions{})
 			return Outcome{Result: res.Result, Winner: res.Winner}
-		}},
-	{name: "parallel", help: "split the root variable's domain across a pool of workers (0 = GOMAXPROCS)", workers: true,
-		run: func(_ *Analyzer, ctx context.Context, p *csp.Instance, workers int) Outcome {
-			res := csp.SolveParallel(ctx, p, csp.ParallelOptions{Workers: workers})
-			return Outcome{Result: res.Result, Subtrees: res.Subtrees}
 		}},
 	{name: "mac", help: "backtracking search maintaining arc consistency", run: search(csp.Options{})},
 	{name: "fc", help: "backtracking search with forward checking", run: search(csp.Options{Algorithm: csp.FC})},
 	{name: "bt", help: "chronological backtracking", run: search(csp.Options{Algorithm: csp.BT})},
 	{name: "cbj", help: "conflict-directed backjumping",
-		run: func(_ *Analyzer, ctx context.Context, p *csp.Instance, _ int) Outcome {
+		run: func(_ *Analyzer, ctx context.Context, p *csp.Instance) Outcome {
 			return Outcome{Result: csp.SolveCBJCtx(ctx, p, csp.Options{})}
 		}},
 	{name: "learn", help: "the restart/nogood learning engine", run: search(csp.Options{Learn: true})},
-	{name: "join", help: "natural join of the constraint relations (Proposition 2.1)",
-		run: func(_ *Analyzer, ctx context.Context, p *csp.Instance, _ int) Outcome {
-			return Outcome{Result: csp.JoinSolveCtx(ctx, p)}
-		}},
 }
 
 // search is the runner of a csp.SolveCtx row.
-func search(opts csp.Options) func(*Analyzer, context.Context, *csp.Instance, int) Outcome {
-	return func(_ *Analyzer, ctx context.Context, p *csp.Instance, _ int) Outcome {
+func search(opts csp.Options) func(*Analyzer, context.Context, *csp.Instance) Outcome {
+	return func(_ *Analyzer, ctx context.Context, p *csp.Instance) Outcome {
 		return Outcome{Result: csp.SolveCtx(ctx, p, opts)}
 	}
 }
 
-// lookup resolves a strategy name and checks the worker bound against it.
-func lookup(name string, workers int) (*strategy, error) {
+// lookup resolves a strategy name.
+func lookup(name string) (*strategy, error) {
 	for i := range table {
 		if row := &table[i]; row.name == name {
-			switch {
-			case workers < 0:
-				return nil, fmt.Errorf("bad workers %d", workers)
-			case workers > 0 && !row.workers:
-				return nil, fmt.Errorf("conflicting workers=%d with strategy=%s (only parallel takes workers)", workers, name)
-			}
 			return row, nil
 		}
 	}
 	return nil, fmt.Errorf("unknown strategy %q (want %s)", name, strings.Join(Names(), ", "))
 }
 
-// Check validates a (strategy, workers) pair exactly as Run would, without
-// solving, so a front end can reject a request before queueing it.
-func Check(name string, workers int) error {
-	_, err := lookup(name, workers)
+// Check validates a strategy name exactly as Run would, without solving, so
+// a front end can reject a request before queueing it.
+func Check(name string) error {
+	_, err := lookup(name)
 	return err
 }
 
-// Run decides p with the named strategy. workers bounds the parallel row's
-// pool; any other row rejects a positive value. The error reports only a
-// bad name or worker bound: an expired ctx yields an aborted Outcome.
-func (a *Analyzer) Run(ctx context.Context, p *csp.Instance, name string, workers int) (Outcome, error) {
-	row, err := lookup(name, workers)
+// Run decides p with the named strategy. The error reports only an unknown
+// name: an expired ctx yields an aborted Outcome.
+func (a *Analyzer) Run(ctx context.Context, p *csp.Instance, name string) (Outcome, error) {
+	row, err := lookup(name)
 	if err != nil {
 		return Outcome{}, err
 	}
-	out := row.run(a, ctx, p, workers)
+	out := row.run(a, ctx, p)
 	out.Strategy = row.name
 	return out, nil
 }
@@ -128,8 +108,6 @@ func StrategyLabel(name string) string {
 		return "auto"
 	case "portfolio":
 		return "portfolio"
-	case "parallel":
-		return "parallel"
 	case "mac":
 		return "mac"
 	case "fc":
@@ -140,8 +118,6 @@ func StrategyLabel(name string) string {
 		return "cbj"
 	case "learn":
 		return "learn"
-	case "join":
-		return "join"
 	case "":
 		return "none"
 	}
@@ -165,7 +141,7 @@ func (o Outcome) Explain() string {
 	cls := o.Classification
 	if cls == nil {
 		help := "an engine strategy"
-		if row, err := lookup(o.Strategy, 0); err == nil {
+		if row, err := lookup(o.Strategy); err == nil {
 			help = row.help
 		}
 		return fmt.Sprintf("strategy %s: %s; structure not consulted", o.Strategy, help)

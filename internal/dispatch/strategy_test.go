@@ -19,7 +19,7 @@ func TestRunEveryStrategyAgrees(t *testing.T) {
 		p := gen.ModelB(rng, 5+rng.Intn(3), 3, 0.6, 0.4)
 		want := csp.SolveSeed(p, csp.Options{}).Found
 		for _, name := range Names() {
-			out, err := a.Run(context.Background(), p, name, 0)
+			out, err := a.Run(context.Background(), p, name)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, name, err)
 			}
@@ -42,31 +42,28 @@ func TestRunEveryStrategyAgrees(t *testing.T) {
 func TestCheckRejectsBadRequests(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		workers int
 		wantErr string
 	}{
-		{"parallel", 0, ""},
-		{"parallel", 4, ""},
-		{"mac", 0, ""},
-		{"quantum", 0, "unknown strategy"},
-		{"", 0, "unknown strategy"},
-		{"mac", 3, "conflicting workers"},
-		{"auto", 1, "conflicting workers"},
-		{"learn", 2, "conflicting workers"},
-		{"parallel", -1, "bad workers"},
+		{"mac", ""},
+		{"auto", ""},
+		{"quantum", "unknown strategy"},
+		{"", "unknown strategy"},
+		// Rows the table no longer serves are unknown like any other name.
+		{"parallel", "unknown strategy"},
+		{"join", "unknown strategy"},
 	} {
-		err := Check(tc.name, tc.workers)
+		err := Check(tc.name)
 		if tc.wantErr == "" {
 			if err != nil {
-				t.Fatalf("Check(%q, %d) = %v", tc.name, tc.workers, err)
+				t.Fatalf("Check(%q) = %v", tc.name, err)
 			}
 			continue
 		}
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Fatalf("Check(%q, %d) = %v, want %q", tc.name, tc.workers, err, tc.wantErr)
+			t.Fatalf("Check(%q) = %v, want %q", tc.name, err, tc.wantErr)
 		}
-		if _, err := NewAnalyzer(0, 0).Run(context.Background(), csp.NewInstance(1, 1), tc.name, tc.workers); err == nil {
-			t.Fatalf("Run(%q, %d) accepted what Check rejects", tc.name, tc.workers)
+		if _, err := NewAnalyzer(0, 0).Run(context.Background(), csp.NewInstance(1, 1), tc.name); err == nil {
+			t.Fatalf("Run(%q) accepted what Check rejects", tc.name)
 		}
 	}
 }
@@ -85,6 +82,15 @@ func TestStrategyLabelAndHelpCoverTable(t *testing.T) {
 	if StrategyLabel("") != "none" || StrategyLabel("quantum") != "other" {
 		t.Fatal("StrategyLabel does not close the label set")
 	}
+	// The removed rows mint no series of their own.
+	for _, gone := range []string{"parallel", "join"} {
+		if got := StrategyLabel(gone); got != "other" {
+			t.Fatalf("StrategyLabel(%q) = %q, want other", gone, got)
+		}
+		if strings.Contains(help, "  "+gone+" ") {
+			t.Fatalf("help still lists %q:\n%s", gone, help)
+		}
+	}
 }
 
 // Explain is rendered from the routing classification, or from the engine
@@ -92,14 +98,14 @@ func TestStrategyLabelAndHelpCoverTable(t *testing.T) {
 func TestOutcomeExplain(t *testing.T) {
 	a := NewAnalyzer(0, 0)
 	tree := gen.CSPOnGraph(rand.New(rand.NewSource(1)), gen.RandomTree(rand.New(rand.NewSource(2)), 6), 3, 0.2)
-	out, err := a.Run(context.Background(), tree, "auto", 0)
+	out, err := a.Run(context.Background(), tree, "auto")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := out.Explain(); !strings.HasPrefix(got, "route tree: ") {
 		t.Fatalf("auto explain = %q", got)
 	}
-	out, err = a.Run(context.Background(), tree, "cbj", 0)
+	out, err = a.Run(context.Background(), tree, "cbj")
 	if err != nil {
 		t.Fatal(err)
 	}

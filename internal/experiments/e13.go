@@ -54,7 +54,7 @@ func E13(seed int64) *Table {
 		for i := 0; i < trials; i++ {
 			p := fam.gen()
 			var out dispatch.Outcome
-			dispDur += timed(func() { out, _ = an.Run(ctx, p, "auto", 0) })
+			dispDur += timed(func() { out, _ = an.Run(ctx, p, "auto") })
 			var res csp.PortfolioResult
 			portDur += timed(func() { res = csp.Portfolio(ctx, p, csp.PortfolioOptions{}) })
 			if out.Found == res.Found {

@@ -54,7 +54,7 @@ type SolveEvent struct {
 	Source string `json:"source"`
 	// Route is how the solve was routed: a dispatch class (tree, schaefer,
 	// acyclic, width, hard) for auto-routed solves, otherwise the engine
-	// lane that ran ("portfolio", "parallel", "mac", ...).
+	// lane that ran ("portfolio", "mac", "cbj", ...).
 	Route string `json:"route,omitempty"`
 	// Strategy is the requested strategy parameter (cspd) or engine mode
 	// (csolve); unlike Route it names what was asked for, not what ran.

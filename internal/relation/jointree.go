@@ -337,8 +337,12 @@ func (r *reducer) flush() {
 // reports a parent array that is not a forest.
 func (t *JoinTree) Count(ctx context.Context) (*big.Int, error) {
 	r, ok, err := t.newReducer(ctx)
-	if err != nil || !ok {
+	if err != nil {
 		return new(big.Int), err
+	}
+	defer r.flush()
+	if !ok {
+		return new(big.Int), nil
 	}
 	one := big.NewInt(1)
 	r.weights = make([][]*big.Int, len(t.Nodes))

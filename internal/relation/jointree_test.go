@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"csdb/internal/obs"
 )
 
 // randomJoinTree draws a join tree whose connectedness holds by
@@ -292,5 +294,58 @@ func TestJoinTreeHonoursExpiredContext(t *testing.T) {
 	}
 	if _, err := tree.Reduce(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Reduce err %v", err)
+	}
+}
+
+// TestCountRecordsItsRun pins that a counting run lands in the
+// relation.jointree.* counters the way a solve does: one run, one semijoin
+// per edge of the up pass and every node row loaded, and likewise for a
+// tree with an empty node, which returns before any semijoin.
+func TestCountRecordsItsRun(t *testing.T) {
+	prev := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+
+	node := func(scope []int, rows ...[]int) Node {
+		tab := NewTable(len(scope))
+		for _, row := range rows {
+			tab.Add(row)
+		}
+		return Node{Scope: scope, Rows: tab}
+	}
+	path := &JoinTree{Dom: 2, Parent: []int{-1, 0, 1}, Nodes: []Node{
+		node([]int{0, 1}, []int{0, 0}, []int{0, 1}, []int{1, 1}),
+		node([]int{1, 2}, []int{0, 0}, []int{1, 0}),
+		node([]int{2, 3}, []int{0, 1}, []int{1, 1}),
+	}}
+	withEmpty := &JoinTree{Dom: 2, Parent: []int{-1, 0}, Nodes: []Node{
+		node([]int{0, 1}, []int{0, 0}, []int{1, 1}),
+		node([]int{1, 2}),
+	}}
+	for _, tc := range []struct {
+		name                   string
+		tree                   *JoinTree
+		count, semijoins, rows int64
+	}{
+		{"path", path, 3, 2, 7},
+		{"empty node", withEmpty, 0, 0, 2},
+	} {
+		runs, semijoins, loaded := obsTreeSolves.Load(), obsTreeSemijoins.Load(), obsTreeRowsLoaded.Load()
+		n, err := tc.tree.Count(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.Int64() != tc.count {
+			t.Fatalf("%s: Count = %v, want %d", tc.name, n, tc.count)
+		}
+		if d := obsTreeSolves.Load() - runs; d != 1 {
+			t.Fatalf("%s: solves delta %d, want 1", tc.name, d)
+		}
+		if d := obsTreeSemijoins.Load() - semijoins; d != tc.semijoins {
+			t.Fatalf("%s: semijoins delta %d, want %d", tc.name, d, tc.semijoins)
+		}
+		if d := obsTreeRowsLoaded.Load() - loaded; d != tc.rows {
+			t.Fatalf("%s: rows_loaded delta %d, want %d", tc.name, d, tc.rows)
+		}
 	}
 }

@@ -7,13 +7,11 @@ import (
 
 // CacheKey identifies one cacheable solve: the canonical instance hash
 // (cspio.CanonicalHash, insensitive to incidental instance orderings) plus
-// the knobs that change what the engine computes. Timeout is deliberately
-// not part of the key — a completed (non-aborted) result is valid under any
-// deadline.
+// the strategy that computes it. Timeout is deliberately not part of the
+// key — a completed (non-aborted) result is valid under any deadline.
 type CacheKey struct {
 	Hash     uint64
 	Strategy string
-	Workers  int
 }
 
 // Cache is a mutex-guarded LRU of solve results. A nil *Cache never hits

@@ -70,9 +70,11 @@ func TestCacheUpdateRefreshes(t *testing.T) {
 func TestCacheKeyDistinguishesKnobs(t *testing.T) {
 	c := NewCache(8)
 	c.Add(CacheKey{Hash: 7, Strategy: "mac"}, "mac")
-	c.Add(CacheKey{Hash: 7, Strategy: "parallel", Workers: 2}, "p2")
-	if _, ok := c.Get(CacheKey{Hash: 7, Strategy: "parallel", Workers: 4}); ok {
-		t.Fatal("worker count not part of the key")
+	if _, ok := c.Get(CacheKey{Hash: 7, Strategy: "cbj"}); ok {
+		t.Fatal("strategy not part of the key")
+	}
+	if _, ok := c.Get(CacheKey{Hash: 8, Strategy: "mac"}); ok {
+		t.Fatal("hash not part of the key")
 	}
 	if v, ok := c.Get(CacheKey{Hash: 7, Strategy: "mac"}); !ok || v != "mac" {
 		t.Fatalf("strategy-keyed entry: %v,%v", v, ok)
