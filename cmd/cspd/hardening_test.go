@@ -298,13 +298,20 @@ func TestHostileHeaderRejected(t *testing.T) {
 // under the removed strategy=join row, `vars 22` / `dom 2` was the join of
 // 22 unconstrained domain relations, 2^22 rows, and allocated 4.6 GB. The
 // name is now unknown, so the body is refused before any solve, in-process
-// and within the hostile-header allocation bound.
+// and within the hostile-header allocation bound, and the wide event names
+// the refused strategy.
 func TestRemovedJoinRowRejected(t *testing.T) {
 	withDaemonObs(t)
 	h := newServer(testConfig()).mux()
 	ev := serveRejected(t, h, "vars 22\ndom 2\n", "strategy=join", "unknown strategy")
-	if ev.Verdict != obs.VerdictError || ev.Cause != "params" {
-		t.Fatalf("event verdict %q cause %q, want error/params", ev.Verdict, ev.Cause)
+	if ev.Verdict != obs.VerdictError || ev.Cause != "params" || ev.Strategy != "join" {
+		t.Fatalf("event verdict %q cause %q strategy %q, want error/params naming join", ev.Verdict, ev.Cause, ev.Strategy)
+	}
+	// A long refused name is cut, so the event ring holds a bounded record.
+	long := strings.Repeat("x", 2*maxEventStrategy)
+	ev = serveRejected(t, h, "vars 22\ndom 2\n", "strategy="+long, "unknown strategy")
+	if ev.Strategy != long[:maxEventStrategy] {
+		t.Fatalf("event strategy of %d bytes, want the first %d of the name", len(ev.Strategy), maxEventStrategy)
 	}
 }
 

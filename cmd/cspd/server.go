@@ -371,6 +371,10 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 	params, err := s.parseParams(r.URL.Query())
 	if err != nil {
+		// The event names the refused strategy, cut to maxEventStrategy
+		// bytes so that a hostile query cannot grow the event ring; the
+		// metric label maps any unknown name to "other".
+		ev.Strategy = params.strategy[:min(len(params.strategy), maxEventStrategy)]
 		obsErrors.Inc()
 		fail(http.StatusBadRequest, "params", err.Error())
 		return
@@ -496,9 +500,14 @@ func retryAfterSeconds(estimate, drainBudget time.Duration) int {
 	return secs
 }
 
+// maxEventStrategy bounds the bytes of a refused strategy name that a wide
+// event records.
+const maxEventStrategy = 64
+
 // parseParams validates the query string. The strategy is checked here, at
 // the boundary, against the same table Run resolves it in, so neither the
-// flight nor the engine can see a bad name.
+// flight nor the engine can see a bad name. On an error the returned
+// strategy is the name the query asked for.
 func (s *server) parseParams(q url.Values) (solveParams, error) {
 	p := solveParams{strategy: "portfolio", timeout: 30 * time.Second}
 	if st := q.Get("strategy"); st != "" {
@@ -509,6 +518,7 @@ func (s *server) parseParams(q url.Values) (solveParams, error) {
 		// route=portfolio pins the generic engine. A conflicting strategy=
 		// in the same query is rejected rather than silently overridden.
 		if rt != "auto" && rt != "portfolio" {
+			p.strategy = rt
 			return p, fmt.Errorf("bad route %s (want auto or portfolio)", strconv.Quote(rt))
 		}
 		if st := q.Get("strategy"); st != "" && st != rt {

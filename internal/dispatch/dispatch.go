@@ -13,15 +13,15 @@
 //	                                           join tree (Yannakakis)
 //	width     primal-graph tree decomposition
 //	          of width ≤ budget              → join-tree engine over the
-//	                                           bag relations (Thm 6.2)
+//	                                           bags (Thm 6.2)
 //	hard      none of the above              → csp.Portfolio
 //
-// The three bounded-width routes are one algorithm (relation.JoinTree: full
-// reducer, then backtrack-free extraction) over three join trees. A forest
-// of binary constraints is routed as an acyclic instance, whose nodes are
-// its constraints along GYO's join tree; a bounded-width instance's nodes
-// are its bags, each the relation of the bag assignments its constraints
-// allow.
+// The three bounded-width routes are one algorithm (relation.JoinTree: an
+// up pass of exact messages, then backtrack-free extraction) over three
+// join trees. A forest of binary constraints is routed as an acyclic
+// instance, whose nodes are its constraints along GYO's join tree; a
+// bounded-width instance's nodes are its bags, each holding the constraint
+// tables given to it.
 //
 // The shape checks (forest, GYO, width) are flat kernels with no map per
 // variable or edge, and the width check is a budgeted decision: each

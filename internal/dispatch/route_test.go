@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -197,18 +198,21 @@ func TestRoutedSolveHonoursExpiredContext(t *testing.T) {
 	}
 }
 
-// A width-3 instance over 1,000 values has bags of up to 10^12 candidate
-// rows: the route must notice its deadline while it enumerates them. Runs
-// in race-dispatch.
+// A width-3 instance over 1,000 values whose bags join to millions of
+// rows: the route must notice its deadline while it joins them. Runs in
+// race-dispatch.
 func TestWidthRouteHonoursDeadline(t *testing.T) {
 	enableObs(t)
 	const n, dom = 12, 1000
 	g, _ := gen.PartialKTree(rand.New(rand.NewSource(3)), n, 3, 0)
 	p := csp.NewInstance(n, dom)
-	all := csp.NewTable(2) // two rows per value: each constraint prunes, but a bag's unconstrained pairs do not
+	// Forty rows per value: a bag's first join of two constraints on one
+	// variable already holds dom·40² rows.
+	all := csp.NewTable(2)
 	for a := 0; a < dom; a++ {
-		all.Add([]int{a, (a + 1) % dom})
-		all.Add([]int{a, (a + 7) % dom})
+		for s := 1; s <= 40; s++ {
+			all.Add([]int{a, (a + s) % dom})
+		}
 	}
 	for _, e := range g.Edges() {
 		p.MustAddConstraint([]int{e[0], e[1]}, all)
@@ -231,5 +235,68 @@ func TestWidthRouteHonoursDeadline(t *testing.T) {
 	}
 	if FallbackCount() != fb0 || RerouteCount() != rr0 {
 		t.Fatal("the abort moved the fallback or reroute counter")
+	}
+}
+
+// permutationCycle returns the n-variable cycle over dom values whose every
+// constraint, x_i to x_{i+1 mod n}, is a random permutation: the cycle is
+// satisfiable exactly when the composed permutation has a fixed point.
+func permutationCycle(rng *rand.Rand, n, dom int) *csp.Instance {
+	p := csp.NewInstance(n, dom)
+	for i := range n {
+		perm := rng.Perm(dom)
+		tab := csp.NewTable(2)
+		for a, b := range perm {
+			tab.Add([]int{a, b})
+		}
+		p.MustAddConstraint([]int{i, (i + 1) % n}, tab)
+	}
+	return p
+}
+
+// TestWidthRouteCycleBody: a 40-variable permutation cycle is classified
+// as width 2, and the width route sends messages of dom rows, not bags of
+// dom² rows. At dom 1000 an auto solve allocates at most 100 MB and returns
+// a verified witness; at dom 100 (UNSAT at seed 1) its verdict agrees with
+// the portfolio's. Runs in race-dispatch.
+func TestWidthRouteCycleBody(t *testing.T) {
+	an := NewAnalyzer(0, 0)
+	for _, tc := range []struct {
+		dom  int
+		sat  bool
+		maxB uint64
+	}{
+		{100, false, 0},
+		{1000, true, 100 << 20},
+	} {
+		p := permutationCycle(rand.New(rand.NewSource(1)), 40, tc.dom)
+		if c := an.classify(p); c.Class != BoundedWidth || c.Width != 2 {
+			t.Fatalf("dom %d: classified %v width %d, want width 2", tc.dom, c.Class, c.Width)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out, err := an.Run(context.Background(), p, "auto")
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Route != BoundedWidth || out.Aborted || out.Found != tc.sat {
+			t.Fatalf("dom %d: route %v aborted %v found %v, want the width route to find %v", tc.dom, out.Route, out.Aborted, out.Found, tc.sat)
+		}
+		if out.Found && !p.Satisfies(out.Solution) {
+			t.Fatalf("dom %d: the witness does not satisfy the cycle", tc.dom)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; tc.maxB > 0 && alloc > tc.maxB {
+			t.Fatalf("dom %d: auto allocated %d MB, want at most %d", tc.dom, alloc>>20, tc.maxB>>20)
+		}
+		if tc.dom == 100 {
+			race, err := an.Run(context.Background(), p, "portfolio")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if race.Found != out.Found {
+				t.Fatalf("dom %d: portfolio found %v, auto %v", tc.dom, race.Found, out.Found)
+			}
+		}
 	}
 }

@@ -155,7 +155,7 @@ func (o Outcome) Explain() string {
 	case Acyclic:
 		why = "α-acyclic constraint hypergraph: join-tree engine over GYO's join tree (Yannakakis full reducer)"
 	case BoundedWidth:
-		why = fmt.Sprintf("primal graph has a tree decomposition of width %d: join-tree engine over its bag relations (Theorem 6.2)", cls.Width)
+		why = fmt.Sprintf("primal graph has a tree decomposition of width %d: join-tree engine over its bags (Theorem 6.2)", cls.Width)
 	default:
 		why = "no tree, Schaefer, acyclic or bounded-width witness: portfolio search"
 	}

@@ -102,7 +102,7 @@ func TestSolveAcyclicEdgeCases(t *testing.T) {
 // trusts its witness instead of re-validating it, so a tree that is not a
 // forest over the constraints is refused with an error (the dispatcher then
 // reroutes); and a well-formed tree without the connectedness property
-// still cannot flip a verdict, because a semijoin never deletes a row some
+// still cannot flip a verdict, because a message never loses a row some
 // solution uses: it refutes only unsatisfiable instances, and an extraction
 // it misleads ends in an error, not a non-solution.
 func TestSolveAcyclicStaleJoinTree(t *testing.T) {

@@ -40,8 +40,9 @@ func sameRows(t *testing.T, what string, got *Relation, want *naiveRel) {
 
 // reduceSemijoin runs the join-tree engine's full reducer over the
 // two-node tree whose child is r and whose parent is s, with values in
-// [0, dom), and returns the reduced nodes: r ⋉ s and s ⋉ r. A dom past
-// denseKeys sends every shared scope down the Table-key path.
+// [0, dom), and returns the reduced nodes: r ⋉ s and s ⋉ r. A dom too big
+// for a key's value to index the join kernel's slots sends every shared
+// scope down the hashed path.
 func reduceSemijoin(tb testing.TB, dom int, r, s *Relation) (*Relation, *Relation) {
 	tb.Helper()
 	ids := map[string]int{}
@@ -55,7 +56,7 @@ func reduceSemijoin(tb testing.TB, dom int, r, s *Relation) (*Relation, *Relatio
 		}
 		return sc
 	}
-	tree := &JoinTree{Dom: dom, Nodes: []Node{{scope(r), &r.Table}, {scope(s), &s.Table}}, Parent: []int{1, -1}}
+	tree := &JoinTree{Dom: dom, Nodes: []Node{tableNode(scope(r), &r.Table), tableNode(scope(s), &s.Table)}, Parent: []int{1, -1}}
 	out, err := tree.Reduce(context.Background())
 	if err != nil {
 		tb.Fatal(err)

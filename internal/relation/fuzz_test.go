@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"context"
+	"slices"
 	"testing"
 )
 
@@ -39,13 +41,18 @@ func decodeFuzzRel(data *[]byte) *Relation {
 // the integer-coded hash kernel against the string-keyed reference
 // implementation (naive.go) for Join, and the join-tree engine's full
 // reducer over the two-node tree r → s against the reference semijoins
-// r ⋉ s and s ⋉ r: same schema, same row multiset. This is the fuzz-driven extension of diff_test.go's fixed-seed
+// r ⋉ s and s ⋉ r: same schema, same row multiset. A third arm runs the
+// engine's up pass over r at the root, s under it and, when the input has
+// bytes left, a third relation under r or s: the root's message, keeping
+// the attributes a further byte picks, is the projection of the three-way
+// join. This is the fuzz-driven extension of diff_test.go's fixed-seed
 // differential suite.
 func FuzzJoinDifferential(f *testing.F) {
 	f.Add([]byte{2, 0, 2, 0, 1, 1, 0, 2, 1, 3, 1, 1, 2})
 	f.Add([]byte{1, 0, 3, 1, 2, 3})
 	f.Add([]byte{3, 2, 2, 3, 0, 1, 2, 2, 2, 1, 0, 0, 3, 3, 1})
 	f.Add([]byte{})
+	f.Add([]byte{2, 0, 3, 0, 1, 1, 2, 3, 3, 2, 1, 0, 3, 1, 2, 2, 2, 4, 1, 1, 3, 0, 1, 0x15})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := decodeFuzzRel(&data)
 		s := decodeFuzzRel(&data)
@@ -55,7 +62,90 @@ func FuzzJoinDifferential(f *testing.F) {
 		rs, sr := reduceSemijoin(t, 4, r, s)
 		fuzzSameRows(t, "reduce child", rs, nr.semijoin(ns))
 		fuzzSameRows(t, "reduce parent", sr, ns.semijoin(nr))
+
+		rels := []*Relation{r, s}
+		parent := []int{-1, 0}
+		if len(data) > 0 {
+			under := int(data[0] % 2)
+			data = data[1:]
+			rels, parent = append(rels, decodeFuzzRel(&data)), append(parent, under)
+		}
+		var mask byte
+		if len(data) > 0 {
+			mask = data[0]
+		}
+		passDifferential(t, rels, parent, mask)
 	})
+}
+
+// passDifferential runs the up pass over the tree of rels given by parent
+// (rels[0] is the root) and checks the root's message against the
+// reference join of every relation projected onto the attributes that
+// keepMask picks from the pool. A node's scope is its relation's attributes
+// and, for a node between two others, the attributes they share, so that
+// the tree is connected.
+func passDifferential(t *testing.T, rels []*Relation, parent []int, keepMask byte) {
+	t.Helper()
+	pool := []string{"a", "b", "c", "d", "e"}
+	varsOf := func(r *Relation) []int {
+		vs := make([]int, len(r.Attrs()))
+		for j, a := range r.Attrs() {
+			vs[j] = slices.Index(pool, a)
+		}
+		return vs
+	}
+	tree := &JoinTree{Dom: 4, Nodes: make([]Node, len(rels)), Parent: parent}
+	want := newNaive(nil)
+	want.add(nil)
+	for i, r := range rels {
+		tree.Nodes[i] = Node{Scope: varsOf(r), Atoms: []Atom{{Scope: varsOf(r), Rows: &r.Table}}}
+		want = want.join(naiveFrom(r))
+	}
+	if len(rels) == 3 {
+		// The third relation's parent lies between it and the other node.
+		mid, end := parent[2], 1-parent[2]
+		for _, v := range varsOf(rels[2]) {
+			if slices.Contains(varsOf(rels[end]), v) && !slices.Contains(tree.Nodes[mid].Scope, v) {
+				tree.Nodes[mid].Scope = append(tree.Nodes[mid].Scope, v)
+			}
+		}
+	}
+	var keep, wantVars []int
+	for v, a := range pool {
+		if keepMask&(1<<v) != 0 {
+			keep = append(keep, v)
+			if want.hasAttr(a) {
+				wantVars = append(wantVars, v)
+			}
+		}
+	}
+	p, ok, err := tree.run(context.Background(), keep, false, false)
+	defer p.release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		if len(want.tuples) > 0 {
+			t.Errorf("pass: empty, reference join has %d rows", len(want.tuples))
+		}
+		return
+	}
+	msg := &p.msg[0]
+	attrs := make([]string, len(msg.vars))
+	for j, v := range msg.vars {
+		attrs[j] = pool[v]
+	}
+	gotVars := slices.Clone(msg.vars)
+	slices.Sort(gotVars)
+	if !slices.Equal(gotVars, wantVars) {
+		t.Errorf("pass: root message over %v, want %v", gotVars, wantVars)
+		return
+	}
+	got, err := FromTable(attrs, msg.rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fuzzSameRows(t, "pass root message", got, want.project(attrs))
 }
 
 // fuzzSameRows is sameRows with t.Errorf reporting (fuzz failures should

@@ -3,6 +3,7 @@ package relation
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,7 +17,10 @@ import (
 // holding the latest build row with that key, and a next array chaining
 // every row to the previous one with the same key, so the build allocates
 // no per-row values and a probe compares key values once per key, not once
-// per candidate pair — and then streams the probe side. Because the inputs
+// per candidate pair — and then probes in two passes: the first finds each
+// probe row's chain and counts its rows, and the second writes the
+// output into an arena grown once, to its exact size. Relation.Join and the
+// join-tree engine's join steps (jointree.go) run this one kernel. Because the inputs
 // are duplicate-free sets and a natural-join output row is determined by its
 // (r-row, s-row) pair projected onto r.attrs ∪ s.attrs, the output is itself
 // duplicate-free and is emitted straight into the flat value array with no
@@ -51,8 +55,7 @@ const yieldQuantum = 100 * time.Microsecond
 // for yieldQuantum, and the first poll always yields, so a join racing
 // other goroutines on fewer processors shares time in short slices instead
 // of the runtime's ~10 ms preemption turns. A Poller over a nil context
-// (the zero Poller) never polls. The join-tree engine's route builders
-// (bag enumeration) tick one too.
+// (the zero Poller) never polls.
 type Poller struct {
 	ctx       context.Context
 	countdown int
@@ -89,37 +92,68 @@ func (p *Poller) poll() error {
 }
 
 // joinTable is the transient build-side index over the rows of data (of
-// arity k) projected onto cols: slots is open-addressed like a Table's,
-// holding the latest row id+1 of each distinct key, and next[i] is the
-// previous row with row i's key, -1 at the first.
+// arity k) projected onto cols: slots holds the latest row id+1 of each
+// distinct key, and next[i] is the previous row with row i's key, -1 at the
+// first. slots is open-addressed like a Table's, or, when radix is set,
+// indexed by the key's mixed-radix value.
 type joinTable struct {
 	data        []int
-	k           int
+	k, radix    int
 	cols        []int
 	slots, next []int32
 }
 
-// buildJoinTable indexes the rows of s on the given columns, ticking pl once
-// per row.
-func buildJoinTable(pl *Poller, s *Relation, cols []int) (joinTable, error) {
-	t := joinTable{data: s.data, k: s.k, cols: cols, slots: make([]int32, slotCount(s.n)), next: make([]int32, s.n)}
-	mask := len(t.slots) - 1
-	for i := 0; i < s.n; i++ {
-		if err := pl.Tick(); err != nil {
-			return joinTable{}, err
-		}
-		base := i * s.k
-		j := int(hashRowCols(s.data, base, cols)) & mask
-		t.next[i] = -1
-		for ; t.slots[j] != 0; j = (j + 1) & mask {
-			if prev := t.slots[j] - 1; t.sameKey(s.data, base, cols, prev) {
-				t.next[i] = prev
+// buildJoinTable indexes the rows of s on the given columns into t, reusing
+// t's arrays, ticking pl once per row. When dom > 0 and the dom^len(cols)
+// possible keys are at most four times the hashed index's slots, slots is
+// indexed by a key's value instead: no hash, no probe run and no key
+// compare. Every key value must then lie in [0, dom), on both sides of the
+// join.
+func buildJoinTable(pl *Poller, t *joinTable, s *Table, cols []int, dom int) error {
+	t.data, t.k, t.cols, t.radix = s.data, s.k, cols, 0
+	size := slotCount(s.n)
+	if keys := 1; dom > 0 {
+		for range cols {
+			if keys *= dom; keys > 4*size {
 				break
 			}
 		}
+		if keys <= 4*size {
+			t.radix, size = dom, keys
+		}
+	}
+	t.slots = slices.Grow(t.slots[:0], size)[:size]
+	clear(t.slots)
+	t.next = slices.Grow(t.next[:0], s.n)[:s.n]
+	mask := len(t.slots) - 1
+	for i := 0; i < s.n; i++ {
+		if err := pl.Tick(); err != nil {
+			return err
+		}
+		base := i * s.k
+		var j int
+		if t.radix > 0 {
+			j = t.key(s.data, base, cols)
+		} else {
+			j = int(hashRowCols(s.data, base, cols)) & mask
+			for t.slots[j] != 0 && !t.sameKey(s.data, base, cols, t.slots[j]-1) {
+				j = (j + 1) & mask
+			}
+		}
+		t.next[i] = t.slots[j] - 1
 		t.slots[j] = int32(i + 1)
 	}
-	return t, nil
+	return nil
+}
+
+// key returns the mixed-radix value of the row at base in data projected
+// onto cols.
+func (t *joinTable) key(data []int, base int, cols []int) int {
+	key := 0
+	for _, c := range cols {
+		key = key*t.radix + data[base+c]
+	}
+	return key
 }
 
 // sameKey reports whether the row at base in data, projected onto cols,
@@ -137,6 +171,9 @@ func (t *joinTable) sameKey(data []int, base int, cols []int, id int32) bool {
 // head returns the latest build row whose key equals the projection of the
 // row at base in data onto cols, or -1; next walks the rest.
 func (t *joinTable) head(data []int, base int, cols []int) int32 {
+	if t.radix > 0 {
+		return t.slots[t.key(data, base, cols)] - 1
+	}
 	mask := len(t.slots) - 1
 	for j := int(hashRowCols(data, base, cols)) & mask; t.slots[j] != 0; j = (j + 1) & mask {
 		if id := t.slots[j] - 1; t.sameKey(data, base, cols, id) {
@@ -217,14 +254,15 @@ func (r *Relation) joinImpl(ctx context.Context, s *Relation) (*Relation, error)
 	}
 
 	pl := NewPoller(ctx)
-	build, err := buildJoinTable(pl, s, sCols)
-	if err != nil {
+	var build joinTable
+	if err := buildJoinTable(pl, &build, &s.Table, sCols, 0); err != nil {
 		return nil, err
 	}
 
+	heads := make([]int32, r.n)
 	workers := runtime.GOMAXPROCS(0)
 	if r.n < parallelProbeMin || workers < 2 {
-		data, rows, err := joinProbeRange(pl, r, s, build, rCols, sOnlyPos, 0, r.n)
+		data, rows, err := joinProbeRange(pl, &build, &r.Table, rCols, sOnlyPos, 0, r.n, heads, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -256,7 +294,7 @@ func (r *Relation) joinImpl(ctx context.Context, s *Relation) (*Relation, error)
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			data, rows, err := joinProbeRange(NewPoller(ctx), r, s, build, rCols, sOnlyPos, lo, hi)
+			data, rows, err := joinProbeRange(NewPoller(ctx), &build, &r.Table, rCols, sOnlyPos, lo, hi, heads[lo:hi], nil)
 			parts[w] = part{data: data, rows: rows, err: err}
 		}(w, lo, hi)
 	}
@@ -276,25 +314,45 @@ func (r *Relation) joinImpl(ctx context.Context, s *Relation) (*Relation, error)
 	return out, nil
 }
 
-// joinProbeRange probes rows lo..hi of r against the build table over s and
-// returns the emitted flat rows, ticking pl once per candidate pair.
-func joinProbeRange(pl *Poller, r, s *Relation, build joinTable, rCols, sOnlyPos []int, lo, hi int) ([]int, int, error) {
-	outK := r.k + len(sOnlyPos)
-	buf := make([]int, 0, (hi-lo)*outK)
+// maxPresize caps the values a probe reserves up front: a join whose count
+// pass finds more matches grows its output as it writes, so that an
+// exploding join is stopped by its context while it grows rather than
+// asking for all of its memory at once.
+const maxPresize = 1 << 20
+
+// joinProbeRange probes rows lo..hi of r, keyed on rCols, against the build
+// table and appends the output rows to dst: each probe row followed by the
+// sOnly columns of every build row with its key, in probe order and chain
+// order. It returns dst and the number of rows appended. A first pass finds
+// each probe row's chain head, storing it in heads[i-lo], and counts the
+// chains' rows, so dst grows once, to the exact size; the second pass
+// writes. It ticks pl once per probe row and once per output row.
+func joinProbeRange(pl *Poller, build *joinTable, r *Table, rCols, sOnly []int, lo, hi int, heads []int32, dst []int) ([]int, int, error) {
 	rows := 0
 	for i := lo; i < hi; i++ {
-		rBase := i * r.k
-		for id := build.head(r.data, rBase, rCols); id >= 0; id = build.next[id] {
-			if err := pl.Tick(); err != nil {
-				return nil, 0, err
-			}
-			sBase := int(id) * s.k
-			buf = append(buf, r.data[rBase:rBase+r.k]...)
-			for _, j := range sOnlyPos {
-				buf = append(buf, s.data[sBase+j])
-			}
+		if err := pl.Tick(); err != nil {
+			return nil, 0, err
+		}
+		heads[i-lo] = build.head(r.data, i*r.k, rCols)
+		for id := heads[i-lo]; id >= 0; id = build.next[id] {
 			rows++
 		}
 	}
-	return buf, rows, nil
+	if n := min(rows*(r.k+len(sOnly)), maxPresize); cap(dst)-len(dst) < n {
+		dst = append(make([]int, 0, max(len(dst)+n, 2*cap(dst))), dst...)
+	}
+	for i := lo; i < hi; i++ {
+		row := r.data[i*r.k : (i+1)*r.k]
+		for id := heads[i-lo]; id >= 0; id = build.next[id] {
+			if err := pl.Tick(); err != nil {
+				return nil, 0, err
+			}
+			dst = append(dst, row...)
+			sBase := int(id) * build.k
+			for _, j := range sOnly {
+				dst = append(dst, build.data[sBase+j])
+			}
+		}
+	}
+	return dst, rows, nil
 }

@@ -3,422 +3,653 @@ package relation
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/big"
 	"slices"
+	"sync"
 
 	"csdb/internal/obs"
 )
 
 // The join-tree engine: the one algorithm behind every bounded-width route
-// of Section 6. A join tree's nodes are relations over scopes of distinct
-// variables, with the connectedness property: a variable shared by two
-// nodes occurs in every node on the tree path between them. Yannakakis'
-// full reducer (semijoins up the tree, then down) leaves every surviving
-// row extendable to a solution, so a root-first pass assigns the nodes
-// without backtracking; a sum-product pass over the same tree and the same
-// projection keys counts the solutions.
+// of Section 6 and behind acyclic conjunctive-query evaluation. A join
+// tree's nodes have scopes of distinct variables with the connectedness
+// property — a variable shared by two nodes occurs in every node on the
+// tree path between them — and each node holds tables (atoms) over subsets
+// of its scope.
+//
+// The engine's one pass is Proposition 6.1's reading of Theorem 6.2's DP.
+// Leaves first, a node joins its tables with its children's messages (its
+// local join) and sends its parent the projection of that join onto the
+// variables it shares with the parent and onto the caller's keep
+// variables. A message is exact: it is the projection of the join of every
+// table in the node's subtree. So no bag is ever materialised, only what it
+// passes up; a node costs what its joins produce, d^|scope| rows only in
+// the worst case. Every join step and projection runs the package's
+// hash-join kernel (join.go).
+//
+// Solve runs the pass and extracts a solution root first, scanning each
+// node's local join under its parent's assignment: the messages are exact,
+// so a matching row exists and the extraction never backtracks. Count runs
+// the pass with weights, each row carrying the number of ways it extends
+// over the tables joined into it. Join returns the pass's answer on the
+// keep variables. A variable that no table covers is free: it takes the
+// value 0, and multiplies a count by Dom. Reduce is Yannakakis' full
+// reducer, semijoins up the tree and then down, which conjunctive-query
+// evaluation runs before Join so that no local join holds a row no answer
+// uses.
 //
 // Freuder's tree algorithm is the engine run over binary constraints (the
 // width-1 case of Theorem 6.2), an α-acyclic instance runs it over GYO's
-// join tree, and Theorem 6.2's DP runs it over bag relations (Proposition
-// 2.1 builds each bag's relation as a join). Each caller builds the tree;
-// the engine trusts its connectedness and checks only that the parents
-// form a forest.
+// join tree, and Theorem 6.2's DP runs it over a tree decomposition's bags.
+// Each caller builds the tree; the engine trusts its connectedness and
+// checks only that the parents form a forest.
 
-// JoinTree is the engine's input: relations joined by a parent array.
+// JoinTree is the engine's input: nodes joined by a parent array.
 type JoinTree struct {
 	// Dom bounds the values: every row value lies in [0, Dom).
 	Dom int
-	// Nodes are the tree's relations.
+	// Nodes are the tree's nodes.
 	Nodes []Node
 	// Parent[i] is node i's parent, -1 at a root. A forest is allowed: its
 	// trees share no variable.
 	Parent []int
 }
 
-// Node is one relation of a join tree: a table whose columns are the
-// scope's variables, which are distinct.
+// Node is one node of a join tree: a scope of distinct variables and the
+// tables over subsets of it.
 type Node struct {
+	Scope []int
+	Atoms []Atom
+}
+
+// Atom is a table whose columns are the variables of Scope, which are
+// distinct.
+type Atom struct {
 	Scope []int
 	Rows  *Table
 }
 
-// denseKeys bounds the key space of a dense projection key: a projection
-// onto s shared variables is keyed by its mixed-radix value over Dom when
-// Dom^s is at most this, and through a Table of the distinct projections
-// otherwise.
-const denseKeys = 1 << 16
-
 var errNotForest = errors.New("relation: join tree parents do not form a forest")
 
-// reducer is one run's working state.
-type reducer struct {
-	t     *JoinTree
-	pl    *Poller
-	order []int     // the nodes, roots first, every parent before its children
-	rows  [][]int32 // the surviving row ids of each node
-	// weights[i][j], when counting, is the number of ways row rows[i][j]
-	// extends over node i's subtree.
-	weights [][]*big.Int
-	// The variables node i shares with its parent sit at positions
-	// childPos[off[i]:off[i+1]] of its scope and parentPos[off[i]:off[i+1]]
-	// of the parent's.
-	off                 []int32
-	childPos, parentPos []int
-	keys                keyer
-	bits                []uint64
-	sums                []*big.Int
-	loaded, semijoins   int64
+// rel is one relation of the pass: rows over distinct variables and, when
+// counting, each row's weight (nil: one each). Weights are never changed
+// once a rel holds them, so rels share them.
+type rel struct {
+	vars []int
+	rows *Table
+	w    []*big.Int
 }
 
-// newReducer orders the forest, finds every node's shared positions and
-// loads every row. It reports false when some node is empty.
-func (t *JoinTree) newReducer(ctx context.Context) (*reducer, bool, error) {
+// one is every unweighted row's weight, and unit the 0-ary table holding
+// the empty row, the join of no tables. Neither is ever changed.
+var one, unit = big.NewInt(1), &Table{n: 1}
+
+// weight returns the weight of x's row r.
+func (x *rel) weight(r int) *big.Int {
+	if x.w == nil {
+		return one
+	}
+	return x.w[r]
+}
+
+// pass is one run's state: the forest (order lists the nodes roots first),
+// the nodes' local joins and messages, the arenas the pass's rows are
+// carved from, capped so that appends never reach them, and scratch.
+type pass struct {
+	t                   *JoinTree
+	pl                  Poller
+	count, solve        bool
+	order, kid, sib     []int
+	local, msg, in      []rel
+	mark                []int32 // mark[v] == stamp: v is marked for the current step
+	stamp               int32
+	keep                []bool
+	vals, vars, cols    []int
+	tabs                []Table
+	w                   []*big.Int
+	join                joinTable
+	heads               []int32
+	loaded, steps, sent int64
+}
+
+// passes recycles finished passes, so that a small run allocates little
+// beyond its answer. A pass whose arena grew past 2^20 values is left to
+// the collector, so one exploding join pins no memory.
+var passes = sync.Pool{New: func() any { return new(pass) }}
+
+// resize returns s with length n, reusing its array when it is big enough.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// carve returns the arena's values from start on, capped.
+func carve(arena []int, start int) []int { return arena[start:len(arena):len(arena)] }
+
+// newPass orders the forest and loads the tables, marking the keep
+// variables. It reports false when some table is empty. The caller
+// releases the pass.
+func (t *JoinTree) newPass(ctx context.Context, keep []int) (*pass, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	m := len(t.Nodes)
-	if len(t.Parent) != m {
+	m := len(t.Parent)
+	if len(t.Nodes) != m {
 		return nil, false, errNotForest
 	}
-	order, err := forestOrder(t.Parent)
-	if err != nil {
-		return nil, false, err
+	p := passes.Get().(*pass)
+	p.t, p.pl, p.count, p.solve = t, Poller{ctx: ctx, countdown: joinCheckEvery}, false, false
+	p.stamp, p.loaded, p.steps, p.sent = 0, 0, 0, 0
+	// Breadth-first from the roots; a parent out of range, or a cycle that
+	// no root reaches, is not a forest. Node i's children are kid[i]-1,
+	// sib[kid[i]-1]-1 and so on, 0 ending the list.
+	p.kid, p.sib, p.order = resize(p.kid, m), resize(p.sib, m), p.order[:0]
+	clear(p.kid)
+	for i, pa := range t.Parent {
+		switch {
+		case pa < -1 || pa >= m:
+			p.release()
+			return nil, false, errNotForest
+		case pa < 0:
+			p.order = append(p.order, i)
+		default:
+			p.sib[i], p.kid[pa] = p.kid[pa], i+1
+		}
 	}
-	r := &reducer{t: t, pl: NewPoller(ctx), order: order, rows: make([][]int32, m), off: make([]int32, m+1)}
-	r.keys.dom = t.Dom
-	for i, n := range t.Nodes {
-		r.loaded += int64(n.Rows.Len())
-		if pa := t.Parent[i]; pa >= 0 {
-			for a, v := range n.Scope {
-				if b := slices.Index(t.Nodes[pa].Scope, v); b >= 0 {
-					r.childPos = append(r.childPos, a)
-					r.parentPos = append(r.parentPos, b)
+	for k := 0; k < len(p.order); k++ {
+		for c := p.kid[p.order[k]]; c > 0; c = p.sib[c-1] {
+			p.order = append(p.order, c-1)
+		}
+	}
+	if len(p.order) != m {
+		p.release()
+		return nil, false, errNotForest
+	}
+	vars, values, ok := 0, 0, true
+	for _, v := range keep {
+		vars = max(vars, v+1)
+	}
+	for i := range t.Nodes {
+		for _, v := range t.Nodes[i].Scope {
+			vars = max(vars, v+1)
+		}
+		for _, a := range t.Nodes[i].Atoms {
+			p.loaded += int64(a.Rows.n)
+			values += a.Rows.n * a.Rows.k
+			ok = ok && a.Rows.n > 0
+		}
+	}
+	p.mark, p.keep = resize(p.mark, vars), resize(p.keep, vars)
+	clear(p.mark)
+	clear(p.keep)
+	for _, v := range keep {
+		p.keep[v] = true
+	}
+	// A pass's rows are about as many as its tables': a pass the pool did
+	// not keep sizes its arena once.
+	p.vals, p.vars, p.tabs, p.w = slices.Grow(p.vals[:0], values), p.vars[:0], p.tabs[:0], p.w[:0]
+	return p, ok, nil
+}
+
+// release returns p, which the caller no longer reads, to the pool.
+func (p *pass) release() {
+	if p == nil || cap(p.vals) > 1<<20 {
+		return
+	}
+	clear(p.local[:cap(p.local)])
+	clear(p.msg[:cap(p.msg)])
+	clear(p.in[:cap(p.in)])
+	clear(p.w[:cap(p.w)])
+	clear(p.tabs[:cap(p.tabs)])
+	p.t, p.pl, p.join.data = nil, Poller{}, nil
+	passes.Put(p)
+}
+
+// flush records one run's effort in the relation.jointree.* counters.
+func (p *pass) flush() {
+	if obs.Enabled() {
+		obsTreeSolves.Inc()
+		obsTreeSemijoins.Add(p.steps)
+		obsTreeRowsLoaded.Add(p.loaded)
+		obsTreeRowsReduced.Add(p.sent)
+	}
+}
+
+// run runs the pass, keeping every local join when solve is set and
+// carrying weights when count is set. It reports false when the join of
+// the tables is empty. The caller releases the pass.
+func (t *JoinTree) run(ctx context.Context, keep []int, count, solve bool) (*pass, bool, error) {
+	p, ok, err := t.newPass(ctx, keep)
+	if p != nil {
+		defer p.flush()
+	}
+	if !ok {
+		return p, false, err
+	}
+	p.count, p.solve, p.msg, p.local = count, solve, resize(p.msg, len(t.Nodes)), resize(p.local, len(t.Nodes))
+	for k := len(p.order) - 1; k >= 0; k-- {
+		i := p.order[k]
+		l, err := p.localJoin(i)
+		if err != nil || l.rows.n == 0 {
+			return p, false, err
+		}
+		if solve {
+			p.local[i] = l
+		}
+		if p.msg[i], err = p.project(&l, t.Parent[i], nil); err != nil {
+			return p, false, err
+		}
+		if t.Parent[i] >= 0 {
+			p.sent += int64(p.msg[i].rows.n)
+		}
+	}
+	return p, true, nil
+}
+
+// localJoin joins node i's tables with its children's messages. It starts
+// from the widest input, the smaller on a tie, and then joins the input
+// sharing the most variables with the result so far, the smaller on a tie,
+// so that a connected node takes no product it can avoid. Unless the pass
+// keeps the local joins for extraction, it projects away each variable as
+// soon as neither the message nor an input still to join needs it. The
+// join of no inputs is the 0-ary relation holding the empty row.
+func (p *pass) localJoin(i int) (rel, error) {
+	in := p.in[:0]
+	for _, a := range p.t.Nodes[i].Atoms {
+		in = append(in, rel{vars: a.Scope, rows: a.Rows})
+	}
+	for c := p.kid[i]; c > 0; c = p.sib[c-1] {
+		in = append(in, p.msg[c-1])
+	}
+	p.in = in
+	if len(in) == 0 {
+		return rel{rows: unit}, nil
+	}
+	first := 0
+	for j, x := range in {
+		if len(x.vars) > len(in[first].vars) || len(x.vars) == len(in[first].vars) && x.rows.n < in[first].rows.n {
+			first = j
+		}
+	}
+	cur := in[first]
+	in[first] = in[len(in)-1]
+	in = in[:len(in)-1]
+	for {
+		var err error
+		if !p.solve {
+			if cur, err = p.project(&cur, p.t.Parent[i], in); err != nil {
+				return rel{}, err
+			}
+		}
+		if len(in) == 0 || cur.rows.n == 0 {
+			return cur, nil
+		}
+		p.stamp++
+		for _, v := range cur.vars {
+			p.mark[v] = p.stamp
+		}
+		best, most := 0, -1
+		for j := range in {
+			shared := 0
+			for _, v := range in[j].vars {
+				if p.mark[v] == p.stamp {
+					shared++
 				}
 			}
+			if shared > most || shared == most && in[j].rows.n < in[best].rows.n {
+				best, most = j, shared
+			}
 		}
-		r.off[i+1] = int32(len(r.childPos))
+		if cur, err = p.joinRels(&cur, &in[best]); err != nil {
+			return rel{}, err
+		}
+		in[best] = in[len(in)-1]
+		in = in[:len(in)-1]
 	}
-	ids := make([]int32, r.loaded)
-	for i, n := range t.Nodes {
-		k := n.Rows.Len()
-		if k == 0 {
-			return r, false, nil
-		}
-		r.rows[i], ids = ids[:k:k], ids[k:]
-		for j := range r.rows[i] {
-			r.rows[i][j] = int32(j)
-		}
-	}
-	return r, true, nil
 }
 
-// forestOrder lists the nodes of the forest given by parent breadth-first,
-// roots first. A parent out of range or a cycle (which no root reaches) is
-// an error.
-func forestOrder(parent []int) ([]int, error) {
-	m := len(parent)
-	start := make([]int32, m+1) // node p's children are kids[start[p]:start[p+1]]
-	for _, pa := range parent {
-		if pa < -1 || pa >= m {
-			return nil, errNotForest
-		}
-		if pa >= 0 {
-			start[pa+1]++
-		}
-	}
-	for p := 0; p < m; p++ {
-		start[p+1] += start[p]
-	}
-	kids, next := make([]int, start[m]), slices.Clone(start[:m])
-	order := make([]int, 0, m)
-	for i, pa := range parent {
-		if pa < 0 {
-			order = append(order, i)
+// columns returns the positions in a and in b of the variables they share,
+// and the positions in b of b's other variables.
+func (p *pass) columns(a, b []int) (aCols, bCols, bOnly []int) {
+	k := len(b)
+	p.cols = resize(p.cols, 3*k)
+	aCols, bCols, bOnly = p.cols[:0:k], p.cols[k:k:2*k], p.cols[2*k:2*k]
+	for j, v := range b {
+		if c := slices.Index(a, v); c >= 0 {
+			aCols, bCols = append(aCols, c), append(bCols, j)
 		} else {
-			kids[next[pa]] = i
-			next[pa]++
+			bOnly = append(bOnly, j)
 		}
 	}
-	for k := 0; k < len(order); k++ {
-		order = append(order, kids[start[order[k]]:start[order[k]+1]]...)
-	}
-	if len(order) != m {
-		return nil, errNotForest
-	}
-	return order, nil
+	return aCols, bCols, bOnly
 }
 
-// shared returns the positions of node i's variables shared with its parent,
-// in i's scope and in the parent's.
-func (r *reducer) shared(i int) (child, parent []int) {
-	lo, hi := r.off[i], r.off[i+1]
-	return r.childPos[lo:hi], r.parentPos[lo:hi]
+// joinRels returns the natural join of a and b. When one side's variables
+// all lie in the other's, the join is the semijoin of the wider side by
+// the narrower; otherwise it builds on the smaller side.
+func (p *pass) joinRels(a, b *rel) (rel, error) {
+	if len(b.vars) > len(a.vars) || len(b.vars) == len(a.vars) && b.rows.n > a.rows.n {
+		a, b = b, a
+	}
+	aCols, bCols, bOnly := p.columns(a.vars, b.vars)
+	if len(bOnly) == 0 {
+		return p.semijoin(a, b, aCols, bCols)
+	}
+	if b.rows.n > a.rows.n {
+		a, b = b, a
+		aCols, bCols, bOnly = p.columns(a.vars, b.vars)
+	}
+	if err := buildJoinTable(&p.pl, &p.join, b.rows, bCols, p.t.Dom); err != nil {
+		return rel{}, err
+	}
+	p.heads = resize(p.heads, a.rows.n)
+	start, vstart := len(p.vals), len(p.vars)
+	vals, n, err := joinProbeRange(&p.pl, &p.join, a.rows, aCols, bOnly, 0, a.rows.n, p.heads, p.vals)
+	if err != nil {
+		return rel{}, err
+	}
+	p.vals, p.vars = vals, append(p.vars, a.vars...)
+	for _, j := range bOnly {
+		p.vars = append(p.vars, b.vars[j])
+	}
+	out := rel{vars: carve(p.vars, vstart), rows: p.table(len(p.vars)-vstart, n, start)}
+	if p.count && (a.w != nil || b.w != nil) {
+		for r := range a.rows.n {
+			for id := p.heads[r]; id >= 0; id = p.join.next[id] {
+				out.w = append(out.w, p.product(a, r, b, int(id)))
+			}
+		}
+	}
+	p.steps++
+	return out, nil
 }
 
-// semijoin keeps the surviving rows of node a whose projection onto aPos
-// matches the projection of a surviving row of node b onto bPos. When
-// counting, a kept row's weight is multiplied by the summed weights of the
-// rows of b it matches.
-func (r *reducer) semijoin(a int, aPos []int, b int, bPos []int) error {
-	at, bt := r.t.Nodes[a].Rows, r.t.Nodes[b].Rows
-	span := r.keys.reset(len(bPos), len(r.rows[b]))
-	r.bits = slices.Grow(r.bits[:0], (span+63)/64)[:(span+63)/64]
-	clear(r.bits)
-	if r.weights != nil {
-		r.sums = slices.Grow(r.sums[:0], span)[:span]
-		clear(r.sums)
+// semijoin keeps the rows of a whose values on aCols match some row of b
+// on bCols. Until a row fails to match nothing is written, so a semijoin
+// that keeps every row returns a's rows themselves. When counting (b's
+// variables then all lie in a's, so a row matches one row of b), a kept
+// row's weight is multiplied by its match's.
+func (p *pass) semijoin(a, b *rel, aCols, bCols []int) (rel, error) {
+	if err := buildJoinTable(&p.pl, &p.join, b.rows, bCols, p.t.Dom); err != nil {
+		return rel{}, err
 	}
-	for j, id := range r.rows[b] {
-		if err := r.pl.Tick(); err != nil {
-			return err
+	out, start, n := rel{vars: a.vars, rows: a.rows}, -1, 0
+	for r := range a.rows.n {
+		if err := p.pl.Tick(); err != nil {
+			return rel{}, err
 		}
-		k := r.keys.key(bt.Row(int(id)), bPos, true)
-		r.bits[k>>6] |= 1 << (k & 63)
-		if r.weights != nil {
-			if r.sums[k] == nil {
-				r.sums[k] = new(big.Int)
-			}
-			r.sums[k].Add(r.sums[k], r.weights[b][j])
+		id := p.join.head(a.rows.data, r*a.rows.k, aCols)
+		switch {
+		case id < 0 && start < 0:
+			start = len(p.vals)
+			p.vals = append(p.vals, a.rows.data[:r*a.rows.k]...)
+		case id >= 0 && start >= 0:
+			p.vals = append(p.vals, a.rows.Row(r)...)
 		}
-	}
-	n := 0
-	for j, id := range r.rows[a] {
-		if err := r.pl.Tick(); err != nil {
-			return err
+		if id >= 0 && p.count && (a.w != nil || b.w != nil) {
+			out.w = append(out.w, p.product(a, r, b, int(id)))
 		}
-		if k := r.keys.key(at.Row(int(id)), aPos, false); k >= 0 && r.bits[k>>6]&(1<<(k&63)) != 0 {
-			r.rows[a][n] = id
-			if r.weights != nil {
-				r.weights[a][n] = new(big.Int).Mul(r.weights[a][j], r.sums[k])
-			}
+		if id >= 0 {
 			n++
 		}
 	}
-	r.rows[a] = r.rows[a][:n]
-	if r.weights != nil {
-		r.weights[a] = r.weights[a][:n]
+	if start >= 0 {
+		out.rows = p.table(a.rows.k, n, start)
 	}
-	r.semijoins++
-	return nil
+	p.steps++
+	return out, nil
 }
 
-// up semijoins every parent with each of its children, leaves first, and
-// reports false once a node empties.
-func (r *reducer) up() (bool, error) {
-	for k := len(r.order) - 1; k >= 0; k-- {
-		i := r.order[k]
-		if pa := r.t.Parent[i]; pa >= 0 {
-			cPos, pPos := r.shared(i)
-			if err := r.semijoin(pa, pPos, i, cPos); err != nil || len(r.rows[pa]) == 0 {
-				return false, err
-			}
+// product returns the weight of the join of a's row r and b's row s.
+func (p *pass) product(a *rel, r int, b *rel, s int) *big.Int {
+	switch {
+	case a.w == nil:
+		return b.w[s]
+	case b.w == nil:
+		return a.w[r]
+	}
+	return new(big.Int).Mul(a.w[r], b.w[s])
+}
+
+// project returns the projection of x onto the variables a message from
+// its node needs once the inputs in rest are joined: those kept, those of
+// parent's scope (none at a root) and those of rest. Its rows come in
+// order of first occurrence in x, each weighing the sum of the weights of
+// the rows it projects.
+func (p *pass) project(x *rel, parent int, rest []rel) (rel, error) {
+	p.stamp++
+	if parent >= 0 {
+		for _, v := range p.t.Nodes[parent].Scope {
+			p.mark[v] = p.stamp
 		}
 	}
-	return true, nil
+	for _, r := range rest {
+		for _, v := range r.vars {
+			p.mark[v] = p.stamp
+		}
+	}
+	cols, vstart := p.cols[:0], len(p.vars)
+	for j, v := range x.vars {
+		if p.mark[v] == p.stamp || p.keep[v] {
+			cols = append(cols, j)
+			p.vars = append(p.vars, v)
+		}
+	}
+	if p.cols = cols; len(cols) == len(x.vars) {
+		p.vars = p.vars[:vstart]
+		return *x, nil
+	}
+	// Rows with equal projections share a chain of the kernel's index, and
+	// a row that opens its chain is a new row of the projection.
+	if err := buildJoinTable(&p.pl, &p.join, x.rows, cols, p.t.Dom); err != nil {
+		return rel{}, err
+	}
+	out, start, n := rel{vars: carve(p.vars, vstart)}, len(p.vals), 0
+	p.heads = resize(p.heads, x.rows.n) // the projection's row of each row
+	for r := range x.rows.n {
+		if prev := p.join.next[r]; prev >= 0 {
+			p.heads[r] = p.heads[prev]
+			if p.count {
+				w := out.w[p.heads[r]]
+				w.Add(w, x.weight(r))
+			}
+			continue
+		}
+		p.heads[r] = int32(n)
+		n++
+		for _, j := range cols {
+			p.vals = append(p.vals, x.rows.Row(r)[j])
+		}
+		if p.count {
+			out.w = append(out.w, new(big.Int).Set(x.weight(r)))
+		}
+	}
+	out.rows = p.table(len(cols), n, start)
+	return out, nil
 }
 
-// reduce runs the full reducer: semijoins up the tree, then down. It
-// reports false when the join of the nodes is empty, in which case some
-// node's surviving rows may remain; otherwise every surviving row extends
-// to a row of the join. The run is recorded in the relation.jointree.*
-// counters.
-func (t *JoinTree) reduce(ctx context.Context) (*reducer, bool, error) {
-	r, ok, err := t.newReducer(ctx)
-	if err != nil {
-		return nil, false, err
-	}
-	defer r.flush()
-	if ok {
-		ok, err = r.up()
-	}
+// table returns a table of n rows over k columns, carved from the arena
+// from start on. Tables are never changed once made, so a table that
+// outlives a move of the tabs array stays valid.
+func (p *pass) table(k, n, start int) *Table {
+	p.tabs = append(p.tabs, Table{k: k, n: n, data: carve(p.vals, start)})
+	return &p.tabs[len(p.tabs)-1]
+}
+
+// Solve runs the pass and extracts a solution root first. It returns an
+// assignment of vars variables, 0 on every variable no table covers;
+// whether one exists (the join of the tables is non-empty, and so is Dom
+// if a variable lies in no table); and the number of message rows the
+// nodes sent their parents. The error is
+// ctx's, or reports a parent array that is not a forest or (for a tree
+// without the connectedness property) an extraction that found no
+// compatible row.
+func (t *JoinTree) Solve(ctx context.Context, vars int) ([]int, bool, int64, error) {
+	p, ok, err := t.run(ctx, nil, false, true)
+	defer p.release()
 	if !ok {
-		return r, false, err
+		if p == nil {
+			return nil, false, 0, err
+		}
+		return nil, false, p.sent, err
 	}
-	// Down: each child keeps the rows some surviving parent row matches.
-	for _, i := range r.order {
-		if pa := t.Parent[i]; pa >= 0 {
-			cPos, pPos := r.shared(i)
-			if err := r.semijoin(i, cPos, pa, pPos); err != nil {
-				return r, false, err
+	sol := make([]int, vars)
+	for v := range sol {
+		sol[v] = -1
+	}
+	for _, i := range p.order {
+		// By connectedness, the variables of l assigned before it are its
+		// parent's, and l holds a row matching the parent's.
+		l, picked := &p.local[i], -1
+	rows:
+		for r := range l.rows.n {
+			if err := p.pl.Tick(); err != nil {
+				return nil, false, p.sent, err
+			}
+			for j, v := range l.vars {
+				if sol[v] >= 0 && sol[v] != l.rows.Row(r)[j] {
+					continue rows
+				}
+			}
+			picked = r
+			break
+		}
+		if picked < 0 {
+			return nil, false, p.sent, errors.New("relation: join tree extraction found no compatible row (the tree lacks connectedness)")
+		}
+		for j, v := range l.vars {
+			sol[v] = l.rows.Row(picked)[j]
+		}
+	}
+	for v := range sol {
+		if sol[v] < 0 && t.Dom == 0 {
+			return nil, false, p.sent, nil
+		}
+		sol[v] = max(sol[v], 0)
+	}
+	return sol, true, p.sent, nil
+}
+
+// Count returns the number of assignments to the nodes' variables that
+// every table holds: the pass run with weights, times Dom for each free
+// variable. The error is ctx's, or reports a parent array that is not a
+// forest.
+func (t *JoinTree) Count(ctx context.Context) (*big.Int, error) {
+	p, ok, err := t.run(ctx, nil, true, false)
+	defer p.release()
+	total := new(big.Int)
+	if !ok {
+		return total, err
+	}
+	total.SetInt64(1)
+	p.stamp++
+	for i, n := range t.Nodes {
+		if t.Parent[i] < 0 {
+			total.Mul(total, p.msg[i].weight(0))
+		}
+		for _, a := range n.Atoms {
+			for _, v := range a.Scope {
+				p.mark[v] = p.stamp
 			}
 		}
 	}
-	return r, true, nil
+	dom := big.NewInt(int64(t.Dom))
+	for _, n := range t.Nodes {
+		for _, v := range n.Scope {
+			if p.mark[v] != p.stamp {
+				p.mark[v] = p.stamp
+				total.Mul(total, dom)
+			}
+		}
+	}
+	return total, nil
 }
 
-// Reduce runs the full reducer and returns one table per node holding the
-// node's rows that some row of the join uses, in insertion order: node i's
-// table is the projection of the join onto its scope. When the join is
-// empty every table is empty. The tables carry no index yet (a first lookup
-// builds it, as for AddDistinct). The error is ctx's, or reports a parent
-// array that is not a forest.
-func (t *JoinTree) Reduce(ctx context.Context) ([]*Table, error) {
-	r, ok, err := t.reduce(ctx)
+// Join returns the projection of the join of the tables onto keep, its
+// columns in keep's order: the pass run with keep, and the product of the
+// roots' messages. Every keep variable must lie in some table. The error is
+// ctx's, or reports a parent array that is not a forest or a keep variable
+// in no table.
+func (t *JoinTree) Join(ctx context.Context, keep []int) (*Table, error) {
+	p, ok, err := t.run(ctx, keep, false, false)
+	defer p.release()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*Table, len(t.Nodes))
-	for i, n := range t.Nodes {
-		out[i] = NewTable(n.Rows.k)
-		if !ok {
-			continue
+	out := NewTable(len(keep))
+	if !ok {
+		return out, nil
+	}
+	ans := rel{rows: unit}
+	for i := range t.Nodes {
+		if t.Parent[i] < 0 {
+			if ans, err = p.joinRels(&ans, &p.msg[i]); err != nil {
+				return nil, err
+			}
 		}
-		out[i].data = make([]int, 0, len(r.rows[i])*n.Rows.k)
-		for _, id := range r.rows[i] {
-			out[i].appendUnique(n.Rows.Row(int(id)))
+	}
+	pos := make([]int, len(keep))
+	for c, v := range keep {
+		if pos[c] = slices.Index(ans.vars, v); pos[c] < 0 {
+			return nil, fmt.Errorf("relation: keep variable %d is in no table", v)
+		}
+	}
+	out.data, out.n = make([]int, 0, ans.rows.n*len(keep)), ans.rows.n
+	for r := range ans.rows.n {
+		for _, j := range pos {
+			out.data = append(out.data, ans.rows.Row(r)[j])
 		}
 	}
 	return out, nil
 }
 
-// Solve runs the full reducer and extracts a solution root first. It
-// returns an assignment of vars variables, -1 on every variable in no node,
-// and false when the join of the nodes is empty. The error is ctx's, or
-// reports a parent array that is not a forest or (for a tree without the
-// connectedness property) an extraction that found no compatible row.
-func (t *JoinTree) Solve(ctx context.Context, vars int) ([]int, bool, error) {
-	r, ok, err := t.reduce(ctx)
-	if !ok {
-		return nil, false, err
-	}
-	// Extract: by connectedness, the variables of a node assigned before it
-	// are its parent's, and the down pass left a row matching the parent's.
-	sol := make([]int, vars)
-	for v := range sol {
-		sol[v] = -1
-	}
-	for _, i := range r.order {
-		n := t.Nodes[i]
-		var picked []int
-	rows:
-		for _, id := range r.rows[i] {
-			if err := r.pl.Tick(); err != nil {
-				return nil, false, err
-			}
-			row := n.Rows.Row(int(id))
-			for j, v := range n.Scope {
-				if sol[v] >= 0 && sol[v] != row[j] {
-					continue rows
-				}
-			}
-			picked = row
-			break
-		}
-		if picked == nil {
-			return nil, false, errors.New("relation: join tree extraction found no compatible row (the tree lacks connectedness)")
-		}
-		for j, v := range n.Scope {
-			sol[v] = picked[j]
-		}
-	}
-	return sol, true, nil
-}
-
-// flush records one full reducer run's effort.
-func (r *reducer) flush() {
-	if !obs.Enabled() {
-		return
-	}
-	var reduced int64
-	for _, ids := range r.rows {
-		reduced += int64(len(ids))
-	}
-	obsTreeSolves.Inc()
-	obsTreeSemijoins.Add(r.semijoins)
-	obsTreeRowsLoaded.Add(r.loaded)
-	obsTreeRowsReduced.Add(reduced)
-}
-
-// Count returns the number of assignments to the nodes' variables that
-// every node holds: the up pass run as a sum-product, in which a row's
-// weight is the number of ways it extends over its subtree, summed by
-// projection key the way a semijoin tests it. The error is ctx's, or
-// reports a parent array that is not a forest.
-func (t *JoinTree) Count(ctx context.Context) (*big.Int, error) {
-	r, ok, err := t.newReducer(ctx)
+// Reduce runs Yannakakis' full reducer over a tree whose every node holds
+// one table: semijoins up the tree, each parent keeping the rows some
+// child row matches, then down, each child keeping the rows some parent
+// row matches. It returns one table per node holding the node's rows that
+// some row of the join uses, in insertion order: node i's table is the
+// projection of the join onto its table's scope. When the join is empty
+// every table is empty. The tables carry no index yet (a first lookup
+// builds it, as for AddDistinct). The error is ctx's, or reports a parent
+// array that is not a forest or a node without exactly one table.
+func (t *JoinTree) Reduce(ctx context.Context) ([]*Table, error) {
+	p, ok, err := t.newPass(ctx, nil)
+	defer p.release()
 	if err != nil {
-		return new(big.Int), err
+		return nil, err
 	}
-	defer r.flush()
-	if !ok {
-		return new(big.Int), nil
+	defer p.flush()
+	p.local = resize(p.local, len(t.Nodes))
+	for i, n := range t.Nodes {
+		if len(n.Atoms) != 1 {
+			return nil, errors.New("relation: the full reducer needs one table per node")
+		}
+		p.local[i] = rel{vars: n.Atoms[0].Scope, rows: n.Atoms[0].Rows}
 	}
-	one := big.NewInt(1)
-	r.weights = make([][]*big.Int, len(t.Nodes))
-	for i, ids := range r.rows {
-		r.weights[i] = make([]*big.Int, len(ids))
-		for j := range ids {
-			r.weights[i][j] = one
+	step := func(a, b int) (err error) {
+		aCols, bCols, _ := p.columns(p.local[a].vars, p.local[b].vars)
+		p.local[a], err = p.semijoin(&p.local[a], &p.local[b], aCols, bCols)
+		return err
+	}
+	for k := len(p.order) - 1; ok && k >= 0; k-- {
+		if i := p.order[k]; t.Parent[i] >= 0 {
+			if err := step(t.Parent[i], i); err != nil {
+				return nil, err
+			}
+			ok = p.local[t.Parent[i]].rows.n > 0
 		}
 	}
-	if ok, err = r.up(); !ok {
-		return new(big.Int), err
-	}
-	total := big.NewInt(1)
-	for _, i := range r.order {
-		if t.Parent[i] >= 0 {
-			break // past the roots
+	for _, i := range p.order {
+		if ok && t.Parent[i] >= 0 {
+			if err := step(i, t.Parent[i]); err != nil {
+				return nil, err
+			}
 		}
-		sum := new(big.Int)
-		for _, w := range r.weights[i] {
-			sum.Add(sum, w)
+	}
+	out := make([]*Table, len(t.Nodes))
+	for i, l := range p.local {
+		if out[i] = NewTable(l.rows.k); ok {
+			out[i].data, out[i].n = slices.Clone(l.rows.data[:l.rows.n*l.rows.k]), l.rows.n
+			p.sent += int64(l.rows.n)
 		}
-		total.Mul(total, sum)
 	}
-	return total, nil
-}
-
-// keyer numbers the projections of rows onto one edge's shared variables:
-// by their mixed-radix value over Dom when Dom^s ≤ denseKeys, and otherwise
-// by their row id in a Table of the distinct projections — the one path
-// for a wide shared scope over a big domain.
-type keyer struct {
-	dom   int
-	dense bool
-	tab   *Table
-	proj  []int
-}
-
-// reset prepares the keyer for projections onto s variables, of which at
-// most n distinct ones will be added, and returns a bound on the keys.
-func (k *keyer) reset(s, n int) int {
-	size := 1
-	for range s {
-		if size*k.dom > denseKeys {
-			size = -1
-			break
-		}
-		size *= k.dom
-	}
-	if k.dense = size >= 0; k.dense {
-		return size
-	}
-	k.tab = NewTable(s)
-	k.tab.Grow(n)
-	k.tab.ensureIndex()
-	k.proj = slices.Grow(k.proj[:0], s)[:s]
-	return n
-}
-
-// key returns the key of row's projection onto pos, recording it when add
-// is set. A dense key is the projection's value, whether or not it was
-// added (the caller tracks that); any other unrecorded projection has key
-// -1.
-func (k *keyer) key(row, pos []int, add bool) int {
-	if k.dense {
-		key := 0
-		for _, p := range pos {
-			key = key*k.dom + row[p]
-		}
-		return key
-	}
-	for c, p := range pos {
-		k.proj[c] = row[p]
-	}
-	if add {
-		id, _ := k.tab.insert(k.proj, hashVals(k.proj))
-		return int(id)
-	}
-	return int(k.tab.lookup(k.proj, hashVals(k.proj)))
+	return out, nil
 }

@@ -19,12 +19,14 @@ import "csdb/internal/obs"
 //	relation.planner.actual_rows summed actual cardinalities
 //	relation.planner.est_ratio   histogram of max(est,actual)/min(est,actual)
 //	                             per pair — the planner's estimate error
-//	relation.jointree.solves       join-tree engine full-reducer runs
-//	                               (the tree, acyclic and width routes'
-//	                               solves and conjunctive-query evaluation)
-//	relation.jointree.semijoins    semijoin steps across the up+down passes
-//	relation.jointree.rows_loaded  node rows entering the reducer
-//	relation.jointree.rows_reduced rows surviving the full reducer
+//	relation.jointree.solves       join-tree engine runs: up passes (the
+//	                               tree, acyclic and width routes' solves
+//	                               and counts, conjunctive-query answers)
+//	                               and full reducers (Reduce)
+//	relation.jointree.semijoins    join and semijoin steps of a run
+//	relation.jointree.rows_loaded  table rows entering a run
+//	relation.jointree.rows_reduced message rows a pass sends to parents, or
+//	                               rows surviving a full reducer
 var (
 	obsJoinCalls         = obs.NewCounter("relation.join.calls")
 	obsJoinProbeRows     = obs.NewCounter("relation.join.probe_rows")

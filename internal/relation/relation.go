@@ -1,7 +1,7 @@
 // Package relation implements attribute-named finite relations and the
 // relational-algebra operators needed by the rest of the library: natural
 // join, projection, selection, rename, union and intersection. Semijoins
-// run in one place, the join-tree engine's full reducer (jointree.go).
+// run in one place, the join-tree engine (jointree.go).
 //
 // It is the substrate for Proposition 2.1 of the paper (a CSP instance is
 // solvable iff the natural join of its constraint relations is nonempty) and
@@ -18,9 +18,10 @@
 // with an open-addressed membership index: a slot array of row ids, probed
 // linearly from the row's hash, keyed per process in every word, so
 // lookups allocate nothing and hash collisions are resolved by comparing
-// the stored values. The hash joins' build sides (join.go) and the
-// join-tree engine's projection keys (jointree.go) use the same slots and
-// the same keyed hash; no Go map indexes tuples outside the reference
+// the stored values. The hash join's build side (join.go), which every
+// join, semijoin and projection of the join-tree engine (jointree.go) runs
+// too, uses the same slots and the same keyed hash, or a key's value when
+// the key space is small; no Go map indexes tuples outside the reference
 // kernel (naive.go). csp.Table and structure.Interp
 // are that type, and a Relation is a Table plus its attribute names. A Tuple
 // handed out by Tuples, Rows or SortedTuples is a view into (a copy of) the

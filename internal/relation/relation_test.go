@@ -111,6 +111,40 @@ func TestJoinBasic(t *testing.T) {
 	}
 }
 
+// TestJoinProbeAllocatesOutputOnce: in a join whose every probe row
+// matches eight build rows, the probe counts its output from the build
+// chains first and allocates it once, instead of regrowing a buffer sized
+// for one match per probe row.
+func TestJoinProbeAllocatesOutputOnce(t *testing.T) {
+	const n, fan = 1000, 8
+	build, probe := NewTable(2), NewTable(1)
+	for i := range n {
+		probe.Add([]int{i})
+		for j := range fan {
+			build.Add([]int{i, j})
+		}
+	}
+	var pl Poller
+	var jt joinTable
+	if err := buildJoinTable(&pl, &jt, build, []int{0}, 0); err != nil {
+		t.Fatal(err)
+	}
+	heads := make([]int32, n)
+	rows := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		var err error
+		if _, rows, err = joinProbeRange(&pl, &jt, probe, []int{0}, []int{1}, 0, n, heads, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if rows != n*fan {
+		t.Fatalf("%d output rows, want %d", rows, n*fan)
+	}
+	if allocs != 1 {
+		t.Fatalf("the probe allocated %v times per run, want once", allocs)
+	}
+}
+
 func TestJoinDisjointIsCartesianProduct(t *testing.T) {
 	r := MustFromTuples([]string{"x"}, []Tuple{{1}, {2}})
 	s := MustFromTuples([]string{"y"}, []Tuple{{8}, {9}})

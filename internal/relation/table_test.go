@@ -294,8 +294,8 @@ func TestIndexSpreadsCraftedCollisions(t *testing.T) {
 
 	// A join build side keyed on both columns chains no two of them.
 	r := &Relation{attrs: []string{"a", "b"}, Table: *tab}
-	jt, err := buildJoinTable(&Poller{}, r, []int{0, 1})
-	if err != nil {
+	var jt joinTable
+	if err := buildJoinTable(&Poller{}, &jt, &r.Table, []int{0, 1}, 0); err != nil {
 		t.Fatal(err)
 	}
 	for i, prev := range jt.next {
