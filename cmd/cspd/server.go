@@ -1,17 +1,18 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"net/url"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -138,6 +139,14 @@ func routeLabel(r string) string {
 // maxBodyBytes bounds POSTed instances; the text format is compact, so 16MB
 // is generous.
 const maxBodyBytes = 16 << 20
+
+// bodies recycles the buffers /solve bodies are read into: cspio.ParseBytes
+// does not retain its input, so a buffer is free once its body is parsed. A
+// buffer grown past maxPooledBody goes back to the collector instead, so
+// one large body pins no memory.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
 
 // solveParams are the validated query parameters of one /solve request.
 type solveParams struct {
@@ -344,8 +353,9 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			"method not allowed: POST an instance to /solve")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
+	body := bodies.Get().(*bytes.Buffer)
+	body.Reset()
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			obsTooLarge.Inc()
@@ -357,7 +367,10 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusBadRequest, "read", "read: "+err.Error())
 		return
 	}
-	inst, err := cspio.ParseBytes(body)
+	inst, err := cspio.ParseBytes(body.Bytes())
+	if body.Cap() <= maxPooledBody {
+		bodies.Put(body)
+	}
 	if errors.Is(err, cspio.ErrTooLarge) {
 		obsTooLarge.Inc()
 		fail(http.StatusBadRequest, "instance_too_large", err.Error())

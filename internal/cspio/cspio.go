@@ -21,11 +21,14 @@
 // (1-based vertices).
 //
 // Parse and ParseDIMACS read their whole input before parsing it; ParseBytes
-// parses a body already in memory. One line splitter serves both formats:
-// lines are cut with bytes.IndexByte and integers are decoded in place. A
-// con line's rows are decoded into one reused scratch slice first, so its
-// table (values and index) is sized once by the rows the line really holds,
-// and a parse allocates the instance it returns and little else. Canonical
+// parses a body already in memory and does not retain it. One line splitter
+// serves both formats: lines are cut with bytes.IndexByte and integers are
+// decoded in place. A con line's rows are decoded by one loop that handles
+// ASCII digits, white space and '|' inline, into pooled scratch that holds
+// every con value of the body. Once the body is read, the instance's
+// values, tables (each deduplicated in place, its index built), constraints
+// and scopes are carved from one array of each kind, sized by what the body
+// holds, so a parse allocates a handful of objects whatever its size. Canonical
 // (canonical.go) is the order-insensitive encoding that keys the result
 // caches: it sorts each constraint's rows as integer keys of value ranks
 // and writes the bytes a row-by-row byte sort would. CanonicalHash is
@@ -37,13 +40,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 
 	"csdb/internal/csp"
 	"csdb/internal/graph"
+	"csdb/internal/relation"
 )
 
 // MaxVarsDom bounds vars×dom, and so each of vars and dom, of a parsed
@@ -80,14 +86,10 @@ func ParseBytes(body []byte) (*csp.Instance, error) {
 		vals    []int
 	}
 	var doms []domOf
-	// A constraint's tuples go straight into its table; the scope is a span
-	// of scopes, validated against vars once the whole body is read.
-	type rawCon struct {
-		lo, hi int
-		tab    *csp.Table
-	}
-	var cons []rawCon
-	var scopes, cells []int
+	// Every con line's scope and rows are decoded into one body-wide array
+	// of values, recycled scratch until the whole body is read.
+	sc := scratches.Get().(*scratch)
+	defer sc.release()
 	lines := lineSplitter{rest: body}
 	for lines.next() {
 		lineNo, line := lines.no, lines.line
@@ -122,49 +124,17 @@ func ParseBytes(body []byte) (*csp.Instance, error) {
 			if colon < 0 {
 				return nil, fmt.Errorf("cspio: line %d: con needs 'scope : tuples'", lineNo)
 			}
-			lo := len(scopes)
+			c := rawCon{scope: len(sc.vals)}
 			var err error
-			if scopes, err = appendInts(scopes, rest[:colon]); err != nil {
+			if sc.vals, err = appendInts(sc.vals, rest[:colon]); err != nil {
 				return nil, fmt.Errorf("cspio: line %d: %v", lineNo, err)
 			}
-			arity := len(scopes) - lo
-			// The line's rows are decoded into cells first, so the table is
-			// sized once, by the rows the line really holds: a line of bare
-			// separators sizes nothing.
-			cells = cells[:0]
-			for tuples := rest[colon+1:]; ; {
-				tup := tuples
-				bar := bytes.IndexByte(tuples, '|')
-				if bar >= 0 {
-					tup, tuples = tuples[:bar], tuples[bar+1:]
-				}
-				if !blank(tup) {
-					n := len(cells)
-					if cells, err = appendInts(cells, tup); err != nil {
-						return nil, fmt.Errorf("cspio: line %d: %v", lineNo, err)
-					}
-					if len(cells)-n != arity {
-						return nil, fmt.Errorf("cspio: line %d: tuple arity %d for scope of %d", lineNo, len(cells)-n, arity)
-					}
-					// No dom admits a value outside [0,MaxVarsDom), and a
-					// later dom line may still change dom, so this is the
-					// bound checked before a row reaches its table.
-					for _, v := range cells[n:] {
-						if v < 0 || v >= MaxVarsDom {
-							return nil, fmt.Errorf("cspio: line %d: con value %d outside [0,%d)", lineNo, v, MaxVarsDom)
-						}
-					}
-				}
-				if bar < 0 {
-					break
-				}
+			c.rows = len(sc.vals)
+			if sc.vals, err = appendRows(sc.vals, rest[colon+1:], c.rows-c.scope); err != nil {
+				return nil, fmt.Errorf("cspio: line %d: %v", lineNo, err)
 			}
-			tab := csp.NewTable(arity)
-			tab.Grow(len(cells) / arity)
-			for i := 0; i < len(cells); i += arity {
-				tab.Add(cells[i : i+arity])
-			}
-			cons = append(cons, rawCon{lo, len(scopes), tab})
+			c.end = len(sc.vals)
+			sc.cons = append(sc.cons, c)
 		case "dom_of":
 			colon := bytes.IndexByte(rest, ':')
 			if colon < 0 {
@@ -211,10 +181,40 @@ func ParseBytes(body []byte) (*csp.Instance, error) {
 			inst.Domains[d.v] = d.vals
 		}
 	}
+	// The checks csp.Instance.AddConstraint makes, with its messages, in
+	// its order: each constraint's scope, then its rows, whose values are
+	// known to be at least 0. A duplicate row repeats an earlier one, so
+	// the first value that fails is the one AddConstraint would name.
+	cons, vals := sc.cons, sc.vals
+	slots := 0
 	for _, c := range cons {
-		if err := inst.AddConstraint(scopes[c.lo:c.hi], c.tab); err != nil {
-			return nil, fmt.Errorf("cspio: %v", err)
+		for _, v := range vals[c.scope:c.rows] {
+			if v < 0 || v >= vars {
+				return nil, fmt.Errorf("cspio: csp: scope variable %d outside [0,%d)", v, vars)
+			}
 		}
+		for _, v := range vals[c.rows:c.end] {
+			if v >= dom {
+				return nil, fmt.Errorf("cspio: csp: table value %d outside [0,%d)", v, dom)
+			}
+		}
+		slots += relation.SlotCount((c.end - c.rows) / (c.rows - c.scope))
+	}
+	// The instance's values, tables, constraints and indexes are each
+	// carved from one array of their kind, sized by what the body holds,
+	// and every carved slice is capped, so no append reaches past it.
+	vals = slices.Clone(vals)
+	index := make([]int32, slots)
+	tabs := make([]csp.Table, len(cons))
+	cs := make([]csp.Constraint, len(cons))
+	inst.Constraints = make([]*csp.Constraint, len(cons))
+	for i, c := range cons {
+		k := c.rows - c.scope
+		n := relation.SlotCount((c.end - c.rows) / k)
+		tabs[i] = relation.MakeTable(k, vals[c.rows:c.end], index[:n])
+		index = index[n:]
+		cs[i] = csp.Constraint{Scope: vals[c.scope:c.rows:c.rows], Table: &tabs[i]}
+		inst.Constraints[i] = &cs[i]
 	}
 	return inst, nil
 }
@@ -388,6 +388,134 @@ func appendInts(dst []int, b []byte) ([]int, error) {
 		return dst, fmt.Errorf("empty integer list")
 	}
 	return dst, nil
+}
+
+// appendRows appends to vals the rows of a con line's tuple list b, rows of
+// arity values separated by '|', as appendInts would decode each non-blank
+// row. ASCII digits, white space and '|' are handled inline; a non-ASCII
+// byte goes through spaceAt and a field that is not plain digits through
+// atoi, so the verdicts, messages and their order are appendInts': a bad
+// field fails its row first, then its arity, then a value outside
+// [0,MaxVarsDom), which no dom admits (a later dom line may still change
+// dom, so this is the bound checked as the body is read). A blank row
+// decodes nothing.
+func appendRows(vals []int, b []byte, arity int) ([]int, error) {
+	row := len(vals) // where the current row starts
+	bad := -1        // the first value outside [0,MaxVarsDom), if any
+	for i := 0; ; {
+		k := classBar // the end of b ends the last row
+		if i < len(b) {
+			k = byteClass[b[i]]
+		}
+		switch k {
+		case classSpace:
+			i++
+			continue
+		case classBar:
+			if n := len(vals) - row; n > 0 {
+				if n != arity {
+					return vals, fmt.Errorf("tuple arity %d for scope of %d", n, arity)
+				}
+				if bad >= 0 {
+					return vals, fmt.Errorf("con value %d outside [0,%d)", vals[bad], MaxVarsDom)
+				}
+				row = len(vals)
+			}
+			if i == len(b) {
+				return vals, nil
+			}
+			i++
+			continue
+		case classHigh:
+			if sp, w := spaceAt(b, i); sp {
+				i += w
+				continue
+			}
+		}
+		// A field: plain digits short enough not to overflow, ended by
+		// white space, '|' or the end of b, are decoded here, and anything
+		// else by atoi over the field.
+		j, v := i, 0
+		for j < len(b) && b[j]-'0' <= 9 {
+			v = v*10 + int(b[j]-'0')
+			j++
+		}
+		if j == i || j-i > 18 || j < len(b) && byteClass[b[j]] != classSpace && byteClass[b[j]] != classBar {
+			j = fieldEnd(b, j)
+			var ok bool
+			if v, ok = atoi(b[i:j]); !ok {
+				return vals, fmt.Errorf("bad integer %q", b[i:j])
+			}
+		}
+		if uint(v) >= MaxVarsDom && bad < 0 {
+			bad = len(vals)
+		}
+		vals = append(vals, v)
+		i = j
+	}
+}
+
+// fieldEnd returns where the field of a tuple list that holds b[i] ends:
+// at white space, '|' or the end of b.
+func fieldEnd(b []byte, i int) int {
+	for i < len(b) {
+		switch byteClass[b[i]] {
+		case classSpace, classBar:
+			return i
+		case classHigh:
+			sp, w := spaceAt(b, i)
+			if sp {
+				return i
+			}
+			i += w
+		default:
+			i++
+		}
+	}
+	return i
+}
+
+// The byte classes of a tuple list; any other byte is part of a field.
+const (
+	classSpace uint8 = 1 + iota // ASCII white space
+	classBar                    // '|'
+	classHigh                   // the first byte of a multi-byte rune, or not UTF-8
+)
+
+var byteClass = func() (c [256]uint8) {
+	for b := range c {
+		switch {
+		case b >= utf8.RuneSelf:
+			c[b] = classHigh
+		case asciiSpace[b]:
+			c[b] = classSpace
+		case b == '|':
+			c[b] = classBar
+		}
+	}
+	return c
+}()
+
+// scratch is a parse's working storage, recycled across parses: the values
+// of the con lines read so far and their spans. A con line's scope is
+// vals[scope:rows] and its rows vals[rows:end]. No instance points into it.
+type scratch struct {
+	vals []int
+	cons []rawCon
+}
+
+type rawCon struct{ scope, rows, end int }
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// release returns sc to the pool, unless a large body grew it: those
+// arrays go back to the collector, so one large body pins no memory.
+func (sc *scratch) release() {
+	if cap(sc.vals) > 1<<17 || cap(sc.cons) > 1<<15 {
+		return
+	}
+	sc.vals, sc.cons = sc.vals[:0], sc.cons[:0]
+	scratches.Put(sc)
 }
 
 // atoi decodes a decimal integer with the syntax and range strconv.Atoi

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -272,5 +273,96 @@ func TestParseDIMACSErrorMessages(t *testing.T) {
 		if _, err := ParseDIMACS(strings.NewReader(text)); err == nil || err.Error() != want {
 			t.Errorf("%q: error %v, want %q", text, err, want)
 		}
+	}
+}
+
+// randomBody renders m random binary constraints over vars variables of a
+// dom-value domain, each of up to rows rows, in the text format.
+func randomBody(rng *rand.Rand, vars, dom, m, rows int) []byte {
+	p := csp.NewInstance(vars, dom)
+	for range m {
+		tab := csp.NewTable(2)
+		for range 1 + rng.Intn(rows) {
+			tab.Add([]int{rng.Intn(dom), rng.Intn(dom)})
+		}
+		p.MustAddConstraint([]int{rng.Intn(vars), rng.Intn(vars)}, tab)
+	}
+	var buf bytes.Buffer
+	if err := Format(&buf, p); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// TestParseAllocs pins the parser's allocations per body: its tables,
+// constraints, indexes and values are carved from one array of each kind,
+// so the count does not grow with the constraints a body holds.
+func TestParseAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, m := range []int{10, 1000} {
+		body := randomBody(rng, 50, 8, m, 20)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := ParseBytes(body); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d constraints, %d bytes: %.0f allocations", m, len(body), allocs)
+		if allocs > 32 {
+			t.Errorf("%d constraints: %.0f allocations per parse, want <= 32", m, allocs)
+		}
+	}
+}
+
+// TestParsedTablesAreSeparate adds a row to each table of a parsed instance
+// in turn: the tables share their parse's arrays, each capped, so the row
+// lands in the table it was added to and every other table keeps its rows.
+func TestParsedTablesAreSeparate(t *testing.T) {
+	p, err := ParseBytes([]byte("vars 3\ndom 3\ncon 0 1 : 0 1 | 1 0 | 0 1\ncon 1 2 : 2 1\ncon 2 : 1 | 0\ncon 0 2 :\ncon 1 : 0\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]*csp.Table, len(p.Constraints))
+	scopes := make([][]int, len(p.Constraints))
+	for i, c := range p.Constraints {
+		want[i], scopes[i] = c.Table.Clone(), slices.Clone(c.Scope)
+	}
+	for i, c := range p.Constraints {
+		row := make([]int, c.Table.Arity())
+		for j := range row {
+			row[j] = 2
+		}
+		if !c.Table.Add(row) {
+			t.Fatalf("constraint %d: row %v reported present", i, row)
+		}
+		want[i].Add(row)
+		for j, d := range p.Constraints {
+			if !slices.EqualFunc(d.Table.Tuples(), want[j].Tuples(), slices.Equal) || !slices.Equal(d.Scope, scopes[j]) {
+				t.Fatalf("after an Add to constraint %d, constraint %d is %v %v, want %v %v",
+					i, j, d.Scope, d.Table.Tuples(), scopes[j], want[j].Tuples())
+			}
+		}
+	}
+}
+
+// TestParseDoesNotRetainBody parses a body and then overwrites it, as a
+// server recycling its read buffers does: the instance must not change.
+func TestParseDoesNotRetainBody(t *testing.T) {
+	body := []byte("vars 3\ndom 3\nnames a b c\ndom_of 1 : 0 2\ncon 0 1 : 0 1 | 1 0 | 0 1\ncon 1 2 : 2 2\ncon 2 : 1 | 0\n")
+	p, err := ParseBytes(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after bytes.Buffer
+	if err := Format(&before, p); err != nil {
+		t.Fatal(err)
+	}
+	for i := range body {
+		body[i] = '9'
+	}
+	if err := Format(&after, p); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatalf("overwriting the body changed the instance:\nbefore %q\nafter  %q", before.String(), after.String())
 	}
 }

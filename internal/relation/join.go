@@ -52,19 +52,22 @@ const yieldQuantum = 100 * time.Microsecond
 
 // Poller amortizes context polls over a countdown of work units. A poll
 // also yields the processor (runtime.Gosched) once the goroutine has run
-// for yieldQuantum, and the first poll always yields, so a join racing
-// other goroutines on fewer processors shares time in short slices instead
-// of the runtime's ~10 ms preemption turns. A Poller over a nil context
-// (the zero Poller) never polls.
+// for yieldQuantum, so a kernel sharing fewer processors with other
+// goroutines runs in short slices instead of the runtime's ~10 ms
+// preemption turns. The quantum's clock starts when the Poller is made: no
+// goroutine of this package races another, so a short join owes no yield
+// at its first poll (the search engines' cancelChecker, whose portfolio
+// lanes do race, keeps that first yield). A Poller over a nil context (the
+// zero Poller) never polls.
 type Poller struct {
 	ctx       context.Context
 	countdown int
-	resumed   time.Time // when the goroutine last returned from a yield
+	resumed   time.Time // when the Poller was made or last returned from a yield
 }
 
 // NewPoller returns a Poller over ctx.
 func NewPoller(ctx context.Context) *Poller {
-	return &Poller{ctx: ctx, countdown: joinCheckEvery}
+	return &Poller{ctx: ctx, countdown: joinCheckEvery, resumed: time.Now()}
 }
 
 // Tick counts one unit of work; once every joinCheckEvery units it yields
@@ -111,7 +114,7 @@ type joinTable struct {
 // join.
 func buildJoinTable(pl *Poller, t *joinTable, s *Table, cols []int, dom int) error {
 	t.data, t.k, t.cols, t.radix = s.data, s.k, cols, 0
-	size := slotCount(s.n)
+	size := SlotCount(s.n)
 	if keys := 1; dom > 0 {
 		for range cols {
 			if keys *= dom; keys > 4*size {

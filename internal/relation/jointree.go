@@ -136,7 +136,7 @@ func (t *JoinTree) newPass(ctx context.Context, keep []int) (*pass, bool, error)
 		return nil, false, errNotForest
 	}
 	p := passes.Get().(*pass)
-	p.t, p.pl, p.count, p.solve = t, Poller{ctx: ctx, countdown: joinCheckEvery}, false, false
+	p.t, p.pl, p.count, p.solve = t, *NewPoller(ctx), false, false
 	p.stamp, p.loaded, p.steps, p.sent = 0, 0, 0, 0
 	// Breadth-first from the roots; a parent out of range, or a cycle that
 	// no root reaches, is not a forest. Node i's children are kid[i]-1,

@@ -280,7 +280,7 @@ func (r *Relation) Project(attrs ...string) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	out.slots = make([]int32, slotCount(r.n))
+	out.slots = make([]int32, SlotCount(r.n))
 	scratch := make([]int, len(cols))
 	for i := 0; i < r.n; i++ {
 		base := i * r.k

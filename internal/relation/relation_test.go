@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -404,4 +405,24 @@ func TestMustPanics(t *testing.T) {
 	assertPanics("MustNew", func() { MustNew("a", "a") })
 	assertPanics("MustFromTuples", func() { MustFromTuples([]string{"a"}, []Tuple{{1, 2}}) })
 	assertPanics("MustAdd", func() { MustNew("a").MustAdd(Tuple{1, 2}) })
+}
+
+// TestPollerFirstPollDoesNotYield pins the Poller's quantum clock to its
+// construction: a poll within yieldQuantum of NewPoller, the first one
+// included, does not yield, and a poll after it does.
+func TestPollerFirstPollDoesNotYield(t *testing.T) {
+	p := NewPoller(context.Background())
+	made := p.resumed
+	if made.IsZero() {
+		t.Fatal("NewPoller left the quantum clock unset")
+	}
+	p.countdown = 1
+	if err := p.Tick(); err != nil || p.resumed != made {
+		t.Fatalf("first poll: error %v, yielded %v", err, p.resumed != made)
+	}
+	p.resumed = made.Add(-2 * yieldQuantum)
+	p.countdown = 1
+	if err := p.Tick(); err != nil || !p.resumed.After(made) {
+		t.Fatalf("poll after the quantum: error %v, yielded %v", err, p.resumed.After(made))
+	}
 }

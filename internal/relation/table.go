@@ -47,10 +47,10 @@ func hashRowCols(data []int, base int, cols []int) uint64 {
 // minSlots is the smallest index a table builds.
 const minSlots = 8
 
-// slotCount returns the slot count for rows rows: the least power of two
-// at least twice rows (so the load stays at most one half), and at least
-// minSlots.
-func slotCount(rows int) int {
+// SlotCount returns the slot count a table of rows rows is indexed with:
+// the least power of two at least twice rows (so the load stays at most one
+// half), and at least minSlots.
+func SlotCount(rows int) int {
 	n := minSlots
 	for n < 2*rows {
 		n <<= 1
@@ -73,8 +73,9 @@ func slotCount(rows int) int {
 // hash collisions are never trusted.
 //
 // Concurrency: Add builds the index as it inserts, so a table filled through
-// Add, Clone or Intersect never mutates itself on a read, and any number of
-// goroutines may call Has, Len, Row, Tuples, Digest and Equal on it at once.
+// Add, MakeTable, Clone or Intersect never mutates itself on a read, and
+// any number of goroutines may call Has, Len, Row, Tuples, Digest and Equal
+// on it at once.
 // Only AddDistinct and a Relation's own operator results skip the index and
 // build it lazily (see the package comment); such a table stays private to
 // the code that fills it (a Relation, a join-tree bag) until a first lookup
@@ -92,6 +93,27 @@ func NewTable(arity int) *Table {
 		panic(fmt.Sprintf("relation: table arity %d", arity))
 	}
 	return &Table{k: arity}
+}
+
+// MakeTable returns the table of the rows held back to back in data, each
+// of arity (>= 1) values, with its index built in slots, so that it is
+// shareable read-only as a table filled through Add is. Duplicate rows are
+// removed in place, and the first occurrence of each row keeps its place in
+// the order, as Add keeps it. slots must be zero, with the length SlotCount
+// gives for the rows data holds. The table keeps both buffers, data capped
+// at its end, so a later Add reallocates instead of writing past them (a
+// full index is rebuilt in a new array): a caller may carve many tables
+// from one value array and one slot array.
+func MakeTable(arity int, data []int, slots []int32) Table {
+	if arity < 1 || len(data)%arity != 0 || len(slots) != SlotCount(len(data)/arity) {
+		panic(fmt.Sprintf("relation: MakeTable of arity %d over %d values and %d slots", arity, len(data), len(slots)))
+	}
+	t := Table{k: arity, data: data[:0:len(data)], slots: slots}
+	for i := 0; i < len(data); i += arity {
+		row := data[i : i+arity]
+		t.insert(row, hashVals(row))
+	}
+	return t
 }
 
 // Arity returns the number of columns.
@@ -131,7 +153,7 @@ func (t *Table) Grow(n int) {
 	}
 	t.data = slices.Grow(t.data, n*t.k)
 	if t.slots != nil && 2*(t.n+n) > len(t.slots) {
-		t.rehash(slotCount(t.n + n))
+		t.rehash(SlotCount(t.n + n))
 	}
 }
 
@@ -145,7 +167,7 @@ func (t *Table) ensureIndex() {
 	if t.k > 0 {
 		rows = max(rows, cap(t.data)/t.k)
 	}
-	t.rehash(slotCount(rows))
+	t.rehash(SlotCount(rows))
 }
 
 // rehash rebuilds the index with size slots.

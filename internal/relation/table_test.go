@@ -313,3 +313,76 @@ func TestIndexSpreadsCraftedCollisions(t *testing.T) {
 		}
 	}
 }
+
+// TestMakeTableMatchesAdd builds tables over one shared value array and one
+// shared slot array, as a parser carves them, and holds each to the table
+// Add builds from the same rows: the same rows in the same order (first
+// occurrences kept), an index with its invariants, and, once a row is
+// added to one of them, neighbours whose rows and lookups are unchanged.
+func TestMakeTableMatchesAdd(t *testing.T) {
+	for _, oneHome := range []bool{false, true} {
+		run := func() {
+			rng := rand.New(rand.NewSource(47))
+			type span struct{ k, lo, hi int }
+			var vals []int
+			var spans []span
+			slots := 0
+			for range 40 {
+				k, rows := 1+rng.Intn(3), rng.Intn(30)
+				lo := len(vals)
+				for range rows * k {
+					vals = append(vals, rng.Intn(3))
+				}
+				spans = append(spans, span{k, lo, len(vals)})
+				slots += SlotCount(rows)
+			}
+			want := make([]*Table, len(spans))
+			for i, s := range spans {
+				want[i] = NewTable(s.k)
+				for j := s.lo; j < s.hi; j += s.k {
+					want[i].Add(vals[j : j+s.k])
+				}
+			}
+			index := make([]int32, slots)
+			got := make([]Table, len(spans))
+			for i, s := range spans {
+				n := SlotCount((s.hi - s.lo) / s.k)
+				got[i] = MakeTable(s.k, vals[s.lo:s.hi], index[:n])
+				index = index[n:]
+			}
+			same := func(what string, i int) {
+				g, w := &got[i], want[i]
+				checkIndex(t, what, g)
+				if !slices.Equal(g.data, w.data[:w.n*w.k]) || g.n != w.n {
+					t.Fatalf("%s: table %d rows %v, Add gives %v", what, i, g.data, w.data[:w.n*w.k])
+				}
+				for j := 0; j < w.Len(); j++ {
+					if !g.Has(w.Row(j)) {
+						t.Fatalf("%s: table %d lost row %v", what, i, w.Row(j))
+					}
+				}
+			}
+			for i := range spans {
+				same("made", i)
+			}
+			for i := range spans {
+				row := make([]int, spans[i].k)
+				for j := range row {
+					row[j] = 7 + i
+				}
+				if !got[i].Add(row) {
+					t.Fatalf("table %d: Add of a new row reported a duplicate", i)
+				}
+				want[i].Add(row)
+				for j := range spans {
+					same(fmt.Sprintf("after an Add to table %d", i), j)
+				}
+			}
+		}
+		if oneHome {
+			withOneHomeSlot(run)
+		} else {
+			run()
+		}
+	}
+}
