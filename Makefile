@@ -72,7 +72,8 @@ race-engine:
 
 # The relational kernel, its tuple store (relation.Table, which is also
 # csp.Table and structure.Interp) and the packages built on that store, with
-# the parallel hash join enabled — the acceptance gate for the kernel.
+# concurrent join-tree passes sharing input tables — the acceptance gate for
+# the kernel.
 race-kernel:
 	$(GO) test -race -count=1 ./internal/relation/ ./internal/hypergraph/ ./internal/structure/ ./internal/cspio/
 

@@ -10,9 +10,9 @@
 //
 // With -obs the tool additionally runs a canonical chain-join workload
 // in-process with the observability registry enabled and embeds the
-// resulting metrics snapshot (join/planner counters, the planner's
-// estimate-vs-actual error histogram, workload allocation bytes) under the
-// label, so planner quality is versioned alongside the timing trajectory.
+// resulting metrics snapshot (the relation.jointree.* counters of the
+// join-tree run behind JoinAll, workload allocation bytes) under the label,
+// so the join's effort is versioned alongside the timing trajectory.
 //
 // With -search the tool ignores stdin and instead times the search-core
 // engines (seed, bitset MAC, restart/nogood learning, and the default

@@ -267,16 +267,16 @@ func TestDomOfOutOfRangeRejected(t *testing.T) {
 }
 
 // TestHostileHeaderRejected is the regression test for a 19-byte POST that
-// killed cspd: `vars 5000000` / `dom 2` with no constraints reached the join
-// lane, whose planner presized a pair heap of k(k-1)/2 entries and panicked
-// in a lane goroutine, and every other engine used to size gigabytes of
-// per-variable state. With a dom_of line, 33 bytes declaring two million
-// variables made the parser itself allocate 47 MB for the domain table
-// before the size check ran. Each body is served in-process, with no
-// http.Server to recover a handler panic, under the default strategy and
-// under strategy=mac: each gets a 400 naming the limit and exactly one wide
-// event, and the request allocates no more than allocPerBodyByte bytes per
-// body byte.
+// killed cspd: `vars 5000000` / `dom 2` with no constraints reached the
+// portfolio's join lane (since deleted), which presized state quadratic in
+// the variable count and panicked in its goroutine, and every other engine
+// used to size gigabytes of per-variable state. With a dom_of line, 33
+// bytes declaring two million variables made the parser itself allocate
+// 47 MB for the domain table before the size check ran. Each body is
+// served in-process, with no http.Server to recover a handler panic, under
+// the default strategy and under strategy=mac: each gets a 400 naming the
+// limit and exactly one wide event, and the request allocates no more than
+// allocPerBodyByte bytes per body byte.
 func TestHostileHeaderRejected(t *testing.T) {
 	withDaemonObs(t)
 	h := newServer(testConfig()).mux()

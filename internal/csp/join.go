@@ -100,9 +100,9 @@ func JoinSolve(p *Instance) Result {
 }
 
 // JoinSolveCtx is JoinSolve under a context: the join evaluation polls ctx
-// between (and periodically inside) pairwise joins and returns Aborted=true
-// once the context is cancelled, which bounds both the time and the growth
-// of intermediate results.
+// periodically inside every join step and returns Aborted=true once the
+// context is cancelled, which bounds both the time and the growth of
+// intermediate results.
 func JoinSolveCtx(ctx context.Context, p *Instance) Result {
 	start := time.Now()
 	obsJoinSolveCalls.Inc()

@@ -4,10 +4,7 @@ import (
 	"context"
 	"runtime"
 	"slices"
-	"sync"
 	"time"
-
-	"csdb/internal/obs"
 )
 
 // Natural join on the integer-hash kernel.
@@ -19,29 +16,22 @@ import (
 // no per-row values and a probe compares key values once per key, not once
 // per candidate pair — and then probes in two passes: the first finds each
 // probe row's chain and counts its rows, and the second writes the
-// output into an arena grown once, to its exact size. Relation.Join and the
-// join-tree engine's join steps (jointree.go) run this one kernel. Because the inputs
+// output into an arena grown once, to its exact size. The join-tree
+// engine's join steps, semijoins and projections (jointree.go) run this one
+// kernel, and every natural join of the package runs the engine (JoinAll).
+// Because the inputs
 // are duplicate-free sets and a natural-join output row is determined by its
 // (r-row, s-row) pair projected onto r.attrs ∪ s.attrs, the output is itself
 // duplicate-free and is emitted straight into the flat value array with no
 // membership checks; the output's own index is built lazily if it is ever
 // probed.
 
-const (
-	// joinCheckEvery is how many units of work — candidate pairs probed,
-	// rows hashed or counted, pair estimates — run between context polls,
-	// per goroutine (the cancellation discipline shared with the search
-	// engines' cancelChecker). 1,024 units take 20-50 µs, the same slice as
-	// a search lane's poll interval, so a join racing the searchers gets
-	// no longer turns than they do.
-	joinCheckEvery = 1024
-	// parallelProbeMin is the probe-side row count above which the probe
-	// loop is partitioned across GOMAXPROCS workers. A var so tests can
-	// force both paths.
-	parallelProbeMinDefault = 8192
-)
-
-var parallelProbeMin = parallelProbeMinDefault
+// joinCheckEvery is how many units of work — candidate pairs probed, rows
+// hashed or counted — run between context polls (the cancellation
+// discipline shared with the search engines' cancelChecker). 1,024 units
+// take 20-50 µs, the same slice as a search lane's poll interval, so a join
+// racing the searchers gets no longer turns than they do.
+const joinCheckEvery = 1024
 
 // yieldQuantum is the least time a Poller's goroutine runs between two
 // yields of the processor: the same quantum, for the same reason, as the
@@ -186,167 +176,36 @@ func (t *joinTable) head(data []int, base int, cols []int) int32 {
 	return -1
 }
 
-// Join returns the natural join of r and s: the schema is r's attributes
-// followed by the attributes of s that do not occur in r, and a result tuple
-// exists for every pair of r/s tuples that agree on all shared attributes.
-// Implemented as a (parallel, for large probe sides) hash join on the shared
-// attributes.
-func (r *Relation) Join(s *Relation) *Relation {
-	out, _ := r.joinCtx(nil, s)
-	return out
-}
-
-// joinCtx is Join with cooperative cancellation: when ctx is non-nil, the
-// build and probe loops poll it every joinCheckEvery rows or candidate pairs
-// (see Poller, which also yields the processor) and return ctx's error, so
-// a cancelled caller is not stuck behind one exploding intermediate result. It is also the kernel's metering point: probe/build/
-// output row counts and arena bytes are flushed to the obs registry once per
-// call, and a span records the join's shape when tracing is active.
-func (r *Relation) joinCtx(ctx context.Context, s *Relation) (*Relation, error) {
-	sp := obs.StartChild(obs.SpanFrom(ctx), "relation.join")
-	out, err := r.joinImpl(ctx, s)
-	if obs.Enabled() {
-		obsJoinCalls.Inc()
-		obsJoinProbeRows.Add(int64(r.n))
-		obsJoinBuildRows.Add(int64(s.n))
-		if out != nil {
-			obsJoinOutputRows.Add(int64(out.n))
-			obsJoinArenaBytes.Add(int64(len(out.data)) * intBytes)
-		}
-	}
-	if sp != nil {
-		sp.SetInt("left_rows", int64(r.n))
-		sp.SetInt("right_rows", int64(s.n))
-		if out != nil {
-			sp.SetInt("out_rows", int64(out.n))
-		}
-		if err != nil {
-			sp.SetInt("aborted", 1)
-		}
-		sp.End()
-	}
-	return out, err
-}
-
-func (r *Relation) joinImpl(ctx context.Context, s *Relation) (*Relation, error) {
-	common, sOnly := sharedAttrs(r, s)
-
-	outAttrs := make([]string, 0, len(r.attrs)+len(sOnly))
-	outAttrs = append(outAttrs, r.attrs...)
-	outAttrs = append(outAttrs, sOnly...)
-	out := MustNew(outAttrs...)
-	if r.n == 0 || s.n == 0 {
-		return out, nil
-	}
-	if out.k == 0 {
-		// Both operands are 0-ary and nonempty: the join is the unit
-		// relation containing the empty tuple.
-		out.n = 1
-		return out, nil
-	}
-
-	rCols := make([]int, len(common))
-	sCols := make([]int, len(common))
-	for i, a := range common {
-		rCols[i] = r.pos[a]
-		sCols[i] = s.pos[a]
-	}
-	sOnlyPos := make([]int, len(sOnly))
-	for i, a := range sOnly {
-		sOnlyPos[i] = s.pos[a]
-	}
-
-	pl := NewPoller(ctx)
-	var build joinTable
-	if err := buildJoinTable(pl, &build, &s.Table, sCols, 0); err != nil {
-		return nil, err
-	}
-
-	heads := make([]int32, r.n)
-	workers := runtime.GOMAXPROCS(0)
-	if r.n < parallelProbeMin || workers < 2 {
-		data, rows, err := joinProbeRange(pl, &build, &r.Table, rCols, sOnlyPos, 0, r.n, heads, nil)
-		if err != nil {
-			return nil, err
-		}
-		out.data, out.n = data, rows
-		return out, nil
-	}
-
-	// Parallel partitioned probe: contiguous probe-row ranges per worker,
-	// each emitting into its own arena. Ranges partition r's (distinct)
-	// rows, so the per-partition outputs are pairwise disjoint and merge
-	// dedup-free in partition order, keeping the output deterministic.
-	if workers > r.n/1024 {
-		workers = r.n / 1024
-	}
-	type part struct {
-		data []int
-		rows int
-		err  error
-	}
-	parts := make([]part, workers)
-	var wg sync.WaitGroup
-	chunk := (r.n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > r.n {
-			hi = r.n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			data, rows, err := joinProbeRange(NewPoller(ctx), &build, &r.Table, rCols, sOnlyPos, lo, hi, heads[lo:hi], nil)
-			parts[w] = part{data: data, rows: rows, err: err}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	total := 0
-	for _, p := range parts {
-		if p.err != nil {
-			return nil, p.err
-		}
-		total += p.rows
-	}
-	out.data = make([]int, 0, total*out.k)
-	for _, p := range parts {
-		out.data = append(out.data, p.data...)
-	}
-	out.n = total
-	return out, nil
-}
-
 // maxPresize caps the values a probe reserves up front: a join whose count
 // pass finds more matches grows its output as it writes, so that an
 // exploding join is stopped by its context while it grows rather than
 // asking for all of its memory at once.
 const maxPresize = 1 << 20
 
-// joinProbeRange probes rows lo..hi of r, keyed on rCols, against the build
-// table and appends the output rows to dst: each probe row followed by the
-// sOnly columns of every build row with its key, in probe order and chain
-// order. It returns dst and the number of rows appended. A first pass finds
-// each probe row's chain head, storing it in heads[i-lo], and counts the
-// chains' rows, so dst grows once, to the exact size; the second pass
-// writes. It ticks pl once per probe row and once per output row.
-func joinProbeRange(pl *Poller, build *joinTable, r *Table, rCols, sOnly []int, lo, hi int, heads []int32, dst []int) ([]int, int, error) {
+// joinProbe probes every row of r, keyed on rCols, against the build table
+// and appends the output rows to dst: each probe row followed by the sOnly
+// columns of every build row with its key, in probe order and chain order.
+// It returns dst and the number of rows appended. A first pass finds each
+// probe row's chain head, storing it in heads, and counts the chains'
+// rows, so dst grows once, to the exact size; the second pass writes. It
+// ticks pl once per probe row and once per output row.
+func joinProbe(pl *Poller, build *joinTable, r *Table, rCols, sOnly []int, heads []int32, dst []int) ([]int, int, error) {
 	rows := 0
-	for i := lo; i < hi; i++ {
+	for i := range r.n {
 		if err := pl.Tick(); err != nil {
 			return nil, 0, err
 		}
-		heads[i-lo] = build.head(r.data, i*r.k, rCols)
-		for id := heads[i-lo]; id >= 0; id = build.next[id] {
+		heads[i] = build.head(r.data, i*r.k, rCols)
+		for id := heads[i]; id >= 0; id = build.next[id] {
 			rows++
 		}
 	}
 	if n := min(rows*(r.k+len(sOnly)), maxPresize); cap(dst)-len(dst) < n {
 		dst = append(make([]int, 0, max(len(dst)+n, 2*cap(dst))), dst...)
 	}
-	for i := lo; i < hi; i++ {
-		row := r.data[i*r.k : (i+1)*r.k]
-		for id := heads[i-lo]; id >= 0; id = build.next[id] {
+	for i := range r.n {
+		row := r.Row(i)
+		for id := heads[i]; id >= 0; id = build.next[id] {
 			if err := pl.Tick(); err != nil {
 				return nil, 0, err
 			}

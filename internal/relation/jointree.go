@@ -33,11 +33,12 @@ import (
 // so a matching row exists and the extraction never backtracks. Count runs
 // the pass with weights, each row carrying the number of ways it extends
 // over the tables joined into it. Join returns the pass's answer on the
-// keep variables. A variable that no table covers is free: it takes the
-// value 0, and multiplies a count by Dom. Reduce is Yannakakis' full
-// reducer, semijoins up the tree and then down, which conjunctive-query
-// evaluation runs before Join so that no local join holds a row no answer
-// uses.
+// keep variables; a multiway natural join (JoinAll) is Join over a
+// one-node tree that holds every input. A variable that no table covers
+// is free: it takes the value 0, and multiplies a count by Dom. Reduce is
+// Yannakakis' full reducer, semijoins up the tree and then down, which
+// conjunctive-query evaluation runs before Join so that no local join
+// holds a row no answer uses.
 //
 // Freuder's tree algorithm is the engine run over binary constraints (the
 // width-1 case of Theorem 6.2), an α-acyclic instance runs it over GYO's
@@ -47,7 +48,10 @@ import (
 
 // JoinTree is the engine's input: nodes joined by a parent array.
 type JoinTree struct {
-	// Dom bounds the values: every row value lies in [0, Dom).
+	// Dom bounds the values: every row value lies in [0, Dom). Dom 0 sets
+	// no bound on values: every key is hashed, so rows may hold any ints,
+	// and a variable that no table covers has no value (Solve finds no
+	// solution, Count returns 0).
 	Dom int
 	// Nodes are the tree's nodes.
 	Nodes []Node
@@ -342,7 +346,7 @@ func (p *pass) joinRels(a, b *rel) (rel, error) {
 	}
 	p.heads = resize(p.heads, a.rows.n)
 	start, vstart := len(p.vals), len(p.vars)
-	vals, n, err := joinProbeRange(&p.pl, &p.join, a.rows, aCols, bOnly, 0, a.rows.n, p.heads, p.vals)
+	vals, n, err := joinProbe(&p.pl, &p.join, a.rows, aCols, bOnly, p.heads, p.vals)
 	if err != nil {
 		return rel{}, err
 	}
@@ -578,13 +582,19 @@ func (t *JoinTree) Join(ctx context.Context, keep []int) (*Table, error) {
 	if !ok {
 		return out, nil
 	}
+	// The order lists the roots first; a lone root's message is the answer.
 	ans := rel{rows: unit}
-	for i := range t.Nodes {
-		if t.Parent[i] < 0 {
-			if ans, err = p.joinRels(&ans, &p.msg[i]); err != nil {
-				return nil, err
-			}
+	for k := 0; k < len(p.order) && t.Parent[p.order[k]] < 0; k++ {
+		if i := p.order[k]; k == 0 {
+			ans = p.msg[i]
+		} else if ans, err = p.joinRels(&ans, &p.msg[i]); err != nil {
+			return nil, err
 		}
+	}
+	out.n = ans.rows.n
+	if slices.Equal(ans.vars, keep) {
+		out.data = slices.Clone(ans.rows.data[:ans.rows.n*len(keep)])
+		return out, nil
 	}
 	pos := make([]int, len(keep))
 	for c, v := range keep {
@@ -592,10 +602,11 @@ func (t *JoinTree) Join(ctx context.Context, keep []int) (*Table, error) {
 			return nil, fmt.Errorf("relation: keep variable %d is in no table", v)
 		}
 	}
-	out.data, out.n = make([]int, 0, ans.rows.n*len(keep)), ans.rows.n
-	for r := range ans.rows.n {
-		for _, j := range pos {
-			out.data = append(out.data, ans.rows.Row(r)[j])
+	out.data = make([]int, ans.rows.n*len(keep))
+	k, src := ans.rows.k, ans.rows.data
+	for dst := out.data; len(dst) > 0; dst, src = dst[len(keep):], src[k:] {
+		for c, j := range pos {
+			dst[c] = src[j]
 		}
 	}
 	return out, nil

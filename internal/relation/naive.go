@@ -184,9 +184,9 @@ func (r *naiveRel) project(attrs []string) *naiveRel {
 	return out
 }
 
-// joinAll left-folds the inputs in order (no planning: the result of a
-// multiway natural join is order-independent, which is exactly what the
-// differential tests verify against the planned fast path).
+// naiveJoinAll left-folds the inputs in order (the result of a multiway
+// natural join is order-independent, which is exactly what the
+// differential tests verify against the engine's own join order).
 func naiveJoinAll(rels []*naiveRel) *naiveRel {
 	if len(rels) == 0 {
 		out := newNaive(nil)

@@ -19,8 +19,8 @@
 // linearly from the row's hash, keyed per process in every word, so
 // lookups allocate nothing and hash collisions are resolved by comparing
 // the stored values. The hash join's build side (join.go), which every
-// join, semijoin and projection of the join-tree engine (jointree.go) runs
-// too, uses the same slots and the same keyed hash, or a key's value when
+// join, semijoin and projection of the join-tree engine (jointree.go) runs,
+// uses the same slots and the same keyed hash, or a key's value when
 // the key space is small; no Go map indexes tuples outside the reference
 // kernel (naive.go). csp.Table and structure.Interp
 // are that type, and a Relation is a Table plus its attribute names. A Tuple
@@ -33,7 +33,7 @@
 // duplicate-free (join, selection, intersection of set-semantic
 // inputs) are emitted without touching the index at all; a Relation
 // materializes its index lazily on the first membership query, and caches
-// its Tuples view and column statistics. So a Relation may be read
+// its Tuples view. So a Relation may be read
 // concurrently only after one Has/Add/Equal/Intersect call (or any
 // mutation) from a single goroutine. The differential reference
 // implementation for this kernel is in naive.go.
@@ -100,8 +100,6 @@ type Relation struct {
 	attrs []string       // attribute names in column order
 	pos   map[string]int // attribute name -> column index
 	rows  []Tuple        // cached row views; rebuilt when len(rows) != n
-	stats []int          // cached per-column distinct counts, taken at statN rows
-	statN int            // rows are only appended, so n != statN means stale
 }
 
 // New creates a relation with the given attributes and no tuples.
@@ -424,10 +422,9 @@ func (r *Relation) SortedTuples() []Tuple {
 	return out
 }
 
-// alignSchemas checks the attribute sets are equal and returns, for each
-// column of s, the column of r holding the same attribute... specifically
-// perm[i] = position in r's schema of s's attribute i's value when
-// re-laid-out, such that applyPerm(sTuple, perm) is in r's column order.
+// alignSchemas checks the attribute sets are equal and returns perm, where
+// perm[i] is the column of s holding r's attribute i: the row t of s reads
+// t[perm[0]], t[perm[1]], ... in r's column order.
 func alignSchemas(r, s *Relation) ([]int, error) {
 	if len(r.attrs) != len(s.attrs) {
 		return nil, fmt.Errorf("relation: schema mismatch %v vs %v", r.attrs, s.attrs)
@@ -441,55 +438,4 @@ func alignSchemas(r, s *Relation) ([]int, error) {
 		perm[i] = j
 	}
 	return perm, nil
-}
-
-// applyPerm lays out tuple t (in s's column order) into r's column order,
-// given perm as produced by alignSchemas.
-func applyPerm(t Tuple, perm []int) Tuple {
-	u := make(Tuple, len(perm))
-	for i, j := range perm {
-		u[i] = t[j]
-	}
-	return u
-}
-
-// sharedAttrs returns the attribute names common to r and s (in r's order)
-// and the names of s not in r (in s's order).
-func sharedAttrs(r, s *Relation) (common []string, sOnly []string) {
-	for _, a := range r.attrs {
-		if s.HasAttr(a) {
-			common = append(common, a)
-		}
-	}
-	for _, a := range s.attrs {
-		if !r.HasAttr(a) {
-			sOnly = append(sOnly, a)
-		}
-	}
-	return common, sOnly
-}
-
-// distinctCounts returns the number of distinct values per column, cached
-// until the next mutation. These are the statistics behind cost-based join
-// ordering in JoinAllCtx. pl is ticked once per value counted, so counting a
-// large intermediate result stays cancellable; a cancelled count caches
-// nothing.
-func (r *Relation) distinctCounts(pl *Poller) ([]int, error) {
-	if r.stats != nil && r.statN == r.n {
-		return r.stats, nil
-	}
-	stats := make([]int, r.k)
-	seen := make(map[int]struct{}, r.n)
-	for c := 0; c < r.k; c++ {
-		clear(seen)
-		for i := 0; i < r.n; i++ {
-			if err := pl.Tick(); err != nil {
-				return nil, err
-			}
-			seen[r.data[i*r.k+c]] = struct{}{}
-		}
-		stats[c] = len(seen)
-	}
-	r.stats, r.statN = stats, r.n
-	return stats, nil
 }
