@@ -600,6 +600,41 @@ func BenchmarkEngineOddCycleColoring(b *testing.B) {
 	benchEngine(b, gen.Coloring(graph.Cycle(21), 2))
 }
 
+// engineHardFamily is cspdbench's hard-search family, the instances the
+// dispatcher's Hard route races the portfolio on: phase-transition members
+// (20 variables, 10 values, density 0.3) at fixed seeds.
+func engineHardFamily() []*csp.Instance {
+	family := make([]*csp.Instance, 16)
+	for i := range family {
+		family[i] = gen.PhaseTransition(rand.New(rand.NewSource(int64(i+1))), 20, 10, 0.3)
+	}
+	return family
+}
+
+// BenchmarkEngineHardRace times one pass over the hard-search family
+// through the default race (Portfolio) and through its MAC+MRV lane alone
+// (MAC): the gap is what the race's other lanes cost on the family where
+// MAC+MRV or Learn wins nearly every race.
+func BenchmarkEngineHardRace(b *testing.B) {
+	family := engineHardFamily()
+	b.Run("MAC", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, p := range family {
+				csp.Solve(p, csp.Options{Algorithm: csp.MAC, VarOrder: csp.MRV})
+			}
+		}
+	})
+	b.Run("Portfolio", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, p := range family {
+				if res := csp.Portfolio(context.Background(), p, csp.PortfolioOptions{}); res.Aborted {
+					b.Fatal("portfolio aborted without limits")
+				}
+			}
+		}
+	})
+}
+
 // BenchmarkEngineMixedFamily is the portfolio acceptance benchmark: a
 // three-instance family on which every fixed strategy is beaten badly on at
 // least one member, so the portfolio's per-instance adaptivity wins the
@@ -618,7 +653,11 @@ func BenchmarkEngineOddCycleColoring(b *testing.B) {
 // best fixed strategy. On the big-domain member CBJ wins in about a
 // millisecond while MAC+MRV and Learn are still compiling their supports;
 // that set-up polls and yields like the search, so the losers neither hold
-// a processor nor run on after the winner.
+// a processor nor run on after the winner. The race's CBJ lane is a probe
+// of Vars×Dom nodes; the two members it wins take it 162 nodes (budget
+// 7,500) and 141 (budget 600), while on 16-queens, where it would need
+// ~220 ms, it stops after at most 256. The CBJ row here runs SolveCBJ
+// complete.
 func engineMixedFamily() []*csp.Instance {
 	big := gen.ModelB(rand.New(rand.NewSource(1)), 150, 50, 0.12, 0.01)
 	loose := gen.ModelB(rand.New(rand.NewSource(1)), 60, 10, 0.3, 0.1)

@@ -26,11 +26,19 @@ type bitSearcher struct {
 	assign    []int
 	nAssigned int
 
-	sup      []*Supports
-	watchers [][]int32 // (v*Dom + val) -> ids of constraints with that value
+	sup []Supports
+	// The watch lists in CSR form: the ids of the constraints whose table
+	// carries value val at some scope position of v are
+	// watchIDs[watchOff[k]:watchOff[k+1]] for k = v*Dom + val, ascending.
+	watchOff []int32
+	watchIDs []int32
 	degree   []int
 
+	// queue holds the constraints to revise from queue[qHead] on, in FIFO
+	// order; it rewinds to its start whenever it drains, so its array is
+	// reused from wave to wave.
 	queue   []int32
+	qHead   int
 	inQueue []bool
 	curCon  int32 // constraint being revised (no self-re-enqueue), -1 otherwise
 	scratch []uint64
@@ -81,7 +89,10 @@ func newBitSearcher(ctx context.Context, p *Instance, opts Options) *bitSearcher
 // setUpBitSearcher compiles the instance's supports and watch lists. The
 // compilation ticks the lane's cancelChecker like the search does (see
 // compileSupports), so a lane cancelled during set-up stops within one poll
-// interval with s.aborted set, and run then returns Aborted at once.
+// interval with s.aborted set, and run then returns Aborted at once. Beyond
+// the masks, one per constraint, set-up allocates a fixed handful of
+// arrays: the domains, the supports, the two watch arrays and a trail as
+// long as the search can make it.
 func setUpBitSearcher(ctx context.Context, p *Instance, opts Options) *bitSearcher {
 	s := &bitSearcher{p: p, opts: opts, learn: opts.Learn, curCon: -1, cancel: newCancelChecker(ctx), start: time.Now()}
 	s.d = NewDomainSet(p)
@@ -89,46 +100,78 @@ func setUpBitSearcher(ctx context.Context, p *Instance, opts Options) *bitSearch
 	for v := range s.assign {
 		s.assign[v] = -1
 	}
-	s.sup = make([]*Supports, len(p.Constraints))
-	s.inQueue = make([]bool, len(p.Constraints))
-	s.watchers = make([][]int32, p.Vars*p.Dom)
+	s.sup = make([]Supports, len(p.Constraints))
 	s.degree = make([]int, p.Vars)
 	maxWords := 1
 	for cid, con := range p.Constraints {
-		sp, ok := compileSupports(con, p.Dom, &s.cancel)
-		if !ok {
+		if !compileSupports(&s.sup[cid], con, p.Dom, &s.cancel) {
 			s.aborted = true
 			return s
 		}
-		s.sup[cid] = sp
-		if sp.words > maxWords {
-			maxWords = sp.words
-		}
+		maxWords = max(maxWords, s.sup[cid].words)
 		for i, v := range con.Scope {
 			if !scopeRepeat(con.Scope, i) {
 				s.degree[v]++
 			}
-			for val := 0; val < p.Dom; val++ {
-				if !sp.HasValue(i, val) {
-					continue
-				}
-				w := s.watchers[v*p.Dom+val]
-				// Repeated scope positions of one variable visit the same
-				// watch list back to back; skip the adjacent duplicate.
-				if n := len(w); n > 0 && w[n-1] == int32(cid) {
-					continue
-				}
-				s.watchers[v*p.Dom+val] = append(w, int32(cid))
-			}
 		}
 	}
+	s.buildWatches()
+	s.inQueue = make([]bool, len(p.Constraints))
+	s.queue = make([]int32, 0, len(p.Constraints))
 	s.scratch = make([]uint64, 2*maxWords)
+	// Every trail entry is a value removed and not yet restored, and only
+	// a wipeout empties a domain, after which the search undoes before it
+	// removes again: each variable but one keeps a value.
+	trail := 1
+	for _, n := range s.d.size {
+		trail += max(n-1, 0)
+	}
+	s.trail = make([]trailEntry, 0, trail)
 	s.onPruneFn = s.pruneFromRevise
 	if s.learn {
 		s.ng = newNogoodStore(p.Vars, p.Dom)
 		s.vweight = make([]float64, p.Vars)
 	}
 	return s
+}
+
+// buildWatches lays out the watch lists from the compiled supports in two
+// passes over them, a count and a fill: constraint cid watches (v, val)
+// when its table carries val at a scope position of v, once however often
+// v repeats in its scope.
+func (s *bitSearcher) buildWatches() {
+	dom := s.p.Dom
+	off := make([]int32, s.p.Vars*dom+1)
+	var ids []int32
+	for fill := range 2 {
+		for cid := range s.sup {
+			sp := &s.sup[cid]
+			for i, v := range sp.scope {
+				for val := 0; val < dom; val++ {
+					if !sp.HasValue(i, val) || sp.watchedEarlier(i, val) {
+						continue
+					}
+					if k := v*dom + val; fill == 0 {
+						off[k+1]++
+					} else {
+						ids[off[k]] = int32(cid)
+						off[k]++
+					}
+				}
+			}
+		}
+		if fill == 0 {
+			for k := 1; k < len(off); k++ {
+				off[k] += off[k-1]
+			}
+			ids = make([]int32, off[len(off)-1])
+		}
+	}
+	// Filling list k advanced off[k] from list k's start to its end, which
+	// is list k+1's start: shift the offsets back by one list.
+	copy(off[1:], off[:len(off)-1])
+	off[0] = 0
+	s.watchOff, s.watchIDs = off, ids
 }
 
 func (s *bitSearcher) run(limit int64, yield func([]int) bool) Result {
@@ -325,7 +368,7 @@ func (s *bitSearcher) removeValue(u, val int, fromRevise bool) bool {
 	if !s.d.Remove(u, val) {
 		return true
 	}
-	s.trail = append(s.trail, trailEntry{u, val})
+	s.trail = append(s.trail, trailEntry{int32(u), int32(val)})
 	if fromRevise {
 		s.stats.Prunings++
 	}
@@ -337,7 +380,8 @@ func (s *bitSearcher) removeValue(u, val int, fromRevise bool) bool {
 			s.singles = append(s.singles, int32(u))
 		}
 	}
-	for _, cid := range s.watchers[u*s.p.Dom+val] {
+	k := u*s.p.Dom + val
+	for _, cid := range s.watchIDs[s.watchOff[k]:s.watchOff[k+1]] {
 		if cid != s.curCon && !s.inQueue[cid] {
 			s.inQueue[cid] = true
 			s.queue = append(s.queue, cid)
@@ -359,8 +403,8 @@ func (s *bitSearcher) propagate() bool {
 	for {
 		// A revision is charged by its mask words (see cancelCheckInterval).
 		cost := 1
-		if len(s.singles) == 0 && len(s.queue) > 0 {
-			cost = s.sup[s.queue[0]].words
+		if len(s.singles) == 0 && s.qHead < len(s.queue) {
+			cost = s.sup[s.queue[s.qHead]].words
 		}
 		if s.cancel.cancelledAfter(cost) {
 			s.aborted = true
@@ -376,11 +420,12 @@ func (s *bitSearcher) propagate() bool {
 			}
 			continue
 		}
-		if len(s.queue) == 0 {
+		if s.qHead == len(s.queue) {
+			s.queue, s.qHead = s.queue[:0], 0
 			return true
 		}
-		cid := s.queue[0]
-		s.queue = s.queue[1:]
+		cid := s.queue[s.qHead]
+		s.qHead++
 		s.inQueue[cid] = false
 		if s.sup[cid].hasRepeat {
 			// A repeated-scope constraint's own prunes change its live set;
@@ -406,10 +451,10 @@ func (s *bitSearcher) propagate() bool {
 // clearQueue resets the propagation queues after a conflict so the next
 // wave starts clean.
 func (s *bitSearcher) clearQueue() {
-	for _, cid := range s.queue {
+	for _, cid := range s.queue[s.qHead:] {
 		s.inQueue[cid] = false
 	}
-	s.queue = s.queue[:0]
+	s.queue, s.qHead = s.queue[:0], 0
 	s.singles = s.singles[:0]
 	s.curCon = -1
 }
@@ -419,7 +464,7 @@ func (s *bitSearcher) undo(v int, mark int) {
 	for len(s.trail) > mark {
 		e := s.trail[len(s.trail)-1]
 		s.trail = s.trail[:len(s.trail)-1]
-		s.d.Restore(e.v, e.val)
+		s.d.Restore(int(e.v), int(e.val))
 	}
 	if s.assign[v] >= 0 {
 		s.assign[v] = -1

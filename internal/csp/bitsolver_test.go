@@ -3,6 +3,8 @@ package csp
 import (
 	"context"
 	"math/bits"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -46,7 +48,8 @@ func TestCompileSupportsMasks(t *testing.T) {
 	tbl.Add([]int{2, 1})
 	tbl.Add([]int{2, 2})
 	p.MustAddConstraint([]int{0, 1}, tbl)
-	sp, _ := compileSupports(p.Constraints[0], p.Dom, &cancelChecker{})
+	var sp Supports
+	compileSupports(&sp, p.Constraints[0], p.Dom, &cancelChecker{})
 	if sp.words != 1 || sp.hasRepeat {
 		t.Fatalf("words=%d hasRepeat=%v", sp.words, sp.hasRepeat)
 	}
@@ -60,7 +63,8 @@ func TestCompileSupportsMasks(t *testing.T) {
 	if m := sp.mask(0, 2); m[0] != 0b110 {
 		t.Fatalf("mask(0,2) = %b", m[0])
 	}
-	rep, _ := compileSupports(&Constraint{Scope: []int{0, 0}, Table: tbl}, p.Dom, &cancelChecker{})
+	var rep Supports
+	compileSupports(&rep, &Constraint{Scope: []int{0, 0}, Table: tbl}, p.Dom, &cancelChecker{})
 	if !rep.hasRepeat {
 		t.Fatal("repeated scope not flagged")
 	}
@@ -73,7 +77,8 @@ func TestSupportsRevise(t *testing.T) {
 	tbl.Add([]int{2, 1})
 	tbl.Add([]int{2, 2})
 	p.MustAddConstraint([]int{0, 1}, tbl)
-	sp, _ := compileSupports(p.Constraints[0], p.Dom, &cancelChecker{})
+	var sp Supports
+	compileSupports(&sp, p.Constraints[0], p.Dom, &cancelChecker{})
 	d := NewDomainSet(p)
 	scratch := make([]uint64, 2*sp.words)
 
@@ -107,6 +112,78 @@ func TestSupportsRevise(t *testing.T) {
 	d.Remove(0, 2)
 	if ok = sp.Revise(d, scratch, func(v, val int) bool { t.Fatal("prune on dead constraint"); return false }); ok {
 		t.Fatal("Revise ok on empty live set")
+	}
+}
+
+// TestReviseOneWordMatchesGeneric runs the one-word revision kernel and
+// the generic word loop on the same tables and domains: random tables of
+// up to 64 tuples (exactly 64 in a quarter of the trials) over value
+// ranges of up to 64, scopes that repeat a variable, domains that empty
+// the live set, and callbacks that stop the revision midway. Both must
+// prune the same values in the same order, give the same verdict and leave
+// the same live set in scratch (the contract TestSupportsRevise pins).
+func TestReviseOneWordMatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	type prune struct{ v, val int }
+	for trial := 0; trial < 3000; trial++ {
+		dom := 1 + rng.Intn(64)
+		vars := 1 + rng.Intn(4)
+		p := NewInstance(vars, dom)
+		arity := 1 + rng.Intn(3)
+		scope := make([]int, arity)
+		for i := range scope {
+			scope[i] = rng.Intn(vars)
+		}
+		tbl := NewTable(arity)
+		want := rng.Intn(65)
+		if trial%4 == 0 {
+			want = 64
+		}
+		row := make([]int, arity)
+		for tries := 0; tbl.Len() < want && tries < 20*want; tries++ {
+			for i := range row {
+				row[i] = rng.Intn(dom)
+			}
+			tbl.Add(row)
+		}
+		con := &Constraint{Scope: scope, Table: tbl}
+		var sp Supports
+		compileSupports(&sp, con, dom, &cancelChecker{})
+		if sp.words != 1 {
+			t.Fatalf("trial %d: %d tuples compiled to %d words", trial, tbl.Len(), sp.words)
+		}
+		base := NewDomainSet(p)
+		for v := 0; v < vars; v++ {
+			// Keep each value with probability keep: 0 empties the domain.
+			keep := []float64{0, 0.2, 0.6, 1}[rng.Intn(4)]
+			for val := 0; val < dom; val++ {
+				if rng.Float64() >= keep {
+					base.Remove(v, val)
+				}
+			}
+		}
+		stopAt := -1
+		if rng.Intn(3) == 0 {
+			stopAt = rng.Intn(4)
+		}
+		run := func(revise func(*Supports, *DomainSet, []uint64, func(int, int) bool) bool) (bool, []prune, uint64) {
+			d := &DomainSet{vars: base.vars, dom: base.dom, words: base.words,
+				bits: slices.Clone(base.bits), size: slices.Clone(base.size)}
+			scratch := []uint64{0xdead, 0xbeef}
+			var pruned []prune
+			ok := revise(&sp, d, scratch, func(v, val int) bool {
+				pruned = append(pruned, prune{v, val})
+				d.Remove(v, val)
+				return len(pruned)-1 != stopAt && d.Size(v) > 0
+			})
+			return ok, pruned, scratch[0]
+		}
+		ok1, pruned1, live1 := run((*Supports).revise1)
+		okW, prunedW, liveW := run((*Supports).reviseWords)
+		if ok1 != okW || live1 != liveW || !slices.Equal(pruned1, prunedW) {
+			t.Fatalf("trial %d (scope %v, %d tuples, dom %d): one-word ok=%v live=%x prunes %v; generic ok=%v live=%x prunes %v",
+				trial, scope, tbl.Len(), dom, ok1, live1, pruned1, okW, liveW, prunedW)
+		}
 	}
 }
 

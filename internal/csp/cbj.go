@@ -42,7 +42,7 @@ func solveCBJ(s *searcher) Result {
 			return Result{Stats: s.stats}
 		}
 	}
-	c := &cbjSearcher{searcher: s, depthOf: make([]int, p.Vars)}
+	c := &cbjSearcher{searcher: s, depthOf: make([]int, p.Vars), mark: make([]int, p.Vars)}
 	for i := range c.depthOf {
 		c.depthOf[i] = -1
 	}
@@ -55,21 +55,53 @@ func solveCBJ(s *searcher) Result {
 	return Result{Aborted: s.aborted, Stats: s.stats}
 }
 
+// cbjSearcher adds to the searcher the depth of every assigned variable and
+// one conflict set per depth. The sets live in buffers reused across the
+// search, so a node allocates nothing: conf[d] lists the variables the
+// variable at depth d has conflicted with since it was picked, and mark[u]
+// == token[d] records that u was last added to conf[d] in that build. A
+// variable that a deeper set took over meanwhile can be listed twice;
+// CBJ only unions the sets and takes their deepest member, so a repeat
+// changes no jump.
 type cbjSearcher struct {
 	*searcher
 	depthOf []int
+	conf    [][]int
+	token   []int
+	mark    []int
+	builds  int
+	row     []int // checkBackward's scratch
 }
 
-// search returns (found, jumpDepth, conflictVars). When found is false and
-// jumpDepth < depth-1, callers between jumpDepth and the current depth
-// unwind without trying further values.
-func (c *cbjSearcher) search(depth int) (bool, int, map[int]bool) {
+// open starts an empty conflict set at depth.
+func (c *cbjSearcher) open(depth int) {
+	if depth == len(c.conf) {
+		c.conf = append(c.conf, nil)
+		c.token = append(c.token, 0)
+	}
+	c.builds++
+	c.conf[depth], c.token[depth] = c.conf[depth][:0], c.builds
+}
+
+// add puts u into the conflict set at depth.
+func (c *cbjSearcher) add(depth, u int) {
+	if c.mark[u] != c.token[depth] {
+		c.mark[u] = c.token[depth]
+		c.conf[depth] = append(c.conf[depth], u)
+	}
+}
+
+// search returns (found, jumpDepth, src). When found is false, conf[src]
+// holds the conflict set that decided the jump, and when jumpDepth <
+// depth-1, callers between jumpDepth and the current depth unwind without
+// trying further values and pass src up unchanged.
+func (c *cbjSearcher) search(depth int) (bool, int, int) {
 	if c.nAssigned == c.p.Vars {
-		return true, 0, nil
+		return true, 0, 0
 	}
 	v := c.pickVar()
 	c.depthOf[v] = depth
-	conf := make(map[int]bool)
+	c.open(depth)
 
 	for val := 0; val < c.p.Dom; val++ {
 		if !c.dom[v][val] {
@@ -79,72 +111,65 @@ func (c *cbjSearcher) search(depth int) (bool, int, map[int]bool) {
 		if c.opts.NodeLimit > 0 && c.stats.Nodes > c.opts.NodeLimit {
 			c.aborted = true
 			c.depthOf[v] = -1
-			return false, -1, nil
+			return false, -1, depth
 		}
 		if c.cancel.cancelledAfter(1) {
 			c.aborted = true
 			c.depthOf[v] = -1
-			return false, -1, nil
+			return false, -1, depth
 		}
 		c.assign[v] = val
 		c.nAssigned++
 		if c.nAssigned > c.stats.MaxDepth {
 			c.stats.MaxDepth = c.nAssigned
 		}
-		ok, conflictVars := c.checkBackward(v)
-		if !ok {
-			for _, u := range conflictVars {
-				if u != v {
-					conf[u] = true
-				}
-			}
+		if !c.checkBackward(v, depth) {
 			c.assign[v] = -1
 			c.nAssigned--
 			continue
 		}
-		found, jumpTo, childConf := c.search(depth + 1)
+		found, jumpTo, src := c.search(depth + 1)
 		if found {
-			return true, 0, nil
+			return true, 0, 0
 		}
 		c.assign[v] = -1
 		c.nAssigned--
 		c.stats.Backtracks++
 		if c.aborted {
 			c.depthOf[v] = -1
-			return false, -1, nil
+			return false, -1, depth
 		}
 		if jumpTo < depth {
 			// The conflict lies above us entirely: unwind without trying
 			// further values of v.
 			c.depthOf[v] = -1
-			return false, jumpTo, childConf
+			return false, jumpTo, src
 		}
 		// The child's conflicts involve v: absorb them (minus v) and try
 		// the next value.
-		for u := range childConf {
+		for _, u := range c.conf[src] {
 			if u != v {
-				conf[u] = true
+				c.add(depth, u)
 			}
 		}
 	}
 	// Exhausted: jump to the deepest variable in the conflict set.
 	c.depthOf[v] = -1
 	jump := -1
-	for u := range conf {
+	for _, u := range c.conf[depth] {
 		if d := c.depthOf[u]; d > jump {
 			jump = d
 		}
 	}
-	return false, jump, conf
+	return false, jump, depth
 }
 
 // checkBackward verifies the constraints on v whose scope is fully assigned
-// and returns the union of the other scope variables of every violated
-// constraint (the conflict explanation).
-func (c *cbjSearcher) checkBackward(v int) (bool, []int) {
-	var conflicts []int
+// and adds the other scope variables of every violated constraint (the
+// conflict explanation) to the conflict set at depth. It reports whether
+// none is violated.
+func (c *cbjSearcher) checkBackward(v, depth int) bool {
 	ok := true
-	row := make([]int, 8)
 	for _, con := range c.watch[v] {
 		full := true
 		for _, u := range con.Scope {
@@ -156,21 +181,18 @@ func (c *cbjSearcher) checkBackward(v int) (bool, []int) {
 		if !full {
 			continue
 		}
-		if cap(row) < len(con.Scope) {
-			row = make([]int, len(con.Scope))
+		c.row = c.row[:0]
+		for _, u := range con.Scope {
+			c.row = append(c.row, c.assign[u])
 		}
-		r := row[:len(con.Scope)]
-		for i, u := range con.Scope {
-			r[i] = c.assign[u]
-		}
-		if !con.Table.Has(r) {
+		if !con.Table.Has(c.row) {
 			ok = false
 			for _, u := range con.Scope {
 				if u != v {
-					conflicts = append(conflicts, u)
+					c.add(depth, u)
 				}
 			}
 		}
 	}
-	return ok, conflicts
+	return ok
 }

@@ -31,7 +31,14 @@ func NewDomainSet(p *Instance) *DomainSet {
 		size:  make([]int, p.Vars),
 	}
 	for v := 0; v < p.Vars; v++ {
-		for _, val := range p.DomainOf(v) {
+		if p.Domains == nil || p.Domains[v] == nil {
+			for val := 0; val < p.Dom; val++ {
+				d.bits[v*words+val>>6] |= 1 << (val & 63)
+			}
+			d.size[v] = p.Dom
+			continue
+		}
+		for _, val := range p.Domains[v] {
 			if val >= 0 && val < p.Dom && !d.Has(v, val) {
 				d.bits[v*words+val>>6] |= 1 << (val & 63)
 				d.size[v]++

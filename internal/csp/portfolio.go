@@ -30,9 +30,16 @@ type PortfolioStrategy struct {
 // decide every phase-transition instance fastest, and CBJ alone decides a
 // loose big-domain instance in about a millisecond where MAC's per-node
 // propagation scans large tables for nothing (BenchmarkEngineMixedFamily).
-// FC+Lex and join evaluation were never the fastest lane and stay out; they
-// remain rows of the dispatcher's strategy table. The dispatcher's Hard
-// route inherits the race.
+// CBJ is there for instances it decides nearly without backtracking, so its
+// lane is a bounded probe: it searches at most Vars×Dom nodes (or
+// opts.NodeLimit, if smaller) and then reports Aborted. The mixed family's
+// big-domain member takes it 162 nodes against a budget of 7,500 and the
+// loose member 141 against 600, while a phase-transition instance of the
+// Hard route's family, which would take it tens of thousands, costs the
+// race 200. The cbj strategy row runs SolveCBJ complete. FC+Lex and join
+// evaluation were never the fastest lane and stay out; they remain rows of
+// the dispatcher's strategy table. The dispatcher's Hard route inherits the
+// race.
 func DefaultStrategies() []PortfolioStrategy {
 	return []PortfolioStrategy{
 		{Name: "MAC+MRV", Run: func(ctx context.Context, p *Instance, opts Options) Result {
@@ -40,6 +47,9 @@ func DefaultStrategies() []PortfolioStrategy {
 			return SolveCtx(ctx, p, opts)
 		}},
 		{Name: "CBJ", Run: func(ctx context.Context, p *Instance, opts Options) Result {
+			if probe := int64(p.Vars) * int64(p.Dom); opts.NodeLimit <= 0 || probe < opts.NodeLimit {
+				opts.NodeLimit = probe
+			}
 			return SolveCBJCtx(ctx, p, opts)
 		}},
 		{Name: "Learn", Run: func(ctx context.Context, p *Instance, opts Options) Result {
@@ -102,9 +112,11 @@ type PortfolioResult struct {
 // rows or pairs inside the join kernel) and yields the processor at a poll
 // once it has run for yieldQuantum (0.1 ms). The lanes therefore share
 // processors in slices of about 0.1 ms, not the runtime's ~10 ms preemption
-// turns, so the race costs about what its winner costs, and a loser returns
-// within one poll interval of the winner's cancellation, even while it is
-// still compiling its supports.
+// turns, and a loser returns within one poll interval of the winner's
+// cancellation, even while it is still compiling its supports. Where
+// MAC+MRV or Learn wins, the CBJ probe (see DefaultStrategies) gives up
+// after Vars×Dom nodes instead of taking a processor for the whole race, so
+// on two processors the race costs about what its winner costs.
 func Portfolio(ctx context.Context, p *Instance, popts PortfolioOptions) PortfolioResult {
 	start := time.Now()
 	strategies := popts.Strategies

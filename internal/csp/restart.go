@@ -66,7 +66,7 @@ func (s *bitSearcher) undoToRoot() {
 	for len(s.trail) > s.rootMark {
 		e := s.trail[len(s.trail)-1]
 		s.trail = s.trail[:len(s.trail)-1]
-		s.d.Restore(e.v, e.val)
+		s.d.Restore(int(e.v), int(e.val))
 	}
 	for _, dl := range s.decisions {
 		s.assign[dl.v] = -1

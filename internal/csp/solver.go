@@ -235,7 +235,9 @@ type searcher struct {
 	searchSpan *obs.Span
 }
 
-type trailEntry struct{ v, val int }
+// trailEntry is one removed (variable, value) pair; int32 halves the
+// bitset engine's trail, which set-up sizes for the whole search.
+type trailEntry struct{ v, val int32 }
 
 func newSearcher(ctx context.Context, p *Instance, opts Options) *searcher {
 	s := &searcher{p: p, opts: opts, cancel: newCancelChecker(ctx), start: time.Now()}
@@ -243,23 +245,45 @@ func newSearcher(ctx context.Context, p *Instance, opts Options) *searcher {
 	s.dom = make([][]bool, p.Vars)
 	s.size = make([]int, p.Vars)
 	s.assign = make([]int, p.Vars)
+	flat := make([]bool, p.Vars*p.Dom)
 	for v := 0; v < p.Vars; v++ {
 		s.assign[v] = -1
-		s.dom[v] = make([]bool, p.Dom)
-		for _, val := range p.DomainOf(v) {
+		s.dom[v] = flat[v*p.Dom : (v+1)*p.Dom : (v+1)*p.Dom]
+		if p.Domains == nil || p.Domains[v] == nil {
+			for val := range s.dom[v] {
+				s.dom[v][val] = true
+			}
+			s.size[v] = p.Dom
+			continue
+		}
+		for _, val := range p.Domains[v] {
 			if val >= 0 && val < p.Dom && !s.dom[v][val] {
 				s.dom[v][val] = true
 				s.size[v]++
 			}
 		}
 	}
-	s.watch = make([][]*Constraint, p.Vars)
+	// The watch lists are carved from one array, sized by a first pass
+	// that counts the degrees.
 	s.degree = make([]int, p.Vars)
+	total := 0
+	for _, con := range p.Constraints {
+		for i, v := range con.Scope {
+			if !scopeRepeat(con.Scope, i) {
+				s.degree[v]++
+				total++
+			}
+		}
+	}
+	s.watch = make([][]*Constraint, p.Vars)
+	flatWatch := make([]*Constraint, total)
+	for v, n := range s.degree {
+		s.watch[v], flatWatch = flatWatch[:0:n], flatWatch[n:]
+	}
 	for _, con := range p.Constraints {
 		for i, v := range con.Scope {
 			if !scopeRepeat(con.Scope, i) {
 				s.watch[v] = append(s.watch[v], con)
-				s.degree[v]++
 			}
 		}
 	}
@@ -412,7 +436,7 @@ func (s *searcher) tryAssign(v, val int) bool {
 		if w != val && s.dom[v][w] {
 			s.dom[v][w] = false
 			s.size[v]--
-			s.trail = append(s.trail, trailEntry{v, w})
+			s.trail = append(s.trail, trailEntry{int32(v), int32(w)})
 		}
 	}
 
@@ -554,7 +578,7 @@ func (s *searcher) forwardCheck(v int) bool {
 				s.dom[free][val] = false
 				s.size[free]--
 				s.stats.Prunings++
-				s.trail = append(s.trail, trailEntry{free, val})
+				s.trail = append(s.trail, trailEntry{int32(free), int32(val)})
 			}
 		}
 		if s.size[free] == 0 {
@@ -665,7 +689,7 @@ tuples:
 				s.dom[u][val] = false
 				s.size[u]--
 				s.stats.Prunings++
-				s.trail = append(s.trail, trailEntry{u, val})
+				s.trail = append(s.trail, trailEntry{int32(u), int32(val)})
 				ch = true
 			}
 		}

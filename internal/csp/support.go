@@ -32,36 +32,37 @@ type Supports struct {
 const setupRowsPerTick = 16
 
 // compileSupports builds the support masks of one constraint over a value
-// range of dom, ticking c once per setupRowsPerTick rows (from the first
-// row, so every nonempty constraint ticks at least once). It reports false,
-// with no masks, once c is cancelled.
-func compileSupports(con *Constraint, dom int, c *cancelChecker) (*Supports, bool) {
+// range of dom into sp, ticking c once per setupRowsPerTick rows (from the
+// first row, so every nonempty constraint ticks at least once). It reports
+// false, with no masks, once c is cancelled.
+func compileSupports(sp *Supports, con *Constraint, dom int, c *cancelChecker) bool {
 	n := con.Table.Len()
 	words := (n + 63) >> 6
 	if words == 0 {
 		words = 1
 	}
-	sp := &Supports{
-		scope: con.Scope,
-		dom:   dom,
-		words: words,
-		masks: make([]uint64, len(con.Scope)*dom*words),
+	*sp = Supports{
+		scope:     con.Scope,
+		dom:       dom,
+		words:     words,
+		masks:     make([]uint64, len(con.Scope)*dom*words),
+		hasRepeat: scopeHasRepeat(con.Scope),
 	}
 	if r := n & 63; r != 0 {
 		sp.tail = 1<<r - 1
 	} else if n > 0 {
 		sp.tail = ^uint64(0)
 	}
-	sp.hasRepeat = scopeHasRepeat(con.Scope)
 	for t := 0; t < n; t++ {
 		if t%setupRowsPerTick == 0 && c.cancelledAfter(1) {
-			return nil, false
+			sp.masks = nil
+			return false
 		}
 		for i, val := range con.Table.Row(t) {
 			sp.masks[(i*dom+val)*words+t>>6] |= 1 << (t & 63)
 		}
 	}
-	return sp, true
+	return true
 }
 
 // HasValue reports whether any tuple carries val at scope position i — the
@@ -76,6 +77,21 @@ func (sp *Supports) HasValue(i, val int) bool {
 	return false
 }
 
+// watchedEarlier reports whether an earlier scope position of the same
+// variable also carries val, so (scope[i], val) already watches the
+// constraint.
+func (sp *Supports) watchedEarlier(i, val int) bool {
+	if !sp.hasRepeat {
+		return false
+	}
+	for j := 0; j < i; j++ {
+		if sp.scope[j] == sp.scope[i] && sp.HasValue(j, val) {
+			return true
+		}
+	}
+	return false
+}
+
 // mask is the tuple-index bitmask of value val at scope position i.
 func (sp *Supports) mask(i, val int) []uint64 {
 	off := (i*sp.dom + val) * sp.words
@@ -84,13 +100,54 @@ func (sp *Supports) mask(i, val int) []uint64 {
 
 // Revise runs one word-wise GAC revision of the constraint against the
 // current domains: it computes the live-tuple set, then invokes onPrune for
-// every (variable, value) in the scope whose mask misses it. The callback
-// must remove the value from d (so later scope positions see the narrowed
-// domain) and return false to stop the revision — a domain wipeout or an
-// abort. Revise reports false when the constraint has no live tuple or
-// onPrune stopped it; scratch must hold at least 2*words words, and its
-// first words words hold the live-tuple set afterwards.
+// every (variable, value) in the scope whose mask misses it, position by
+// position and in increasing value order. The callback must remove the
+// value from d (so later scope positions see the narrowed domain) and
+// return false to stop the revision — a domain wipeout or an abort. Revise
+// reports false when the constraint has no live tuple or onPrune stopped
+// it; scratch must hold at least 2*words words, and its first words words
+// hold the live-tuple set afterwards. A table of at most 64 tuples over a
+// value range of at most 64 takes the one-word kernel, revise1; both paths
+// prune the same values in the same order.
 func (sp *Supports) Revise(d *DomainSet, scratch []uint64, onPrune func(v, val int) bool) bool {
+	if sp.words == 1 && d.words == 1 {
+		return sp.revise1(d, scratch, onPrune)
+	}
+	return sp.reviseWords(d, scratch, onPrune)
+}
+
+// revise1 is Revise when a mask and a domain row are one word each: the
+// live set and each union stay in registers, a value's mask is one word of
+// the arena, and no loop runs over words.
+func (sp *Supports) revise1(d *DomainSet, scratch []uint64, onPrune func(v, val int) bool) bool {
+	live, dom := sp.tail, sp.dom
+	for i, u := range sp.scope {
+		masks := sp.masks[i*dom : i*dom+dom]
+		var union uint64
+		for word := d.bits[u]; word != 0; word &= word - 1 {
+			union |= masks[bits.TrailingZeros64(word)]
+		}
+		if live &= union; live == 0 {
+			scratch[0] = 0
+			return false
+		}
+	}
+	scratch[0] = live
+	// See reviseWords on why one pass suffices, or is made to.
+	for i, u := range sp.scope {
+		masks := sp.masks[i*dom : i*dom+dom]
+		for word := d.bits[u]; word != 0; word &= word - 1 {
+			val := bits.TrailingZeros64(word)
+			if masks[val]&live == 0 && !onPrune(u, val) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// reviseWords is Revise over masks and domain rows of any number of words.
+func (sp *Supports) reviseWords(d *DomainSet, scratch []uint64, onPrune func(v, val int) bool) bool {
 	nw := sp.words
 	liveSet := scratch[:nw]
 	union := scratch[nw : 2*nw]

@@ -99,7 +99,11 @@ func (x *rel) weight(r int) *big.Int {
 
 // pass is one run's state: the forest (order lists the nodes roots first),
 // the nodes' local joins and messages, the arenas the pass's rows are
-// carved from, capped so that appends never reach them, and scratch.
+// carved from, capped so that appends never reach them, and scratch. When
+// Join runs a single tree, final is its keep list: if the root's last join
+// step comes out with exactly keep's variables in keep's order, it writes
+// its rows into an array of their own, answer, which Join hands over
+// instead of copying the answer out of the arena.
 type pass struct {
 	t                   *JoinTree
 	pl                  Poller
@@ -114,6 +118,8 @@ type pass struct {
 	w                   []*big.Int
 	join                joinTable
 	heads               []int32
+	final               []int
+	answer              *Table
 	loaded, steps, sent int64
 }
 
@@ -203,7 +209,7 @@ func (p *pass) release() {
 	clear(p.in[:cap(p.in)])
 	clear(p.w[:cap(p.w)])
 	clear(p.tabs[:cap(p.tabs)])
-	p.t, p.pl, p.join.data = nil, Poller{}, nil
+	p.t, p.pl, p.join.data, p.final, p.answer = nil, Poller{}, nil, nil, nil
 	passes.Put(p)
 }
 
@@ -229,6 +235,9 @@ func (t *JoinTree) run(ctx context.Context, keep []int, count, solve bool) (*pas
 		return p, false, err
 	}
 	p.count, p.solve, p.msg, p.local = count, solve, resize(p.msg, len(t.Nodes)), resize(p.local, len(t.Nodes))
+	if len(keep) > 0 && (len(p.order) < 2 || t.Parent[p.order[1]] >= 0) {
+		p.final = keep
+	}
 	for k := len(p.order) - 1; k >= 0; k-- {
 		i := p.order[k]
 		l, err := p.localJoin(i)
@@ -302,7 +311,12 @@ func (p *pass) localJoin(i int) (rel, error) {
 				best, most = j, shared
 			}
 		}
-		if cur, err = p.joinRels(&cur, &in[best]); err != nil {
+		// A lone root's last step may yield Join's answer.
+		var order []int
+		if len(in) == 1 && p.t.Parent[i] < 0 {
+			order = p.final
+		}
+		if cur, err = p.joinRels(&cur, &in[best], order); err != nil {
 			return rel{}, err
 		}
 		in[best] = in[len(in)-1]
@@ -326,10 +340,18 @@ func (p *pass) columns(a, b []int) (aCols, bCols, bOnly []int) {
 	return aCols, bCols, bOnly
 }
 
+// leads reports whether vars are the first variables of order, in order.
+func leads(order, vars []int) bool {
+	return len(vars) <= len(order) && slices.Equal(order[:len(vars)], vars)
+}
+
 // joinRels returns the natural join of a and b. When one side's variables
 // all lie in the other's, the join is the semijoin of the wider side by
-// the narrower; otherwise it builds on the smaller side.
-func (p *pass) joinRels(a, b *rel) (rel, error) {
+// the narrower; otherwise it builds on the smaller side, unless order is
+// set and only the other side's variables lead it: then it probes with that
+// side. A join whose variables come out as order, Join's keep list, writes
+// its rows into an array outside the arena, p.answer.
+func (p *pass) joinRels(a, b *rel, order []int) (rel, error) {
 	if len(b.vars) > len(a.vars) || len(b.vars) == len(a.vars) && b.rows.n > a.rows.n {
 		a, b = b, a
 	}
@@ -337,7 +359,7 @@ func (p *pass) joinRels(a, b *rel) (rel, error) {
 	if len(bOnly) == 0 {
 		return p.semijoin(a, b, aCols, bCols)
 	}
-	if b.rows.n > a.rows.n {
+	if b.rows.n > a.rows.n || order != nil && !leads(order, a.vars) && leads(order, b.vars) {
 		a, b = b, a
 		aCols, bCols, bOnly = p.columns(a.vars, b.vars)
 	}
@@ -345,16 +367,29 @@ func (p *pass) joinRels(a, b *rel) (rel, error) {
 		return rel{}, err
 	}
 	p.heads = resize(p.heads, a.rows.n)
-	start, vstart := len(p.vals), len(p.vars)
-	vals, n, err := joinProbe(&p.pl, &p.join, a.rows, aCols, bOnly, p.heads, p.vals)
-	if err != nil {
-		return rel{}, err
-	}
-	p.vals, p.vars = vals, append(p.vars, a.vars...)
+	vstart := len(p.vars)
+	p.vars = append(p.vars, a.vars...)
 	for _, j := range bOnly {
 		p.vars = append(p.vars, b.vars[j])
 	}
-	out := rel{vars: carve(p.vars, vstart), rows: p.table(len(p.vars)-vstart, n, start)}
+	answer := order != nil && slices.Equal(p.vars[vstart:], order)
+	start, dst := len(p.vals), p.vals
+	if answer {
+		dst = nil
+	}
+	vals, n, err := joinProbe(&p.pl, &p.join, a.rows, aCols, bOnly, p.heads, dst)
+	if err != nil {
+		return rel{}, err
+	}
+	out := rel{vars: carve(p.vars, vstart)}
+	if answer {
+		p.tabs = append(p.tabs, Table{k: len(out.vars), n: n, data: vals})
+		p.answer = &p.tabs[len(p.tabs)-1]
+		out.rows = p.answer
+	} else {
+		p.vals = vals
+		out.rows = p.table(len(out.vars), n, start)
+	}
 	if p.count && (a.w != nil || b.w != nil) {
 		for r := range a.rows.n {
 			for id := p.heads[r]; id >= 0; id = p.join.next[id] {
@@ -587,11 +622,15 @@ func (t *JoinTree) Join(ctx context.Context, keep []int) (*Table, error) {
 	for k := 0; k < len(p.order) && t.Parent[p.order[k]] < 0; k++ {
 		if i := p.order[k]; k == 0 {
 			ans = p.msg[i]
-		} else if ans, err = p.joinRels(&ans, &p.msg[i]); err != nil {
+		} else if ans, err = p.joinRels(&ans, &p.msg[i], nil); err != nil {
 			return nil, err
 		}
 	}
 	out.n = ans.rows.n
+	if ans.rows == p.answer {
+		out.data = ans.rows.data
+		return out, nil
+	}
 	if slices.Equal(ans.vars, keep) {
 		out.data = slices.Clone(ans.rows.data[:ans.rows.n*len(keep)])
 		return out, nil
