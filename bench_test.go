@@ -163,9 +163,11 @@ func BenchmarkE4_K3Template(b *testing.B) {
 }
 
 // E5 — Theorem 4.5: k-pebble game decision, polynomial in n for fixed k.
+// C41 and C61 are odd cycles, where the Spoiler wins and the fixpoint
+// removes every one of the ~10^5 functions it starts from.
 
 func BenchmarkE5_PebbleGame(b *testing.B) {
-	for _, n := range []int{6, 10, 14} {
+	for _, n := range []int{6, 10, 14, 41, 61} {
 		b.Run(fmt.Sprintf("C%d_vs_K2_k3", n), func(b *testing.B) {
 			a := structure.Cycle(n)
 			k2 := structure.Clique(2)

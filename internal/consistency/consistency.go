@@ -7,6 +7,11 @@
 // tree-structured instances (tree.go). Generalized arc consistency, the
 // workhorse propagation of search, is csp.GAC: the bitset engine's root
 // propagation.
+//
+// The package enumerates no partial homomorphisms of its own: i-consistency
+// and strong k-consistency read the forth-support counts of pebble's
+// per-size tables before anything is removed (pebble.PartialHoms), and
+// EstablishStrongK reads the reduced tables of pebble.LargestStrategy.
 package consistency
 
 import (
@@ -21,120 +26,36 @@ import (
 // i-consistent (Definition 5.2 via Proposition 5.3): every partial
 // homomorphism with i-1 elements in its domain extends to any further
 // element. i must be >= 1; 1-consistency asks that every single element of A
-// has some image (the empty function has the 1-forth property).
+// has some image (the empty function has the 1-forth property). It reads
+// the forth-support counts of the family of all partial homomorphisms with
+// at most i elements (pebble.PartialHoms).
 func IsIConsistent(a, b *structure.Structure, i int) (bool, error) {
 	if i < 1 {
 		return false, fmt.Errorf("consistency: i must be >= 1, got %d", i)
 	}
-	if !a.Voc().Equal(b.Voc()) {
-		return false, fmt.Errorf("consistency: structures have different vocabularies")
+	fam, err := pebble.PartialHoms(a, b, i)
+	if err != nil {
+		return false, err
 	}
-	ok := true
-	forEachPartialHom(a, b, i-1, func(f pebble.PartialHom) bool {
-		if len(f) != i-1 {
-			return true
-		}
-		for x := 0; x < a.Size() && ok; x++ {
-			if _, defined := f.Lookup(x); defined {
-				continue
-			}
-			if !extendable(a, b, f, x) {
-				ok = false
-			}
-		}
-		return ok
-	})
-	return ok, nil
+	return fam.Forth(i - 1), nil
 }
 
 // IsStronglyKConsistent reports whether (a, b) is strongly k-consistent:
 // i-consistent for every i <= k. By Proposition 5.3 this holds iff the
 // family of all k-partial homomorphisms is a winning strategy for the
-// Duplicator in the existential k-pebble game.
+// Duplicator in the existential k-pebble game: iff no function below size k
+// in that family has a zero forth-support count.
 func IsStronglyKConsistent(a, b *structure.Structure, k int) (bool, error) {
-	for i := 1; i <= k; i++ {
-		ok, err := IsIConsistent(a, b, i)
-		if err != nil || !ok {
-			return false, err
-		}
-	}
-	return true, nil
-}
-
-// IsInstanceStronglyKConsistent is IsStronglyKConsistent for a CSP instance,
-// via its homomorphism instance (A_P, B_P).
-func IsInstanceStronglyKConsistent(p *csp.Instance, k int) (bool, error) {
-	a, b, err := csp.ToStructures(p)
+	fam, err := pebble.PartialHoms(a, b, k)
 	if err != nil {
 		return false, err
 	}
-	return IsStronglyKConsistent(a, b, k)
-}
-
-// forEachPartialHom enumerates all partial homomorphisms from a to b with at
-// most maxSize elements in their domain; yield returning false stops the
-// enumeration of that branch's extensions... it stops everything: the
-// traversal aborts once yield returns false.
-func forEachPartialHom(a, b *structure.Structure, maxSize int, yield func(pebble.PartialHom) bool) {
-	tuplesAt := a.TuplesContaining()
-	stop := false
-	var rec func(f pebble.PartialHom, next int)
-	rec = func(f pebble.PartialHom, next int) {
-		if stop {
-			return
-		}
-		if !yield(f) {
-			stop = true
-			return
-		}
-		if len(f) == maxSize {
-			return
-		}
-		for x := next; x < a.Size(); x++ {
-			for y := 0; y < b.Size(); y++ {
-				if extensionOK(a, b, tuplesAt, f, x, y) {
-					rec(f.Extend(x, y), x+1)
-					if stop {
-						return
-					}
-				}
-			}
+	for j := 0; j < k; j++ {
+		if !fam.Forth(j) {
+			return false, nil
 		}
 	}
-	rec(pebble.PartialHom{}, 0)
-}
-
-func extensionOK(a, b *structure.Structure, tuplesAt [][]structure.RelTuple, f pebble.PartialHom, x, y int) bool {
-	img := make([]int, 0, 8)
-tuples:
-	for _, rt := range tuplesAt[x] {
-		img = img[:0]
-		for _, v := range rt.Tuple {
-			var w int
-			if v == x {
-				w = y
-			} else if bv, ok := f.Lookup(v); ok {
-				w = bv
-			} else {
-				continue tuples
-			}
-			img = append(img, w)
-		}
-		if !b.Rel(rt.Rel).Has(img) {
-			return false
-		}
-	}
-	return true
-}
-
-func extendable(a, b *structure.Structure, f pebble.PartialHom, x int) bool {
-	tuplesAt := a.TuplesContaining()
-	for y := 0; y < b.Size(); y++ {
-		if extensionOK(a, b, tuplesAt, f, x, y) {
-			return true
-		}
-	}
-	return false
+	return true, nil
 }
 
 // Establishment is the output of EstablishStrongK: the structures A', B'

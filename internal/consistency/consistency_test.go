@@ -50,7 +50,11 @@ func TestConsistencyLevelsOnTriangleVsK2(t *testing.T) {
 func TestInstanceStrongConsistency(t *testing.T) {
 	// A 2-coloring instance of an even cycle, as a CSP instance.
 	p := csp.MustFromStructures(structure.Cycle(4), structure.Clique(2))
-	ok, err := IsInstanceStronglyKConsistent(p, 2)
+	a, b, err := csp.ToStructures(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, err := IsStronglyKConsistent(a, b, 2)
 	if err != nil || !ok {
 		t.Fatalf("C4 coloring not strongly 2-consistent: %v %v", ok, err)
 	}

@@ -289,11 +289,11 @@ func (s *bitSearcher) search(out *[]int) bool {
 
 	v := s.pickVar()
 	for val := s.d.Next(v, 0); val >= 0; val = s.d.Next(v, val+1) {
-		s.stats.Nodes++
-		if s.opts.NodeLimit > 0 && s.stats.Nodes > s.opts.NodeLimit {
+		if s.opts.NodeLimit > 0 && s.stats.Nodes >= s.opts.NodeLimit {
 			s.aborted = true
 			return true
 		}
+		s.stats.Nodes++
 		if s.cancel.cancelledAfter(1) {
 			s.aborted = true
 			return true

@@ -137,7 +137,7 @@ func TestNodeLimitStillAborts(t *testing.T) {
 	if !res.Aborted || res.Found {
 		t.Fatalf("node-limited search: %+v", res)
 	}
-	if res.Stats.Nodes > 51 {
-		t.Fatalf("node limit overshot: %d nodes", res.Stats.Nodes)
+	if res.Stats.Nodes != 50 {
+		t.Fatalf("node-limited search reports %d nodes, want the limit's 50", res.Stats.Nodes)
 	}
 }

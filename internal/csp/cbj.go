@@ -107,12 +107,12 @@ func (c *cbjSearcher) search(depth int) (bool, int, int) {
 		if !c.dom[v][val] {
 			continue
 		}
-		c.stats.Nodes++
-		if c.opts.NodeLimit > 0 && c.stats.Nodes > c.opts.NodeLimit {
+		if c.opts.NodeLimit > 0 && c.stats.Nodes >= c.opts.NodeLimit {
 			c.aborted = true
 			c.depthOf[v] = -1
 			return false, -1, depth
 		}
+		c.stats.Nodes++
 		if c.cancel.cancelledAfter(1) {
 			c.aborted = true
 			c.depthOf[v] = -1

@@ -48,8 +48,8 @@ func TestCBJNodeLimit(t *testing.T) {
 		}
 	}
 	res := SolveCBJ(p, Options{NodeLimit: 5})
-	if res.Found || !res.Aborted {
-		t.Fatalf("node limit ignored: %+v", res)
+	if res.Found || !res.Aborted || res.Stats.Nodes != 5 {
+		t.Fatalf("node limit ignored or overshot (want 5 nodes): %+v", res)
 	}
 }
 

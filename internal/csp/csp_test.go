@@ -209,8 +209,11 @@ func TestNodeLimitAborts(t *testing.T) {
 		}
 	}
 	res := Solve(p, Options{Algorithm: BT, NodeLimit: 10})
-	if res.Found || !res.Aborted {
-		t.Fatalf("expected aborted search, got %+v", res)
+	if res.Found || !res.Aborted || res.Stats.Nodes != 10 {
+		t.Fatalf("expected a search aborted at 10 nodes, got %+v", res)
+	}
+	if seed := SolveSeed(p, Options{Algorithm: BT, NodeLimit: 10}); seed.Found || !seed.Aborted || seed.Stats.Nodes != 10 {
+		t.Fatalf("expected the seed search aborted at 10 nodes, got %+v", seed)
 	}
 	if full := Solve(p, Options{}); full.Found {
 		t.Fatal("pigeonhole solved")

@@ -39,16 +39,18 @@ type nogood struct {
 
 // nogoodStore owns the learned nogoods and their entailment watch lists.
 type nogoodStore struct {
-	dom     int
-	ngs     []*nogood
-	watches [][]int32 // (v*dom + val) -> ids of nogoods watching that literal
+	vars, dom int
+	ngs       []*nogood
+	// watches: (v*dom + val) -> ids of nogoods watching that literal, made
+	// with the first nogood of length >= 2 (a search without one pays none).
+	watches [][]int32
 	// units are length-1 nogoods: globally refuted (var, val) pairs,
 	// re-applied as root prunes at the start of every restart.
 	units []nglit
 }
 
 func newNogoodStore(vars, dom int) *nogoodStore {
-	return &nogoodStore{dom: dom, watches: make([][]int32, vars*dom)}
+	return &nogoodStore{vars: vars, dom: dom}
 }
 
 // record stores the nogood built from the current decision stack. Length-1
@@ -71,6 +73,9 @@ func (st *nogoodStore) record(lits []nglit) bool {
 }
 
 func (st *nogoodStore) watch(l nglit, id int32) {
+	if st.watches == nil {
+		st.watches = make([][]int32, st.vars*st.dom)
+	}
 	k := int(l.v)*st.dom + int(l.val)
 	st.watches[k] = append(st.watches[k], id)
 }
@@ -86,6 +91,9 @@ func (s *bitSearcher) ngOnSingleton(x int) bool {
 		return false
 	}
 	st := s.ng
+	if st.watches == nil {
+		return true // no nogood of length >= 2 yet
+	}
 	key := x*st.dom + a
 	list := st.watches[key]
 	for i := 0; i < len(list); {

@@ -397,11 +397,11 @@ func (s *searcher) search(out *[]int) bool {
 		if !s.dom[v][val] {
 			continue
 		}
-		s.stats.Nodes++
-		if s.opts.NodeLimit > 0 && s.stats.Nodes > s.opts.NodeLimit {
+		if s.opts.NodeLimit > 0 && s.stats.Nodes >= s.opts.NodeLimit {
 			s.aborted = true
 			return true
 		}
+		s.stats.Nodes++
 		if s.cancel.cancelledAfter(1) {
 			s.aborted = true
 			return true

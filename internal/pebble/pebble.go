@@ -6,17 +6,22 @@
 // polynomial time (for fixed k) whether the Spoiler or the Duplicator wins
 // (Theorem 4.5).
 //
-// A winning strategy is represented as a family of partial homomorphisms
-// with domains of at most k elements that is closed under subfunctions and
-// has the k-forth extension property. The Duplicator wins iff the family is
-// nonempty (equivalently: iff it contains the empty function).
+// A winning strategy is a family of partial homomorphisms with domains of at
+// most k elements that is closed under subfunctions and has the k-forth
+// extension property. The Duplicator wins iff the family is nonempty
+// (equivalently: iff it contains the empty function). The family is one
+// relation.Table per domain size j <= k, whose rows are j ascending elements
+// of A followed by their images in B, with a dead mark per row. The forth
+// property is AC-4 lifted to k-tuples: a support count per (f, x) of the
+// live functions f ∪ {x ↦ y}. Read before anything is removed, the counts
+// decide i-consistency and strong k-consistency (Proposition 5.3).
 package pebble
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
+	"slices"
 
+	"csdb/internal/relation"
 	"csdb/internal/structure"
 )
 
@@ -29,20 +34,6 @@ type Pair struct {
 // PartialHom is a partial function from A's domain to B's domain given as
 // pairs sorted by the A component (each A component distinct).
 type PartialHom []Pair
-
-// Key returns the canonical encoding of the partial function.
-func (f PartialHom) Key() string {
-	b := make([]byte, 0, len(f)*6)
-	for i, p := range f {
-		if i > 0 {
-			b = append(b, ';')
-		}
-		b = strconv.AppendInt(b, int64(p.A), 10)
-		b = append(b, ':')
-		b = strconv.AppendInt(b, int64(p.B), 10)
-	}
-	return string(b)
-}
 
 // Lookup returns the image of a and whether a is in the domain.
 func (f PartialHom) Lookup(a int) (int, bool) {
@@ -80,23 +71,16 @@ func (f PartialHom) Without(i int) PartialHom {
 	return g
 }
 
-// AsMap renders the partial function as a map.
-func (f PartialHom) AsMap() map[int]int {
-	m := make(map[int]int, len(f))
-	for _, p := range f {
-		m[p.A] = p.B
-	}
-	return m
-}
-
-// FromMap builds a PartialHom from a map.
-func FromMap(m map[int]int) PartialHom {
-	f := make(PartialHom, 0, len(m))
-	for a, b := range m {
-		f = append(f, Pair{a, b})
-	}
-	sort.Slice(f, func(i, j int) bool { return f[i].A < f[j].A })
-	return f
+// level holds the functions of one domain size j.
+type level struct {
+	rows *relation.Table // arity 2j: j ascending elements of A, then their images
+	dead []bool          // dead[f]: f was removed from the family
+	// cnt[f*|A|+x] counts the live rows f ∪ {x ↦ y} of the next level, for
+	// x outside f's domain; ext[extAt[f]:extAt[f+1]] lists every such row.
+	// Both are nil at size K.
+	cnt, ext, extAt []int32
+	// sub[g*j+i] is the id, one level down, of g without its i-th element.
+	sub []int32
 }
 
 // Strategy is a family of partial homomorphisms from A to B with domains of
@@ -104,65 +88,67 @@ func FromMap(m map[int]int) PartialHom {
 // subfunctions and have the k-forth property (i.e. winning strategies for
 // the Duplicator, or the empty family when the Spoiler wins).
 type Strategy struct {
-	K    int
-	A, B *structure.Structure
-	fam  map[string]PartialHom
+	K      int
+	A, B   *structure.Structure
+	levels []level // levels[j] for j = 0..K
+	live   int
 }
 
 // Size returns the number of partial homomorphisms in the strategy
 // (including the empty function when nonempty).
-func (s *Strategy) Size() int { return len(s.fam) }
+func (s *Strategy) Size() int { return s.live }
 
 // NonEmpty reports whether the family contains any function — by Theorem
 // 5.6 this is exactly W^k(A,B) ≠ ∅, i.e. the Duplicator wins.
-func (s *Strategy) NonEmpty() bool { return len(s.fam) > 0 }
+func (s *Strategy) NonEmpty() bool { return s.live > 0 }
 
 // Has reports whether the given partial function belongs to the strategy.
 func (s *Strategy) Has(f PartialHom) bool {
-	_, ok := s.fam[f.Key()]
-	return ok
+	j := len(f)
+	if j > s.K {
+		return false
+	}
+	row := make([]int, 2*j)
+	for i, p := range f {
+		row[i], row[j+i] = p.A, p.B
+	}
+	return s.has(j, row)
 }
 
-// HasMap is Has for a map-represented partial function.
-func (s *Strategy) HasMap(m map[int]int) bool { return s.Has(FromMap(m)) }
-
-// Members returns all partial homomorphisms in the strategy in an
-// unspecified order.
-func (s *Strategy) Members() []PartialHom {
-	out := make([]PartialHom, 0, len(s.fam))
-	for _, f := range s.fam {
-		out = append(out, f)
-	}
-	return out
+// has reports whether the size-j row is a live member.
+func (s *Strategy) has(j int, row []int) bool {
+	lv := &s.levels[j]
+	id := lv.rows.Index(row)
+	return id >= 0 && !lv.dead[id]
 }
 
 // checker incrementally validates partial homomorphisms: tuplesAt[a] lists
 // the (relation, tuple) pairs mentioning element a of A.
 type checker struct {
-	a, b     *structure.Structure
+	b        *structure.Structure
 	tuplesAt [][]structure.RelTuple
+	img      []int
 }
 
 func newChecker(a, b *structure.Structure) *checker {
-	return &checker{a: a, b: b, tuplesAt: a.TuplesContaining()}
+	return &checker{b: b, tuplesAt: a.TuplesContaining(), img: make([]int, 0, a.MaxArity())}
 }
 
 // extensionOK reports whether f ∪ {x ↦ y} is still a partial homomorphism,
-// assuming f already is. Only tuples mentioning x and otherwise inside
-// dom(f) need to be checked.
-func (c *checker) extensionOK(f PartialHom, x, y int) bool {
-	img := make([]int, 0, 8)
+// assuming f, a row of size j, already is. Only tuples mentioning x and
+// otherwise inside dom(f) need to be checked.
+func (c *checker) extensionOK(f []int, j, x, y int) bool {
 tuples:
 	for _, rt := range c.tuplesAt[x] {
-		img = img[:0]
+		img := c.img[:0]
 		for _, v := range rt.Tuple {
-			var w int
-			if v == x {
-				w = y
-			} else if b, ok := f.Lookup(v); ok {
-				w = b
-			} else {
-				continue tuples // tuple not fully inside dom(f)+x
+			w := y
+			if v != x {
+				i := slices.Index(f[:j], v)
+				if i < 0 {
+					continue tuples // tuple not fully inside dom(f)+x
+				}
+				w = f[j+i]
 			}
 			img = append(img, w)
 		}
@@ -173,107 +159,178 @@ tuples:
 	return true
 }
 
-// LargestStrategy computes the largest winning strategy for the Duplicator
-// in the existential k-pebble game on a and b (Proposition 5.1): the union
-// of all winning strategies. The returned strategy is empty iff the Spoiler
-// wins.
-func LargestStrategy(a, b *structure.Structure, k int) (*Strategy, error) {
+// PartialHoms returns the family of every partial homomorphism from a to b
+// whose domain has at most k elements, with its forth-support counts: the
+// family LargestStrategy starts from, before any function is removed. It
+// has the k-forth property, and so is a winning strategy for the
+// Duplicator, exactly when (a, b) is strongly k-consistent (Proposition
+// 5.3).
+func PartialHoms(a, b *structure.Structure, k int) (*Strategy, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("pebble: k must be >= 1, got %d", k)
 	}
 	if !a.Voc().Equal(b.Voc()) {
 		return nil, fmt.Errorf("pebble: structures have different vocabularies")
 	}
-	s := &Strategy{K: k, A: a, B: b, fam: make(map[string]PartialHom)}
+	nA, nB := a.Size(), b.Size()
+	s := &Strategy{K: k, A: a, B: b, levels: make([]level, k+1)}
 	c := newChecker(a, b)
 
-	// Phase 1: generate all partial homomorphisms with |dom| <= k by
-	// extending over A-elements in increasing order.
-	var gen func(f PartialHom, next int)
-	gen = func(f PartialHom, next int) {
-		s.fam[f.Key()] = f
-		if len(f) == k {
-			return
-		}
-		for x := next; x < a.Size(); x++ {
-			for y := 0; y < b.Size(); y++ {
-				if c.extensionOK(f, x, y) {
-					gen(f.Extend(x, y), x+1)
+	// Level j+1 extends each row of level j by an element above its
+	// largest, so every domain is generated once, in increasing order, and
+	// the rows are distinct.
+	s.levels[0].rows = relation.NewTable(0)
+	s.levels[0].rows.Add(nil)
+	for j := 0; j < k; j++ {
+		rows := s.levels[j].rows
+		var data []int
+		for f := 0; f < rows.Len(); f++ {
+			row := rows.Row(f)
+			x0 := 0
+			if j > 0 {
+				x0 = row[j-1] + 1
+			}
+			for x := x0; x < nA; x++ {
+				for y := 0; y < nB; y++ {
+					if c.extensionOK(row, j, x, y) {
+						data = append(append(append(append(data, row[:j]...), x), row[j:]...), y)
+					}
 				}
 			}
 		}
-	}
-	gen(PartialHom{}, 0)
-
-	// Phase 2: greatest fixpoint. Remove functions violating the k-forth
-	// property; removal cascades upward (closure under subfunctions) and
-	// re-enqueues restrictions for re-checking.
-	work := make([]PartialHom, 0, len(s.fam))
-	for _, f := range s.fam {
-		if len(f) < k {
-			work = append(work, f)
-		}
-	}
-	var removeClosure func(f PartialHom)
-	removeClosure = func(f PartialHom) {
-		key := f.Key()
-		if _, ok := s.fam[key]; !ok {
-			return
-		}
-		delete(s.fam, key)
-		// Cascade to all one-point extensions present in the family.
-		if len(f) < k {
-			for x := 0; x < a.Size(); x++ {
-				if _, defined := f.Lookup(x); defined {
-					continue
-				}
-				for y := 0; y < b.Size(); y++ {
-					removeClosure(f.Extend(x, y))
-				}
-			}
-		}
-		// Restrictions may now fail forth: re-check them.
-		for i := range f {
-			r := f.Without(i)
-			if _, ok := s.fam[r.Key()]; ok {
-				work = append(work, r)
-			}
-		}
+		arity := 2 * (j + 1)
+		next := relation.MakeTable(arity, data, make([]int32, relation.SlotCount(len(data)/arity)))
+		s.levels[j+1].rows = &next
 	}
 
-	for len(work) > 0 {
-		f := work[len(work)-1]
-		work = work[:len(work)-1]
-		if _, ok := s.fam[f.Key()]; !ok {
+	// Each row counts once for each of its restrictions, at its own
+	// element, and is listed among their extensions. Restrictions of a
+	// partial homomorphism are partial homomorphisms, so every lookup
+	// finds its row.
+	buf := make([]int, 0, 2*k)
+	for j := range s.levels {
+		lv := &s.levels[j]
+		n := lv.rows.Len()
+		lv.dead = make([]bool, n)
+		s.live += n
+		if j == 0 {
 			continue
 		}
-		if s.forthOK(f) {
-			continue
+		down := &s.levels[j-1]
+		down.cnt, down.extAt = make([]int32, down.rows.Len()*nA), make([]int32, down.rows.Len()+1)
+		lv.sub = make([]int32, n*j)
+		for g := 0; g < n; g++ {
+			row := lv.rows.Row(g)
+			for i := 0; i < j; i++ {
+				// row without its i-th element: the elements after i and
+				// the images before i are adjacent.
+				buf = append(append(append(buf[:0], row[:i]...), row[i+1:j+i]...), row[j+i+1:]...)
+				r := down.rows.Index(buf)
+				lv.sub[g*j+i] = int32(r)
+				down.cnt[r*nA+row[i]]++
+				down.extAt[r+1]++
+			}
 		}
-		removeClosure(f)
+		for r := 1; r < len(down.extAt); r++ {
+			down.extAt[r] += down.extAt[r-1]
+		}
+		down.ext = make([]int32, len(lv.sub))
+		fill := slices.Clone(down.extAt)
+		for at, r := range lv.sub {
+			down.ext[fill[r]] = int32(at / j)
+			fill[r]++
+		}
 	}
 	return s, nil
 }
 
-// forthOK reports whether f (with |f| < K) can be extended within the
-// current family to cover every element of A outside its domain.
-func (s *Strategy) forthOK(f PartialHom) bool {
-	for x := 0; x < s.A.Size(); x++ {
-		if _, defined := f.Lookup(x); defined {
-			continue
-		}
-		found := false
-		for y := 0; y < s.B.Size(); y++ {
-			if _, ok := s.fam[f.Extend(x, y).Key()]; ok {
-				found = true
-				break
-			}
-		}
-		if !found {
+// Forth reports whether every live function of size j extends, within the
+// family, to every element of A outside its domain: no live row of level j
+// has a zero support count. j must be below K. On the family PartialHoms
+// returns, this is (j+1)-consistency (Proposition 5.3).
+func (s *Strategy) Forth(j int) bool {
+	lv := &s.levels[j]
+	for f, dead := range lv.dead {
+		if !dead && s.starved(j, f) {
 			return false
 		}
 	}
 	return true
+}
+
+// starved reports whether row f of level j has an element x outside its
+// domain with no live extension f ∪ {x ↦ y}.
+func (s *Strategy) starved(j, f int) bool {
+	lv := &s.levels[j]
+	nA := s.A.Size()
+	row, cnt := lv.rows.Row(f), lv.cnt[f*nA:(f+1)*nA]
+	for x, d := 0, 0; x < nA; x++ {
+		if d < j && row[d] == x {
+			d++
+		} else if cnt[x] == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// LargestStrategy computes the largest winning strategy for the Duplicator
+// in the existential k-pebble game on a and b (Proposition 5.1): the union
+// of all winning strategies. The returned strategy is empty iff the Spoiler
+// wins.
+func LargestStrategy(a, b *structure.Structure, k int) (*Strategy, error) {
+	s, err := PartialHoms(a, b, k)
+	if err != nil {
+		return nil, err
+	}
+	s.reduce()
+	return s, nil
+}
+
+// reduce removes functions until the family has the k-forth property: the
+// greatest fixpoint of PartialHoms' family. A removed function leaves the
+// counts of its restrictions, and a restriction left without support at
+// its element goes too; so do the extensions of a removed function, which
+// keeps the family closed under subfunctions.
+func (s *Strategy) reduce() {
+	nA := s.A.Size()
+	type ref struct{ j, id int }
+	var removed []ref // dead rows not yet taken out of the counts
+	kill := func(j, id int) {
+		s.levels[j].dead[id] = true
+		s.live--
+		removed = append(removed, ref{j, id})
+	}
+	for j := 0; j < s.K; j++ {
+		for f := range s.levels[j].dead {
+			if s.starved(j, f) {
+				kill(j, f)
+			}
+		}
+	}
+	for len(removed) > 0 {
+		r := removed[len(removed)-1]
+		removed = removed[:len(removed)-1]
+		lv := &s.levels[r.j]
+		if r.j < s.K {
+			up := &s.levels[r.j+1]
+			for _, g := range lv.ext[lv.extAt[r.id]:lv.extAt[r.id+1]] {
+				if !up.dead[g] {
+					kill(r.j+1, int(g))
+				}
+			}
+		}
+		if r.j == 0 {
+			continue
+		}
+		row, down := lv.rows.Row(r.id), &s.levels[r.j-1]
+		for i, f := range lv.sub[r.id*r.j : (r.id+1)*r.j] {
+			c := &down.cnt[int(f)*nA+row[i]]
+			if *c--; *c == 0 && !down.dead[f] {
+				kill(r.j-1, int(f))
+			}
+		}
+	}
 }
 
 // DuplicatorWins reports whether the Duplicator wins the existential
@@ -297,33 +354,40 @@ func SpoilerWins(a, b *structure.Structure, k int) (bool, error) {
 // ConfigurationsOf returns, for a given tuple ā over A's domain (repetitions
 // allowed, 1 <= len(ā) <= K), the set R_ā = { b̄ : (ā, b̄) ∈ W^k(A,B) } of
 // Theorem 5.6 step 2: all value tuples whose induced correspondence is a
-// partial function belonging to the strategy.
+// partial function belonging to the strategy, in lexicographic order.
 func (s *Strategy) ConfigurationsOf(abar []int) [][]int {
 	if len(abar) == 0 || len(abar) > s.K {
 		return nil
 	}
+	// row holds the distinct elements of ā in increasing order, then the
+	// images being tried.
+	row := slices.Clone(abar)
+	slices.Sort(row)
+	row = slices.Compact(row)
+	j := len(row)
+	row = append(row, make([]int, j)...)
 	var out [][]int
 	bbar := make([]int, len(abar))
-	var rec func(i int, f PartialHom)
-	rec = func(i int, f PartialHom) {
+	var rec func(i int)
+	rec = func(i int) {
 		if i == len(abar) {
-			if s.Has(f) {
-				out = append(out, append([]int(nil), bbar...))
+			if s.has(j, row) {
+				out = append(out, slices.Clone(bbar))
 			}
 			return
 		}
-		a := abar[i]
-		if b, defined := f.Lookup(a); defined {
+		p := slices.Index(row[:j], abar[i])
+		if slices.Index(abar, abar[i]) < i {
 			// Repeated element: the correspondence must stay functional.
-			bbar[i] = b
-			rec(i+1, f)
+			bbar[i] = row[j+p]
+			rec(i + 1)
 			return
 		}
 		for b := 0; b < s.B.Size(); b++ {
-			bbar[i] = b
-			rec(i+1, f.Extend(a, b))
+			row[j+p], bbar[i] = b, b
+			rec(i + 1)
 		}
 	}
-	rec(0, PartialHom{})
+	rec(0)
 	return out
 }

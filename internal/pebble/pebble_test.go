@@ -1,18 +1,18 @@
 package pebble
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"csdb/internal/csp"
+	"csdb/internal/datalog"
 	"csdb/internal/structure"
 )
 
 func TestPartialHomHelpers(t *testing.T) {
 	f := PartialHom{{0, 1}, {2, 0}}
-	if f.Key() != "0:1;2:0" {
-		t.Fatalf("Key = %q", f.Key())
-	}
 	if b, ok := f.Lookup(2); !ok || b != 0 {
 		t.Fatal("Lookup broken")
 	}
@@ -20,22 +20,14 @@ func TestPartialHomHelpers(t *testing.T) {
 		t.Fatal("phantom Lookup")
 	}
 	g := f.Extend(1, 5)
-	if g.Key() != "0:1;1:5;2:0" {
-		t.Fatalf("Extend not sorted: %q", g.Key())
+	if !slices.Equal(g, PartialHom{{0, 1}, {1, 5}, {2, 0}}) {
+		t.Fatalf("Extend not sorted: %v", g)
 	}
-	if f.Key() != "0:1;2:0" {
+	if !slices.Equal(f, PartialHom{{0, 1}, {2, 0}}) {
 		t.Fatal("Extend mutated receiver")
 	}
-	r := g.Without(1)
-	if r.Key() != f.Key() {
-		t.Fatalf("Without = %q", r.Key())
-	}
-	m := FromMap(map[int]int{3: 1, 0: 2})
-	if m.Key() != "0:2;3:1" {
-		t.Fatalf("FromMap = %q", m.Key())
-	}
-	if got := m.AsMap(); got[3] != 1 || got[0] != 2 || len(got) != 2 {
-		t.Fatalf("AsMap = %v", got)
+	if r := g.Without(1); !slices.Equal(r, f) {
+		t.Fatalf("Without = %v", r)
 	}
 }
 
@@ -154,7 +146,8 @@ func TestSpoilerWinsImpliesNoHomomorphism(t *testing.T) {
 }
 
 // The strategy family is closed under subfunctions and has the forth
-// property — the definition of a winning strategy.
+// property — the definition of a winning strategy. Every partial map with at
+// most K elements is offered to Has, so the members found are all of them.
 func TestStrategyClosureProperties(t *testing.T) {
 	a, b := structure.Cycle(6), structure.Clique(2)
 	s, err := LargestStrategy(a, b, 3)
@@ -167,16 +160,38 @@ func TestStrategyClosureProperties(t *testing.T) {
 	if !s.Has(PartialHom{}) {
 		t.Fatal("strategy misses the empty function")
 	}
-	for _, f := range s.Members() {
+	var members []PartialHom
+	var gen func(f PartialHom, next int)
+	gen = func(f PartialHom, next int) {
+		if s.Has(f) {
+			members = append(members, f)
+		}
+		for x := next; len(f) < s.K && x < a.Size(); x++ {
+			for y := 0; y < b.Size(); y++ {
+				gen(f.Extend(x, y), x+1)
+			}
+		}
+	}
+	gen(PartialHom{}, 0)
+	if len(members) != s.Size() {
+		t.Fatalf("Has accepts %d functions, Size is %d", len(members), s.Size())
+	}
+	for _, f := range members {
 		// Closure under subfunctions.
 		for i := range f {
 			if !s.Has(f.Without(i)) {
-				t.Fatalf("restriction of %q missing", f.Key())
+				t.Fatalf("restriction of %v missing", f)
 			}
 		}
-		// Forth property.
-		if len(f) < s.K && !s.forthOK(f) {
-			t.Fatalf("member %q fails forth", f.Key())
+		// Forth property: every element outside the domain has an image
+		// that keeps the function in the family.
+		for x := 0; len(f) < s.K && x < a.Size(); x++ {
+			if _, defined := f.Lookup(x); defined {
+				continue
+			}
+			if !s.Has(f.Extend(x, 0)) && !s.Has(f.Extend(x, 1)) {
+				t.Fatalf("member %v fails forth at %d", f, x)
+			}
 		}
 		// Every member is a partial homomorphism.
 		h := make([]int, a.Size())
@@ -187,7 +202,7 @@ func TestStrategyClosureProperties(t *testing.T) {
 			h[p.A] = p.B
 		}
 		if !structure.IsPartialHomomorphism(a, b, h) {
-			t.Fatalf("member %q is not a partial homomorphism", f.Key())
+			t.Fatalf("member %v is not a partial homomorphism", f)
 		}
 	}
 }
@@ -251,4 +266,115 @@ func randomGraph(rng *rand.Rand, n int, p float64) *structure.Structure {
 		}
 	}
 	return g
+}
+
+// randomLoopGraph is randomGraph with loops allowed.
+func randomLoopGraph(rng *rand.Rand, n int, p float64) *structure.Structure {
+	g := structure.NewGraph(n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if rng.Float64() < p {
+				g.MustAddTuple("E", i, j)
+			}
+		}
+	}
+	return g
+}
+
+// randomTernary draws a structure over {T/3, U/1} whose T-tuples may repeat
+// elements, such as (x, x, y).
+func randomTernary(rng *rand.Rand, n, tuples int) *structure.Structure {
+	voc := structure.MustVocabulary(structure.Symbol{Name: "T", Arity: 3}, structure.Symbol{Name: "U", Arity: 1})
+	s := structure.MustNew(voc, n)
+	for i := 0; i < tuples; i++ {
+		x, y := rng.Intn(n), rng.Intn(n)
+		switch rng.Intn(3) {
+		case 0:
+			s.MustAddTuple("T", x, x, y)
+		case 1:
+			s.MustAddTuple("T", x, y, x)
+		default:
+			s.MustAddTuple("T", x, y, rng.Intn(n))
+		}
+	}
+	for i := 0; i < n; i++ {
+		if rng.Intn(3) > 0 {
+			s.MustAddTuple("U", i)
+		}
+	}
+	return s
+}
+
+// TestLargestStrategyMatchesOracle compares the table engine with the
+// string-keyed engine it replaced (oracle_test.go) at k = 1..3: the verdict,
+// the strategy's size, and membership of every function the reference
+// keeps. Equal sizes and one-way membership make the families equal.
+func TestLargestStrategyMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	type pair struct{ a, b *structure.Structure }
+	var pairs []pair
+	for trial := 0; trial < 40; trial++ {
+		pairs = append(pairs,
+			pair{randomLoopGraph(rng, 2+rng.Intn(5), 0.35), randomLoopGraph(rng, 1+rng.Intn(3), 0.5)},
+			pair{randomTernary(rng, 2+rng.Intn(4), 2+rng.Intn(6)), randomTernary(rng, 1+rng.Intn(3), 4+rng.Intn(10))})
+	}
+	pairs = append(pairs, pair{structure.Cycle(7), structure.Clique(2)}, pair{structure.Cycle(6), structure.Clique(2)})
+	for i, p := range pairs {
+		for k := 1; k <= 3; k++ {
+			what := fmt.Sprintf("pair %d (|A|=%d, |B|=%d) k=%d", i, p.a.Size(), p.b.Size(), k)
+			want := oracleLargestStrategy(p.a, p.b, k)
+			s, err := LargestStrategy(p.a, p.b, k)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if s.NonEmpty() != (len(want) > 0) || s.Size() != len(want) {
+				t.Fatalf("%s: NonEmpty %v Size %d, reference %d functions", what, s.NonEmpty(), s.Size(), len(want))
+			}
+			for _, f := range want {
+				if !s.Has(f) {
+					t.Fatalf("%s: reference member %v missing", what, f)
+				}
+			}
+			for j := 0; j < k && s.NonEmpty(); j++ {
+				if !s.Forth(j) {
+					t.Fatalf("%s: a size-%d member fails forth", what, j)
+				}
+			}
+		}
+	}
+}
+
+// The 2-pebble game agrees with the canonical 2-Datalog program ρ_B of
+// Theorem 4.5(3), an independent decision of the same game, on random
+// graphs (loops included) against every template with at most 2 nodes.
+func TestSpoilerWinsMatchesCanonicalProgram(t *testing.T) {
+	var templates []*structure.Structure
+	for n := 1; n <= 2; n++ {
+		for mask := 0; mask < 1<<(n*n); mask++ {
+			b := structure.NewGraph(n)
+			for bit := 0; bit < n*n; bit++ {
+				if mask&(1<<bit) != 0 {
+					b.MustAddTuple("E", bit/n, bit%n)
+				}
+			}
+			templates = append(templates, b)
+		}
+	}
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 30; trial++ {
+		a := randomLoopGraph(rng, 1+rng.Intn(6), 0.1+0.3*rng.Float64())
+		for bi, b := range templates {
+			want, err := datalog.SpoilerWinsCanonical(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := SpoilerWins(a, b, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("trial %d template %d: game %v, canonical program %v", trial, bi, got, want)
+			}
+		}
+	}
 }

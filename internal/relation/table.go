@@ -74,7 +74,7 @@ func SlotCount(rows int) int {
 //
 // Concurrency: Add builds the index as it inserts, so a table filled through
 // Add, MakeTable, Clone or Intersect never mutates itself on a read, and
-// any number of goroutines may call Has, Len, Row, Tuples, Digest and Equal
+// any number of goroutines may call Has, Index, Len, Row, Tuples, Digest and Equal
 // on it at once.
 // Only AddDistinct and a Relation's own operator results skip the index and
 // build it lazily (see the package comment); such a table stays private to
@@ -275,15 +275,19 @@ func (t *Table) AddDistinct(row []int) {
 	}
 }
 
-// Has reports whether row is in the table. A row of the wrong arity is
-// never a member.
-func (t *Table) Has(row []int) bool {
+// Index returns the id of the row equal to row (its place in insertion
+// order, as Row numbers it), or -1 when there is none. A row of the wrong
+// arity is never a member.
+func (t *Table) Index(row []int) int {
 	if len(row) != t.k || t.n == 0 {
-		return false
+		return -1
 	}
 	t.ensureIndex()
-	return t.lookup(row, hashVals(row)) >= 0
+	return int(t.lookup(row, hashVals(row)))
 }
+
+// Has reports whether row is in the table.
+func (t *Table) Has(row []int) bool { return t.Index(row) >= 0 }
 
 // Clone returns a deep copy. The copy carries the index when the original
 // has one, so a clone of a shareable table is shareable too.

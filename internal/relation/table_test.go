@@ -127,11 +127,11 @@ func tableDifferential(t *testing.T, what string, rng *rand.Rand, arity, dom, ro
 		t.Fatalf("%s: Len %d, reference %d", what, tab.Len(), len(ref.tuples))
 	}
 	for i, want := range ref.tuples {
-		if !slices.Equal(tab.Row(i), want) || !tab.Has(want) {
-			t.Fatalf("%s: row %d = %v (member %v), reference %v", what, i, tab.Row(i), tab.Has(want), want)
+		if !slices.Equal(tab.Row(i), want) || !tab.Has(want) || tab.Index(want) != i {
+			t.Fatalf("%s: row %d = %v (member %v, index %d), reference %v", what, i, tab.Row(i), tab.Has(want), tab.Index(want), want)
 		}
 	}
-	if tab.Has(make([]int, arity+1)) || (arity > 0 && (tab.Has(outside) || tab.Has(make([]int, arity-1)))) {
+	if tab.Has(make([]int, arity+1)) || (arity > 0 && (tab.Has(outside) || tab.Index(outside) != -1 || tab.Has(make([]int, arity-1)))) {
 		t.Fatalf("%s: Has accepted an absent row or a row of the wrong arity", what)
 	}
 	checkIndex(t, what, tab)
