@@ -112,12 +112,14 @@ race-search:
 race-cluster:
 	$(GO) test -race -count=1 ./internal/cluster/ ./cmd/cspr/
 
-# Benchmark the join/semijoin/Yannakakis/engine hot paths and the pebble
-# game's fixpoint (E5, E6's game decider, E7's establishment) and merge the
-# medians into BENCH_relation.json under $(BENCH_LABEL). Run with
-# BENCH_LABEL=before on a pre-change tree to record a baseline.
+# Benchmark the join/semijoin/Yannakakis/engine hot paths, the conjunctive
+# evaluator's callers (projection, E2's containment by evaluation, E6's
+# Datalog decider, E8's formula evaluation) and the pebble game's fixpoint
+# (E5, E6's game decider, E7's establishment) and merge the medians into
+# BENCH_relation.json under $(BENCH_LABEL). Run with BENCH_LABEL=before on a
+# pre-change tree to record a baseline.
 bench:
-	$(GO) test -bench 'Join|Semijoin|Yannakakis|Engine|Pebble|EstablishStrongK' -benchmem -count 5 \
+	$(GO) test -bench 'Join|Semijoin|Yannakakis|Engine|Pebble|EstablishStrongK|Project|Datalog|ContainmentViaEvaluation|EvaluateFormula' -benchmem -count 5 \
 		-benchtime=0.3s -run '^$$' -timeout 60m \
 		. ./internal/relation/ ./internal/hypergraph/ \
 		| $(GO) run ./cmd/benchjson -o BENCH_relation.json -label $(BENCH_LABEL) -obs

@@ -14,11 +14,11 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
-	"csdb/internal/consistency"
 	"csdb/internal/csp"
 	"csdb/internal/pebble"
 	"csdb/internal/structure"
@@ -27,13 +27,15 @@ import (
 func main() {
 	k := flag.Int("k", 3, "number of pebbles")
 	flag.Parse()
-	if err := run(*k, flag.Args()); err != nil {
+	if err := run(os.Stdout, *k, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "pebblegame:", err)
 		os.Exit(2)
 	}
 }
 
-func run(k int, args []string) error {
+// run plays the k-pebble game between the two graph files and writes its
+// report to w.
+func run(w io.Writer, k int, args []string) error {
 	if len(args) != 2 {
 		return fmt.Errorf("usage: pebblegame -k K left.graph right.graph")
 	}
@@ -51,25 +53,27 @@ func run(k int, args []string) error {
 		return err
 	}
 	if strat.NonEmpty() {
-		fmt.Printf("Duplicator wins the existential %d-pebble game (largest winning strategy: %d partial homomorphisms)\n", k, strat.Size())
-		fmt.Printf("strong %d-consistency can be established (Theorem 5.6)\n", k)
+		fmt.Fprintf(w, "Duplicator wins the existential %d-pebble game (largest winning strategy: %d partial homomorphisms)\n", k, strat.Size())
+		fmt.Fprintf(w, "strong %d-consistency can be established (Theorem 5.6)\n", k)
 	} else {
-		fmt.Printf("Spoiler wins the existential %d-pebble game\n", k)
-		fmt.Printf("strong %d-consistency cannot be established; no homomorphism exists\n", k)
+		fmt.Fprintf(w, "Spoiler wins the existential %d-pebble game\n", k)
+		fmt.Fprintf(w, "strong %d-consistency cannot be established; no homomorphism exists\n", k)
 	}
 
 	if hom, ok := csp.FindHomomorphism(a, b); ok {
-		fmt.Printf("homomorphism exists: %v\n", hom)
+		fmt.Fprintf(w, "homomorphism exists: %v\n", hom)
 	} else {
-		fmt.Println("no homomorphism exists")
+		fmt.Fprintln(w, "no homomorphism exists")
 	}
 
+	// One family of partial homomorphisms answers every i <= k: (a, b) is
+	// i-consistent iff its functions of size i-1 all extend (Proposition 5.3).
+	fam, err := pebble.PartialHoms(a, b, k)
+	if err != nil {
+		return err
+	}
 	for i := 1; i <= k; i++ {
-		ok, err := consistency.IsIConsistent(a, b, i)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%d-consistent: %v\n", i, ok)
+		fmt.Fprintf(w, "%d-consistent: %v\n", i, fam.Forth(i-1))
 	}
 	return nil
 }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -70,8 +71,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	body, err := longChain.Literals(db)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for i, r := range reduced {
-		full, err := cq.AtomRelation(longChain.Body[i], db)
+		_, full, err := body[i].Bind(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}

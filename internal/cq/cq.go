@@ -13,6 +13,7 @@
 package cq
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -332,24 +333,11 @@ func (q *Query) Evaluate(db *structure.Structure) (*relation.Relation, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	rels := make([]*relation.Relation, 0, len(q.Body))
-	for _, a := range q.Body {
-		r, err := atomRelation(a, db)
-		if err != nil {
-			return nil, err
-		}
-		rels = append(rels, r)
+	body, err := q.Literals(db)
+	if err != nil {
+		return nil, err
 	}
-	joined := relation.JoinAll(rels)
-	if len(q.Head) == 0 {
-		// Boolean query: project to arity 0.
-		out := relation.MustNew()
-		if !joined.Empty() {
-			out.MustAdd(relation.Tuple{})
-		}
-		return out, nil
-	}
-	return joined.Project(q.Head...)
+	return relation.Eval(context.Background(), body, q.Head)
 }
 
 // True reports whether a Boolean query holds in db.
@@ -361,49 +349,24 @@ func (q *Query) True(db *structure.Structure) (bool, error) {
 	return !res.Empty(), nil
 }
 
-// AtomRelation converts one subgoal into a relation over its variable names;
-// exported for join algorithms built on top of query hypergraphs (package
-// hypergraph).
-func AtomRelation(a Atom, db *structure.Structure) (*relation.Relation, error) {
-	return atomRelation(a, db)
-}
-
-// atomRelation converts one subgoal into a relation over its variable names:
-// the db relation with columns renamed to the argument variables, with
-// equality selections applied for repeated variables.
-func atomRelation(a Atom, db *structure.Structure) (*relation.Relation, error) {
-	arity, ok := db.Voc().Arity(a.Pred)
-	if ok && arity != len(a.Args) {
-		return nil, fmt.Errorf("cq: predicate %s has arity %d in the database, used with %d arguments", a.Pred, arity, len(a.Args))
-	}
-	// Distinct variable list in first-occurrence order.
-	var attrs []string
-	firstPos := make(map[string]int)
-	for i, v := range a.Args {
-		if _, seen := firstPos[v]; !seen {
-			firstPos[v] = i
-			attrs = append(attrs, v)
+// Literals returns the query's subgoals as literals over db: each atom's
+// arguments over db's relation of its predicate, an empty table when db's
+// vocabulary lacks the predicate. The tables are db's own, so they must not
+// be changed.
+func (q *Query) Literals(db *structure.Structure) ([]relation.Literal, error) {
+	body := make([]relation.Literal, len(q.Body))
+	for i, a := range q.Body {
+		arity, ok := db.Voc().Arity(a.Pred)
+		if ok && arity != len(a.Args) {
+			return nil, fmt.Errorf("cq: predicate %s has arity %d in the database, used with %d arguments", a.Pred, arity, len(a.Args))
 		}
-	}
-	out := relation.MustNew(attrs...)
-	if !ok {
-		return out, nil // predicate absent: empty relation
-	}
-	out.Grow(db.Rel(a.Pred).Len())
-	t := make(relation.Tuple, len(attrs)) // Add copies, so one scratch row suffices
-rows:
-	for _, row := range db.Rel(a.Pred).Tuples() {
-		for i, v := range a.Args {
-			if row[i] != row[firstPos[v]] {
-				continue rows // repeated variable with disagreeing values
-			}
+		rows := db.Rel(a.Pred)
+		if !ok {
+			rows = relation.NewTable(len(a.Args))
 		}
-		for j, v := range attrs {
-			t[j] = row[firstPos[v]]
-		}
-		out.MustAdd(t)
+		body[i] = relation.Literal{Args: a.Args, Rows: rows}
 	}
-	return out, nil
+	return body, nil
 }
 
 // Contains decides Q1 ⊆ Q2 (same head arity required) by the Chandra–Merlin

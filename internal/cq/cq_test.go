@@ -323,3 +323,25 @@ func randomGraphStructure(rng *rand.Rand, n int, p float64) *structure.Structure
 	}
 	return g
 }
+
+// TestEvaluateBooleanQuery evaluates a Boolean query whose body repeats a
+// variable and has two components: the answer is the 0-ary relation,
+// holding the empty row iff the body is satisfiable.
+func TestEvaluateBooleanQuery(t *testing.T) {
+	q := MustParse("Q :- E(X,Y), E(Y,X), E(Z,Z)")
+	g := structure.NewGraph(3)
+	g.MustAddTuple("E", 0, 1)
+	g.MustAddTuple("E", 1, 0)
+	for _, loop := range []bool{false, true} {
+		if loop {
+			g.MustAddTuple("E", 2, 2)
+		}
+		res, err := q.Evaluate(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Arity() != 0 || res.Len() != map[bool]int{false: 0, true: 1}[loop] {
+			t.Fatalf("loop %v: Evaluate = %v, want arity 0 and %v rows", loop, res, loop)
+		}
+	}
+}

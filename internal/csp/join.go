@@ -3,6 +3,7 @@ package csp
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"csdb/internal/obs"
@@ -17,79 +18,63 @@ import (
 // attrOf names the relational attribute of variable v.
 func attrOf(v int) string { return fmt.Sprintf("v%d", v) }
 
-// constraintRelations converts the instance's constraints into
-// attribute-named relations, one per constraint, plus one unary relation per
-// restricted domain and one unary domain relation for every variable
-// mentioned nowhere else (so the join ranges over all variables).
-//
-// Each relation is filled from its table in one pass, with no membership
-// checks, since a table's rows are already distinct. Only a scope that
-// repeats a variable goes through NormalizeDistinct's rewrite, because a
-// relation's attributes must be distinct. Constraints on the same scope are
-// not consolidated: the natural join intersects them anyway. A cancelChecker
-// ticks once per tuple, so the build polls ctx (and may yield the processor)
-// every cancelCheckInterval tuples rather than running to the end unpolled.
-func constraintRelations(ctx context.Context, p *Instance) ([]*relation.Relation, error) {
-	cc := newCancelChecker(ctx)
-	rels := make([]*relation.Relation, 0, len(p.Constraints)+len(p.Domains))
+// constraintLiterals returns the instance's constraints as literals over
+// the variables' attributes, each over its own table, uncopied, plus one
+// unary literal per restricted domain and one unary domain literal for
+// every variable mentioned nowhere else (so the join ranges over all
+// variables). Constraints on the same scope are not consolidated: the
+// natural join intersects them anyway.
+func constraintLiterals(p *Instance) []relation.Literal {
+	body := make([]relation.Literal, 0, len(p.Constraints)+len(p.Domains))
+	unary := func(v int, t *relation.Table) {
+		body = append(body, relation.Literal{Args: []string{attrOf(v)}, Rows: t})
+	}
 	mentioned := make([]bool, p.Vars)
 	for v, dom := range p.Domains {
 		if dom == nil {
 			continue
 		}
 		mentioned[v] = true
-		r := relation.MustNew(attrOf(v))
+		t := relation.NewTable(1)
 		for _, val := range dom {
-			if cc.cancelledAfter(1) {
-				return nil, ctx.Err()
-			}
-			r.MustAdd(relation.Tuple{val})
+			t.Add([]int{val})
 		}
-		rels = append(rels, r)
+		unary(v, t)
 	}
 	for _, con := range p.Constraints {
-		scope, table := con.Scope, con.Table
-		if repeatsVar(scope) {
-			scope, table = dedupScope(scope, table)
-		}
-		attrs := make([]string, len(scope))
-		for i, v := range scope {
-			attrs[i] = attrOf(v)
+		args := make([]string, len(con.Scope))
+		for i, v := range con.Scope {
+			args[i] = attrOf(v)
 			mentioned[v] = true
 		}
-		r := relation.MustNew(attrs...)
-		r.Grow(table.Len())
-		for t := 0; t < table.Len(); t++ {
-			if cc.cancelledAfter(1) {
-				return nil, ctx.Err()
-			}
-			r.AddDistinct(table.Row(t)) // a table's rows are already a set
-		}
-		rels = append(rels, r)
+		body = append(body, relation.Literal{Args: args, Rows: con.Table})
 	}
-	for v := 0; v < p.Vars; v++ {
-		if mentioned[v] {
+	// The join never writes its tables, so every unmentioned variable
+	// shares one table of the domain's values.
+	var all *relation.Table
+	for v, m := range mentioned {
+		if m {
 			continue
 		}
-		r := relation.MustNew(attrOf(v))
-		for val := 0; val < p.Dom; val++ {
-			r.AddDistinct(relation.Tuple{val})
-		}
-		rels = append(rels, r)
-	}
-	return rels, nil
-}
-
-// repeatsVar reports whether a constraint scope names a variable twice.
-func repeatsVar(scope []int) bool {
-	for i, v := range scope {
-		for _, w := range scope[:i] {
-			if v == w {
-				return true
+		if all == nil {
+			all = relation.NewTable(1)
+			for val := range p.Dom {
+				all.AddDistinct([]int{val})
 			}
 		}
+		unary(v, all)
 	}
-	return false
+	return body
+}
+
+// variableAttrs returns the attributes v0..v(n-1) of the instance's
+// variables.
+func variableAttrs(p *Instance) []string {
+	attrs := make([]string, p.Vars)
+	for v := range attrs {
+		attrs[v] = attrOf(v)
+	}
+	return attrs
 }
 
 // JoinSolve decides solvability by evaluating the natural join of the
@@ -121,50 +106,25 @@ func JoinSolveCtx(ctx context.Context, p *Instance) Result {
 }
 
 func joinSolve(ctx context.Context, p *Instance) Result {
-	if ctx.Err() != nil {
+	// The first poll yields, as a search lane's does: the join's own
+	// Poller owes none, and a lane racing others must not run a whole
+	// quantum before they get the processor.
+	if cc := newCancelChecker(ctx); cc.poll() {
 		return Result{Aborted: true}
 	}
-	rels, err := constraintRelations(ctx, p)
-	if err != nil {
-		return Result{Aborted: true}
-	}
-	j, err := relation.JoinAllCtx(ctx, rels)
+	j, err := relation.Eval(ctx, constraintLiterals(p), variableAttrs(p))
 	if err != nil {
 		return Result{Aborted: true}
 	}
 	if j.Empty() {
 		return Result{}
 	}
-	witness := j.Tuples()[0]
-	sol := make([]int, p.Vars)
-	for v := range sol {
-		pos := j.Pos(attrOf(v))
-		if pos < 0 {
-			// Variable absent from every relation: impossible, since
-			// constraintRelations adds a unary domain relation; defensive.
-			sol[v] = 0
-			continue
-		}
-		sol[v] = witness[pos]
-	}
-	return Result{Found: true, Solution: sol}
+	return Result{Found: true, Solution: slices.Clone(j.Row(0))}
 }
 
 // JoinSolutions returns every solution of the instance as a relation over
-// the attributes v0..v(n-1) — the full join of Proposition 2.1, projected
-// and reordered onto the variable attributes.
+// the attributes v0..v(n-1): the join of Proposition 2.1 over the variable
+// attributes.
 func JoinSolutions(p *Instance) (*relation.Relation, error) {
-	rels, err := constraintRelations(context.Background(), p)
-	if err != nil {
-		return nil, err
-	}
-	j := relation.JoinAll(rels)
-	attrs := make([]string, p.Vars)
-	for v := range attrs {
-		attrs[v] = attrOf(v)
-	}
-	if j.Empty() {
-		return relation.New(attrs...)
-	}
-	return j.Project(attrs...)
+	return relation.Eval(context.Background(), constraintLiterals(p), variableAttrs(p))
 }

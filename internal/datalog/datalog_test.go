@@ -325,3 +325,32 @@ func TestRepeatedBodyVariable(t *testing.T) {
 		t.Fatalf("L = %v", res["L"])
 	}
 }
+
+// TestRuleRepeatsHeadAndBodyVariables evaluates rules whose heads and
+// bodies both repeat a variable, one of them recursive over an IDB so the
+// repeated head column is re-read in later rounds.
+func TestRuleRepeatsHeadAndBodyVariables(t *testing.T) {
+	p := MustParse(`P(X,Y,X) :- E(X,Y,Y).
+Q(Y,Y) :- P(X,Y,X).
+P(Y,Y,Y) :- Q(Y,Y), E(Y,Z,Y).`)
+	e := EDBRelation(3, []int{1, 2, 2}, []int{3, 4, 5}, []int{6, 6, 6}, []int{2, 7, 2}, []int{7, 0, 0})
+	res, err := Eval(p, Relations{"E": e})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]relation.Tuple{
+		"P": {{1, 2, 1}, {6, 6, 6}, {7, 0, 7}, {2, 2, 2}},
+		"Q": {{2, 2}, {6, 6}, {0, 0}},
+	}
+	for pred, rows := range want {
+		got := res[pred]
+		if got.Len() != len(rows) {
+			t.Fatalf("%s = %v, want %v", pred, got, rows)
+		}
+		for _, row := range rows {
+			if !got.Has(row) {
+				t.Fatalf("%s = %v, want %v", pred, got, rows)
+			}
+		}
+	}
+}

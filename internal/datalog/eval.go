@@ -1,7 +1,9 @@
 package datalog
 
 import (
+	"context"
 	"fmt"
+	"slices"
 
 	"csdb/internal/relation"
 )
@@ -141,7 +143,7 @@ func Eval(p *Program, edb Relations) (Relations, error) {
 }
 
 // addNew merges out into total[pred] and delta[pred], keeping only new rows.
-func addNew(total, delta Relations, pred string, out *relation.Relation) {
+func addNew(total, delta Relations, pred string, out *relation.Table) {
 	for _, t := range out.Tuples() {
 		if !total[pred].Has(t) {
 			total[pred].MustAdd(t)
@@ -151,72 +153,41 @@ func addNew(total, delta Relations, pred string, out *relation.Relation) {
 }
 
 // evalRule evaluates one rule given an extent chooser for each body subgoal
-// (by index). It returns the head relation in positional attributes.
-func evalRule(r Rule, extent func(a Atom, idx int) *relation.Relation) (*relation.Relation, error) {
-	rels := make([]*relation.Relation, 0, len(r.Body))
+// (by index): the body's join projected inside the pass onto the head's
+// distinct variables. It returns the head rows, positional in the head's
+// arguments.
+func evalRule(r Rule, extent func(a Atom, idx int) *relation.Relation) (*relation.Table, error) {
+	body := make([]relation.Literal, len(r.Body))
 	for i, a := range r.Body {
-		base := extent(a, i)
-		ar, err := atomToVars(a, base)
-		if err != nil {
-			return nil, err
-		}
-		rels = append(rels, ar)
+		body[i] = relation.Literal{Args: a.Args, Rows: &extent(a, i).Table}
 	}
-	joined := relation.JoinAll(rels)
-	out := EDBRelation(len(r.Head.Args))
-	if len(r.Head.Args) == 0 {
-		if !joined.Empty() {
-			out.MustAdd(relation.Tuple{})
+	var head []string
+	for _, v := range r.Head.Args {
+		if !slices.Contains(head, v) {
+			head = append(head, v)
 		}
-		return out, nil
 	}
+	res, err := relation.Eval(context.Background(), body, head)
+	if err != nil {
+		return nil, fmt.Errorf("datalog: rule %s: %w", r, err)
+	}
+	if len(head) == len(r.Head.Args) {
+		return &res.Table, nil
+	}
+	// A head that repeats a variable repeats its column.
 	pos := make([]int, len(r.Head.Args))
 	for i, v := range r.Head.Args {
-		pos[i] = joined.Pos(v)
-		if pos[i] < 0 {
-			return nil, fmt.Errorf("datalog: head variable %s missing from joined body of %s", v, r)
-		}
+		pos[i] = slices.Index(head, v)
 	}
-	out.Grow(joined.Len())
-	row := make(relation.Tuple, len(pos)) // Add copies, so one scratch row suffices
-	for _, t := range joined.Tuples() {
+	out := relation.NewTable(len(pos))
+	out.Grow(res.Len())
+	row := make([]int, len(pos))
+	for t := range res.Len() {
+		src := res.Row(t)
 		for i, j := range pos {
-			row[i] = t[j]
+			row[i] = src[j]
 		}
-		out.MustAdd(row)
-	}
-	return out, nil
-}
-
-// atomToVars re-labels a positional relation by the atom's variable names,
-// applying equality selections for repeated variables and collapsing to one
-// column per distinct variable.
-func atomToVars(a Atom, base *relation.Relation) (*relation.Relation, error) {
-	if base.Arity() != len(a.Args) {
-		return nil, fmt.Errorf("datalog: atom %s applied to relation of arity %d", a, base.Arity())
-	}
-	var attrs []string
-	firstPos := make(map[string]int)
-	for i, v := range a.Args {
-		if _, seen := firstPos[v]; !seen {
-			firstPos[v] = i
-			attrs = append(attrs, v)
-		}
-	}
-	out := relation.MustNew(attrs...)
-	out.Grow(base.Len())
-	t := make(relation.Tuple, len(attrs))
-rows:
-	for _, row := range base.Tuples() {
-		for i, v := range a.Args {
-			if row[i] != row[firstPos[v]] {
-				continue rows
-			}
-		}
-		for j, v := range attrs {
-			t[j] = row[firstPos[v]]
-		}
-		out.MustAdd(t)
+		out.AddDistinct(row)
 	}
 	return out, nil
 }

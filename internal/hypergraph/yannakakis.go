@@ -24,28 +24,33 @@ func reduceQuery(q *cq.Query, db *structure.Structure) (*relation.JoinTree, []*r
 	if !acyclic {
 		return nil, nil, nil, fmt.Errorf("hypergraph: query is not α-acyclic")
 	}
-	rels := make([]*relation.Relation, len(q.Body))
-	tree := &relation.JoinTree{Dom: db.Size(), Nodes: make([]relation.Node, len(q.Body)), Parent: jt.Parent}
-	atoms := make([]relation.Atom, len(q.Body))
-	for i, a := range q.Body {
-		r, err := cq.AtomRelation(a, db)
-		if err != nil {
+	body, err := q.Literals(db)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	vars := make([][]string, len(body))
+	tree := &relation.JoinTree{Dom: db.Size(), Nodes: make([]relation.Node, len(body)), Parent: jt.Parent}
+	atoms := make([]relation.Atom, len(body))
+	for i, l := range body {
+		var rows *relation.Table
+		if vars[i], rows, err = l.Bind(context.Background()); err != nil {
 			return nil, nil, nil, err
 		}
-		scope := make([]int, len(r.Attrs()))
-		for j, v := range r.Attrs() {
+		scope := make([]int, len(vars[i]))
+		for j, v := range vars[i] {
 			scope[j] = idx[v]
 		}
-		rels[i], atoms[i] = r, relation.Atom{Scope: scope, Rows: &r.Table}
+		atoms[i] = relation.Atom{Scope: scope, Rows: rows}
 		tree.Nodes[i] = relation.Node{Scope: scope, Atoms: atoms[i : i+1 : i+1]}
 	}
 	reduced, err := tree.Reduce(context.Background())
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	rels := make([]*relation.Relation, len(body))
 	for i, t := range reduced {
 		atoms[i].Rows = t
-		if rels[i], err = relation.FromTable(rels[i].Attrs(), t); err != nil {
+		if rels[i], err = relation.FromTable(vars[i], t); err != nil {
 			return nil, nil, nil, err
 		}
 	}

@@ -8,13 +8,16 @@
 // of CSP(A(k), F) (Theorem 6.2).
 //
 // Formulas are evaluated bottom-up by translating each subformula into the
-// relation of its satisfying assignments (over its free variables), using
-// natural join for conjunction and projection for quantification — the
-// standard poly-time evaluation that the paper's complexity claims rest on.
+// relation of its satisfying assignments (over its free variables): a
+// chain of quantifiers over a conjunction is one join of its atoms
+// projected onto the free variables (relation.Eval) — the standard
+// poly-time evaluation that the paper's complexity claims rest on.
 package logic
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -153,45 +156,70 @@ func Size(f Formula) int {
 }
 
 // SatRelation computes the relation of satisfying assignments of f over db:
-// a relation whose attributes are f's free variables, containing exactly
-// the assignments making f true. Atoms of predicates missing from db's
-// vocabulary denote empty relations; arity mismatches are errors.
+// a relation whose attributes are f's free variables, in FreeVars order,
+// containing exactly the assignments making f true. A chain of quantifiers
+// over a conjunction, ∃x̄ (φ1 ∧ … ∧ φn), is one evaluation of the join of
+// the conjuncts' atoms projected onto the free variables; a quantified
+// conjunct is evaluated first and joins as one more atom. Atoms of
+// predicates missing from db's vocabulary denote empty relations; arity
+// mismatches are errors.
 func SatRelation(f Formula, db *structure.Structure) (*relation.Relation, error) {
+	body, bound := f, []string(nil)
+	for e, ok := body.(*Exists); ok; e, ok = body.(*Exists) {
+		body, bound = e.Body, append(bound, e.Var)
+	}
+	lits, err := literals(body, db, nil)
+	if err != nil {
+		return nil, err
+	}
+	// The free variables are the literals' less the bound ones, sorted as
+	// FreeVars sorts them, which would walk the subformulas again.
+	var free []string
+	for _, l := range lits {
+		for _, v := range l.Args {
+			if !slices.Contains(bound, v) && !slices.Contains(free, v) {
+				free = append(free, v)
+			}
+		}
+	}
+	sort.Strings(free)
+	if bound != nil && db.Size() == 0 {
+		// A quantifier over an empty domain yields false, even when the
+		// quantified variable does not occur.
+		return relation.New(free...)
+	}
+	return relation.Eval(context.Background(), lits, free)
+}
+
+// literals appends the atoms of the conjunction f to dst, each an atom's
+// arguments over db's relation of its predicate, and a quantified conjunct
+// as its satisfying relation over its free variables.
+func literals(f Formula, db *structure.Structure, dst []relation.Literal) ([]relation.Literal, error) {
 	switch t := f.(type) {
 	case *Atom:
-		return atomRelation(t, db)
+		arity, ok := db.Voc().Arity(t.Pred)
+		if ok && arity != len(t.Args) {
+			return nil, fmt.Errorf("logic: predicate %s has arity %d, used with %d arguments", t.Pred, arity, len(t.Args))
+		}
+		rows := db.Rel(t.Pred)
+		if !ok {
+			rows = relation.NewTable(len(t.Args))
+		}
+		return append(dst, relation.Literal{Args: t.Args, Rows: rows}), nil
 	case *And:
-		rels := make([]*relation.Relation, 0, len(t.Conjuncts))
+		var err error
 		for _, c := range t.Conjuncts {
-			r, err := SatRelation(c, db)
-			if err != nil {
+			if dst, err = literals(c, db, dst); err != nil {
 				return nil, err
 			}
-			rels = append(rels, r)
 		}
-		if len(rels) == 0 {
-			// Empty conjunction: true, the 0-ary relation with one tuple.
-			r := relation.MustNew()
-			r.MustAdd(relation.Tuple{})
-			return r, nil
-		}
-		return relation.JoinAll(rels), nil
+		return dst, nil
 	case *Exists:
-		body, err := SatRelation(t.Body, db)
+		r, err := SatRelation(t, db)
 		if err != nil {
 			return nil, err
 		}
-		free := t.FreeVars()
-		if body.Pos(t.Var) < 0 {
-			// The quantified variable does not occur: ∃x φ ≡ φ when the
-			// domain is nonempty, false otherwise (empty-domain semantics:
-			// a quantifier over an empty domain yields false).
-			if db.Size() == 0 {
-				return relation.New(free...)
-			}
-			return body, nil
-		}
-		return body.Project(free...)
+		return append(dst, relation.Literal{Args: r.Attrs(), Rows: &r.Table}), nil
 	default:
 		return nil, fmt.Errorf("logic: unknown formula node %T", f)
 	}
@@ -207,41 +235,6 @@ func Holds(f Formula, db *structure.Structure) (bool, error) {
 		return false, err
 	}
 	return !r.Empty(), nil
-}
-
-// atomRelation renders one atom as a relation over its distinct variables,
-// with equality selection for repeated variables.
-func atomRelation(a *Atom, db *structure.Structure) (*relation.Relation, error) {
-	var attrs []string
-	firstPos := make(map[string]int)
-	for i, v := range a.Args {
-		if _, seen := firstPos[v]; !seen {
-			firstPos[v] = i
-			attrs = append(attrs, v)
-		}
-	}
-	out := relation.MustNew(attrs...)
-	arity, ok := db.Voc().Arity(a.Pred)
-	if !ok {
-		return out, nil
-	}
-	if arity != len(a.Args) {
-		return nil, fmt.Errorf("logic: predicate %s has arity %d, used with %d arguments", a.Pred, arity, len(a.Args))
-	}
-rows:
-	for _, row := range db.Rel(a.Pred).Tuples() {
-		for i, v := range a.Args {
-			if row[i] != row[firstPos[v]] {
-				continue rows
-			}
-		}
-		t := make(relation.Tuple, len(attrs))
-		for j, v := range attrs {
-			t[j] = row[firstPos[v]]
-		}
-		out.MustAdd(t)
-	}
-	return out, nil
 }
 
 // StructureSentence builds the canonical sentence φ_A of a structure

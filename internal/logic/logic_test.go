@@ -2,6 +2,7 @@ package logic
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"csdb/internal/csp"
@@ -153,4 +154,48 @@ func randomGraph(rng *rand.Rand, n int, p float64) *structure.Structure {
 		}
 	}
 	return g
+}
+
+// TestQuantifierOverAbsentVariable checks ∃ over a conjunction in which
+// the bound variable does not occur: it is the conjunction on a nonempty
+// domain and false on the empty one.
+func TestQuantifierOverAbsentVariable(t *testing.T) {
+	loop := &Exists{Var: "x", Body: &Atom{Pred: "E", Args: []string{"x", "x"}}}
+	for _, f := range []Formula{
+		&Exists{Var: "z", Body: &And{}},
+		&Exists{Var: "z", Body: &And{Conjuncts: []Formula{&And{}, &And{}}}},
+		&Exists{Var: "z", Body: &And{Conjuncts: []Formula{loop}}},
+	} {
+		for _, n := range []int{0, 1} {
+			g := structure.NewGraph(n)
+			if n > 0 {
+				g.MustAddTuple("E", 0, 0)
+			}
+			got, err := Holds(f, g)
+			if err != nil || got != (n > 0) {
+				t.Errorf("%v on %d vertices: %v, %v; want %v", f, n, got, err, n > 0)
+			}
+		}
+	}
+}
+
+// TestSatRelationOverFreeVars checks that a formula's satisfying relation
+// is over its free variables in FreeVars order, for quantifier chains,
+// quantified conjuncts and a variable bound inside and free outside.
+func TestSatRelationOverFreeVars(t *testing.T) {
+	g := structure.Cycle(4)
+	e := func(x, y string) Formula { return &Atom{Pred: "E", Args: []string{x, y}} }
+	for _, f := range []Formula{
+		&Exists{Var: "x", Body: &Exists{Var: "z", Body: &And{Conjuncts: []Formula{e("x", "y"), e("z", "w")}}}},
+		&And{Conjuncts: []Formula{e("y", "x"), &Exists{Var: "y", Body: e("x", "y")}}},
+		&Exists{Var: "y", Body: &And{Conjuncts: []Formula{e("x", "y"), &Exists{Var: "x", Body: e("y", "x")}}}},
+	} {
+		r, err := SatRelation(f, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(r.Attrs(), f.FreeVars()) || r.Empty() {
+			t.Errorf("%v: relation over %v with %d rows, want over %v and nonempty", f, r.Attrs(), r.Len(), f.FreeVars())
+		}
+	}
 }

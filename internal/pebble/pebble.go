@@ -123,15 +123,28 @@ func (s *Strategy) has(j int, row []int) bool {
 }
 
 // checker incrementally validates partial homomorphisms: tuplesAt[a] lists
-// the (relation, tuple) pairs mentioning element a of A.
+// the (relation, tuple) pairs mentioning element a of A, and inB[a][i] is
+// B's relation of tuplesAt[a][i], resolved once.
 type checker struct {
-	b        *structure.Structure
 	tuplesAt [][]structure.RelTuple
+	inB      [][]*structure.Interp
 	img      []int
 }
 
 func newChecker(a, b *structure.Structure) *checker {
-	return &checker{b: b, tuplesAt: a.TuplesContaining(), img: make([]int, 0, a.MaxArity())}
+	tuplesAt := a.TuplesContaining()
+	total := 0
+	for _, rts := range tuplesAt {
+		total += len(rts)
+	}
+	inB, flat := make([][]*structure.Interp, len(tuplesAt)), make([]*structure.Interp, total)
+	for x, rts := range tuplesAt {
+		inB[x], flat = flat[:len(rts)], flat[len(rts):]
+		for i, rt := range rts {
+			inB[x][i] = b.Rel(rt.Rel)
+		}
+	}
+	return &checker{tuplesAt: tuplesAt, inB: inB, img: make([]int, 0, a.MaxArity())}
 }
 
 // extensionOK reports whether f ∪ {x ↦ y} is still a partial homomorphism,
@@ -139,7 +152,7 @@ func newChecker(a, b *structure.Structure) *checker {
 // otherwise inside dom(f) need to be checked.
 func (c *checker) extensionOK(f []int, j, x, y int) bool {
 tuples:
-	for _, rt := range c.tuplesAt[x] {
+	for t, rt := range c.tuplesAt[x] {
 		img := c.img[:0]
 		for _, v := range rt.Tuple {
 			w := y
@@ -152,7 +165,7 @@ tuples:
 			}
 			img = append(img, w)
 		}
-		if !c.b.Rel(rt.Rel).Has(img) {
+		if !c.inB[x][t].Has(img) {
 			return false
 		}
 	}

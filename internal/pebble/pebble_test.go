@@ -378,3 +378,19 @@ func TestSpoilerWinsMatchesCanonicalProgram(t *testing.T) {
 		}
 	}
 }
+
+// TestLargestStrategyAllocs bounds the allocations of one game on an odd
+// cycle: the tables of the fixpoint, not one map per A-tuple to list the
+// tuples at each element, nor a per-check lookup of B's relation.
+func TestLargestStrategyAllocs(t *testing.T) {
+	a, k2 := structure.Cycle(61), structure.Clique(2)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := LargestStrategy(a, k2, 3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("LargestStrategy(C61, K2, 3): %v allocations", allocs)
+	if allocs > 200 {
+		t.Fatalf("LargestStrategy(C61, K2, 3) allocated %v times, want <= 200", allocs)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -159,6 +160,138 @@ func TestDifferentialJoinAll(t *testing.T) {
 			naives[i] = naiveFrom(rels[i])
 		}
 		sameRows(t, fmt.Sprintf("trial %d joinall", trial), JoinAll(rels), naiveJoinAll(naives))
+	}
+}
+
+// naiveLiteral is the reference binder: the rows of l's table on which
+// every repeated argument takes one value, over l's distinct arguments in
+// order of first occurrence, checked through a map per row.
+func naiveLiteral(l Literal) *naiveRel {
+	var vars []string
+	for _, a := range l.Args {
+		if !slices.Contains(vars, a) {
+			vars = append(vars, a)
+		}
+	}
+	out := newNaive(vars)
+rows:
+	for _, t := range l.Rows.Tuples() {
+		val := make(map[string]int)
+		for i, a := range l.Args {
+			if v, ok := val[a]; ok && v != t[i] {
+				continue rows
+			}
+			val[a] = t[i]
+		}
+		row := make([]int, len(vars))
+		for j, a := range vars {
+			row[j] = val[a]
+		}
+		out.add(row)
+	}
+	return out
+}
+
+// naiveEval is the reference for Eval: the left fold of the bound
+// literals, projected onto head.
+func naiveEval(body []Literal, head []string) *naiveRel {
+	naives := make([]*naiveRel, len(body))
+	for i, l := range body {
+		naives[i] = naiveLiteral(l)
+	}
+	return naiveJoinAll(naives).project(head)
+}
+
+// TestEvalMatchesNaive holds Eval to the reference join and projection on
+// random bodies: arguments drawn with repeats from a small pool, so that
+// literals repeat variables and some are disconnected from the rest;
+// empty tables and 0-ary tables (empty and unit); one table shared by two
+// literals; and a head that is a random subset of the body's variables in
+// random order, empty in some trials. Eval must leave every table as it
+// found it.
+func TestEvalMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(109))
+	pool := []string{"a", "b", "c", "d", "e"}
+	for trial := 0; trial < 600; trial++ {
+		body := make([]Literal, rng.Intn(5))
+		var vars []string
+		for i := range body {
+			args := make([]string, rng.Intn(4))
+			for j := range args {
+				args[j] = pool[rng.Intn(len(pool))]
+				if !slices.Contains(vars, args[j]) {
+					vars = append(vars, args[j])
+				}
+			}
+			rows := NewTable(len(args))
+			for n := rng.Intn(10); n > 0; n-- {
+				row := make([]int, len(args))
+				for j := range row {
+					row[j] = rng.Intn(3)
+				}
+				rows.Add(row)
+			}
+			if i > 0 && rng.Intn(6) == 0 && body[i-1].Rows.k == len(args) {
+				rows = body[i-1].Rows
+			}
+			body[i] = Literal{Args: args, Rows: rows}
+		}
+		rng.Shuffle(len(vars), func(i, j int) { vars[i], vars[j] = vars[j], vars[i] })
+		head := vars[:rng.Intn(len(vars)+1)]
+		digests := make([]uint64, len(body))
+		for i, l := range body {
+			digests[i] = l.Rows.Digest()
+		}
+		got, err := Eval(context.Background(), body, head)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		sameRows(t, fmt.Sprintf("trial %d eval %v onto %v", trial, body, head), got, naiveEval(body, head))
+		for i, l := range body {
+			if l.Rows.Digest() != digests[i] {
+				t.Fatalf("trial %d: Eval changed literal %d's table", trial, i)
+			}
+		}
+	}
+}
+
+// TestEvalErrors checks that Eval rejects a head variable in no literal, a
+// repeated head variable and a table whose arity differs from its
+// literal's arguments, and that binding a literal that repeats a variable
+// stops at a cancelled context.
+func TestEvalErrors(t *testing.T) {
+	e := MustFromTuples([]string{"x", "y"}, []Tuple{{1, 2}, {2, 2}})
+	ctx := context.Background()
+	for _, tc := range []struct {
+		what string
+		body []Literal
+		head []string
+	}{
+		{"head variable in no literal", []Literal{e.literal()}, []string{"z"}},
+		{"head variable with no literals", nil, []string{"x"}},
+		{"repeated head variable", []Literal{e.literal()}, []string{"x", "x"}},
+		{"table arity above its arguments", []Literal{{Args: []string{"x"}, Rows: &e.Table}}, []string{"x"}},
+		{"table arity below its arguments", []Literal{{Args: []string{"x", "y", "x"}, Rows: &e.Table}}, nil},
+	} {
+		if _, err := Eval(ctx, tc.body, tc.head); err == nil {
+			t.Errorf("%s: accepted", tc.what)
+		}
+	}
+	big := NewTable(2)
+	for i := range 4 * joinCheckEvery {
+		big.AddDistinct([]int{i, i})
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, _, err := (Literal{Args: []string{"x", "x"}, Rows: big}).Bind(cancelled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Bind under a cancelled context: error %v, want context.Canceled", err)
+	}
+	vars, rows, err := (Literal{Args: []string{"x", "x"}, Rows: big}).Bind(ctx)
+	if err != nil || !slices.Equal(vars, []string{"x"}) || rows.Len() != big.Len() {
+		t.Fatalf("Bind(x, x) = %v over %d rows, %v; want [x] over %d rows", vars, rows.Len(), err, big.Len())
+	}
+	if _, rows, _ := e.literal().Bind(ctx); rows != &e.Table {
+		t.Fatal("Bind copied a literal whose arguments are distinct")
 	}
 }
 

@@ -45,7 +45,8 @@ func decodeFuzzRel(data *[]byte) *Relation {
 // engine's up pass over r at the root, s under it and, when the input has
 // bytes left, a third relation under r or s: the root's message, keeping
 // the attributes a further byte picks, is the projection of the three-way
-// join. This is the fuzz-driven extension of diff_test.go's fixed-seed
+// join. A fourth arm evaluates the same relations as literals (Eval) onto a
+// head that byte picks. This is the fuzz-driven extension of diff_test.go's fixed-seed
 // differential suite.
 func FuzzJoinDifferential(f *testing.F) {
 	f.Add([]byte{2, 0, 2, 0, 1, 1, 0, 2, 1, 3, 1, 1, 2})
@@ -75,7 +76,46 @@ func FuzzJoinDifferential(f *testing.F) {
 			mask = data[0]
 		}
 		passDifferential(t, rels, parent, mask)
+		evalDifferential(t, rels, mask)
 	})
+}
+
+// evalDifferential runs Eval over rels as literals and checks it against
+// the reference join projected onto a head the same byte picks: the pool
+// attributes of keepMask's low five bits that some relation has, in
+// reverse pool order when bit 5 is set. With bit 6 set the first
+// relation's last argument is renamed to its first, so that its literal
+// repeats a variable.
+func evalDifferential(t *testing.T, rels []*Relation, keepMask byte) {
+	t.Helper()
+	pool := []string{"a", "b", "c", "d", "e"}
+	body := make([]Literal, len(rels))
+	for i, r := range rels {
+		body[i] = r.literal()
+	}
+	if args := body[0].Args; keepMask&(1<<6) != 0 && len(args) > 1 {
+		body[0].Args = append(slices.Clone(args[:len(args)-1]), args[0])
+	}
+	var head []string
+	for v, a := range pool {
+		if keepMask&(1<<v) == 0 {
+			continue
+		}
+		for _, l := range body {
+			if slices.Contains(l.Args, a) {
+				head = append(head, a)
+				break
+			}
+		}
+	}
+	if keepMask&(1<<5) != 0 {
+		slices.Reverse(head)
+	}
+	got, err := Eval(context.Background(), body, head)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fuzzSameRows(t, "eval", got, naiveEval(body, head))
 }
 
 // passDifferential runs the up pass over the tree of rels given by parent

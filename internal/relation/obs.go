@@ -5,7 +5,7 @@ import "csdb/internal/obs"
 // Observability handles for the relational kernel. Everything is recorded at
 // operator-call boundaries — one flush per join-tree run — never per probed
 // row, so the disabled-mode cost is a few atomic loads per operator. Every
-// join of the package is a join-tree run (JoinAll included), so these
+// join of the package is a join-tree run (Eval included), so these
 // counters record them all.
 //
 // Metric catalog (see README "Observability"):
@@ -13,8 +13,8 @@ import "csdb/internal/obs"
 //	relation.jointree.solves       join-tree engine runs: up passes (the
 //	                               tree, acyclic and width routes' solves
 //	                               and counts, conjunctive-query answers,
-//	                               JoinAll and Relation.Join) and full
-//	                               reducers (Reduce)
+//	                               Eval and so JoinAll, Join and Project)
+//	                               and full reducers (Reduce)
 //	relation.jointree.semijoins    join and semijoin steps of a run
 //	relation.jointree.rows_loaded  table rows entering a run
 //	relation.jointree.rows_reduced message rows a pass sends to parents, or

@@ -1,7 +1,9 @@
 // Package relation implements attribute-named finite relations and the
 // relational-algebra operators needed by the rest of the library: natural
-// join, projection, selection, rename, union and intersection. Semijoins
-// run in one place, the join-tree engine (jointree.go).
+// join and projection, both one conjunctive evaluation (Eval, eval.go),
+// the projection onto a head of the join of atoms over tables. Joins,
+// semijoins and projections run in one place, the join-tree engine
+// (jointree.go).
 //
 // It is the substrate for Proposition 2.1 of the paper (a CSP instance is
 // solvable iff the natural join of its constraint relations is nonempty) and
@@ -29,13 +31,12 @@
 //
 // Table.Add builds the index as it inserts, so a table filled through Add
 // never writes on a read: a finished constraint table or structure may be
-// read by any number of goroutines. Operator results that are provably
-// duplicate-free (join, selection, intersection of set-semantic
-// inputs) are emitted without touching the index at all; a Relation
-// materializes its index lazily on the first membership query, and caches
-// its Tuples view. So a Relation may be read
-// concurrently only after one Has/Add/Equal/Intersect call (or any
-// mutation) from a single goroutine. The differential reference
+// read by any number of goroutines. Operator results, which are
+// duplicate-free by construction, are emitted without touching the index
+// at all; a Relation materializes its index lazily on the first membership
+// query, and caches its Tuples view. So a Relation may be read
+// concurrently only after one Has/Add/Equal call (or any mutation) from a
+// single goroutine. The differential reference
 // implementation for this kernel is in naive.go.
 package relation
 
@@ -261,119 +262,6 @@ func (r *Relation) String() string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-// Project returns the projection of r onto the given attributes, in the given
-// order. Duplicate result tuples are eliminated.
-func (r *Relation) Project(attrs ...string) (*Relation, error) {
-	cols := make([]int, len(attrs))
-	for i, a := range attrs {
-		j, ok := r.pos[a]
-		if !ok {
-			return nil, fmt.Errorf("relation: project on unknown attribute %q", a)
-		}
-		cols[i] = j
-	}
-	out, err := New(attrs...)
-	if err != nil {
-		return nil, err
-	}
-	out.slots = make([]int32, SlotCount(r.n))
-	scratch := make([]int, len(cols))
-	for i := 0; i < r.n; i++ {
-		base := i * r.k
-		for c, j := range cols {
-			scratch[c] = r.data[base+j]
-		}
-		out.insert(scratch, hashVals(scratch))
-	}
-	return out, nil
-}
-
-// Select returns the tuples of r for which pred returns true.
-func (r *Relation) Select(pred func(Tuple) bool) *Relation {
-	out := MustNew(r.attrs...)
-	for i := 0; i < r.n; i++ {
-		if t := Tuple(r.Row(i)); pred(t) {
-			out.appendUnique(t)
-		}
-	}
-	return out
-}
-
-// SelectEq returns the tuples whose named attribute equals v.
-func (r *Relation) SelectEq(attr string, v int) (*Relation, error) {
-	j, ok := r.pos[attr]
-	if !ok {
-		return nil, fmt.Errorf("relation: select on unknown attribute %q", attr)
-	}
-	return r.Select(func(t Tuple) bool { return t[j] == v }), nil
-}
-
-// Rename returns a copy of r with attributes renamed according to mapping.
-// Attributes absent from the mapping keep their names.
-func (r *Relation) Rename(mapping map[string]string) (*Relation, error) {
-	attrs := make([]string, len(r.attrs))
-	for i, a := range r.attrs {
-		if n, ok := mapping[a]; ok {
-			attrs[i] = n
-		} else {
-			attrs[i] = a
-		}
-	}
-	out, err := New(attrs...)
-	if err != nil {
-		return nil, err
-	}
-	out.data = append([]int(nil), r.data[:r.n*r.k]...)
-	out.n = r.n
-	return out, nil
-}
-
-// Union returns r ∪ s. The schemas must contain the same attribute names
-// (possibly in different orders); the result uses r's order.
-func (r *Relation) Union(s *Relation) (*Relation, error) {
-	perm, err := alignSchemas(r, s)
-	if err != nil {
-		return nil, err
-	}
-	out := r.Clone()
-	out.ensureIndex()
-	scratch := make([]int, r.k)
-	for i := 0; i < s.n; i++ {
-		base := i * s.k
-		for c, j := range perm {
-			scratch[c] = s.data[base+j]
-		}
-		out.insert(scratch, hashVals(scratch))
-	}
-	return out, nil
-}
-
-// Intersect returns r ∩ s. The schemas must contain the same attribute names.
-func (r *Relation) Intersect(s *Relation) (*Relation, error) {
-	perm, err := alignSchemas(r, s)
-	if err != nil {
-		return nil, err
-	}
-	out := MustNew(r.attrs...)
-	if r.n == 0 || s.n == 0 {
-		return out, nil
-	}
-	r.ensureIndex()
-	scratch := make([]int, r.k)
-	for i := 0; i < s.n; i++ {
-		base := i * s.k
-		for c, j := range perm {
-			scratch[c] = s.data[base+j]
-		}
-		// Distinct rows of s stay distinct under the column permutation, so
-		// the matches can be emitted without re-checking for duplicates.
-		if r.lookup(scratch, hashVals(scratch)) >= 0 {
-			out.appendUnique(scratch)
-		}
-	}
-	return out, nil
 }
 
 // Equal reports whether r and s have the same attribute set and the same

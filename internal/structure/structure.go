@@ -13,6 +13,7 @@ package structure
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -408,22 +409,32 @@ func (s *Structure) GaifmanEdges() [][2]int {
 }
 
 // TuplesContaining returns, for each element of the domain, the list of
-// (relation name, tuple) pairs whose tuple mentions that element. Useful for
-// incremental homomorphism checking.
+// (relation name, tuple) pairs whose tuple mentions that element, in
+// vocabulary order. Useful for incremental homomorphism checking. The lists
+// are carved from one array, counted in a first pass.
 func (s *Structure) TuplesContaining() [][]RelTuple {
-	out := make([][]RelTuple, s.n)
-	for name, in := range s.rels {
-		for ti := 0; ti < in.Len(); ti++ {
-			t := in.Row(ti)
-			mentioned := make(map[int]struct{}, len(t))
-			for _, v := range t {
-				mentioned[v] = struct{}{}
-			}
-			for v := range mentioned {
-				out[v] = append(out[v], RelTuple{Rel: name, Tuple: t})
+	// visit calls f once per tuple and distinct element of it: tuples are
+	// short, so a scan of the prefix finds a repeated element.
+	visit := func(f func(v int, rt RelTuple)) {
+		for _, sym := range s.voc.Symbols() {
+			in := s.rels[sym.Name]
+			for ti := 0; ti < in.Len(); ti++ {
+				t := in.Row(ti)
+				for i, v := range t {
+					if !slices.Contains(t[:i], v) {
+						f(v, RelTuple{Rel: sym.Name, Tuple: t})
+					}
+				}
 			}
 		}
 	}
+	count, total := make([]int, s.n), 0
+	visit(func(v int, _ RelTuple) { count[v]++; total++ })
+	out, flat := make([][]RelTuple, s.n), make([]RelTuple, total)
+	for v, c := range count {
+		out[v], flat = flat[:0:c], flat[c:]
+	}
+	visit(func(v int, rt RelTuple) { out[v] = append(out[v], rt) })
 	return out
 }
 
