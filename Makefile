@@ -45,13 +45,15 @@ cspdbench-check:
 	$(GO) -C cspdbench test ./...
 
 # Briefly run every native fuzz target (instance parser round trip, parser
-# vs its reference oracle, differential join oracle with its join-tree
+# vs its reference oracle, cspd's cache key vs the canonical encoding,
+# differential join oracle with its join-tree
 # reducer arm — a two-node tree reduced against the reference semijoins —,
 # tractability dispatcher, GYO against its map-based oracle). FUZZTIME=2m
 # fuzz-smoke for a longer shake.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseInstance -fuzztime $(FUZZTIME) ./internal/cspio/
 	$(GO) test -run '^$$' -fuzz FuzzParseAgrees -fuzztime $(FUZZTIME) ./internal/cspio/
+	$(GO) test -run '^$$' -fuzz FuzzCacheKey -fuzztime $(FUZZTIME) ./internal/cspio/
 	$(GO) test -run '^$$' -fuzz FuzzJoinDifferential -fuzztime $(FUZZTIME) ./internal/relation/
 	$(GO) test -run '^$$' -fuzz FuzzDispatch -fuzztime $(FUZZTIME) ./internal/dispatch/
 	$(GO) test -run '^$$' -fuzz FuzzGYO -fuzztime $(FUZZTIME) ./internal/dispatch/
@@ -125,13 +127,15 @@ bench:
 		| $(GO) run ./cmd/benchjson -o BENCH_relation.json -label $(BENCH_LABEL) -obs
 
 # Benchmark the daemon's serving stack — cold engine solve vs canonical
-# cache hit on the same request — into BENCH_serve.json. The recorded gap is
-# the acceptance bar for the result cache (hit median >= 50x faster).
+# cache hit on the same request, and the cache key (parse plus the keyed
+# digest) beside parse plus CanonicalHash — into BENCH_serve.json. The
+# recorded gap is the acceptance bar for the result cache (hit median >=
+# 50x faster).
 bench-serve:
-	$(GO) test -bench 'ServeSolve|ServeCanonicalHash' -benchmem -count 5 \
+	$(GO) test -bench 'ServeSolve|ServeCanonicalHash|ServeCacheKey' -benchmem -count 5 \
 		-benchtime=0.3s -run '^$$' -timeout 30m ./cmd/cspd/ \
 		| $(GO) run ./cmd/benchjson -o BENCH_serve.json -label $(BENCH_LABEL) \
-		-note "cspd request latency: cold engine solve vs canonical result-cache hit on PHP(8), plus the cache-key (parse+hash) cost"
+		-note "cspd request latency: cold engine solve vs canonical result-cache hit on PHP(8), plus the cache-key (parse+digest) and parse+CanonicalHash costs"
 
 # Benchmark the dispatcher into BENCH_serve.json: one classify per op over
 # cspdbench-sized tree, Schaefer, acyclic, width and hard (phase-transition)
@@ -139,7 +143,8 @@ bench-serve:
 # solve — one routed solve per op (BenchmarkSolveClass) over the same
 # instances of every routed class, and the front end every request runs
 # first (BenchmarkFrontEnd: the same instances' bodies through ParseBytes,
-# and their CanonicalHash, timed apart).
+# their CanonicalHash and their keyed Digest, cspd's cache key, timed
+# apart).
 bench-dispatch:
 	$(GO) test -bench 'Classify|SolveClass|FrontEnd' -benchmem -count 5 -benchtime=0.3s \
 		-run '^$$' -timeout 30m ./internal/dispatch/ \

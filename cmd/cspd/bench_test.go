@@ -17,7 +17,7 @@ import (
 )
 
 // Serving-stack benchmarks: the request latency of a cold engine solve vs a
-// canonical-cache hit on the same instance. The workload is the pigeonhole
+// canonical-cache hit on the same instance, and the cost of the cache key. The workload is the pigeonhole
 // instance PHP(8) — 9 pairwise-distinct variables over 8 values — which is
 // unsatisfiable and forces MAC through an exponential refutation, the
 // worst-case-intractable shape the cache exists to absorb. `make
@@ -105,8 +105,9 @@ func BenchmarkServeSolveCacheHit(b *testing.B) {
 	}
 }
 
-// BenchmarkServeCanonicalHash isolates the cache-key cost: parse plus
-// canonical encoding and FNV hash of the benchmark instance.
+// BenchmarkServeCanonicalHash times parse plus the canonical encoding and
+// FNV hash of the benchmark instance: the stable, unkeyed hash the cspr ring
+// routes by, which cspd itself no longer computes.
 func BenchmarkServeCanonicalHash(b *testing.B) {
 	body := pigeonholeText(benchPH)
 	b.ResetTimer()
@@ -116,6 +117,24 @@ func BenchmarkServeCanonicalHash(b *testing.B) {
 			b.Fatal(err)
 		}
 		if cspio.CanonicalHash(inst) == 0 {
+			fmt.Fprintln(io.Discard) // keep the result live
+		}
+	}
+}
+
+// BenchmarkServeCacheKey isolates the cache-key cost: parse plus the
+// server's keyed digest of the benchmark instance, as /solve computes them.
+func BenchmarkServeCacheKey(b *testing.B) {
+	body := pigeonholeText(benchPH)
+	s := newServer(daemonConfig{})
+	params := solveParams{strategy: "mac", timeout: time.Minute}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inst, err := cspio.Parse(strings.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if key, _ := s.keys(inst, params); key.Hash == 0 {
 			fmt.Fprintln(io.Discard) // keep the result live
 		}
 	}

@@ -60,9 +60,12 @@ import (
 // engine once per request. Requests flow through three serving layers
 // (internal/serve):
 //
-//  1. a canonical result cache — instances are hashed order-insensitively
-//     (cspio.CanonicalHash), and a completed non-aborted result for the same
-//     (instance, strategy) is replayed without touching the engine;
+//  1. a canonical result cache — instances are keyed order-insensitively
+//     by a 128-bit digest under a key drawn per server from crypto/rand
+//     (cspio.Digest, which identifies what cspio.Canonical identifies), and
+//     a completed non-aborted result for the same (instance, strategy) is
+//     replayed without touching the engine. The key is secret, so a client
+//     cannot craft offline an instance that collides with another's;
 //  2. singleflight collapsing — concurrent identical requests share one
 //     engine solve (and one admission slot);
 //  3. admission control — at most -max-inflight engine solves run at once,
@@ -163,6 +166,10 @@ type server struct {
 	admit   *serve.Admission
 	cache   *serve.Cache
 	flights serve.Group
+	// digestKey keys the cache and flight keys. It is drawn from
+	// crypto/rand for each server and never leaves it, so no one outside
+	// the process can build an instance whose key is another's.
+	digestKey *cspio.DigestKey
 
 	// analyzer runs every solve through the strategy table; for
 	// strategy=auto it classifies each instance afresh and routes it to a
@@ -186,6 +193,7 @@ func newServer(cfg daemonConfig) *server {
 		start:        time.Now(),
 		admit:        serve.NewAdmission(cfg.maxInflight, cfg.maxQueue),
 		cache:        serve.NewCache(cfg.cacheSize),
+		digestKey:    cspio.NewDigestKey(),
 		analyzer:     dispatch.NewAnalyzer(0, 0),
 		baseCtx:      ctx,
 		cancelSolves: cancel,
@@ -303,6 +311,14 @@ type flightKey struct {
 	timeout time.Duration
 }
 
+// keys returns a request's cache key, the server's keyed digest of the
+// instance (cspio.Digest) with the strategy, and its flight key.
+func (s *server) keys(inst *csp.Instance, p solveParams) (serve.CacheKey, flightKey) {
+	d := cspio.Digest(inst, s.digestKey)
+	key := serve.CacheKey{Hash: d[0], Hash2: d[1], Strategy: p.strategy}
+	return key, flightKey{key, p.timeout}
+}
+
 // flightResult is what one singleflight execution yields: either a response
 // (possibly replayed from the cache) or an admission error. queueWaitNs is
 // the leader's time in the admission queue; followers share the response
@@ -395,15 +411,12 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	root.SetStr("strategy", params.strategy)
 	ev.Strategy = params.strategy
 
-	key := serve.CacheKey{
-		Hash:     cspio.CanonicalHash(inst),
-		Strategy: params.strategy,
-	}
+	key, flight := s.keys(inst, params)
 	// The cache lookup lives inside the flight so a result committed by an
 	// overlapping request is found even when this caller raced past its own
 	// pre-flight check — an engine run after a completed identical solve is
 	// impossible, not just unlikely.
-	v, ranFlight := s.flights.Do(flightKey{key, params.timeout}, func() any {
+	v, ranFlight := s.flights.Do(flight, func() any {
 		if cached, ok := s.cache.Get(key); ok {
 			return flightResult{resp: cached.(solveResponse), fromCache: true}
 		}

@@ -4,12 +4,15 @@
 //
 // The routing key is the paper's thesis turned into a shard key. Identical
 // structure means identical classification and identical cached results, so
-// cspio.CanonicalHash — already the result-cache key inside every cspd node
-// (PR 5) — is simultaneously the ideal consistent-hash key: routing by it
-// means a repeated instance always lands on the node whose cache already
-// holds its result, and the cluster-wide hit rate equals the single-node hit
-// rate regardless of replica count. Random or round-robin routing would
-// dilute the hit rate by 1/N.
+// cspio.CanonicalHash — FNV-1a of the canonical encoding, which identifies
+// exactly the instances each cspd node's keyed cache digest (cspio.Digest)
+// identifies — is the ideal consistent-hash key: routing by it means a
+// repeated instance always lands on the node whose cache already holds its
+// result, and the cluster-wide hit rate equals the single-node hit rate
+// regardless of replica count. Random or round-robin routing would dilute
+// the hit rate by 1/N. The ring key is unkeyed and stable across processes;
+// since cspr caches nothing, a collision on it only puts two instances on
+// one replica.
 //
 // The pieces:
 //

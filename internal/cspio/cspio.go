@@ -29,10 +29,12 @@
 // values, tables (each deduplicated in place, its index built), constraints
 // and scopes are carved from one array of each kind, sized by what the body
 // holds, so a parse allocates a handful of objects whatever its size. Canonical
-// (canonical.go) is the order-insensitive encoding that keys the result
-// caches: it sorts each constraint's rows as integer keys of value ranks
-// and writes the bytes a row-by-row byte sort would. CanonicalHash is
-// FNV-1a of its bytes.
+// (canonical.go) is the order-insensitive encoding: it sorts each
+// constraint's rows as integer keys of value ranks and writes the bytes a
+// row-by-row byte sort would. CanonicalHash is FNV-1a of its bytes, the
+// stable key the cspr ring routes by. Digest (digest.go) is cspd's
+// result-cache key: a keyed 128-bit digest that identifies what Canonical
+// identifies, in one linear pass with no sort of rows.
 package cspio
 
 import (

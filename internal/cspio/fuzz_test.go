@@ -3,6 +3,7 @@ package cspio
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
@@ -127,4 +128,33 @@ func domOfOutOfRange(input []byte, want *csp.Instance, err error) bool {
 		}
 	}
 	return false
+}
+
+// FuzzCacheKey is the differential gate of Digest, the key of cspd's result
+// cache, against Canonical: on an accepted body, a random re-presentation
+// of the instance gets its digest, and a re-presentation of a random
+// mutation of it gets its digest exactly when Canonical cannot tell the two
+// apart.
+func FuzzCacheKey(f *testing.F) {
+	f.Add("vars 2\ndom 2\ncon 0 1 : 0 1 | 1 0\n", int64(1))
+	f.Add("vars 4\ndom 3\nnames x y z w\ncon 0 1 : 0 1 | 1 0\ndom_of 2 : 0 2\n", int64(2))
+	f.Add("vars 3\ndom 3\ncon 0 0 1 : 0 1 2 | 1 0 2\ncon 2 : \ndom_of 1 : 2 1 0\n", int64(3))
+	f.Add("vars 2\ndom 2\ncon 0 1 : 0 1\ncon 1 0 : 1 0\n", int64(4))
+	f.Add("vars 1\ndom 1048576\ncon 0 : 5 | 1048575\n", int64(5))
+	f.Fuzz(func(t *testing.T, input string, seed int64) {
+		p, err := ParseBytes([]byte(input))
+		if err != nil {
+			return
+		}
+		rng := rand.New(rand.NewSource(seed))
+		want := Digest(p, testDigestKey)
+		if q := represent(rng, p); Digest(q, testDigestKey) != want {
+			t.Fatalf("re-presentation changed the digest\n%q\n%q", Canonical(p), Canonical(q))
+		}
+		q := represent(rng, mutate(rng, p))
+		same := bytes.Equal(Canonical(p), Canonical(q))
+		if got := Digest(q, testDigestKey) == want; got != same {
+			t.Fatalf("digests equal %v, Canonical equal %v\n%q\n%q", got, same, Canonical(p), Canonical(q))
+		}
+	})
 }

@@ -101,17 +101,19 @@ func BenchmarkClassify(b *testing.B) {
 	}
 }
 
-// frontEndSink keeps the benchmarked parses and hashes live.
+// frontEndSink keeps the benchmarked parses, hashes and keys live.
 var frontEndSink struct {
 	inst *csp.Instance
 	hash uint64
+	key  [2]uint64
 }
 
-// BenchmarkFrontEnd times the two layers every /solve runs before the
+// BenchmarkFrontEnd times the layers a request runs before the
 // dispatcher, one body per op, over the same 64 instances per family as
 // BenchmarkClassify rendered through cspio.Format: parse, the body into an
-// instance (one Table per constraint), and hash, the instance's
-// CanonicalHash (the result-cache key).
+// instance (one Table per constraint); hash, the instance's CanonicalHash
+// (the cspr ring's routing key); and key, its keyed Digest (cspd's
+// result-cache key).
 func BenchmarkFrontEnd(b *testing.B) {
 	for _, fam := range classifyFamilies {
 		rng := rand.New(rand.NewSource(19))
@@ -143,6 +145,13 @@ func BenchmarkFrontEnd(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				frontEndSink.hash = cspio.CanonicalHash(insts[i%len(insts)])
+			}
+		})
+		b.Run(fam.name+"/key", func(b *testing.B) {
+			b.ReportAllocs()
+			key := cspio.NewDigestKey()
+			for i := 0; i < b.N; i++ {
+				frontEndSink.key = cspio.Digest(insts[i%len(insts)], key)
 			}
 		})
 	}

@@ -5,12 +5,15 @@ import (
 	"sync"
 )
 
-// CacheKey identifies one cacheable solve: the canonical instance hash
-// (cspio.CanonicalHash, insensitive to incidental instance orderings) plus
-// the strategy that computes it. Timeout is deliberately not part of the
-// key — a completed (non-aborted) result is valid under any deadline.
+// CacheKey identifies one cacheable solve: a digest of the instance,
+// insensitive to incidental instance orderings, plus the strategy that
+// computes it. cspd fills Hash and Hash2 with the two lanes of its keyed
+// 128-bit cspio.Digest; a caller keying by one 64-bit hash leaves Hash2
+// zero. Timeout is deliberately not part of the key — a completed
+// (non-aborted) result is valid under any deadline.
 type CacheKey struct {
 	Hash     uint64
+	Hash2    uint64
 	Strategy string
 }
 
@@ -41,8 +44,8 @@ func NewCache(capacity int) *Cache {
 	}
 }
 
-// Get returns the cached value for k, refreshing its recency. The hit/miss
-// counter pair records every lookup.
+// Get returns the cached value for k, refreshing its recency. Every lookup
+// counts once in cspd.cache.outcome, as hit or miss.
 func (c *Cache) Get(k CacheKey) (any, bool) {
 	if c == nil {
 		return nil, false

@@ -6,9 +6,9 @@
 //     bounded FIFO wait queue; when the queue is full, callers are shed
 //     immediately (the daemon turns that into 429 + Retry-After) instead of
 //     piling up until the process collapses.
-//   - Cache is an LRU of fully-computed solve responses keyed by the
-//     canonical instance hash (internal/cspio) plus the strategy knobs, so
-//     an instance is never solved twice while its result is warm.
+//   - Cache is an LRU of fully-computed solve responses keyed by an
+//     order-insensitive instance digest (internal/cspio) plus the strategy
+//     knobs, so an instance is never solved twice while its result is warm.
 //   - Group is a singleflight: concurrent identical requests collapse onto
 //     one engine solve whose result every caller shares.
 //
