@@ -99,7 +99,7 @@ func BenchmarkE3_HornSolver(b *testing.B) {
 	inst := schaeferHornInstance(60)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := schaefer.SolveHorn(inst); err != nil {
+		if _, err := schaefer.SolveHorn(context.Background(), inst); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -58,11 +59,11 @@ func main() {
 		{Rel: 0, Scope: []int{1, 2}}, // x1 ⊕ x2 = 1
 		{Rel: 1, Scope: []int{2, 3}}, // x2 = x3
 	}}
-	assign, ok, class, err := schaefer.Solve(inst)
+	sol, class, err := schaefer.Solve(context.Background(), inst)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("affine system solved by the %v solver: sat=%v assignment=%v\n\n", *class, ok, assign)
+	fmt.Printf("affine system solved by the %v solver: sat=%v assignment=%v\n\n", *class, sol.Found, sol.Solution)
 
 	fmt.Println("=== Hell–Nešetřil dichotomy (graph templates) ===")
 	loop := graph.New(1)

@@ -273,10 +273,7 @@ func (a *Analyzer) solveClass(ctx context.Context, p *csp.Instance, cls Classifi
 	case Tree:
 		res, err = hypergraph.SolveAcyclicCSP(ctx, p, nil)
 	case Schaefer:
-		var assign []int
-		var ok bool
-		assign, ok, _, err = schaefer.Solve(cls.Boolean)
-		res = csp.Result{Found: ok, Solution: assign}
+		res, _, err = schaefer.Solve(ctx, cls.Boolean)
 	case Acyclic:
 		res, err = hypergraph.SolveAcyclicCSP(ctx, p, cls.JoinTree)
 	case BoundedWidth:

@@ -3,6 +3,7 @@ package dispatch
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -15,6 +16,7 @@ import (
 	"csdb/internal/cspio"
 	"csdb/internal/gen"
 	"csdb/internal/hypergraph"
+	"csdb/internal/schaefer"
 	"csdb/internal/treewidth"
 )
 
@@ -69,7 +71,33 @@ func routeCases() []*csp.Instance {
 		p.MustAddConstraint([]int{1, 2, 3}, b)
 		out = append(out, p)
 	}
+
+	// A Boolean table of arity 11, past schaefer.MaxArity: no Schaefer
+	// instance, so no Schaefer solver may be asked to decide it.
+	p = csp.NewInstance(11, 2)
+	p.MustAddConstraint([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, csp.TableOf(11,
+		[]int{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, []int{1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0}))
+	out = append(out, p)
 	return out
+}
+
+// Every routeCases instance is decided by the route it is classified for,
+// with no defensive reroute and no portfolio, and agrees with the seed
+// engine.
+func TestRouteCasesNeedNoFallback(t *testing.T) {
+	enableObs(t)
+	an := NewAnalyzer(0, 0)
+	for i, p := range routeCases() {
+		fb0, rr0 := FallbackCount(), RerouteCount()
+		out := an.Solve(context.Background(), p)
+		if out.Fallback || FallbackCount() != fb0 || RerouteCount() != rr0 {
+			t.Fatalf("case %d: route %v, fallback %v (count %d→%d), reroute count %d→%d",
+				i, out.Route, out.Fallback, fb0, FallbackCount(), rr0, RerouteCount())
+		}
+		if want := csp.SolveSeed(p, csp.Options{}); out.Found != want.Found {
+			t.Fatalf("case %d: %v route found %v, seed %v", i, out.Route, out.Found, want.Found)
+		}
+	}
 }
 
 // TestRouteDifferential runs every join-tree route against the kernel it
@@ -177,23 +205,186 @@ func routeInstances(t *testing.T) map[Class]*csp.Instance {
 	return insts
 }
 
-// A context that has already expired ends every join-tree route as
-// Aborted: no verdict, no defensive reroute, no portfolio.
+// schaeferInstances returns one Boolean instance per Schaefer solver,
+// keyed by the first class of its template, whose solver the route runs.
+// Each relation fills its own variables, as a triangle when binary, so no
+// instance is a tree and every relation stays in the template.
+func schaeferInstances(t *testing.T) map[schaefer.Class]*csp.Instance {
+	t.Helper()
+	even := schaefer.MustBoolRel(3, []int{0, 0, 0}, []int{0, 1, 1}, []int{1, 0, 1}, []int{1, 1, 0})
+	odd := schaefer.MustBoolRel(3, []int{1, 0, 0}, []int{0, 1, 0}, []int{0, 0, 1}, []int{1, 1, 1})
+	unit0, unit1 := schaefer.MustBoolRel(1, []int{0}), schaefer.MustBoolRel(1, []int{1})
+	templates := map[schaefer.Class][]*schaefer.BoolRel{
+		schaefer.ZeroValid:  {even},
+		schaefer.Horn:       {schaefer.RelClause(false, false, true), unit0, unit1},
+		schaefer.DualHorn:   {schaefer.RelClause(true, true, false), unit0, unit1},
+		schaefer.Bijunctive: {schaefer.RelClause(true, true), schaefer.RelClause(false, false)},
+		schaefer.Affine:     {even, odd},
+	}
+	an := NewAnalyzer(0, 0)
+	out := map[schaefer.Class]*csp.Instance{}
+	for class, rels := range templates {
+		sp := &schaefer.Instance{Template: &schaefer.Template{Rels: rels}, NumVars: 3 * len(rels)}
+		for ri, r := range rels {
+			s := 3 * ri
+			scopes := [][]int{{s}}
+			switch r.Arity() {
+			case 2:
+				scopes = [][]int{{s, s + 1}, {s + 1, s + 2}, {s + 2, s}}
+			case 3:
+				scopes = [][]int{{s, s + 1, s + 2}}
+			}
+			for _, scope := range scopes {
+				sp.Cons = append(sp.Cons, schaefer.Application{Rel: ri, Scope: scope})
+			}
+		}
+		p, err := sp.ToCSP()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cls := an.classify(p)
+		if cls.Class != Schaefer {
+			t.Fatalf("%v instance classified %v", class, cls.Class)
+		}
+		if got := cls.Boolean.Template.Classify(); got[0] != class {
+			t.Fatalf("%v instance: template classes %v", class, got)
+		}
+		out[class] = p
+	}
+	return out
+}
+
+// A context that has already expired ends every routed solve as Aborted,
+// on each join-tree route and each Schaefer solver: no verdict, no
+// defensive reroute, no portfolio.
 func TestRoutedSolveHonoursExpiredContext(t *testing.T) {
 	enableObs(t)
 	an := NewAnalyzer(0, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	type routed struct {
+		name  string
+		class Class
+		p     *csp.Instance
+	}
+	var cases []routed
 	for c, p := range routeInstances(t) {
+		cases = append(cases, routed{c.String(), c, p})
+	}
+	for c, p := range schaeferInstances(t) {
+		cases = append(cases, routed{"Schaefer " + c.String(), Schaefer, p})
+	}
+	for _, tc := range cases {
 		fb0, rr0 := FallbackCount(), RerouteCount()
-		out := an.Solve(ctx, p)
-		if !out.Aborted || out.Found || out.Route != c || out.Fallback {
-			t.Fatalf("%v: aborted=%v found=%v route=%v fallback=%v, want an aborted %v route",
-				c, out.Aborted, out.Found, out.Route, out.Fallback, c)
+		out := an.Solve(ctx, tc.p)
+		if !out.Aborted || out.Found || out.Route != tc.class || out.Fallback {
+			t.Fatalf("%s: aborted=%v found=%v route=%v fallback=%v, want an aborted %v route",
+				tc.name, out.Aborted, out.Found, out.Route, out.Fallback, tc.class)
 		}
 		if FallbackCount() != fb0 || RerouteCount() != rr0 {
-			t.Fatalf("%v: fallback %d→%d, reroute %d→%d: an abort must move neither",
-				c, fb0, FallbackCount(), rr0, RerouteCount())
+			t.Fatalf("%s: fallback %d→%d, reroute %d→%d: an abort must move neither",
+				tc.name, fb0, FallbackCount(), rr0, RerouteCount())
+		}
+	}
+}
+
+// boolCon is one constraint of a Boolean body: a scope and its rows.
+type boolCon struct {
+	scope []int
+	rows  [][]int
+}
+
+// booleanBody renders a dom-2 body of the given constraints.
+func booleanBody(vars int, cons ...boolCon) []byte {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "vars %d\ndom 2\n", vars)
+	for _, c := range cons {
+		b.WriteString("con")
+		for _, v := range c.scope {
+			fmt.Fprintf(&b, " %d", v)
+		}
+		b.WriteString(" :")
+		for i, row := range c.rows {
+			if i > 0 {
+				b.WriteString(" |")
+			}
+			for _, x := range row {
+				fmt.Fprintf(&b, " %d", x)
+			}
+		}
+		b.WriteByte('\n')
+	}
+	return b.Bytes()
+}
+
+// TestSchaeferHostileBodies runs three Boolean bodies that held the
+// Schaefer classifier for seconds or minutes while it enumerated clauses
+// and looped over row triples: the full arity-10 table (80 s), the
+// arity-10 Horn table x0 = 1, x1 = 0 (1.25 s and 69 MB), and 2,000
+// distinct one-row arity-10 constraints. Under auto each is answered by
+// the Schaefer route within 1 s, under the race detector too, and the
+// parse and the solve allocate at most 512 bytes per body byte, cspd's
+// bound for a hostile body.
+func TestSchaeferHostileBodies(t *testing.T) {
+	const allocPerBodyByte = 512
+	scope := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	var full, horn [][]int
+	for c := range 1 << 10 {
+		row := make([]int, 10)
+		for i := range row {
+			row[i] = c >> (9 - i) & 1
+		}
+		full = append(full, row)
+		if row[0] == 1 && row[1] == 0 {
+			horn = append(horn, row)
+		}
+	}
+	rng := rand.New(rand.NewSource(35))
+	var many []boolCon
+	seen := map[string]bool{}
+	for len(many) < 2000 {
+		s := rng.Perm(40)[:10]
+		row := make([]int, 10)
+		for i := range row {
+			row[i] = rng.Intn(2)
+		}
+		if key := fmt.Sprint(s, row); !seen[key] {
+			seen[key] = true
+			many = append(many, boolCon{s, [][]int{row}})
+		}
+	}
+	an := NewAnalyzer(0, 0)
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"full", booleanBody(10, boolCon{scope, full})},
+		{"horn", booleanBody(10, boolCon{scope, horn})},
+		{"many", booleanBody(40, many...)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		p, err := cspio.ParseBytes(tc.body)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		out, err := an.Run(context.Background(), p, "auto")
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d-byte body, found=%v in %v, %d KB allocated", tc.name, len(tc.body), out.Found, elapsed, alloc>>10)
+		if out.Route != Schaefer || out.Fallback || out.Aborted {
+			t.Fatalf("%s: route %v fallback %v aborted %v, want the Schaefer route", tc.name, out.Route, out.Fallback, out.Aborted)
+		}
+		if elapsed > time.Second {
+			t.Errorf("%s: answered after %v, want within 1s", tc.name, elapsed)
+		}
+		if limit := uint64(allocPerBodyByte * len(tc.body)); alloc > limit {
+			t.Errorf("%s: %d bytes allocated for a %d-byte body, want at most %d", tc.name, alloc, len(tc.body), limit)
 		}
 	}
 }

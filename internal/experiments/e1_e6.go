@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -169,14 +170,14 @@ func E3(seed int64) *Table {
 			inst := randomSchaeferInstance(rng, tpl, vars, consCount)
 			var ok1, ok2 bool
 			classTime += timed(func() {
-				_, ok, cls, err := schaefer.Solve(inst)
+				res, cls, err := schaefer.Solve(context.Background(), inst)
 				if err != nil {
 					panic(err)
 				}
 				if cls == nil {
 					panic("planted template not classified")
 				}
-				ok1 = ok
+				ok1 = res.Found
 			})
 			searchTime += timed(func() {
 				q, err := inst.ToCSP()

@@ -60,3 +60,36 @@ func FromCSP(inst *csp.Instance) (*Instance, error) {
 	}
 	return out, nil
 }
+
+// ToCSP converts the instance to a general CSP instance, one table per
+// relation, shared by its constraints.
+func (p *Instance) ToCSP() (*csp.Instance, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	out := csp.NewInstance(p.NumVars, 2)
+	tabs := make([]*csp.Table, len(p.Template.Rels))
+	for _, con := range p.Cons {
+		tab := tabs[con.Rel]
+		if tab == nil {
+			tab = p.Template.Rels[con.Rel].table()
+			tabs[con.Rel] = tab
+		}
+		if err := out.AddConstraint(con.Scope, tab); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// table returns the relation's rows as a csp table, in ascending code
+// order.
+func (r *BoolRel) table() *csp.Table {
+	tab := csp.NewTable(r.arity)
+	row := make([]int, r.arity)
+	for c := r.next(0); c >= 0; c = r.next(c + 1) {
+		r.decode(c, row)
+		tab.Add(row)
+	}
+	return tab
+}

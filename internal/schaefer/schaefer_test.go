@@ -1,6 +1,7 @@
 package schaefer
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -23,6 +24,9 @@ func TestBoolRelBasics(t *testing.T) {
 	}
 	if _, err := NewBoolRel(0); err == nil {
 		t.Fatal("arity 0 accepted")
+	}
+	if _, err := NewBoolRel(MaxArity + 1); err == nil {
+		t.Fatalf("arity %d accepted", MaxArity+1)
 	}
 	ts := r.Tuples()
 	if len(ts) != 2 || ts[0][0] != 0 || ts[0][1] != 1 || ts[1][0] != 1 {
@@ -124,23 +128,38 @@ func randomInstance(rng *rand.Rand, tpl *Template, vars, cons int) *Instance {
 	return p
 }
 
+// solver is the shape of the class solvers.
+type solver func(context.Context, *Instance) (csp.Result, error)
+
 func checkSolverAgainstBruteForce(t *testing.T, name string, tpl *Template,
-	solve func(*Instance) ([]int, bool, error), trials int, seed int64) {
+	solve solver, trials int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	for trial := 0; trial < trials; trial++ {
 		p := randomInstance(rng, tpl, 2+rng.Intn(5), 1+rng.Intn(6))
-		want := bruteForce(p) != nil
-		got, ok, err := solve(p)
-		if err != nil {
-			t.Fatalf("%s trial %d: %v", name, trial, err)
-		}
-		if ok != want {
-			t.Fatalf("%s trial %d: solver=%v brute=%v", name, trial, ok, want)
-		}
-		if ok && !p.Satisfies(got) {
-			t.Fatalf("%s trial %d: invalid assignment %v", name, trial, got)
-		}
+		checkAgainstBruteForce(t, name, trial, p, solve)
+	}
+}
+
+// checkAgainstBruteForce runs one solve and holds it to enumeration, and
+// requires a solve under an expired context to end Aborted, without error.
+func checkAgainstBruteForce(t *testing.T, name string, trial int, p *Instance, solve solver) {
+	t.Helper()
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	if res, err := solve(expired, p); err != nil || !res.Aborted || res.Found {
+		t.Fatalf("%s trial %d: under an expired context found=%v aborted=%v err=%v", name, trial, res.Found, res.Aborted, err)
+	}
+	want := bruteForce(p) != nil
+	res, err := solve(context.Background(), p)
+	if err != nil {
+		t.Fatalf("%s trial %d: %v", name, trial, err)
+	}
+	if res.Found != want || res.Aborted {
+		t.Fatalf("%s trial %d: solver found=%v aborted=%v, brute=%v", name, trial, res.Found, res.Aborted, want)
+	}
+	if res.Found && !p.Satisfies(res.Solution) {
+		t.Fatalf("%s trial %d: invalid assignment %v", name, trial, res.Solution)
 	}
 }
 
@@ -187,27 +206,41 @@ func TestSolveAffineAgainstBruteForce(t *testing.T) {
 func TestSolveConstant(t *testing.T) {
 	tpl := &Template{Rels: []*BoolRel{RelEq()}}
 	p := randomInstance(rand.New(rand.NewSource(1)), tpl, 4, 5)
-	if a, ok := SolveConstant(p, 0); !ok || !p.Satisfies(a) {
-		t.Fatal("0-valid solve failed")
+	for value := range 2 {
+		if res, err := SolveConstant(p, value); err != nil || !res.Found || !p.Satisfies(res.Solution) {
+			t.Fatalf("constant %d: found=%v err=%v", value, res.Found, err)
+		}
 	}
-	if a, ok := SolveConstant(p, 1); !ok || !p.Satisfies(a) {
-		t.Fatal("1-valid solve failed")
+	// Outside the class the constant assignment fails, and says so.
+	p.Template = &Template{Rels: []*BoolRel{RelXor()}}
+	if _, err := SolveConstant(p, 0); err == nil {
+		t.Fatal("constant solve on a template that is not 0-valid gave no error")
 	}
 }
 
 func TestCompileRejectsWrongClass(t *testing.T) {
-	if _, err := CompileHorn(RelOneInThree()); err == nil {
-		t.Fatal("1-in-3 compiled as Horn")
-	}
-	if _, err := CompileTwoSat(RelOneInThree()); err == nil {
-		t.Fatal("1-in-3 compiled as 2-CNF")
-	}
 	if _, err := CompileAffine(RelOneInThree()); err == nil {
 		t.Fatal("1-in-3 compiled as affine")
 	}
-	// Clause x∨y∨z is not bijunctive.
-	if _, err := CompileTwoSat(RelClause(true, true, true)); err == nil {
-		t.Fatal("3-clause compiled as 2-CNF")
+	// 1-in-3 and x∨y∨z are not bijunctive: their projection clauses admit
+	// a tuple outside the relation (000 and 111 for 1-in-3, 000 for x∨y∨z).
+	for _, r := range []*BoolRel{RelOneInThree(), RelClause(true, true, true)} {
+		if r.IsBijunctive() {
+			t.Fatalf("%v classified bijunctive", r)
+		}
+		if !clausesAdmit(CompileTwoSat(r), 3, 0) {
+			t.Fatalf("%v: the projection clauses exclude 000", r)
+		}
+	}
+	// Over 1-in-3, arc consistency keeps both values everywhere, and both
+	// the least and the greatest values fail the constraint: the width-1
+	// solvers say so instead of answering.
+	p := &Instance{Template: &Template{Rels: []*BoolRel{RelOneInThree()}}, NumVars: 3,
+		Cons: []Application{{Rel: 0, Scope: []int{0, 1, 2}}}}
+	for name, solve := range map[string]solver{"Horn": SolveHorn, "dual Horn": SolveDualHorn} {
+		if res, err := solve(context.Background(), p); err == nil {
+			t.Fatalf("%s solver on 1-in-3: found=%v, no error", name, res.Found)
+		}
 	}
 }
 
@@ -215,14 +248,10 @@ func TestCompileEmptyRelationIsUnsat(t *testing.T) {
 	empty := MustBoolRel(2)
 	tpl := &Template{Rels: []*BoolRel{empty}}
 	p := &Instance{Template: tpl, NumVars: 2, Cons: []Application{{Rel: 0, Scope: []int{0, 1}}}}
-	if _, ok, err := SolveHorn(p); err != nil || ok {
-		t.Fatalf("empty-relation horn: %v %v", ok, err)
-	}
-	if _, ok, err := SolveTwoSat(p); err != nil || ok {
-		t.Fatalf("empty-relation 2sat: %v %v", ok, err)
-	}
-	if _, ok, err := SolveAffine(p); err != nil || ok {
-		t.Fatalf("empty-relation affine: %v %v", ok, err)
+	for name, solve := range map[string]solver{"horn": SolveHorn, "dual horn": SolveDualHorn, "2sat": SolveTwoSat, "affine": SolveAffine} {
+		if res, err := solve(context.Background(), p); err != nil || res.Found || res.Aborted {
+			t.Fatalf("empty-relation %s: found=%v aborted=%v err=%v", name, res.Found, res.Aborted, err)
+		}
 	}
 }
 
@@ -230,15 +259,14 @@ func TestRepeatedScopeVariables(t *testing.T) {
 	// Constraint XOR(x,x) is unsatisfiable; EQ(x,x) is trivially true.
 	tpl := &Template{Rels: []*BoolRel{RelXor(), RelEq()}}
 	unsat := &Instance{Template: tpl, NumVars: 1, Cons: []Application{{Rel: 0, Scope: []int{0, 0}}}}
-	if _, ok, err := SolveAffine(unsat); err != nil || ok {
-		t.Fatalf("XOR(x,x): %v %v", ok, err)
-	}
-	if _, ok, err := SolveTwoSat(unsat); err != nil || ok {
-		t.Fatalf("XOR(x,x) 2sat: %v %v", ok, err)
-	}
 	sat := &Instance{Template: tpl, NumVars: 1, Cons: []Application{{Rel: 1, Scope: []int{0, 0}}}}
-	if _, ok, err := SolveAffine(sat); err != nil || !ok {
-		t.Fatalf("EQ(x,x): %v %v", ok, err)
+	for name, solve := range map[string]solver{"2sat": SolveTwoSat, "affine": SolveAffine} {
+		if res, err := solve(context.Background(), unsat); err != nil || res.Found {
+			t.Fatalf("XOR(x,x) %s: found=%v err=%v", name, res.Found, err)
+		}
+		if res, err := solve(context.Background(), sat); err != nil || !res.Found {
+			t.Fatalf("EQ(x,x) %s: found=%v err=%v", name, res.Found, err)
+		}
 	}
 }
 
@@ -254,14 +282,15 @@ func TestSolveDispatch(t *testing.T) {
 		for trial := 0; trial < 60; trial++ {
 			p := randomInstance(rng, tpl, 2+rng.Intn(4), 1+rng.Intn(5))
 			want := bruteForce(p) != nil
-			got, ok, class, err := Solve(p)
+			res, class, err := Solve(context.Background(), p)
 			if err != nil {
 				t.Fatalf("template %d trial %d: %v", ti, trial, err)
 			}
+			ok := res.Found
 			if ok != want {
 				t.Fatalf("template %d trial %d: solve=%v brute=%v (class %v)", ti, trial, ok, want, class)
 			}
-			if ok && !p.Satisfies(got) {
+			if ok && !p.Satisfies(res.Solution) {
 				t.Fatalf("template %d trial %d: invalid assignment", ti, trial)
 			}
 			if ti == 3 && class != nil {
@@ -294,14 +323,14 @@ func TestToCSPAgreement(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		p := randomInstance(rng, tpl, 3+rng.Intn(3), 1+rng.Intn(4))
 		want := bruteForce(p) != nil
-		got, ok, err := SolveGeneric(p, csp.Options{})
+		res, err := SolveGeneric(context.Background(), p, csp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok != want {
-			t.Fatalf("trial %d: generic=%v brute=%v", trial, ok, want)
+		if res.Found != want {
+			t.Fatalf("trial %d: generic=%v brute=%v", trial, res.Found, want)
 		}
-		if ok && !p.Satisfies(got) {
+		if res.Found && !p.Satisfies(res.Solution) {
 			t.Fatalf("trial %d: invalid generic assignment", trial)
 		}
 	}

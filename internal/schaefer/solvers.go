@@ -1,435 +1,186 @@
 package schaefer
 
 import (
+	"context"
 	"fmt"
+	"math/bits"
 
 	"csdb/internal/csp"
 )
 
-// This file implements the dedicated polynomial-time solvers for Schaefer's
-// six tractable classes, plus the generic search baseline used outside
-// them. Each class solver follows the classical algorithm:
+// This file holds a polynomial solver per Schaefer class and the generic
+// search used outside them. Each solver reads its class's polymorphism:
 //
 //	0/1-valid:  the constant assignment
-//	Horn:       compile to Horn clauses, unit propagation (least model)
-//	dual Horn:  value-flip reduction to Horn
-//	bijunctive: compile to 2-clauses, implication-graph 2-SAT via SCC
-//	affine:     compile to GF(2) linear systems, Gaussian elimination
+//	Horn:       width 1: GAC, then every variable's least surviving value
+//	dual Horn:  width 1: GAC, then every variable's greatest surviving value
+//	bijunctive: 2-SAT on the clauses of the binary projections (Tarjan SCC)
+//	affine:     Gaussian elimination over GF(2)
 //
-// Compilation from a closed relation to clause/equation form enumerates the
-// entailed clauses and verifies the conjunction is exactly the relation —
-// possible precisely when the relation has the class's closure property.
+// GAC and the projection clauses only relax an instance, and CompileAffine
+// refuses a relation that is not affine, so an UNSAT verdict holds whatever
+// the template, and every assignment is checked before it is returned.
+// Outside its class a solver returns an error, never a wrong verdict. Every
+// solver that takes a context returns an Aborted result, and no error, once
+// it ends.
 
-// maxCompileArity bounds clause-compilation (3^arity candidate clauses).
-const maxCompileArity = 10
+// found returns the SAT result of assign, or an error when the assignment
+// fails the instance, which only a template outside class can cause.
+func found(p *Instance, assign []int, class Class) (csp.Result, error) {
+	if !p.Satisfies(assign) {
+		return csp.Result{}, fmt.Errorf("schaefer: the %v solver's assignment fails the instance; its template is not %v", class, class)
+	}
+	return csp.Result{Found: true, Solution: assign}, nil
+}
 
-// SolveConstant solves 0-valid or 1-valid instances with the constant
-// assignment (the definition of the class guarantees it works).
-func SolveConstant(p *Instance, value int) ([]int, bool) {
+// SolveConstant solves a 0-valid (value 0) or 1-valid (value 1) instance
+// with the constant assignment.
+func SolveConstant(p *Instance, value int) (csp.Result, error) {
+	if err := p.Validate(); err != nil {
+		return csp.Result{}, err
+	}
 	assign := make([]int, p.NumVars)
 	for i := range assign {
 		assign[i] = value
 	}
-	if p.Satisfies(assign) {
-		return assign, true
-	}
-	return nil, false
+	return found(p, assign, ZeroValid+Class(value))
 }
 
-// --- Horn ---
+// --- Horn and dual Horn ---
 
-// hornClause is (¬n1 ∨ ... ∨ ¬nk ∨ p), with p = -1 when there is no
-// positive literal. Indices are positions (in compiled form) or variables
-// (in instance form).
-type hornClause struct {
-	pos  int
-	negs []int
+// SolveHorn decides an instance over a Horn (AND-closed) template. Such a
+// template has width 1 (Feder–Vardi): generalized arc consistency decides
+// it. AND is the minimum on {0,1}, so in each constraint the AND of the
+// tuples supporting its variables' least surviving values is a tuple of the
+// relation made of exactly those values: the least surviving values are a
+// solution.
+func SolveHorn(ctx context.Context, p *Instance) (csp.Result, error) {
+	return solveWidthOne(ctx, p, Horn)
 }
 
-// CompileHorn enumerates the Horn clauses entailed by the relation and
-// checks they define it exactly. Fails when the relation is not Horn.
-func CompileHorn(r *BoolRel) ([]hornClause, error) {
-	if r.arity > maxCompileArity {
-		return nil, fmt.Errorf("schaefer: relation arity %d exceeds compile bound %d", r.arity, maxCompileArity)
-	}
-	if r.Len() == 0 {
-		// The empty relation: the empty clause (unsatisfiable).
-		return []hornClause{{pos: -1}}, nil
-	}
-	var clauses []hornClause
-	// Each position is one of: absent (0), negative (1), positive (2),
-	// with at most one positive.
-	state := make([]int, r.arity)
-	var rec func(i, posCount int)
-	rec = func(i, posCount int) {
-		if i == r.arity {
-			c := hornClause{pos: -1}
-			any := false
-			for j, s := range state {
-				switch s {
-				case 1:
-					c.negs = append(c.negs, j)
-					any = true
-				case 2:
-					c.pos = j
-					any = true
-				}
-			}
-			if !any {
-				return
-			}
-			if entailsClause(r, c) {
-				clauses = append(clauses, c)
-			}
-			return
-		}
-		for s := 0; s <= 2; s++ {
-			if s == 2 && posCount == 1 {
-				continue
-			}
-			state[i] = s
-			np := posCount
-			if s == 2 {
-				np++
-			}
-			rec(i+1, np)
-		}
-		state[i] = 0
-	}
-	rec(0, 0)
-	// Completeness: every non-member must falsify some clause.
-	for code := 0; code < 1<<r.arity; code++ {
-		if r.rows[code] {
-			continue
-		}
-		t := r.decode(code)
-		refuted := false
-		for _, c := range clauses {
-			if !satisfiesHorn(t, c) {
-				refuted = true
-				break
-			}
-		}
-		if !refuted {
-			return nil, fmt.Errorf("schaefer: relation %v is not Horn-definable", r)
-		}
-	}
-	return clauses, nil
+// SolveDualHorn decides an instance over a dual-Horn (OR-closed) template
+// as SolveHorn does, with OR the maximum: every variable takes its greatest
+// surviving value.
+func SolveDualHorn(ctx context.Context, p *Instance) (csp.Result, error) {
+	return solveWidthOne(ctx, p, DualHorn)
 }
 
-// entailsClause reports whether every tuple of r satisfies the clause.
-func entailsClause(r *BoolRel, c hornClause) bool {
-	for code := range r.rows {
-		if !satisfiesHorn(r.decode(code), c) {
-			return false
-		}
-	}
-	return true
-}
-
-func satisfiesHorn(t []int, c hornClause) bool {
-	if c.pos >= 0 && t[c.pos] == 1 {
-		return true
-	}
-	for _, n := range c.negs {
-		if t[n] == 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// SolveHorn solves the instance by Horn-SAT unit propagation over the
-// compiled clauses of each constraint. It returns the least model when
-// satisfiable.
-func SolveHorn(p *Instance) ([]int, bool, error) {
-	clauses, err := instanceHornClauses(p, false)
+func solveWidthOne(ctx context.Context, p *Instance, class Class) (csp.Result, error) {
+	q, err := p.ToCSP()
 	if err != nil {
-		return nil, false, err
+		return csp.Result{}, err
 	}
-	assign, ok := hornSat(p.NumVars, clauses)
-	return assign, ok, nil
-}
-
-// SolveDualHorn solves dual-Horn instances by flipping values, solving the
-// Horn image, and flipping back.
-func SolveDualHorn(p *Instance) ([]int, bool, error) {
-	clauses, err := instanceHornClauses(p, true)
-	if err != nil {
-		return nil, false, err
+	doms, ok, err := csp.GAC(ctx, q)
+	switch {
+	case err != nil: // ctx's: GAC fails no other way
+		return csp.Result{Aborted: true}, nil
+	case !ok:
+		return csp.Result{}, nil
 	}
-	assign, ok := hornSat(p.NumVars, clauses)
-	if !ok {
-		return nil, false, nil
-	}
-	for i := range assign {
-		assign[i] = 1 - assign[i]
-	}
-	return assign, true, nil
-}
-
-// instanceHornClauses compiles every constraint to clauses over the
-// instance's variables; flip complements all relation values first (the
-// dual-Horn reduction).
-func instanceHornClauses(p *Instance, flip bool) ([]hornClause, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	cache := make(map[int][]hornClause)
-	var out []hornClause
-	for _, con := range p.Cons {
-		compiled, ok := cache[con.Rel]
-		if !ok {
-			rel := p.Template.Rels[con.Rel]
-			if flip {
-				rel = flipRel(rel)
-			}
-			var err error
-			compiled, err = CompileHorn(rel)
-			if err != nil {
-				return nil, err
-			}
-			cache[con.Rel] = compiled
-		}
-		for _, c := range compiled {
-			inst, tautology := mapHornClause(c, con.Scope)
-			if tautology {
-				continue
-			}
-			out = append(out, inst)
+	assign := make([]int, len(doms))
+	for v, d := range doms {
+		assign[v] = d[0]
+		if class == DualHorn {
+			assign[v] = d[len(d)-1]
 		}
 	}
-	return out, nil
-}
-
-// mapHornClause substitutes scope variables for positions, handling repeated
-// variables (tautologies are dropped, duplicate negatives deduplicated).
-func mapHornClause(c hornClause, scope []int) (hornClause, bool) {
-	inst := hornClause{pos: -1}
-	if c.pos >= 0 {
-		inst.pos = scope[c.pos]
-	}
-	seen := make(map[int]bool)
-	for _, n := range c.negs {
-		v := scope[n]
-		if v == inst.pos {
-			return hornClause{}, true // (x ∨ ¬x): tautology
-		}
-		if !seen[v] {
-			seen[v] = true
-			inst.negs = append(inst.negs, v)
-		}
-	}
-	return inst, false
-}
-
-// flipRel complements every value of the relation (0 ↔ 1).
-func flipRel(r *BoolRel) *BoolRel {
-	out := MustBoolRel(r.arity)
-	mask := 1<<r.arity - 1
-	for code := range r.rows {
-		out.rows[code^mask] = true
-	}
-	return out
-}
-
-// hornSat runs unit propagation: starting from the all-false assignment,
-// derive forced-true variables until fixpoint, then check the all-negative
-// clauses.
-func hornSat(n int, clauses []hornClause) ([]int, bool) {
-	trueSet := make([]bool, n)
-	changed := true
-	for changed {
-		changed = false
-		for _, c := range clauses {
-			if c.pos < 0 || trueSet[c.pos] {
-				continue
-			}
-			forced := true
-			for _, x := range c.negs {
-				if !trueSet[x] {
-					forced = false
-					break
-				}
-			}
-			if forced {
-				trueSet[c.pos] = true
-				changed = true
-			}
-		}
-	}
-	for _, c := range clauses {
-		if c.pos >= 0 {
-			continue
-		}
-		violated := true
-		for _, x := range c.negs {
-			if !trueSet[x] {
-				violated = false
-				break
-			}
-		}
-		if violated {
-			return nil, false
-		}
-	}
-	assign := make([]int, n)
-	for i, t := range trueSet {
-		if t {
-			assign[i] = 1
-		}
-	}
-	return assign, true
+	return found(p, assign, class)
 }
 
 // --- Bijunctive (2-SAT) ---
 
-// lit is a literal: variable index and sign (true = positive).
-type lit struct {
-	v   int
-	pos bool
-}
+// twoClause is a clause of one or two literals over relation positions:
+// literal 2i+a asserts that position i takes value a, and a unit clause
+// repeats its literal.
+type twoClause [2]int
 
-// twoClause is a clause with one or two literals.
-type twoClause []lit
+// falsifiers returns the codes whose tuples falsify literal l.
+func (r *BoolRel) falsifiers(l int) codeSet { return column(r.arity, l>>1, 1-l&1) }
 
-// CompileTwoSat enumerates the 1- and 2-literal clauses entailed by the
-// relation and checks completeness; fails when the relation is not
-// bijunctive.
-func CompileTwoSat(r *BoolRel) ([]twoClause, error) {
-	if r.arity > maxCompileArity {
-		return nil, fmt.Errorf("schaefer: relation arity %d exceeds compile bound %d", r.arity, maxCompileArity)
+// CompileTwoSat reads the relation's 1- and 2-literal clauses off its unary
+// and binary projections: a value a missing at position i gives the unit
+// clause x_i ≠ a, and a pair (a, b) missing at positions (i, j), with both
+// values present, gives x_i ≠ a ∨ x_j ≠ b. The relation entails every
+// clause, and their conjunction is exactly the relation when it is
+// bijunctive (IsBijunctive). An empty relation yields both units at every
+// position.
+func CompileTwoSat(r *BoolRel) []twoClause {
+	k := r.arity
+	var cols [MaxArity][2]codeSet
+	var seen [MaxArity][2]bool
+	for i := range k {
+		for a := range 2 {
+			cols[i][a] = column(k, i, a)
+			seen[i][a] = r.meets(&cols[i][a], &cols[i][a])
+		}
 	}
-	if r.Len() == 0 {
-		return []twoClause{{}}, nil // empty clause
-	}
-	var clauses []twoClause
-	try := func(c twoClause) {
-		for code := range r.rows {
-			if !satisfiesTwo(r.decode(code), c) {
-				return
+	var out []twoClause
+	for i := range k {
+		for a := range 2 {
+			if !seen[i][a] {
+				out = append(out, twoClause{2*i + 1 - a, 2*i + 1 - a})
+				continue
 			}
-		}
-		clauses = append(clauses, c)
-	}
-	for i := 0; i < r.arity; i++ {
-		for _, si := range []bool{false, true} {
-			try(twoClause{{i, si}})
-			for j := i + 1; j < r.arity; j++ {
-				for _, sj := range []bool{false, true} {
-					try(twoClause{{i, si}, {j, sj}})
-				}
-			}
-		}
-	}
-	for code := 0; code < 1<<r.arity; code++ {
-		if r.rows[code] {
-			continue
-		}
-		t := r.decode(code)
-		refuted := false
-		for _, c := range clauses {
-			if !satisfiesTwo(t, c) {
-				refuted = true
-				break
-			}
-		}
-		if !refuted {
-			return nil, fmt.Errorf("schaefer: relation %v is not 2-CNF-definable", r)
-		}
-	}
-	return clauses, nil
-}
-
-func satisfiesTwo(t []int, c twoClause) bool {
-	for _, l := range c {
-		if (t[l.v] == 1) == l.pos {
-			return true
-		}
-	}
-	return false
-}
-
-// SolveTwoSat solves a bijunctive instance by the linear-time
-// implication-graph algorithm (Tarjan SCC).
-func SolveTwoSat(p *Instance) ([]int, bool, error) {
-	if err := p.Validate(); err != nil {
-		return nil, false, err
-	}
-	cache := make(map[int][]twoClause)
-	var clauses []twoClause
-	for _, con := range p.Cons {
-		compiled, ok := cache[con.Rel]
-		if !ok {
-			var err error
-			compiled, err = CompileTwoSat(p.Template.Rels[con.Rel])
-			if err != nil {
-				return nil, false, err
-			}
-			cache[con.Rel] = compiled
-		}
-		for _, c := range compiled {
-			mc := make(twoClause, len(c))
-			for i, l := range c {
-				mc[i] = lit{con.Scope[l.v], l.pos}
-			}
-			if len(mc) == 2 {
-				if mc[0].v == mc[1].v {
-					if mc[0].pos == mc[1].pos {
-						mc = mc[:1] // (x ∨ x) = unit
-					} else {
-						continue // (x ∨ ¬x): tautology
+			for j := i + 1; j < k; j++ {
+				for b := range 2 {
+					if seen[j][b] && !r.meets(&cols[i][a], &cols[j][b]) {
+						out = append(out, twoClause{2*i + 1 - a, 2*j + 1 - b})
 					}
 				}
 			}
-			if len(mc) == 0 {
-				return nil, false, nil // empty clause: unsatisfiable
-			}
-			clauses = append(clauses, mc)
 		}
 	}
-	assign, ok := twoSat(p.NumVars, clauses)
-	return assign, ok, nil
+	return out
 }
 
-// twoSat decides satisfiability of 1/2-clauses over n variables via the
-// implication graph: node 2v is literal x_v, node 2v+1 is ¬x_v.
-func twoSat(n int, clauses []twoClause) ([]int, bool) {
-	nodes := 2 * n
-	adj := make([][]int, nodes)
-	node := func(l lit) int {
-		if l.pos {
-			return 2 * l.v
-		}
-		return 2*l.v + 1
+// SolveTwoSat decides an instance over a bijunctive template by 2-SAT on
+// its relations' projection clauses, placed on each constraint's scope,
+// with the linear-time implication-graph algorithm (Tarjan SCC). A scope
+// variable that fills both places of a clause makes it a unit clause, or a
+// tautology whose implications are self-loops.
+func SolveTwoSat(ctx context.Context, p *Instance) (csp.Result, error) {
+	if err := p.Validate(); err != nil {
+		return csp.Result{}, err
 	}
-	negNode := func(x int) int { return x ^ 1 }
-	addImp := func(u, v int) { adj[u] = append(adj[u], v) }
-	for _, c := range clauses {
-		switch len(c) {
-		case 1:
-			addImp(negNode(node(c[0])), node(c[0]))
-		case 2:
-			addImp(negNode(node(c[0])), node(c[1]))
-			addImp(negNode(node(c[1])), node(c[0]))
+	clauses := make([][]twoClause, len(p.Template.Rels))
+	for i, r := range p.Template.Rels {
+		clauses[i] = CompileTwoSat(r)
+	}
+	// Node 2v+a is the literal x_v = a, and node^1 its negation.
+	adj := make([][]int, 2*p.NumVars)
+	for ci, con := range p.Cons {
+		if ci%pollEvery == 0 && ctx.Err() != nil {
+			return csp.Result{Aborted: true}, nil
 		}
+		for _, c := range clauses[con.Rel] {
+			a := 2*con.Scope[c[0]>>1] + c[0]&1
+			b := 2*con.Scope[c[1]>>1] + c[1]&1
+			adj[a^1] = append(adj[a^1], b)
+			adj[b^1] = append(adj[b^1], a)
+		}
+	}
+	if ctx.Err() != nil {
+		return csp.Result{Aborted: true}, nil
 	}
 	comp := tarjanSCC(adj)
-	assign := make([]int, n)
-	for v := 0; v < n; v++ {
+	assign := make([]int, p.NumVars)
+	for v := range assign {
 		if comp[2*v] == comp[2*v+1] {
-			return nil, false
+			return csp.Result{}, nil
 		}
-		// Tarjan numbers components in reverse topological order; a literal
-		// later in topological order (smaller Tarjan index) is implied-by
-		// more things... assign true to the literal whose component comes
-		// later in topological order, i.e. with the smaller Tarjan number.
-		if comp[2*v] < comp[2*v+1] {
+		// Tarjan numbers components sinks first: the literal whose
+		// component comes later in topological order, the smaller number,
+		// is set true, and never implies its negation.
+		if comp[2*v+1] < comp[2*v] {
 			assign[v] = 1
 		}
 	}
-	return assign, true
+	return found(p, assign, Bijunctive)
 }
+
+// pollEvery is how many constraints the 2-SAT and affine solvers handle
+// between two polls of their context.
+const pollEvery = 256
 
 // tarjanSCC returns the SCC index of every node; components are numbered in
 // reverse topological order (sinks first).
@@ -512,8 +263,9 @@ type affineRow struct {
 	rhs    int
 }
 
-// CompileAffine derives a GF(2) equation system defining the relation;
-// fails when the relation is not affine.
+// CompileAffine derives a GF(2) equation system whose solutions are exactly
+// the relation, h·x = h·t0 for h over a basis of the space orthogonal to
+// its directions; it fails when the relation is not affine.
 func CompileAffine(r *BoolRel) ([]affineRow, error) {
 	if !r.IsAffine() {
 		return nil, fmt.Errorf("schaefer: relation %v is not affine", r)
@@ -521,131 +273,53 @@ func CompileAffine(r *BoolRel) ([]affineRow, error) {
 	if r.Len() == 0 {
 		return []affineRow{{rhs: 1}}, nil // 0 = 1: unsatisfiable
 	}
-	tuples := r.Tuples()
-	t0 := tuples[0]
-	// Difference vectors span the direction space V; find a basis of the
-	// orthogonal complement: all h with h·(t⊕t0)=0 for all t.
-	var basis []uint32 // row-reduced basis of V
-	for _, t := range tuples[1:] {
-		var vec uint32
-		for i := range t {
-			if t[i] != t0[i] {
-				vec |= 1 << uint(i)
-			}
-		}
-		// Reduce vec by the echelon basis: cancel each row's pivot bit.
-		for _, b := range basis {
-			if vec&lowestBit(b) != 0 {
-				vec ^= b
-			}
-		}
-		if vec != 0 {
-			basis = append(basis, vec)
-			basis = echelon(basis)
-		}
-	}
-	basis = echelon(basis)
-	// Null space of the row space: standard free-variable construction.
-	lead := make(map[int]uint32) // leading bit position -> row
-	isLead := make([]bool, r.arity)
-	for _, b := range basis {
-		l := trailingZeros(b)
-		lead[l] = b
-		isLead[l] = true
-	}
+	basis, t0 := r.directions()
 	var rows []affineRow
-	for j := 0; j < r.arity; j++ {
-		if isLead[j] {
+	for j := range r.arity {
+		if basis[j] != 0 {
 			continue
 		}
-		// Free position j: null vector with 1 at j and at every lead l whose
-		// row has bit j.
-		var h uint32 = 1 << uint(j)
-		for l, b := range lead {
-			if b&(1<<uint(j)) != 0 {
-				h |= 1 << uint(l)
+		// The free code bit j, with every pivot whose vector has bit j: in
+		// reduced echelon form this h is orthogonal to every basis vector.
+		h := 1 << j
+		for pv, v := range basis {
+			if v>>j&1 == 1 {
+				h |= 1 << pv
 			}
 		}
-		row := affineRow{}
-		parity := 0
-		for i := 0; i < r.arity; i++ {
-			if h&(1<<uint(i)) != 0 {
-				row.coeffs = append(row.coeffs, i)
-				parity ^= t0[i]
+		row := affineRow{rhs: bits.OnesCount(uint(h&t0)) & 1}
+		for b := r.arity - 1; b >= 0; b-- {
+			if h>>b&1 == 1 {
+				row.coeffs = append(row.coeffs, r.arity-1-b)
 			}
 		}
-		row.rhs = parity
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-func lowestBit(x uint32) uint32 { return x & (-x) }
-
-func trailingZeros(x uint32) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
-}
-
-// echelon row-reduces a GF(2) basis to reduced echelon form.
-func echelon(rows []uint32) []uint32 {
-	var out []uint32
-	work := append([]uint32(nil), rows...)
-	for bit := 0; bit < 32; bit++ {
-		mask := uint32(1) << uint(bit)
-		pivot := -1
-		for i, r := range work {
-			if r&mask != 0 && trailingZeros(r) == bit {
-				pivot = i
-				break
-			}
-		}
-		if pivot < 0 {
-			continue
-		}
-		p := work[pivot]
-		work = append(work[:pivot], work[pivot+1:]...)
-		for i := range work {
-			if work[i]&mask != 0 {
-				work[i] ^= p
-			}
-		}
-		for i := range out {
-			if out[i]&mask != 0 {
-				out[i] ^= p
-			}
-		}
-		out = append(out, p)
-	}
-	return out
-}
-
 // SolveAffine solves an affine instance by Gaussian elimination over GF(2).
-func SolveAffine(p *Instance) ([]int, bool, error) {
+func SolveAffine(ctx context.Context, p *Instance) (csp.Result, error) {
 	if err := p.Validate(); err != nil {
-		return nil, false, err
+		return csp.Result{}, err
 	}
-	cache := make(map[int][]affineRow)
+	compiled := make([][]affineRow, len(p.Template.Rels))
+	for i, r := range p.Template.Rels {
+		var err error
+		if compiled[i], err = CompileAffine(r); err != nil {
+			return csp.Result{}, err
+		}
+	}
 	type eq struct {
 		coeffs map[int]bool
 		rhs    int
 	}
 	var system []eq
-	for _, con := range p.Cons {
-		rows, ok := cache[con.Rel]
-		if !ok {
-			var err error
-			rows, err = CompileAffine(p.Template.Rels[con.Rel])
-			if err != nil {
-				return nil, false, err
-			}
-			cache[con.Rel] = rows
+	for ci, con := range p.Cons {
+		if ci%pollEvery == 0 && ctx.Err() != nil {
+			return csp.Result{Aborted: true}, nil
 		}
-		for _, row := range rows {
+		for _, row := range compiled[con.Rel] {
 			e := eq{coeffs: make(map[int]bool), rhs: row.rhs}
 			for _, pos := range row.coeffs {
 				v := con.Scope[pos]
@@ -673,6 +347,9 @@ func SolveAffine(p *Instance) ([]int, bool, error) {
 	}
 	pivotOf := make(map[int]int) // pivot variable -> equation index
 	for ei := range system {
+		if ctx.Err() != nil {
+			return csp.Result{Aborted: true}, nil
+		}
 		e := &system[ei]
 		// One reduction pass suffices: pivot equations contain no other
 		// pivot variables, so xoring them in cannot reintroduce one.
@@ -683,7 +360,7 @@ func SolveAffine(p *Instance) ([]int, bool, error) {
 		}
 		if len(e.coeffs) == 0 {
 			if e.rhs != 0 {
-				return nil, false, nil
+				return csp.Result{}, nil
 			}
 			continue
 		}
@@ -705,84 +382,48 @@ func SolveAffine(p *Instance) ([]int, bool, error) {
 	for pv, ei := range pivotOf {
 		assign[pv] = system[ei].rhs
 	}
-	if !p.Satisfies(assign) {
-		// Defensive: with correct elimination this cannot happen.
-		return nil, false, fmt.Errorf("schaefer: affine back-substitution produced an invalid assignment")
-	}
-	return assign, true, nil
+	return found(p, assign, Affine)
 }
 
-// --- Generic baseline and dispatch ---
-
-// ToCSP converts the instance to a general CSP instance.
-func (p *Instance) ToCSP() (*csp.Instance, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	out := csp.NewInstance(p.NumVars, 2)
-	tabs := make([]*csp.Table, len(p.Template.Rels)) // one shared table per relation
-	for _, con := range p.Cons {
-		tab := tabs[con.Rel]
-		if tab == nil {
-			tab = csp.TableOf(len(con.Scope), p.Template.Rels[con.Rel].Tuples()...)
-			tabs[con.Rel] = tab
-		}
-		if err := out.AddConstraint(con.Scope, tab); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
+// --- Generic search and dispatch ---
 
 // SolveGeneric solves by general backtracking search (the NP baseline).
-func SolveGeneric(p *Instance, opts csp.Options) ([]int, bool, error) {
+func SolveGeneric(ctx context.Context, p *Instance, opts csp.Options) (csp.Result, error) {
 	q, err := p.ToCSP()
 	if err != nil {
-		return nil, false, err
+		return csp.Result{}, err
 	}
-	res := csp.Solve(q, opts)
-	if !res.Found {
-		return nil, false, nil
-	}
-	return res.Solution, true, nil
+	return csp.SolveCtx(ctx, q, opts), nil
 }
 
-// Solve classifies the template and dispatches to the matching polynomial
-// solver, falling back to generic search outside Schaefer's classes. It
-// returns the assignment, satisfiability, and the class used (nil pointer
-// when the generic solver ran).
-func Solve(p *Instance) ([]int, bool, *Class, error) {
-	classes := p.Template.Classify()
-	for _, c := range classes {
-		switch c {
-		case ZeroValid:
-			if a, ok := SolveConstant(p, 0); ok {
-				cl := c
-				return a, true, &cl, nil
-			}
-		case OneValid:
-			if a, ok := SolveConstant(p, 1); ok {
-				cl := c
-				return a, true, &cl, nil
-			}
-		case Horn:
-			a, ok, err := SolveHorn(p)
-			cl := c
-			return a, ok, &cl, err
-		case DualHorn:
-			a, ok, err := SolveDualHorn(p)
-			cl := c
-			return a, ok, &cl, err
-		case Bijunctive:
-			a, ok, err := SolveTwoSat(p)
-			cl := c
-			return a, ok, &cl, err
-		case Affine:
-			a, ok, err := SolveAffine(p)
-			cl := c
-			return a, ok, &cl, err
-		}
+// Solve runs the solver of the template's first Schaefer class, in
+// Classify's order, or generic search outside all six classes. It returns
+// the result and the class solved, nil when generic search ran. An expired
+// ctx yields an Aborted result and no error.
+func Solve(ctx context.Context, p *Instance) (csp.Result, *Class, error) {
+	class, ok := p.Template.first()
+	if !ok {
+		res, err := SolveGeneric(ctx, p, csp.Options{})
+		return res, nil, err
 	}
-	a, ok, err := SolveGeneric(p, csp.Options{})
-	return a, ok, nil, err
+	if ctx.Err() != nil {
+		return csp.Result{Aborted: true}, &class, nil
+	}
+	var res csp.Result
+	var err error
+	switch class {
+	case ZeroValid:
+		res, err = SolveConstant(p, 0)
+	case OneValid:
+		res, err = SolveConstant(p, 1)
+	case Horn:
+		res, err = SolveHorn(ctx, p)
+	case DualHorn:
+		res, err = SolveDualHorn(ctx, p)
+	case Bijunctive:
+		res, err = SolveTwoSat(ctx, p)
+	case Affine:
+		res, err = SolveAffine(ctx, p)
+	}
+	return res, &class, err
 }
