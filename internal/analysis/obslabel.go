@@ -30,9 +30,16 @@ import (
 // syntactic on purpose: a helper that echoes its (switch-matched) argument
 // is rejected even though its value set is closed — each case must return
 // its own literal, so the label set is readable off the helper.
+//
+// Span names and attribute keys are held to a stricter rule: the name
+// passed to StartRoot, StartChild or StartSpan and the key passed to
+// Span.SetInt or Span.SetStr must be a constant expression. The tracer
+// interns them in a bounded name table, and constants are what keep it to
+// a few dozen entries; a helper's or a variable's value set is not readable
+// at the call.
 var obslabelAnalyzer = &Analyzer{
 	Name:         "obslabel",
-	Doc:          "label values passed to obs *Vec metrics must come from fixed enumerable sets (literals, consts, pure-literal helpers)",
+	Doc:          "label values passed to obs *Vec metrics must come from fixed enumerable sets (literals, consts, pure-literal helpers); span names and attribute keys must be constants",
 	Prepare:      prepareObslabel,
 	CheckPackage: runObslabel,
 }
@@ -42,6 +49,14 @@ var obslabelAnalyzer = &Analyzer{
 var obsVecLabelArgs = map[string]map[string]int{
 	"CounterVec":   {"Add": 1, "Inc": 0},
 	"HistogramVec": {"Observe": 1},
+}
+
+// obsSpanNameArgs maps a tracer entry point's receiver type ("" for the
+// package-level functions) → function → index of its name or key argument.
+var obsSpanNameArgs = map[string]map[string]int{
+	"":       {"StartRoot": 0, "StartChild": 1, "StartSpan": 1},
+	"Tracer": {"StartRoot": 0, "StartChild": 1},
+	"Span":   {"SetInt": 0, "SetStr": 0},
 }
 
 // obslabelIndex is the cross-package function-declaration index used to
@@ -98,6 +113,13 @@ func checkObslabelFunc(pass *Pass, idx *obslabelIndex, pkg *Package, fd *ast.Fun
 		if !ok {
 			return true
 		}
+		if name, i := obsSpanNameCall(pkg, call); name != "" && i < len(call.Args) {
+			if tv, ok := pkg.Info.Types[call.Args[i]]; !ok || tv.Value == nil {
+				pass.Reportf(call.Args[i].Pos(),
+					"non-constant span name or attribute key passed to %s; the tracer's name table is bounded by constant names", name)
+			}
+			return true
+		}
 		name, start := obsVecRecordingCall(pkg, call)
 		if name == "" {
 			return true
@@ -112,30 +134,53 @@ func checkObslabelFunc(pass *Pass, idx *obslabelIndex, pkg *Package, fd *ast.Fun
 	})
 }
 
+// obsCallee returns the receiver type name ("" for a package-level
+// function) and the name of the obs function or method call calls, or
+// ok=false when call is not into the obs package.
+func obsCallee(pkg *Package, call *ast.CallExpr) (recv, name string, ok bool) {
+	fn := calleeFunc(pkg, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != obsPkgPath {
+		return "", "", false
+	}
+	if sig, isSig := fn.Type().(*types.Signature); isSig && sig.Recv() != nil {
+		named := namedRecv(sig.Recv().Type())
+		if named == nil {
+			return "", "", false
+		}
+		return named.Obj().Name(), fn.Name(), true
+	}
+	return "", fn.Name(), true
+}
+
 // obsVecRecordingCall returns the printable callee name and the index of the
 // first label argument when call records into a labeled Vec, or ("", 0).
 func obsVecRecordingCall(pkg *Package, call *ast.CallExpr) (string, int) {
-	fn := calleeFunc(pkg, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != obsPkgPath {
+	recv, name, ok := obsCallee(pkg, call)
+	if !ok || recv == "" {
 		return "", 0
 	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return "", 0
-	}
-	named := namedRecv(sig.Recv().Type())
-	if named == nil {
-		return "", 0
-	}
-	methods, ok := obsVecLabelArgs[named.Obj().Name()]
+	start, ok := obsVecLabelArgs[recv][name]
 	if !ok {
 		return "", 0
 	}
-	start, ok := methods[fn.Name()]
+	return "obs." + recv + "." + name, start
+}
+
+// obsSpanNameCall returns the printable callee name and the index of the
+// name or key argument when call is a tracer entry point, or ("", 0).
+func obsSpanNameCall(pkg *Package, call *ast.CallExpr) (string, int) {
+	recv, name, ok := obsCallee(pkg, call)
 	if !ok {
 		return "", 0
 	}
-	return "obs." + named.Obj().Name() + "." + fn.Name(), start
+	i, ok := obsSpanNameArgs[recv][name]
+	if !ok {
+		return "", 0
+	}
+	if recv != "" {
+		return "obs." + recv + "." + name, i
+	}
+	return "obs." + name, i
 }
 
 // allowedLabelExpr reports whether e provably evaluates to a member of a

@@ -63,8 +63,8 @@ func goodHelperInLoop(batches [][]int) {
 // point. (near-miss negative: an obs method call inside a loop)
 func goodSpanInLoop(parent *obs.Span, steps []string) {
 	for _, s := range steps {
-		sp := obs.StartChild(parent, s)
-		sp.SetInt("step", 1)
+		sp := obs.StartChild(parent, "step")
+		sp.SetStr("name", s)
 		sp.End()
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -141,5 +143,99 @@ func TestWriteJSONL(t *testing.T) {
 		if rec.TraceID != "tid" {
 			t.Fatalf("trace id lost in export: %s", line)
 		}
+	}
+}
+
+// TestLiveSpanMethodsDoNotAllocate: setting attributes and ending a live
+// span write into the span's slots and the preallocated ring only.
+func TestLiveSpanMethodsDoNotAllocate(t *testing.T) {
+	tr := NewTracer(64)
+	tr.SetActive(true)
+	sp := tr.StartRoot("solve", "req-1")
+	sp.SetInt("nodes", 1) // intern the names before measuring
+	sp.SetStr("phase", "root")
+	for name, f := range map[string]func(){
+		"SetInt": func() { sp.rec.nattr = 0; sp.SetInt("nodes", 42) },
+		"SetStr": func() { sp.rec.nattr = 0; sp.SetStr("phase", "root") },
+		"End":    func() { sp.End() },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s on a live span allocates %v per call", name, n)
+		}
+	}
+}
+
+// TestRingHoldsNoPointers: the collector never scans the ring or its
+// attribute arena because no element type can hold a Go pointer.
+func TestRingHoldsNoPointers(t *testing.T) {
+	tr := NewTracer(4)
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(tr.ring).Elem(), reflect.TypeOf(tr.keys).Elem(), reflect.TypeOf(tr.vals).Elem(),
+	} {
+		if hasPointers(typ) {
+			t.Errorf("ring element type %v holds a pointer", typ)
+		}
+	}
+}
+
+func hasPointers(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return typ.Len() > 0 && hasPointers(typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if hasPointers(typ.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	}
+	return true // pointers, strings, slices, maps, channels, funcs, interfaces
+}
+
+// TestNameTableOverflow: once the table holds maxNames names, every new
+// name reads as overflowName, and names interned before still resolve.
+func TestNameTableOverflow(t *testing.T) {
+	tr := NewTracer(8)
+	tr.SetActive(true)
+	for i := 1; i < maxNames; i++ {
+		if id := tr.names.id(fmt.Sprintf("name-%d", i)); int(id) != i {
+			t.Fatalf("name %d got id %d", i, id)
+		}
+	}
+	if id := tr.names.id("one-too-many"); id != 0 {
+		t.Fatalf("name past the bound got id %d, want the overflow id 0", id)
+	}
+	sp := tr.StartRoot("another-new-name", "t")
+	sp.SetStr("name-7", "yet-another")
+	sp.End()
+	spans := tr.Drain()
+	if len(spans) != 1 || spans[0].Name != overflowName ||
+		spans[0].Attrs[0].Key != "name-7" || spans[0].Attrs[0].Str != overflowName {
+		t.Fatalf("overflowed names render as %+v, want %q for the new ones", spans, overflowName)
+	}
+}
+
+// TestSpanLimits: a span keeps its first maxSpanAttrs attributes and the
+// first traceIDMax bytes of its trace id.
+func TestSpanLimits(t *testing.T) {
+	tr := NewTracer(8)
+	tr.SetActive(true)
+	long := strings.Repeat("t", traceIDMax+5)
+	sp := tr.StartRoot("s", long)
+	for i := range maxSpanAttrs + 3 {
+		sp.SetInt("i", int64(i))
+	}
+	sp.End()
+	spans := tr.Drain()
+	if got := spans[0].TraceID; got != long[:traceIDMax] {
+		t.Fatalf("trace id %q, want its first %d bytes", got, traceIDMax)
+	}
+	if len(spans[0].Attrs) != maxSpanAttrs || spans[0].Attrs[maxSpanAttrs-1].Int != maxSpanAttrs-1 {
+		t.Fatalf("attrs %+v, want the first %d", spans[0].Attrs, maxSpanAttrs)
 	}
 }

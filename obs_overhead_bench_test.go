@@ -10,13 +10,16 @@
 // instrumentation itself — the inner join loop disassembles to identical
 // instructions before and after this layer was added.
 //
-// Tracing stays off in both modes: span recording is a consumer feature
-// (cspd, csolve -trace) whose cost is paid only when a ring drain is
-// wanted, while the metric counters are the always-compiled-in part whose
-// disabled cost has to be provably negligible.
+// Tracing stays off in the off and on modes: span recording is a consumer
+// feature (cspd, csolve -trace), while the metric counters are the
+// always-compiled-in part whose disabled cost has to be provably
+// negligible. The engine probe's traced mode and BenchmarkObsOverheadSpan
+// price what cspd pays with tracing on: a span per search node, written
+// into the tracer's preallocated ring.
 package csdb_bench
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -38,21 +41,49 @@ func withObsState(b *testing.B, enabled bool, f func(b *testing.B)) {
 
 // BenchmarkObsOverheadEngine is the search-side overhead probe: the E7
 // phase-transition MAC solve, instrumented at solve/propagation boundaries.
+// The traced mode also records spans on the default tracer, as cspd does:
+// the solve, its search and one propagation span per node, under a root.
 func BenchmarkObsOverheadEngine(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	inst := gen.ModelB(rng, 14, 4, 0.5, 0.45)
 	for _, mode := range []struct {
-		name    string
-		enabled bool
-	}{{"off", false}, {"on", true}} {
+		name            string
+		enabled, traced bool
+	}{{"off", false, false}, {"on", true, false}, {"traced", true, true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			withObsState(b, mode.enabled, func(b *testing.B) {
+				prev := obs.Tracing()
+				obs.SetTracing(mode.traced)
+				defer obs.SetTracing(prev)
+				defer obs.DefaultTracer().Drain()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					csp.Solve(inst, csp.Options{Algorithm: csp.MAC})
+					if !mode.traced {
+						csp.Solve(inst, csp.Options{Algorithm: csp.MAC})
+						continue
+					}
+					root := obs.StartRoot("bench.solve", "req-1")
+					csp.SolveCtx(obs.WithSpan(context.Background(), root), inst, csp.Options{Algorithm: csp.MAC})
+					root.End()
 				}
 			})
 		})
+	}
+}
+
+// BenchmarkObsOverheadSpan is one per-node span on an active tracer: start
+// a child, set three attributes, end it into the ring.
+func BenchmarkObsOverheadSpan(b *testing.B) {
+	tr := obs.NewTracer(16384)
+	tr.SetActive(true)
+	root := tr.StartRoot("bench.solve", "req-1")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sp := tr.StartChild(root, "csp.propagate")
+		sp.SetInt("var", int64(i))
+		sp.SetInt("prunings", 3)
+		sp.SetStr("phase", "root")
+		sp.End()
 	}
 }
 
