@@ -127,15 +127,16 @@ bench:
 		| $(GO) run ./cmd/benchjson -o BENCH_relation.json -label $(BENCH_LABEL) -obs
 
 # Benchmark the daemon's serving stack — cold engine solve vs canonical
-# cache hit on the same request, and the cache key (parse plus the keyed
-# digest) beside parse plus CanonicalHash — into BENCH_serve.json. The
-# recorded gap is the acceptance bar for the result cache (hit median >=
-# 50x faster).
+# cache hit on the same request, the cache key (parse plus the keyed
+# digest) beside parse plus CanonicalHash, and the Hard route's in-process
+# /solve handler (route=auto, traced, uncached) on the hard-search family —
+# into BENCH_serve.json. The recorded gap is the acceptance bar for the
+# result cache (hit median >= 50x faster).
 bench-serve:
-	$(GO) test -bench 'ServeSolve|ServeCanonicalHash|ServeCacheKey' -benchmem -count 5 \
+	$(GO) test -bench 'ServeSolve|ServeCanonicalHash|ServeCacheKey|ServeHardSearch' -benchmem -count 5 \
 		-benchtime=0.3s -run '^$$' -timeout 30m ./cmd/cspd/ \
 		| $(GO) run ./cmd/benchjson -o BENCH_serve.json -label $(BENCH_LABEL) \
-		-note "cspd request latency: cold engine solve vs canonical result-cache hit on PHP(8), plus the cache-key (parse+digest) and parse+CanonicalHash costs"
+		-note "cspd request latency: cold engine solve vs canonical result-cache hit on PHP(8), the cache-key (parse+digest) and parse+CanonicalHash costs, and the traced route=auto handler on 64 uncached hard-search bodies"
 
 # Benchmark the dispatcher into BENCH_serve.json: one classify per op over
 # cspdbench-sized tree, Schaefer, acyclic, width and hard (phase-transition)

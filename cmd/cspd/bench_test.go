@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -102,6 +103,47 @@ func BenchmarkServeSolveCacheHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		postSolveBench(b, ts, body)
+	}
+}
+
+// hardBodies is how many distinct phase-transition bodies
+// BenchmarkServeHardSearch cycles through.
+const hardBodies = 64
+
+// BenchmarkServeHardSearch measures the Hard route as cspd serves it: the
+// in-process /solve handler, with metrics and tracing on, answering
+// route=auto over hardBodies pre-rendered members of the hard-search family
+// (PhaseTransition(20, 10, 0.3)), most of which the dispatcher classifies
+// Hard and races on the portfolio. The cache is off, so every request runs
+// the engine; a cached answer fails the benchmark.
+func BenchmarkServeHardSearch(b *testing.B) {
+	prevEnabled, prevTracing := obs.Enabled(), obs.Tracing()
+	obs.SetEnabled(true)
+	obs.SetTracing(true)
+	b.Cleanup(func() {
+		obs.DefaultTracer().Drain()
+		obs.DefaultEvents().Drain()
+		obs.SetEnabled(prevEnabled)
+		obs.SetTracing(prevTracing)
+	})
+	h := newServer(daemonConfig{maxTimeout: time.Minute, maxInflight: 4, maxQueue: 64}).mux()
+	rng := rand.New(rand.NewSource(1))
+	bodies := make([][]byte, hardBodies)
+	for i := range bodies {
+		var buf bytes.Buffer
+		if err := cspio.Format(&buf, gen.PhaseTransition(rng, 20, 10, 0.3)); err != nil {
+			b.Fatal(err)
+		}
+		bodies[i] = buf.Bytes()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/solve?route=auto&timeout=10s", bytes.NewReader(bodies[i%hardBodies]))
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte(`"cached":false`)) {
+			b.Fatalf("/solve: status %d body %s, want an engine run", rec.Code, rec.Body.Bytes())
+		}
 	}
 }
 

@@ -20,8 +20,9 @@ import "csdb/internal/obs"
 //	csp.search.nogood_hits nogood propagation events (prunes + conflicts)
 //	csp.joinsolve.calls    Proposition 2.1 join-evaluation decisions
 //	csp.portfolio.races    portfolio races run
-//	csp.portfolio.lane     labeled vector {lane, outcome}: per-lane win/loss
-//	                       tallies across races (outcome win|loss)
+//	csp.portfolio.lane     labeled vector {lane, outcome}: per-lane tallies
+//	                       across races (outcome win|loss|idle; idle is a
+//	                       held lane the race never started)
 var (
 	obsSolveCalls       = obs.NewCounter("csp.solve.calls")
 	obsSearchNodes      = obs.NewCounter("csp.search.nodes")
@@ -58,12 +59,14 @@ func laneLabel(name string) string {
 // recordLaneOutcome flushes one lane's race outcome. It is its own function
 // (a call boundary) because the caller tallies a whole race's lanes in one
 // short bounded loop after the race settles.
-func recordLaneOutcome(name string, won bool) {
+func recordLaneOutcome(name string, started, won bool) {
 	if !obs.Enabled() {
 		return
 	}
 	outcome := "loss"
-	if won {
+	if !started {
+		outcome = "idle"
+	} else if won {
 		outcome = "win"
 	}
 	obsPortfolioLane.Inc(laneLabel(name), outcome)

@@ -22,7 +22,21 @@ import (
 type PortfolioStrategy struct {
 	Name string
 	Run  func(ctx context.Context, p *Instance, opts Options) Result
+	// joinAfter, when positive, holds the lane back until the race has been
+	// undecided for that long, or until every lane started before it has
+	// ended without a verdict; a race decided or cancelled first never
+	// starts it. Only DefaultStrategies sets it, so a caller's own strategy
+	// list starts every lane at once.
+	joinAfter time.Duration
 }
+
+// learnJoinAfter is how long the default race runs undecided before its
+// Learn lane joins. The Hard route's races are short: the MAC+MRV lane
+// decides its phase-transition family in about 22 nodes, and in-process 8
+// of 1,500 of those races ran past 1 ms (p50 0.28 ms, p99 0.85 ms), while
+// the instances Learn wins (quasigroup completion, Model B at n=35) take
+// it about 20 ms or more.
+const learnJoinAfter = 10 * yieldQuantum
 
 // DefaultStrategies returns the standard portfolio of three lanes: MAC+MRV
 // search, conflict-directed backjumping, and the restart/nogood learning
@@ -36,9 +50,18 @@ type PortfolioStrategy struct {
 // big-domain member takes it 162 nodes against a budget of 7,500 and the
 // loose member 141 against 600, while a phase-transition instance of the
 // Hard route's family, which would take it tens of thousands, costs the
-// race 200. The cbj strategy row runs SolveCBJ complete. FC+Lex and join
-// evaluation were never the fastest lane and stay out; they remain rows of
-// the dispatcher's strategy table. The dispatcher's Hard route inherits the
+// race 200. The cbj strategy row runs SolveCBJ complete.
+//
+// The race is staged. MAC+MRV and the CBJ probe start at once; Learn, the
+// lane for heavy-tailed runs, joins only a race still undecided after
+// learnJoinAfter (1 ms), or at once when both have ended without a verdict
+// (a node limit). On a 2-core host a third CPU-bound lane slows the two
+// that decide nearly every Hard-route race: with Learn staged, cspdbench's
+// hard-search p90 fell from 1.48 to 1.20 ms and its throughput rose from
+// 937 to 1,107 requests/s (medians of ten interleaved pairs), while the
+// instances Learn wins lose about the delay. FC+Lex and join evaluation
+// were never the fastest lane and stay out; they remain rows of the
+// dispatcher's strategy table. The dispatcher's Hard route inherits the
 // race.
 func DefaultStrategies() []PortfolioStrategy {
 	return []PortfolioStrategy{
@@ -55,7 +78,7 @@ func DefaultStrategies() []PortfolioStrategy {
 		{Name: "Learn", Run: func(ctx context.Context, p *Instance, opts Options) Result {
 			opts.Learn, opts.VarOrder = true, MRV
 			return SolveCtx(ctx, p, opts)
-		}},
+		}, joinAfter: learnJoinAfter},
 	}
 }
 
@@ -100,27 +123,30 @@ type PortfolioResult struct {
 
 // Portfolio races the configured strategies on goroutines and returns the
 // first definitive verdict — Found (with a solution) or a completed
-// unsatisfiability proof — cancelling the remaining strategies. All
-// strategies are waited for before returning, so Portfolio leaks no
-// goroutines. When every strategy aborts (node limits, or ctx cancelled
-// before any verdict), the result has Aborted=true.
+// unsatisfiability proof — cancelling the remaining strategies. A lane held
+// back by its join delay (DefaultStrategies' Learn) starts once the race has
+// been undecided that long, or at once when every lane already started has
+// ended without a verdict; one the race never needed is reported Aborted
+// with zero Stats and opens no span. Every started lane is waited for
+// before returning, so Portfolio leaks no goroutines. When every strategy
+// aborts (node limits, or ctx cancelled before any verdict), the result has
+// Aborted=true.
 //
-// The race is fair on fewer processors than lanes (three default lanes on
-// two cores), and its losers stop promptly, because every built-in lane
-// polls ctx after a bounded stretch of work (cancelCheckInterval search
-// nodes, propagation steps, support scans or set-up ticks; about a thousand
-// rows or pairs inside the join kernel) and yields the processor at a poll
-// once it has run for yieldQuantum (0.1 ms). The lanes therefore share
-// processors in slices of about 0.1 ms, not the runtime's ~10 ms preemption
-// turns, and a loser returns within one poll interval of the winner's
-// cancellation, even while it is still compiling its supports. Where
-// MAC+MRV or Learn wins, the CBJ probe (see DefaultStrategies) gives up
-// after Vars×Dom nodes instead of taking a processor for the whole race.
-// The race still costs more than its winner alone: 1.34–1.99× its fastest
-// lane on the BENCH_search families (on SearchHard20x10d30x50 the bitset
-// MAC lane takes 17.1 ms, the race 26.7 ms). Every lane compiles its own
-// supports, and on the 2-core benchmark host two CPU-bound goroutines take
-// 1.65–1.8× the time of one.
+// The race is fair on fewer processors than lanes, and its losers stop
+// promptly, because every built-in lane polls ctx after a bounded stretch
+// of work (cancelCheckInterval search nodes, propagation steps, support
+// scans or set-up ticks; about a thousand rows or pairs inside the join
+// kernel) and yields the processor at a poll once it has run for
+// yieldQuantum (0.1 ms). The lanes therefore share processors in slices of
+// about 0.1 ms, not the runtime's ~10 ms preemption turns, and a loser
+// returns within one poll interval of the winner's cancellation, even while
+// it is still compiling its supports. What a race costs beyond its winner
+// is the processor time of the lanes running beside it, not their
+// duplicated set-up: a prototype that compiled the supports once and shared
+// them between the lanes made the Hard route's /solve handler slower
+// (758–765 µs against 733 µs). So the default race keeps its third lane out
+// of the short races (see DefaultStrategies), and the CBJ probe gives up
+// after Vars×Dom nodes where MAC+MRV or Learn wins.
 func Portfolio(ctx context.Context, p *Instance, popts PortfolioOptions) PortfolioResult {
 	start := time.Now()
 	strategies := popts.Strategies
@@ -144,7 +170,11 @@ func Portfolio(ctx context.Context, p *Instance, popts PortfolioOptions) Portfol
 		res Result
 	}
 	done := make(chan verdict, len(strategies))
-	for i, st := range strategies {
+	started := make([]bool, len(strategies))
+	running, held := 0, 0
+	launch := func(i int) {
+		started[i] = true
+		running++
 		go func(i int, st PortfolioStrategy) {
 			sp := obs.StartChild(raceSpan, "csp.strategy")
 			sp.SetStr("name", st.Name)
@@ -158,33 +188,83 @@ func Portfolio(ctx context.Context, p *Instance, popts PortfolioOptions) Portfol
 			}
 			sp.End()
 			done <- verdict{i, res}
-		}(i, st)
+		}(i, strategies[i])
 	}
+	for i, st := range strategies {
+		if st.joinAfter > 0 {
+			held++
+		} else {
+			launch(i)
+		}
+	}
+	// release starts every held lane whose delay has run out, or every held
+	// lane when now is set, and returns how long until the next one is due.
+	release := func(now bool) time.Duration {
+		elapsed, next := time.Since(start), time.Duration(0)
+		for i, st := range strategies {
+			if started[i] || st.joinAfter <= 0 {
+				continue
+			}
+			if wait := st.joinAfter - elapsed; now || wait <= 0 {
+				launch(i)
+				held--
+			} else if next == 0 || wait < next {
+				next = wait
+			}
+		}
+		return next
+	}
+	var timer *time.Timer
+	var wake <-chan time.Time
 
 	out := PortfolioResult{Reports: make([]StrategyReport, len(strategies))}
 	winner := -1
-	for n := 0; n < len(strategies); n++ {
-		v := <-done
-		rep := StrategyReport{
-			Name:    strategies[v.idx].Name,
-			Stats:   v.res.Stats,
-			Found:   v.res.Found,
-			Aborted: v.res.Aborted,
+	for {
+		wake = nil
+		if held > 0 && winner < 0 && raceCtx.Err() == nil {
+			if next := release(running == 0); next > 0 {
+				if timer == nil {
+					timer = time.NewTimer(next)
+				} else {
+					timer.Reset(next)
+				}
+				wake = timer.C
+			}
 		}
-		if winner < 0 && !v.res.Aborted {
-			winner = v.idx
-			out.Result = v.res
-			out.Winner = strategies[v.idx].Name
-			cancel() // stop the losers
+		if running == 0 {
+			break
 		}
-		out.Reports[v.idx] = rep
-		out.Total.merge(v.res.Stats)
+		select {
+		case <-wake:
+			continue
+		case v := <-done:
+			running--
+			if winner < 0 && !v.res.Aborted {
+				winner = v.idx
+				out.Result = v.res
+				out.Winner = strategies[v.idx].Name
+				cancel() // stop the losers
+			}
+			out.Reports[v.idx] = StrategyReport{
+				Name:    strategies[v.idx].Name,
+				Stats:   v.res.Stats,
+				Found:   v.res.Found,
+				Aborted: v.res.Aborted,
+			}
+			out.Total.merge(v.res.Stats)
+		}
+	}
+	if timer != nil {
+		timer.Stop()
 	}
 	if winner < 0 {
 		out.Result = Result{Aborted: true, Stats: out.Total}
 	}
 	for i := range out.Reports {
-		recordLaneOutcome(out.Reports[i].Name, i == winner)
+		if !started[i] {
+			out.Reports[i] = StrategyReport{Name: strategies[i].Name, Aborted: true}
+		}
+		recordLaneOutcome(out.Reports[i].Name, started[i], i == winner)
 	}
 	out.Total.Duration = time.Since(start)
 	out.Result.Stats.Duration = out.Total.Duration

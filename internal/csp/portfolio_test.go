@@ -4,8 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"testing"
-
-	"csdb/internal/obs"
 )
 
 // pigeonhole returns the unsatisfiable instance placing n pigeons into n-1
@@ -199,36 +197,6 @@ func TestStatsInstrumentation(t *testing.T) {
 	join := JoinSolve(p)
 	if join.Stats.Strategy != "Join" || !join.Found {
 		t.Fatalf("join instrumentation: %+v", join.Stats)
-	}
-}
-
-// TestPortfolioLaneOutcomes pins the labeled per-lane win/loss vector: one
-// race increments exactly one win series and len(lanes)-1 loss series.
-func TestPortfolioLaneOutcomes(t *testing.T) {
-	prev := obs.Enabled()
-	obs.SetEnabled(true)
-	t.Cleanup(func() { obs.SetEnabled(prev) })
-
-	lanes := []string{"mac_mrv", "cbj", "learn"}
-	before := map[string][2]int64{}
-	for _, l := range lanes {
-		before[l] = [2]int64{obsPortfolioLane.Load(l, "win"), obsPortfolioLane.Load(l, "loss")}
-	}
-
-	res := Portfolio(context.Background(), nqueensInstance(6), PortfolioOptions{})
-	if res.Winner == "" {
-		t.Fatal("race produced no winner")
-	}
-	var wins, losses int64
-	for _, l := range lanes {
-		wins += obsPortfolioLane.Load(l, "win") - before[l][0]
-		losses += obsPortfolioLane.Load(l, "loss") - before[l][1]
-	}
-	if wins != 1 || losses != int64(len(lanes)-1) {
-		t.Fatalf("lane outcome deltas: wins=%d losses=%d, want 1 and %d", wins, losses, len(lanes)-1)
-	}
-	if got := obsPortfolioLane.Load(laneLabel(res.Winner), "win") - before[laneLabel(res.Winner)][0]; got != 1 {
-		t.Fatalf("winner lane %s win delta = %d, want 1", res.Winner, got)
 	}
 }
 
